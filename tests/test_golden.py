@@ -1,0 +1,25 @@
+"""Report bytes pinned against tests/golden/ (see scripts/regen_golden.py)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "regen_golden", ROOT / "scripts" / "regen_golden.py"
+)
+regen_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen_golden)
+CASES = regen_golden.golden_cases()
+
+
+def test_golden_set_is_complete():
+    on_disk = sorted(p.name for p in regen_golden.GOLDEN.iterdir())
+    assert on_disk == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    expected = (regen_golden.GOLDEN / name).read_bytes()
+    assert CASES[name]().encode() == expected
