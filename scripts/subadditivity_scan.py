@@ -14,16 +14,9 @@ import argparse
 import json
 import math
 
-from fingen.probvec import cond_entropy
+from fingen.probvec import cond_entropy, label_cells
 from fingen.recoder import brute_force_generator_search
 from fingen.system import FiniteSystem, GAlgebra, generated_algebra
-
-
-def label_cells(labels):
-    out = {}
-    for x, c in enumerate(labels):
-        out.setdefault(c, []).append(x)
-    return [tuple(v) for v in out.values()]
 
 
 def min_conditional_generating(sysn, falg):

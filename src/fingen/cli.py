@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FingenError
-from .probvec import Coarsening, ProbVec, cond_entropy, ratcomb_decompose
+from .probvec import Coarsening, ProbVec, cond_entropy, label_cells, ratcomb_decompose
 from .recoder import (
     RecodeParams,
     brute_force_generator_search,
@@ -54,11 +54,6 @@ def _fr(v) -> Fraction:
         return Fraction(str(v).strip())
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"not a rational: {v!r} ({e})")
-
-
-def _fs(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _vec(items) -> ProbVec:
@@ -161,7 +156,7 @@ def expand_range(spec) -> list:
 
 def jsonable(v):
     if isinstance(v, Fraction):
-        return _fs(v)
+        return str(v)
     if isinstance(v, float):
         return v if math.isfinite(v) else None
     if isinstance(v, dict):
@@ -190,8 +185,8 @@ def cmd_count(cfg: ExperimentConfig) -> dict:
             rows.append(
                 {
                     "n": n,
-                    "eps": _fs(eps),
-                    "delta": _fs(delta),
+                    "eps": str(eps),
+                    "delta": str(delta),
                     "count": rep.count,
                     "log_count": rep.log_count,
                     "log_lower": rep.log_lower,
@@ -227,7 +222,7 @@ def _decompose_row(rid: str, a: ProbVec, eps: Fraction) -> dict:
         "n": dec.n,
         "components": len(dec.vectors),
         "mixing": ",".join(dec.mixing.to_strings()),
-        "max_dev": _fs(max_dev),
+        "max_dev": str(max_dev),
         "identity": identity,
         "within_eps": max_dev < eps,
     }
@@ -255,22 +250,17 @@ def cmd_codebook(cfg: ExperimentConfig) -> dict:
     xi = _vec(o["xi"])
     blocks = parse_blocks(o["blocks"], len(xi))
     q = _vec(o["q"])
-    budget = PackingBudget(
-        _fr(o.get("delta", "1/1000")),
-        _fr(o.get("r", "1/2")),
-        _fr(o["eps0"]) if o.get("eps0") is not None else None,
-        int(o["n0"]) if o.get("n0") is not None else None,
-    )
+    budget = PackingBudget(_fr(o.get("delta", "1/1000")), _fr(o.get("r", "1/2")))
     book = build_injections(
         xi, blocks, q, budget, _fr(o.get("eps", "0")), int(o["n"]),
         o.get("capacity", "analytic"),
     )
     report = {
         "k": book.k,
-        "rho": _fs(book.rho),
+        "rho": str(book.rho),
         "packing_size": len(book.packing),
         "books": len(book.books),
-        "separation": _fs(book.separation()),
+        "separation": str(book.separation()),
         "checks": list(book.checks),
     }
     if o.get("include_books"):
@@ -299,13 +289,6 @@ def cmd_tower(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _label_cells(labels) -> list:
-    out: dict = {}
-    for x, c in enumerate(labels):
-        out.setdefault(c, []).append(x)
-    return [tuple(v) for v in out.values()]
-
-
 def cmd_reduce(cfg: ExperimentConfig) -> dict:
     o = cfg.options
     sysn = make_system(o["system"], cfg.max_points)
@@ -315,8 +298,8 @@ def cmd_reduce(cfg: ExperimentConfig) -> dict:
     delta = _fr(o["delta"]) if o.get("delta") is not None else None
     cutoff = int(o["cutoff"]) if o.get("cutoff") is not None else None
     alpha, plan = reduce_alphabet(sysn, xi, falg, eps, delta, cutoff)
-    ga = generated_algebra(sysn, _label_cells(alpha) + _label_cells(falg.labels))
-    gx = generated_algebra(sysn, _label_cells(xi) + _label_cells(falg.labels))
+    ga = generated_algebra(sysn, label_cells(alpha) + label_cells(falg.labels))
+    gx = generated_algebra(sysn, label_cells(xi) + label_cells(falg.labels))
     w = sysn.weights.weights
     return {
         "certificate": {
@@ -324,7 +307,7 @@ def cmd_reduce(cfg: ExperimentConfig) -> dict:
             "cells_after": len(set(alpha)),
             "h_before": cond_entropy(xi, falg.labels, w),
             "h_after": cond_entropy(alpha, falg.labels, w),
-            "eps": _fs(eps),
+            "eps": str(eps),
             "algebra_equal": ga.labels == gx.labels,
             "plan": plan.to_json(),
         },
@@ -393,7 +376,7 @@ def _cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, Fraction):
-        return _fs(v)
+        return str(v)
     if isinstance(v, float):
         return repr(v)
     return str(v)

@@ -29,10 +29,18 @@ __all__ = [
     "ratcomb_decompose",
     "join_labels",
     "label_distribution",
+    "label_cells",
+    "canon_labels",
+    "ratio_str",
     "uniform_weights",
 ]
 
 FLOAT_SUM_TOL = 1e-9
+
+
+def ratio_str(x: Fraction) -> str:
+    """``n/d`` with the denominator always written, also when it is 1."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _coerce_weights(values: Iterable) -> tuple:
@@ -96,7 +104,7 @@ class ProbVec:
 
     def to_strings(self) -> list:
         if self.exact:
-            return [f"{x.numerator}/{x.denominator}" for x in self.weights]
+            return [ratio_str(x) for x in self.weights]
         return [repr(x) for x in self.weights]
 
     @classmethod
@@ -165,32 +173,36 @@ def coarsen(p: ProbVec, q: Coarsening) -> ProbVec:
     return ProbVec(tuple(sum((p.weights[i] for i in b), start=Fraction(0) if p.exact else 0.0) for b in q.blocks))
 
 
-def _groups(labels: Sequence[int]):
-    g: dict = {}
-    for i, lab in enumerate(labels):
-        g.setdefault(lab, []).append(i)
-    return g
+def label_cells(labels: Sequence) -> list:
+    """Point tuples of each cell of a labeling, cells in first-occurrence order."""
+    out: dict = {}
+    for x, lab in enumerate(labels):
+        out.setdefault(lab, []).append(x)
+    return [tuple(pts) for pts in out.values()]
+
+
+def canon_labels(raw) -> tuple:
+    """Relabel by first occurrence: the first label seen becomes 0, and so on."""
+    table: dict = {}
+    out = []
+    for v in raw:
+        out.append(table.setdefault(v, len(table)))
+    return tuple(out)
 
 
 def label_distribution(labels: Sequence[int], weights: Sequence | None = None) -> ProbVec:
     """Cell-mass vector of a labeling, cells ordered by label value."""
     if weights is None:
         weights = uniform_weights(len(labels))
-    groups = _groups(labels)
-    return ProbVec(tuple(sum(weights[i] for i in groups[lab]) for lab in sorted(groups)))
+    cells = sorted(label_cells(labels), key=lambda cell: labels[cell[0]])
+    return ProbVec(tuple(sum(weights[i] for i in cell) for cell in cells))
 
 
 def join_labels(a: Sequence[int], b: Sequence[int]) -> tuple:
     """Common refinement of two labelings, cells numbered by first occurrence."""
     if len(a) != len(b):
         raise InvalidPartitionError("labeling length mismatch")
-    seen: dict = {}
-    out = []
-    for pair in zip(a, b):
-        if pair not in seen:
-            seen[pair] = len(seen)
-        out.append(seen[pair])
-    return tuple(out)
+    return canon_labels(zip(a, b))
 
 
 def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = None) -> float:
@@ -200,7 +212,7 @@ def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = 
     if weights is None:
         weights = uniform_weights(len(a))
     h = 0.0
-    for fiber in _groups(b).values():
+    for fiber in label_cells(b):
         wb = float(sum(weights[i] for i in fiber))
         if wb <= 0.0:
             continue

@@ -25,8 +25,24 @@ from .errors import (
     InvalidParamsError,
     InvalidPartitionError,
 )
-from .probvec import Coarsening, ProbVec, coarsen, cond_entropy, entropy
-from .system import FiniteSystem, GAlgebra, PseudoMap, generated_algebra, simplemix
+from .probvec import (
+    Coarsening,
+    ProbVec,
+    canon_labels,
+    coarsen,
+    cond_entropy,
+    entropy,
+    entropy_pair,
+    label_cells,
+)
+from .system import (
+    FiniteSystem,
+    GAlgebra,
+    PseudoMap,
+    generated_algebra,
+    refine_partition,
+    simplemix,
+)
 from .tower import Tower, build_tower
 from .typical import CodeBook, PackingBudget, build_injections, choose_J, dbar
 
@@ -47,25 +63,6 @@ __all__ = [
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _canon(raw) -> tuple:
-    table: dict = {}
-    out = []
-    for v in raw:
-        out.append(table.setdefault(v, len(table)))
-    return tuple(out)
-
-
-def _cells(labels) -> list:
-    out: dict = {}
-    for x, c in enumerate(labels):
-        out.setdefault(c, []).append(x)
-    return [tuple(out[c]) for c in sorted(out, key=lambda c: out[c][0])]
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,9 @@ class AlphabetReductionPlan:
 
     def to_json(self) -> dict:
         return {
-            "delta": _frac_str(self.delta),
+            "delta": str(self.delta),
             "cutoff": self.cutoff,
-            "tail": _frac_str(self.tail),
+            "tail": str(self.tail),
             "max_len": max((len(w) for w in self.words), default=0),
             "relocations": [
                 {"level": n, "moved": len(th.pairs)} for n, th in self.thetas
@@ -127,11 +124,7 @@ class AlphabetReductionPlan:
 
 
 def _entropy_margin_ok(delta: float, eps: float) -> bool:
-    h = 0.0
-    for v in (delta, 1.0 - delta):
-        if v > 0.0:
-            h -= v * math.log(v)
-    return h + delta * math.log(7.0) < eps
+    return entropy_pair(delta, 1.0 - delta) + delta * math.log(7.0) < eps
 
 
 def reduce_alphabet(
@@ -153,7 +146,7 @@ def reduce_alphabet(
     margin fits inside eps.  Explicit delta or cutoff must meet the same
     constraints.
     """
-    xi = _canon(tuple(xi))
+    xi = canon_labels(xi)
     if len(xi) != sys.n_points:
         raise InvalidParamsError("one label per point")
     if len(F.labels) != sys.n_points:
@@ -204,7 +197,7 @@ def reduce_alphabet(
         if tail(cut) >= d:
             raise InvalidParamsError(
                 "tail weight below delta at the cutoff",
-                f"tail={_frac_str(tail(cut))} delta={_frac_str(d)}",
+                f"tail={tail(cut)} delta={d}",
             )
 
     # relocate each surviving tail level into the space still untouched
@@ -232,14 +225,11 @@ def reduce_alphabet(
     relocated = tuple(sorted(relocated))
     q_set = tuple(sorted(q_pts))
 
-    gamma = _canon(tuple(w[:cut] for w in words))
+    gamma = canon_labels(w[:cut] for w in words)
     moved = {y: i for i, ys in enumerate(digit_sets) for y in ys}
     qmembers = set(q_set)
-    alpha = _canon(
-        tuple(
-            (gamma[x], moved.get(x, -1), x in qmembers)
-            for x in range(sys.n_points)
-        )
+    alpha = canon_labels(
+        (gamma[x], moved.get(x, -1), x in qmembers) for x in range(sys.n_points)
     )
 
     plan = AlphabetReductionPlan(
@@ -294,7 +284,7 @@ class RecodePlan:
             "codewords": [list(w) for w in self.codewords],
             "excluded": [sorted(self.excluded(i)) for i in range(len(self.b_words))],
             "zeta_sizes": [len(z) for z in self.zeta],
-            "budget": _frac_str(self.budget()),
+            "budget": str(self.budget()),
         }
 
 
@@ -499,15 +489,7 @@ def theta_algebra(theta: PseudoMap, seeds) -> GAlgebra:
     inv = [0] * npts
     for x, y in enumerate(fwd):
         inv[y] = x
-    marked = [frozenset(s) for s in seeds]
-    labels = _canon(tuple(tuple(x in s for s in marked) for x in range(npts)))
-    while True:
-        nxt = _canon(
-            tuple((labels[x], labels[fwd[x]], labels[inv[x]]) for x in range(npts))
-        )
-        if len(set(nxt)) == len(set(labels)):
-            return GAlgebra(labels)
-        labels = nxt
+    return refine_partition(npts, seeds, [fwd, inv])
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +507,6 @@ def krieger_recode(
     m: int | None = None,
     nmin: int = 1,
     pack_delta=None,
-    eps0=None,
-    n0: int | None = None,
     capacity: str = "exact",
 ) -> tuple:
     """Realize the target distribution on a pre-partition that recodes xi.
@@ -576,10 +556,10 @@ def krieger_recode(
     for te in [tower_eps] if tower_eps is not None else [2, Fraction(5, 2), 3, Fraction(7, 2), 4]:
         try:
             tower = build_tower(sys, fine, te, nmin, m)
-            scan.append({"tower_eps": _frac_str(_frac(te)), "ok": True, "m": tower.m})
+            scan.append({"tower_eps": str(_frac(te)), "ok": True, "m": tower.m})
             break
         except (InvalidParamsError, DivisibilityError) as e:
-            scan.append({"tower_eps": _frac_str(_frac(te)), "ok": False, "error": str(e)})
+            scan.append({"tower_eps": str(_frac(te)), "ok": False, "error": str(e)})
     if tower is None:
         raise InvalidParamsError("no workable tower tolerance", f"scan={scan}")
 
@@ -587,7 +567,7 @@ def krieger_recode(
     q = params.q
     if pack_delta is None:
         pack_delta = Fraction(9, 400 * len(q))
-    budget = PackingBudget(pack_delta, params.r, eps0, n0)
+    budget = PackingBudget(pack_delta, params.r)
     needed = sorted(
         {tuple(beta[x] for x in tower.theta.orbit(y)) for y in tower.transversal}
     )
@@ -622,7 +602,7 @@ def krieger_recode(
     )
     exact = decoded == fine
 
-    seeds = list(cells_p) + _cells(beta) + [tower.transversal]
+    seeds = list(cells_p) + label_cells(beta) + [tower.transversal]
     algebra = theta_algebra(tower.theta, seeds)
     refines = algebra.refines(GAlgebra(fine))
 
@@ -688,10 +668,10 @@ def krieger_recode(
             "p": params.p.to_strings(),
             "q": q.to_strings(),
             "blocks": [list(b) for b in params.blocks.blocks],
-            "r": _frac_str(r),
-            "delta": _frac_str(delta_f),
-            "eps": _frac_str(_frac(params.eps)),
-            "pack_delta": _frac_str(_frac(pack_delta)),
+            "r": str(r),
+            "delta": str(delta_f),
+            "eps": str(_frac(params.eps)),
+            "pack_delta": str(_frac(pack_delta)),
             "reserved": list(plan.reserved),
         },
         "system": {"points": npts},
@@ -699,23 +679,23 @@ def krieger_recode(
             "m": tower.m,
             "n": tower.n,
             "classes": len(tower.transversal),
-            "side_weight": _frac_str(
+            "side_weight": str(
                 sys.total_weight(tower.s1) + sys.total_weight(tower.s2)
             ),
         },
         "codebook": {
             "k": codebook.k,
-            "rho": _frac_str(codebook.rho),
+            "rho": str(codebook.rho),
             "packing_size": len(codebook.packing),
             "books": len(codebook.books),
-            "separation": _frac_str(separation),
+            "separation": str(separation),
             "checks": codebook.checks,
         },
         "scan": scan,
         "inequalities": inequalities,
         "masses": {
-            "q_level": [_frac_str(v) for v in masses_q],
-            "p_level": [_frac_str(v) for v in masses_p],
+            "q_level": [str(v) for v in masses_q],
+            "p_level": [str(v) for v in masses_p],
             "exact": masses_q == [r * _frac(w) for w in q.weights]
             and masses_p == [r * _frac(w) for w in params.p.weights],
         },
@@ -751,7 +731,7 @@ def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:
 
     def consider():
         nonlocal best_h, best
-        cells = _cells(labels)
+        cells = label_cells(labels)
         algebra = generated_algebra(sys, cells)
         if len(algebra) != npts:
             return

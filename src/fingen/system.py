@@ -26,7 +26,7 @@ from .errors import (
     InvalidPartitionError,
     InvalidVectorError,
 )
-from .probvec import ProbVec, ratcomb_decompose
+from .probvec import ProbVec, canon_labels, label_cells, ratcomb_decompose
 
 # word tokens: "a" applies generator a, "~a" its inverse; applied left to right
 DEFAULT_GROUP_CAP = 100_000
@@ -202,16 +202,6 @@ class FiniteSystem:
         return len(set(self.weights.weights)) == 1
 
 
-def _canon_labels(raw) -> tuple:
-    table: dict = {}
-    out = []
-    for v in raw:
-        if v not in table:
-            table[v] = len(table)
-        out.append(table[v])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GAlgebra:
     """Invariant partition: every generator maps each cell onto a cell."""
@@ -219,17 +209,14 @@ class GAlgebra:
     labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _canon_labels(self.labels))
+        object.__setattr__(self, "labels", canon_labels(self.labels))
 
     def __len__(self) -> int:
         return len(set(self.labels))
 
     @property
     def cells(self) -> tuple:
-        out: dict = {}
-        for x, c in enumerate(self.labels):
-            out.setdefault(c, []).append(x)
-        return tuple(tuple(out[c]) for c in sorted(out))
+        return tuple(label_cells(self.labels))
 
     @classmethod
     def from_cells(cls, cells, n: int) -> "GAlgebra":
@@ -280,14 +267,19 @@ def generated_algebra(sys: FiniteSystem, seed_sets) -> GAlgebra:
     for s in seeds:
         if any(not (0 <= x < n) for x in s):
             raise InvalidParamsError("seed sets live on the points")
-    labels = _canon_labels(tuple(tuple(x in s for s in seeds) for x in range(n)))
     perms = [sys.perm(name) for name, _ in sys.generators]
     perms += [sys.perm(invert_token(name)) for name, _ in sys.generators]
+    return refine_partition(n, seeds, perms)
+
+
+def refine_partition(n: int, seed_sets, perms) -> GAlgebra:
+    """Coarsest partition of ``range(n)`` that separates the seed sets and that
+    every permutation in ``perms`` maps cell to cell: split each cell by the
+    cells its images land in until the cell count stops growing."""
+    seeds = [frozenset(s) for s in seed_sets]
+    labels = canon_labels(tuple(x in s for s in seeds) for x in range(n))
     while True:
-        sig = tuple(
-            (labels[x],) + tuple(labels[p[x]] for p in perms) for x in range(n)
-        )
-        nxt = _canon_labels(sig)
+        nxt = canon_labels(zip(labels, *([labels[y] for y in p] for p in perms)))
         if len(set(nxt)) == len(set(labels)):
             return GAlgebra(labels)
         labels = nxt

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .coding import binary_digit
 from .errors import DivisibilityError, InvalidParamsError
+from .probvec import ratio_str
 from .system import (
     FiniteSystem,
     PseudoMap,
@@ -118,10 +119,7 @@ class Tower:
             "v": {str(x): self.v.apply(x) for x in self.s1},
             "theta": [self.theta.apply(x) for x in range(self.system.n_points)],
             "transversal": list(self.transversal),
-            "profiles": [
-                [f"{p.numerator}/{p.denominator}" for p in prof]
-                for prof in self.profiles
-            ],
+            "profiles": [[ratio_str(p) for p in prof] for prof in self.profiles],
         }
 
 

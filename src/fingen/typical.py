@@ -23,7 +23,7 @@ from .errors import (
     InvalidParamsError,
     InvalidPartitionError,
 )
-from .probvec import Coarsening, ProbVec, coarsen, entropy, entropy_pair
+from .probvec import Coarsening, ProbVec, coarsen, cond_entropy, entropy, entropy_pair, ratio_str
 
 __all__ = [
     "TypicalSpec",
@@ -57,20 +57,21 @@ class TypicalSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParamsError("n >= 1")
-        if Fraction(self.eps) < 0:
+        eps = Fraction(self.eps)
+        if eps < 0:
             raise InvalidParamsError("eps >= 0")
+        slack = eps * self.n
+        ranges = []
+        for w in self.q.weights:
+            target = Fraction(w) * self.n
+            lo = max(0, math.ceil(target - slack))
+            hi = min(self.n, math.floor(target + slack))
+            ranges.append((lo, hi))
+        object.__setattr__(self, "_ranges", tuple(ranges))
 
     def count_ranges(self) -> list:
         """Inclusive admissible count interval per symbol, computed exactly."""
-        eps = Fraction(self.eps)
-        out = []
-        for w in self.q.weights:
-            target = Fraction(w) * self.n
-            slack = eps * self.n
-            lo = max(0, math.ceil(target - slack))
-            hi = min(self.n, math.floor(target + slack))
-            out.append((lo, hi))
-        return out
+        return list(self._ranges)
 
 
 def _counts(word: Sequence[int], k: int) -> list:
@@ -92,45 +93,14 @@ def is_typical(word: Sequence[int], spec: TypicalSpec) -> bool:
 
 def count_typical(spec: TypicalSpec) -> int:
     """Exact size of the typical set via convolution over symbol counts."""
-    ranges = spec.count_ranges()
-    n = spec.n
-    dp = {0: 1}
-    for lo, hi in ranges:
-        nxt: dict = {}
-        for used, ways in dp.items():
-            for c in range(lo, min(hi, n - used) + 1):
-                key = used + c
-                nxt[key] = nxt.get(key, 0) + ways * math.comb(n - used, c)
-        dp = nxt
-    return dp.get(n, 0)
+    return _block_count(spec.n, range(len(spec.q)), spec.count_ranges())
 
 
 def iter_typical(spec: TypicalSpec) -> Iterator[tuple]:
-    """All typical words in lexicographic order, by pruned search."""
-    ranges = spec.count_ranges()
-    k = len(spec.q)
+    """All typical words in lexicographic order (symbols ascending), by
+    pruned search."""
     n = spec.n
-    if sum(lo for lo, _ in ranges) > n or sum(hi for _, hi in ranges) < n:
-        return
-    counts = [0] * k
-    word = [0] * n
-
-    def rec(pos: int) -> Iterator[tuple]:
-        if pos == n:
-            yield tuple(word)
-            return
-        remaining = n - pos - 1
-        for t in range(k):
-            if counts[t] + 1 > ranges[t][1]:
-                continue
-            counts[t] += 1
-            deficit = sum(max(0, ranges[s][0] - counts[s]) for s in range(k))
-            if deficit <= remaining:
-                word[pos] = t
-                yield from rec(pos + 1)
-            counts[t] -= 1
-
-    yield from rec(0)
+    yield from _iter_words((range(len(spec.q)),), spec.count_ranges(), (0,) * n, [n])
 
 
 def _block_count(positions: int, cells: Sequence[int], ranges: list) -> int:
@@ -147,74 +117,95 @@ def _block_count(positions: int, cells: Sequence[int], ranges: list) -> int:
     return dp.get(positions, 0)
 
 
-def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> int:
-    """Typical refinements of the block word ``b``: per-block multinomial sums."""
+def _iter_words(cells_of: Sequence, ranges: list, b: Sequence[int], avail: list) -> Iterator[tuple]:
+    """Words whose symbol at position i comes from block ``cells_of[b[i]]``,
+    with every symbol count inside ``ranges``.
+
+    The search tries each block's symbols in the order the block lists them,
+    so the words come out lexicographically when every block is sorted.
+    ``avail[j]`` counts the positions of block j and is consumed.  A prefix is
+    kept while each block's unmet lower bounds (``need``) fit into its
+    remaining positions.  Placing a symbol changes only its own block's
+    counters, so only that block needs checking; the block's total upper
+    bound drops with its remaining positions, so it is checked once, up front.
+    """
+    lo = [r[0] for r in ranges]
+    hi = [r[1] for r in ranges]
+    need = [sum(lo[t] for t in cells) for cells in cells_of]
+    room = [sum(hi[t] for t in cells) for cells in cells_of]
+    if any(not need[j] <= avail[j] <= room[j] for j in range(len(cells_of))):
+        return
+    n = len(b)
+    counts = [0] * len(ranges)
+    word = [0] * n
+    tried = [0] * n  # per position, how many of its block's symbols were tried
+    pos = 0
+    while pos >= 0:
+        descend = False
+        if pos < n:
+            j = b[pos]
+            cells = cells_of[j]
+            i = tried[pos]
+            while i < len(cells):
+                t = cells[i]
+                i += 1
+                c = counts[t]
+                if c < hi[t] and need[j] - (c < lo[t]) < avail[j]:
+                    descend = True
+                    break
+            tried[pos] = i if descend else 0
+        else:
+            yield tuple(word)
+        if descend:
+            counts[t] = c + 1
+            need[j] -= c < lo[t]
+            avail[j] -= 1
+            word[pos] = t
+            pos += 1
+        else:
+            pos -= 1
+            if pos >= 0:
+                t = word[pos]
+                j = b[pos]
+                c = counts[t] = counts[t] - 1
+                need[j] += c < lo[t]
+                avail[j] += 1
+
+
+def _fiber_setup(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> tuple:
+    """Count ranges of xi and the position count of each block in ``b``."""
+    if blocks.size != len(xi):
+        raise InvalidPartitionError("blocks must partition the fine alphabet")
     if len(b) != n:
         raise InvalidParamsError("block word length mismatch")
-    spec = TypicalSpec(xi, eps, n)
-    ranges = spec.count_ranges()
-    kb = len(blocks)
-    m = _counts(b, kb)
+    return TypicalSpec(xi, eps, n).count_ranges(), _counts(b, len(blocks))
+
+
+def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> int:
+    """Typical refinements of the block word ``b``: per-block multinomial sums."""
+    ranges, avail = _fiber_setup(xi, blocks, eps, n, b)
     total = 1
     for j, cells in enumerate(blocks.blocks):
-        total *= _block_count(m[j], cells, ranges)
+        total *= _block_count(avail[j], cells, ranges)
         if total == 0:
             return 0
     return total
 
 
 def iter_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> Iterator[tuple]:
-    """Typical refinements of ``b`` in lexicographic order."""
-    spec = TypicalSpec(xi, eps, n)
-    ranges = spec.count_ranges()
-    block_of = blocks.block_of()
-    k = len(xi)
-    counts = [0] * k
-    # remaining positions of each block after a prefix, for lower-bound pruning
-    tail_block = [[0] * len(blocks) for _ in range(n + 1)]
-    for pos in range(n - 1, -1, -1):
-        row = tail_block[pos + 1][:]
-        row[b[pos]] += 1
-        tail_block[pos] = row
-    word = [0] * n
-
-    def rec(pos: int) -> Iterator[tuple]:
-        if pos == n:
-            yield tuple(word)
-            return
-        j = b[pos]
-        for t in blocks.blocks[j]:
-            if counts[t] + 1 > ranges[t][1]:
-                continue
-            counts[t] += 1
-            ok = True
-            for jj, cells in enumerate(blocks.blocks):
-                avail = tail_block[pos + 1][jj]
-                need = sum(max(0, ranges[s][0] - counts[s]) for s in cells)
-                if need > avail:
-                    ok = False
-                    break
-            if ok:
-                word[pos] = t
-                yield from rec(pos + 1)
-            counts[t] -= 1
-
-    yield from rec(0)
+    """Typical refinements of ``b``, trying each block's cells in the order the
+    block lists them: lexicographic order when every block is sorted."""
+    ranges, avail = _fiber_setup(xi, blocks, eps, n, b)
+    yield from _iter_words(blocks.blocks, ranges, b, avail)
 
 
 def cond_entropy_vec(xi: ProbVec, blocks: Coarsening) -> float:
     """H(xi | coarsened xi) for distribution vectors, in nats."""
-    beta = coarsen(xi, blocks)
-    h = 0.0
-    for j, cells in enumerate(blocks.blocks):
-        wb = float(beta.weights[j])
-        if wb <= 0.0:
-            continue
-        for c in cells:
-            x = float(xi.weights[c])
-            if x > 0.0:
-                h -= x * math.log(x / wb)
-    return h
+    if blocks.size != len(xi):
+        raise InvalidPartitionError("coarsening size mismatch")
+    cells = [c for block in blocks.blocks for c in block]
+    block_of = [j for j, block in enumerate(blocks.blocks) for _ in block]
+    return cond_entropy(cells, block_of, [xi.weights[c] for c in cells])
 
 
 @dataclass(frozen=True)
@@ -371,8 +362,6 @@ class PackingBudget:
 
     delta: object
     r: object
-    eps0: object = None
-    n0: int | None = None
 
     def __post_init__(self):
         if not (0 < Fraction(self.delta)):
@@ -438,7 +427,7 @@ class CodeBook:
             "q": self.q.to_strings(),
             "eps": str(self.eps),
             "k": self.k,
-            "rho": f"{self.rho.numerator}/{self.rho.denominator}",
+            "rho": ratio_str(self.rho),
             "packing_size": len(self.packing),
             "books": [
                 {
@@ -535,13 +524,11 @@ def build_injections(
     if only is None:
         beta_words = list(iter_typical(beta_spec))
     else:
-        ranges = beta_spec.count_ranges()
         beta_words = sorted({tuple(w) for w in only})
         for w in beta_words:
             if len(w) != n:
                 raise InvalidParamsError("block words of length n")
-            counts = _counts(w, len(beta))
-            if any(not lo <= c <= hi for c, (lo, hi) in zip(counts, ranges)):
+            if not is_typical(w, beta_spec):
                 raise AtypicalNameError(f"block word {w} is outside the typical set")
     fibers = [list(iter_fiber(xi, blocks, eps, n, b)) for b in beta_words]
     max_fiber = max((len(f) for f in fibers), default=0)

@@ -317,7 +317,7 @@ def test_packings_and_codebooks():
             ), "packing is not maximal"
 
     assert len(INJECTION_CASES) >= 20
-    budget = PackingBudget(Fraction(1, 1000), Fraction(1, 2), Fraction(1, 100), 8)
+    budget = PackingBudget(Fraction(1, 1000), Fraction(1, 2))
     for counts, blocks, q, n in INJECTION_CASES:
         xi = ProbVec(tuple(Fraction(v, n) for v in counts))
         cb = build_injections(xi, blocks, q, budget, Fraction(0), n, capacity="analytic")

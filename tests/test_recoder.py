@@ -214,7 +214,7 @@ def test_reduce_random_contiguous_instances(data):
 
 FEAS_XI = ProbVec((F(22, 24), F(1, 24), F(1, 24)))
 FEAS_BLOCKS = Coarsening(((0,), (1, 2)), 3)
-FEAS_BUDGET = PackingBudget(delta=F(1, 1000), r=F(1, 2), eps0=F(1, 100), n0=8)
+FEAS_BUDGET = PackingBudget(delta=F(1, 1000), r=F(1, 2))
 FEAS_Q = ProbVec((F(1, 2), F(1, 2)))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fingen.errors import CapacityError, InvalidParamsError
+from fingen.errors import CapacityError, InvalidParamsError, InvalidPartitionError
 from fingen.probvec import Coarsening, ProbVec
 from fingen.typical import (
     PackingBudget,
@@ -99,6 +99,48 @@ def test_fiber_enumeration_matches_count():
         words = list(iter_fiber(xi, bl, F(1, 8), 6, b))
         assert len(words) == cnt
         assert words == sorted(words)
+
+    # random instances against a brute-force filter, blocks in shuffled order
+    rng = random.Random(23)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        den = rng.choice((4, 6, 8))
+        cuts = sorted(rng.choices(range(den + 1), k=k - 1))
+        q = ProbVec(tuple(F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])))
+        eps = F(rng.randint(0, 5), 16)
+        n = rng.randint(1, 7)
+        spec = TypicalSpec(q, eps, n)
+        brute = [w for w in product(range(k), repeat=n) if is_typical(w, spec)]
+        assert list(iter_typical(spec)) == brute
+        assert count_typical(spec) == len(brute)
+
+        symbols = rng.sample(range(k), k)
+        nb = rng.randint(1, k)
+        edges = [0] + sorted(rng.sample(range(1, k), nb - 1)) + [k]
+        bl = Coarsening(tuple(tuple(symbols[a:b]) for a, b in zip(edges, edges[1:])), k)
+        b = tuple(rng.randrange(nb) for _ in range(n))
+        choices = [bl.blocks[j] for j in b]
+        brute = [w for w in product(*choices) if is_typical(w, spec)]
+        assert list(iter_fiber(q, bl, eps, n, b)) == brute
+        assert count_fiber(q, bl, eps, n, b) == len(brute)
+
+
+@pytest.mark.parametrize(
+    "b, error",
+    [
+        ((0, 0, 1, 1, 1), InvalidParamsError),
+        ((0, -1, 1, 1), InvalidPartitionError),
+        ((0, 0, 1), InvalidParamsError),
+        ((0, 2, 1, 1), InvalidPartitionError),
+    ],
+)
+def test_fiber_rejects_bad_block_words(b, error):
+    xi = ProbVec((F(1, 4),) * 4)
+    bl = Coarsening(((0, 1), (2, 3)), 4)
+    with pytest.raises(error):
+        count_fiber(xi, bl, F(1, 4), 4, b)
+    with pytest.raises(error):
+        list(iter_fiber(xi, bl, F(1, 4), 4, b))
 
 
 def test_stirling_window_example():
@@ -229,16 +271,16 @@ def test_choose_J_delta_preconditions():
 
 
 def test_packing_budget_invariant():
-    b = PackingBudget(delta=F(1, 100), r=F(1, 2), eps0=F(1, 50), n0=8)
+    b = PackingBudget(delta=F(1, 100), r=F(1, 2))
     assert b.k(24) == 12
     assert b.rho(2) == F(20, 100) * 2
     with pytest.raises(InvalidParamsError):
-        PackingBudget(delta=F(1, 50), r=F(1, 2), eps0=F(1, 50), n0=8).rho(2)
+        PackingBudget(delta=F(1, 50), r=F(1, 2)).rho(2)
 
 
 FEAS_XI = ProbVec((F(22, 24), F(1, 24), F(1, 24)))
 FEAS_BLOCKS = Coarsening(((0,), (1, 2)), 3)
-FEAS_BUDGET = PackingBudget(delta=F(1, 1000), r=F(1, 2), eps0=F(1, 100), n0=8)
+FEAS_BUDGET = PackingBudget(delta=F(1, 1000), r=F(1, 2))
 
 
 def build_feasible():
@@ -281,7 +323,7 @@ def test_build_injections_entropy_gap_errors():
     # members at n = 8 but the target capacity is far smaller
     xi = ProbVec((F(1, 4),) * 4)
     bl = Coarsening(((0, 1, 2, 3),), 4)
-    budget = PackingBudget(delta=F(1, 1000), r=F(1, 2), eps0=F(1, 100), n0=4)
+    budget = PackingBudget(delta=F(1, 1000), r=F(1, 2))
     with pytest.raises(CapacityError):
         build_injections(xi, bl, HALF, budget, 0, 8)
 
@@ -291,7 +333,7 @@ def test_build_injections_trivial_fibers():
     # pairs each admissible name with the first packed word
     xi = ProbVec((F(9, 10), F(1, 20), F(1, 20)))
     bl = Coarsening(((0,), (1,), (2,)), 3)
-    budget = PackingBudget(delta=F(1, 1000), r=F(1, 2), eps0=F(1, 100), n0=8)
+    budget = PackingBudget(delta=F(1, 1000), r=F(1, 2))
     book = build_injections(xi, bl, ProbVec((F(1, 2), F(1, 2))), budget, 0, 20)
     for _, entries in book.books:
         assert len(entries) == 1
