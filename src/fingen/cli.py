@@ -56,6 +56,29 @@ def _fr(v) -> Fraction:
         raise ConfigError(f"not a rational: {v!r} ({e})")
 
 
+def _int(v) -> int:
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"not an integer: {v!r}")
+
+
+def _ints(items, what: str) -> list:
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{what} must be a list")
+    return [_int(v) for v in items]
+
+
+def _req(spec: dict, key: str):
+    if key not in spec:
+        raise ConfigError(f"missing required key {key!r}")
+    return spec[key]
+
+
+def _opt(spec: dict, key: str, convert):
+    return None if spec.get(key) is None else convert(spec[key])
+
+
 def _vec(items) -> ProbVec:
     if isinstance(items, str):
         items = items.split(",")
@@ -91,19 +114,19 @@ def make_system(spec, cap: int) -> FiniteSystem:
     if not isinstance(spec, dict):
         raise ConfigError("system must be an object")
     if "cyclic" in spec:
-        n = int(spec["cyclic"])
+        n = _int(spec["cyclic"])
         if n > cap:
             raise ConfigError(f"system size {n} exceeds max-points {cap}")
         return FiniteSystem.cyclic(n)
     if "points" in spec:
-        n = int(spec["points"])
+        n = _int(spec["points"])
         if n > cap:
             raise ConfigError(f"system size {n} exceeds max-points {cap}")
-        gens = {name: tuple(perm) for name, perm in spec["generators"].items()}
-        weights = spec.get("weights")
-        if weights is not None:
-            weights = tuple(_fr(w) for w in weights)
-        return FiniteSystem.make(n, gens, weights)
+        gens = _req(spec, "generators")
+        if not isinstance(gens, dict):
+            raise ConfigError("generators must be an object")
+        gens = {name: tuple(_ints(perm, "permutation")) for name, perm in gens.items()}
+        return FiniteSystem.make(n, gens, _opt(spec, "weights", _vec))
     raise ConfigError("system needs 'cyclic' or 'points'")
 
 
@@ -111,26 +134,27 @@ def parse_labels(spec, n: int) -> tuple:
     if isinstance(spec, (list, tuple)):
         if len(spec) != n:
             raise ConfigError("one label per point")
-        return tuple(int(v) for v in spec)
+        return tuple(_ints(spec, "labels"))
     if isinstance(spec, dict):
         if "modulus" in spec:
-            d = int(spec["modulus"])
-            exc = {int(x) for x in spec.get("exceptions", [])}
+            d = _int(spec["modulus"])
+            if d < 1:
+                raise ConfigError("modulus must be positive")
+            exc = set(_ints(spec.get("exceptions", []), "exceptions"))
             return tuple(d if x in exc else x % d for x in range(n))
         if "sizes" in spec:
-            sizes = [int(s) for s in spec["sizes"]]
+            sizes = _ints(spec["sizes"], "sizes")
             if sum(sizes) != n or any(s < 1 for s in sizes):
                 raise ConfigError("sizes must be positive and sum to the point count")
-            out = []
-            for c, sz in enumerate(sizes):
-                out += [c] * sz
-            return tuple(out)
+            return tuple(c for c, sz in enumerate(sizes) for _ in range(sz))
     raise ConfigError("labels need an explicit list, 'modulus', or 'sizes'")
 
 
 def parse_blocks(spec, size: int) -> Coarsening:
+    if not isinstance(spec, list):
+        raise ConfigError("blocks must be a list")
     try:
-        return Coarsening(tuple(tuple(int(i) for i in b) for b in spec), size)
+        return Coarsening(tuple(tuple(_ints(b, "block")) for b in spec), size)
     except FingenError as e:
         raise ConfigError(f"bad blocks: {e}")
 
@@ -139,19 +163,21 @@ def expand_range(spec) -> list:
     if isinstance(spec, int):
         return [spec]
     if isinstance(spec, str):
-        parts = [int(p) for p in spec.split(":")]
+        parts = [_int(p) for p in spec.split(":")]
         if len(parts) == 1:
             return parts
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    if isinstance(spec, dict):
-        return list(
-            range(int(spec["start"]), int(spec["stop"]) + 1, int(spec.get("step", 1)))
-        )
-    if isinstance(spec, list):
-        return [int(v) for v in spec]
-    raise ConfigError("range needs an int, 'a:b:c', a list, or start/stop/step")
+    elif isinstance(spec, dict):
+        start, stop = _int(_req(spec, "start")), _int(_req(spec, "stop"))
+        step = _int(spec.get("step", 1))
+    elif isinstance(spec, list):
+        return _ints(spec, "range")
+    else:
+        raise ConfigError("range needs an int, 'a:b:c', a list, or start/stop/step")
+    if step == 0:
+        raise ConfigError("range step must be nonzero")
+    return list(range(start, stop + 1, step))
 
 
 def jsonable(v):
@@ -234,10 +260,15 @@ def cmd_decompose(cfg: ExperimentConfig) -> dict:
     rows = []
     if o.get("a") is not None:
         rows.append(_decompose_row("given", _vec(o["a"]), eps))
-    for i in range(int(o.get("samples", 0))):
+    samples, max_len = _int(o.get("samples", 0)), _int(o.get("max_len", 5))
+    if samples > 0 and max_len < 2:
+        raise ConfigError("max_len must be at least 2")
+    for i in range(samples):
         rng = random.Random(child_seed(cfg.seed, f"decompose:{i}"))
-        parts = rng.randint(2, int(o.get("max_len", 5)))
+        parts = rng.randint(2, max_len)
         den = rng.choice((12, 24, 36, 60, 120))
+        if parts > den:
+            raise ConfigError(f"max_len {max_len} exceeds the sampled denominator {den}")
         a = ProbVec(tuple(Fraction(c, den) for c in _composition(rng, den, parts)))
         rows.append(_decompose_row(f"sample-{i:03d}", a, eps))
     rows.sort(key=lambda r: r["id"])
@@ -247,12 +278,12 @@ def cmd_decompose(cfg: ExperimentConfig) -> dict:
 
 def cmd_codebook(cfg: ExperimentConfig) -> dict:
     o = cfg.options
-    xi = _vec(o["xi"])
-    blocks = parse_blocks(o["blocks"], len(xi))
-    q = _vec(o["q"])
+    xi = _vec(_req(o, "xi"))
+    blocks = parse_blocks(_req(o, "blocks"), len(xi))
+    q = _vec(_req(o, "q"))
     budget = PackingBudget(_fr(o.get("delta", "1/1000")), _fr(o.get("r", "1/2")))
     book = build_injections(
-        xi, blocks, q, budget, _fr(o.get("eps", "0")), int(o["n"]),
+        xi, blocks, q, budget, _fr(o.get("eps", "0")), _int(_req(o, "n")),
         o.get("capacity", "analytic"),
     )
     report = {
@@ -270,10 +301,11 @@ def cmd_codebook(cfg: ExperimentConfig) -> dict:
 
 def cmd_tower(cfg: ExperimentConfig) -> dict:
     o = cfg.options
-    sysn = make_system(o["system"], cfg.max_points)
-    labels = parse_labels(o["labels"], sysn.n_points)
-    m = int(o["m"]) if o.get("m") is not None else None
-    tw = build_tower(sysn, labels, _fr(o.get("eps", "2")), int(o.get("nmin", 1)), m)
+    sysn = make_system(_req(o, "system"), cfg.max_points)
+    labels = parse_labels(_req(o, "labels"), sysn.n_points)
+    tw = build_tower(
+        sysn, labels, _fr(o.get("eps", "2")), _int(o.get("nmin", 1)), _opt(o, "m", _int)
+    )
     return {
         "certificate": {
             "m": tw.m,
@@ -291,13 +323,13 @@ def cmd_tower(cfg: ExperimentConfig) -> dict:
 
 def cmd_reduce(cfg: ExperimentConfig) -> dict:
     o = cfg.options
-    sysn = make_system(o["system"], cfg.max_points)
-    xi = parse_labels(o["labels"], sysn.n_points)
+    sysn = make_system(_req(o, "system"), cfg.max_points)
+    xi = parse_labels(_req(o, "labels"), sysn.n_points)
     falg = GAlgebra(parse_labels(o.get("factor", {"modulus": 1}), sysn.n_points))
     eps = _fr(o.get("eps", "1"))
-    delta = _fr(o["delta"]) if o.get("delta") is not None else None
-    cutoff = int(o["cutoff"]) if o.get("cutoff") is not None else None
-    alpha, plan = reduce_alphabet(sysn, xi, falg, eps, delta, cutoff)
+    alpha, plan = reduce_alphabet(
+        sysn, xi, falg, eps, _opt(o, "delta", _fr), _opt(o, "cutoff", _int)
+    )
     ga = generated_algebra(sysn, label_cells(alpha) + label_cells(falg.labels))
     gx = generated_algebra(sysn, label_cells(xi) + label_cells(falg.labels))
     w = sysn.weights.weights
@@ -317,21 +349,21 @@ def cmd_reduce(cfg: ExperimentConfig) -> dict:
 
 def cmd_recode(cfg: ExperimentConfig) -> dict:
     o = cfg.options
-    sysn = make_system(o["system"], cfg.max_points)
-    xi = parse_labels(o["xi"], sysn.n_points)
-    falg = GAlgebra(parse_labels(o["factor"], sysn.n_points))
-    p = _vec(o["p"])
+    sysn = make_system(_req(o, "system"), cfg.max_points)
+    xi = parse_labels(_req(o, "xi"), sysn.n_points)
+    falg = GAlgebra(parse_labels(_req(o, "factor"), sysn.n_points))
+    p = _vec(_req(o, "p"))
     params = RecodeParams(
-        p, parse_blocks(o["blocks"], len(p)), _fr(o["r"]), _fr(o["delta"]),
-        _fr(o.get("eps", "0")),
+        p, parse_blocks(_req(o, "blocks"), len(p)), _fr(_req(o, "r")),
+        _fr(_req(o, "delta")), _fr(o.get("eps", "0")),
     )
     alpha, cert = krieger_recode(
         sysn, xi, falg, params,
-        reserved=tuple(int(x) for x in o.get("reserved", [])),
-        tower_eps=_fr(o["tower_eps"]) if o.get("tower_eps") is not None else None,
-        m=int(o["m"]) if o.get("m") is not None else None,
-        nmin=int(o.get("nmin", 1)),
-        pack_delta=_fr(o["pack_delta"]) if o.get("pack_delta") is not None else None,
+        reserved=tuple(_ints(o.get("reserved", []), "reserved")),
+        tower_eps=_opt(o, "tower_eps", _fr),
+        m=_opt(o, "m", _int),
+        nmin=_int(o.get("nmin", 1)),
+        pack_delta=_opt(o, "pack_delta", _fr),
         capacity=o.get("capacity", "exact"),
     )
     return {"certificate": cert, "alpha": list(alpha)}
@@ -340,12 +372,13 @@ def cmd_recode(cfg: ExperimentConfig) -> dict:
 def cmd_oracle(cfg: ExperimentConfig) -> dict:
     o = cfg.options
     sysn = make_system(o.get("system", {"cyclic": 4}), cfg.max_points)
-    h, witness = brute_force_generator_search(sysn, int(o.get("k_max", sysn.n_points)))
+    k_max = _int(o.get("k_max", sysn.n_points))
+    h, witness = brute_force_generator_search(sysn, k_max)
     found = witness is not None
     return {
         "certificate": {
             "points": sysn.n_points,
-            "k_max": int(o.get("k_max", sysn.n_points)),
+            "k_max": k_max,
             "found": found,
             "min_entropy": h if found else None,
             "witness": [list(c) for c in witness] if found else None,
@@ -375,8 +408,6 @@ def _cell(v) -> str:
         return "false"
     if v is None:
         return ""
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -455,18 +486,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {e}")
         if not isinstance(options, dict):
             raise ConfigError("config must be a JSON object")
-    overrides = {
-        "q": getattr(args, "q", None),
-        "eps": getattr(args, "eps", None),
-        "delta": getattr(args, "delta", None),
-        "n": getattr(args, "n", None),
-        "a": getattr(args, "a", None),
-        "samples": getattr(args, "samples", None),
-        "k_max": getattr(args, "k_max", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            options[key] = val
+    for key in ("q", "eps", "delta", "n", "a", "samples", "k_max"):
+        if getattr(args, key, None) is not None:
+            options[key] = getattr(args, key)
     if getattr(args, "points", None) is not None:
         options["system"] = {"cyclic": args.points}
     if args.command == "count" and isinstance(options.get("eps"), str):
@@ -492,14 +514,10 @@ def main(argv=None) -> int:
             "command": args.command,
             "error": {"type": type(e).__name__, "message": str(e)},
         }
-        named = getattr(e, "inequality", None) or getattr(e, "constraint", None)
-        if named:
-            err["error"]["name"] = named
+        if getattr(e, "constraint", None):
+            err["error"]["name"] = e.constraint
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return 1
-    except (KeyError, TypeError, ValueError) as e:
-        sys.stderr.write(f"config error: {type(e).__name__}: {e}\n")
-        return 2
     if cfg.out:
         with open(cfg.out, "w", newline="") as fh:
             fh.write(text)

@@ -31,25 +31,28 @@ class InvalidPartitionError(FingenError, ValueError):
     """A labeling or block structure does not describe a partition."""
 
 
-class InvalidParamsError(FingenError, ValueError):
-    """Numeric parameters violate a stated precondition."""
+class _NamedError(FingenError):
+    """A failure that names its violated constraint in ``constraint``; the
+    message is the name, then ``: detail`` when a detail is given."""
 
     def __init__(self, constraint: str, detail: str = ""):
         self.constraint = constraint
-        msg = constraint if not detail else f"{constraint}: {detail}"
-        super().__init__(msg)
+        super().__init__(constraint if not detail else f"{constraint}: {detail}")
 
 
-class CapacityError(FingenError):
+class InvalidParamsError(_NamedError, ValueError):
+    """Numeric parameters violate a stated precondition."""
+
+
+class CapacityError(_NamedError):
     """A codebook feasibility inequality failed; ``inequality`` names it."""
 
-    def __init__(self, inequality: str, detail: str = ""):
-        self.inequality = inequality
-        msg = inequality if not detail else f"{inequality}: {detail}"
-        super().__init__(msg)
+    @property
+    def inequality(self) -> str:
+        return self.constraint
 
 
-class DivisibilityError(FingenError, ValueError):
+class DivisibilityError(_NamedError, ValueError):
     """An exact-mass construction needs a divisibility that the system lacks."""
 
 

@@ -34,23 +34,28 @@ from .probvec import (
     entropy,
     entropy_pair,
     label_cells,
+    label_distribution,
 )
 from .system import (
     FiniteSystem,
     GAlgebra,
     PseudoMap,
     generated_algebra,
+    name_word,
     refine_partition,
     simplemix,
 )
 from .tower import Tower, build_tower
-from .typical import CodeBook, PackingBudget, build_injections, choose_J, dbar
+from .typical import CodeBook, PackingBudget, build_injections, choose_J, dbar, inequality
 
 __all__ = [
     "RecodeParams",
     "RecodePlan",
     "AlphabetReductionPlan",
     "reduce_alphabet",
+    "join_factor",
+    "scan_towers",
+    "recode_codebook",
     "encode_names",
     "synthesize_prepartition",
     "refine_to_p",
@@ -61,13 +66,12 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class RecodeParams:
-    """Target vector p, the blocks coarsening it into q, scale r, tolerances."""
+    """Target vector p, the blocks coarsening it into q, scale r, tolerances.
+
+    r, delta and eps are stored as Fractions whatever number type is given.
+    """
 
     p: ProbVec
     blocks: Coarsening
@@ -78,11 +82,13 @@ class RecodeParams:
     def __post_init__(self):
         if self.blocks.size != len(self.p):
             raise InvalidPartitionError("blocks must partition the target alphabet")
-        if not (0 < _frac(self.r) <= 1):
+        for name in ("r", "delta", "eps"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if not (0 < self.r <= 1):
             raise InvalidParamsError("0 < r <= 1")
-        if not (0 < _frac(self.delta) < 1):
+        if not (0 < self.delta < 1):
             raise InvalidParamsError("0 < delta < 1")
-        if _frac(self.eps) < 0:
+        if self.eps < 0:
             raise InvalidParamsError("eps >= 0")
 
     @property
@@ -153,7 +159,8 @@ def reduce_alphabet(
         raise InvalidParamsError("F lives on the points")
     if not F.invariant_under(sys):
         raise InvalidPartitionError("F must be invariant")
-    eps_f = float(_frac(eps))
+    eps = Fraction(eps)
+    eps_f = float(eps)
     if eps_f <= 0:
         raise InvalidParamsError("eps > 0")
 
@@ -163,12 +170,12 @@ def reduce_alphabet(
     max_len = max(len(w) for w in words)
 
     if delta is None:
-        d = min(Fraction(1, 5), _frac(eps) / 2)
+        d = min(Fraction(1, 5), eps / 2)
         while not _entropy_margin_ok(float(d), eps_f):
             d /= 2
     else:
-        d = _frac(delta)
-        if not (0 < d < min(Fraction(1, 4), _frac(eps) / 2)) or not _entropy_margin_ok(
+        d = Fraction(delta)
+        if not (0 < d < min(Fraction(1, 4), eps / 2)) or not _entropy_margin_ok(
             float(d), eps_f
         ):
             raise InvalidParamsError(
@@ -313,8 +320,8 @@ def encode_names(
     beta = tuple(beta)
     if len(xi) != sys.n_points or len(beta) != sys.n_points:
         raise InvalidParamsError("one label per point")
-    r = _frac(r)
-    delta = _frac(delta)
+    r = Fraction(r)
+    delta = Fraction(delta)
     n = tower.n
     k = codebook.k
     if k > n:
@@ -381,11 +388,9 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
     """
     sys = plan.tower.system
     npts = sys.n_points
-    r = _frac(params.r)
-    q = params.q
     targets = []
-    for t, w in enumerate(q.weights):
-        goal = r * _frac(w) * npts
+    for t, w in enumerate(params.q.as_fractions()):
+        goal = params.r * w * npts
         if goal.denominator != 1:
             raise DivisibilityError(
                 "integral target counts r * q_t * N", f"symbol {t} needs {goal}"
@@ -411,13 +416,13 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
 def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
     """Split each target cell along the blocks to reach masses r * p_i."""
     npts = sys.n_points
-    r = _frac(params.r)
-    out: list = [None] * len(params.p)
+    p = params.p.as_fractions()
+    out: list = [None] * len(p)
     for t, block in enumerate(params.blocks.blocks):
         pts = sorted(cells[t])
         at = 0
         for i in block:
-            goal = r * _frac(params.p.weights[i]) * npts
+            goal = params.r * p[i] * npts
             if goal.denominator != 1:
                 raise DivisibilityError(
                     "integral target counts r * p_i * N", f"cell {i} needs {goal}"
@@ -430,6 +435,18 @@ def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
 
 # ---------------------------------------------------------------------------
 # decoding
+
+
+def _observed_prefix(alpha, orbit, k: int, block_of) -> list:
+    """Labels alpha shows on the first k orbit points, mapped through
+    block_of when given, with -1 where alpha leaves a point unassigned."""
+    out = []
+    for x in orbit[:k]:
+        v = alpha[x]
+        if v is not None and block_of is not None:
+            v = block_of[v]
+        out.append(-1 if v is None else v)
+    return out
 
 
 def decode(
@@ -449,7 +466,7 @@ def decode(
     injection, and the fine name redistributes along the orbit.  Unassigned
     points and block coarsening are resolved before comparing.
     """
-    delta = _frac(delta)
+    delta = Fraction(delta)
     alpha = tuple(alpha)
     beta = tuple(beta)
     block_of = p_blocks.block_of() if p_blocks is not None else None
@@ -461,15 +478,7 @@ def decode(
             book = codebook.mapping(b)
         except KeyError:
             raise DecodeError("observed coarse name has no book")
-        prefix = []
-        for x in orbit[: codebook.k]:
-            v = alpha[x]
-            if v is None:
-                prefix.append(-1)
-            elif block_of is not None:
-                prefix.append(block_of[v])
-            else:
-                prefix.append(v)
+        prefix = _observed_prefix(alpha, orbit, codebook.k, block_of)
         hits = [c for c, w in book.items() if dbar(prefix, w) < delta]
         if len(hits) != 1:
             raise DecodeError(
@@ -494,6 +503,65 @@ def theta_algebra(theta: PseudoMap, seeds) -> GAlgebra:
 
 # ---------------------------------------------------------------------------
 # the full pipeline
+
+TOWER_EPS_LADDER = (2, Fraction(5, 2), 3, Fraction(7, 2), 4)
+
+
+def join_factor(xi, F: GAlgebra) -> tuple:
+    """The join of xi with the cells of F, labels numbered by sorted
+    (coarse, fine) pairs.
+
+    Returns (fine, beta, blocks, dist): the joined labeling, the rank of each
+    point's F cell, the blocks grouping joined labels by F cell, and the
+    point-count distribution of the joined labels.
+    """
+    pairs = sorted(set(zip(F.labels, xi)))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    fine = tuple(index[pair] for pair in zip(F.labels, xi))
+    rank = {b: j for j, b in enumerate(sorted(set(F.labels)))}
+    blocks = tuple(tuple(i for i, (b, _) in enumerate(pairs) if b == bb) for bb in rank)
+    beta = tuple(rank[b] for b in F.labels)
+    return fine, beta, Coarsening(blocks, len(pairs)), label_distribution(fine)
+
+
+def scan_towers(sys: FiniteSystem, fine, tower_eps=None, nmin: int = 1, m=None) -> tuple:
+    """Tower the joined labeling at the first workable tolerance: tower_eps
+    alone when given, else each of TOWER_EPS_LADDER in turn.
+
+    Returns (tower, scan); scan records every tolerance tried, with the
+    column count it reached or the constraint it failed.
+    """
+    # checked here because the scan below records a failed tolerance and
+    # moves on, which would hide a bad m behind "no workable tower tolerance"
+    if m is not None and m < 1:
+        raise InvalidParamsError("m >= 1", f"m={m}")
+    scan = []
+    for te in TOWER_EPS_LADDER if tower_eps is None else (tower_eps,):
+        try:
+            tower = build_tower(sys, fine, te, nmin, m)
+        except (InvalidParamsError, DivisibilityError) as e:
+            scan.append({"tower_eps": str(Fraction(te)), "ok": False, "error": str(e)})
+        else:
+            scan.append({"tower_eps": str(Fraction(te)), "ok": True, "m": tower.m})
+            return tower, scan
+    raise InvalidParamsError("no workable tower tolerance", f"scan={scan}")
+
+
+def recode_codebook(
+    sys: FiniteSystem, tower: Tower, beta, dist: ProbVec, blocks: Coarsening,
+    params: RecodeParams, pack_delta=None, capacity: str = "exact",
+) -> tuple:
+    """Books for the coarse names the tower reads, packed into target words
+    over q at tolerance pack_delta (default 9 / (400 |q|)).
+
+    Returns (codebook, pack_delta).
+    """
+    q = params.q
+    pack_delta = Fraction(9, 400 * len(q)) if pack_delta is None else Fraction(pack_delta)
+    needed = sorted({name_word(sys, beta, tower.theta, y) for y in tower.transversal})
+    budget = PackingBudget(pack_delta, params.r)
+    codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, capacity, only=needed)
+    return codebook, pack_delta
 
 
 def krieger_recode(
@@ -524,7 +592,7 @@ def krieger_recode(
     if not F.invariant_under(sys):
         raise InvalidPartitionError("F must be invariant")
     npts = sys.n_points
-    r = _frac(params.r)
+    r, delta, q = params.r, params.delta, params.q
 
     h_xi_f = cond_entropy(xi, F.labels, sys.weights.weights)
     h_target = float(r) * entropy(params.p)
@@ -533,52 +601,12 @@ def krieger_recode(
             "H(xi | F) < r * H(p)", f"{h_xi_f:.6f} vs {h_target:.6f}"
         )
 
-    # the join of xi with the coarse cells, indexed by (coarse, fine) pairs
-    pairs = sorted({(F.labels[x], xi[x]) for x in range(npts)})
-    index = {pair: i for i, pair in enumerate(pairs)}
-    fine = tuple(index[(F.labels[x], xi[x])] for x in range(npts))
-    coarse_ids = sorted({b for b, _ in pairs})
-    fine_blocks = Coarsening(
-        tuple(
-            tuple(i for i, (b, _) in enumerate(pairs) if b == bb) for bb in coarse_ids
-        ),
-        len(pairs),
+    fine, beta, fine_blocks, fine_dist = join_factor(xi, F)
+    tower, scan = scan_towers(sys, fine, tower_eps, nmin, m)
+    codebook, pack_delta = recode_codebook(
+        sys, tower, beta, fine_dist, fine_blocks, params, pack_delta, capacity
     )
-    blk_of = fine_blocks.block_of()
-    beta = tuple(blk_of[fine[x]] for x in range(npts))
-    counts = [0] * len(pairs)
-    for f in fine:
-        counts[f] += 1
-    fine_dist = ProbVec(tuple(Fraction(c, npts) for c in counts))
-
-    scan = []
-    tower = None
-    for te in [tower_eps] if tower_eps is not None else [2, Fraction(5, 2), 3, Fraction(7, 2), 4]:
-        try:
-            tower = build_tower(sys, fine, te, nmin, m)
-            scan.append({"tower_eps": str(_frac(te)), "ok": True, "m": tower.m})
-            break
-        except (InvalidParamsError, DivisibilityError) as e:
-            scan.append({"tower_eps": str(_frac(te)), "ok": False, "error": str(e)})
-    if tower is None:
-        raise InvalidParamsError("no workable tower tolerance", f"scan={scan}")
-
-    n = tower.n
-    q = params.q
-    if pack_delta is None:
-        pack_delta = Fraction(9, 400 * len(q))
-    budget = PackingBudget(pack_delta, params.r)
-    needed = sorted(
-        {tuple(beta[x] for x in tower.theta.orbit(y)) for y in tower.transversal}
-    )
-    codebook = build_injections(
-        fine_dist, fine_blocks, q, budget, params.eps, n, capacity, only=needed
-    )
-
-    plan = encode_names(
-        sys, tower, fine, beta, codebook,
-        r=params.r, delta=params.delta, reserved=reserved,
-    )
+    plan = encode_names(sys, tower, fine, beta, codebook, r=r, delta=delta, reserved=reserved)
 
     separation = codebook.separation()
     radius = separation / 2
@@ -591,75 +619,41 @@ def krieger_recode(
 
     cells_q = synthesize_prepartition(plan, params)
     cells_p = refine_to_p(sys, cells_q, params)
-    alpha: list = [None] * npts
-    for i, cell in enumerate(cells_p):
-        for x in cell:
-            alpha[x] = i
-    alpha = tuple(alpha)
+    label_of = {x: i for i, cell in enumerate(cells_p) for x in cell}
+    alpha = tuple(label_of.get(x) for x in range(npts))
 
     decoded = decode(
         sys, alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
     )
-    exact = decoded == fine
+    if decoded != fine:
+        raise DecodeError("decoded labeling differs from the input")
+    algebra = theta_algebra(tower.theta, list(cells_p) + label_cells(beta) + [tower.transversal])
 
-    seeds = list(cells_p) + label_cells(beta) + [tower.transversal]
-    algebra = theta_algebra(tower.theta, seeds)
-    refines = algebra.refines(GAlgebra(fine))
-
-    p_block_of = params.blocks.block_of()
+    k, block_of = codebook.k, params.blocks.block_of()
     measured = max(
-        dbar(
-            [p_block_of[alpha[x]] if alpha[x] is not None else -1
-             for x in tower.theta.orbit(y)[: codebook.k]],
-            plan.codewords[i],
-        )
-        for i, y in enumerate(tower.transversal)
+        dbar(_observed_prefix(alpha, tower.theta.orbit(y), k, block_of), a)
+        for y, a in zip(tower.transversal, plan.codewords)
     )
-    delta_f = _frac(params.delta)
+    q_w, p_w = q.as_fractions(), params.p.as_fractions()
     masses_q = [Fraction(len(c), npts) for c in cells_q]
     masses_p = [Fraction(len(c), npts) for c in cells_p]
+    claimed = [Fraction(len(z), npts) for z in plan.zeta]
+    most_reserved = max((len(mf) for mf in plan.m_full), default=0)
+    most_trimmed = max((len(j) for j in plan.j_idx), default=0)
+    reserve_cap = 2 * r * delta * tower.n
+    trim_cap, name_cap = 3 * delta * len(q) * k, 10 * delta * len(q)
     inequalities = [
-        {
-            "name": "entropy-precondition",
-            "lhs": h_xi_f,
-            "rhs": h_target,
-            "holds": h_xi_f < h_target,
-        },
-        {
-            "name": "reserved-density",
-            "lhs": max((len(mf) for mf in plan.m_full), default=0),
-            "rhs": float(2 * r * delta_f * n),
-            "holds": True,
-        },
-        {
-            "name": "trim-bound",
-            "lhs": max((len(j) for j in plan.j_idx), default=0),
-            "rhs": float(3 * delta_f * len(q) * codebook.k),
-            "holds": all(
-                len(j) < 3 * delta_f * len(q) * codebook.k for j in plan.j_idx
-            ),
-        },
-        {
-            "name": "decoder-budget",
-            "lhs": float(mismatch),
-            "rhs": float(radius),
-            "holds": mismatch < radius,
-        },
-        {
-            "name": "name-distance",
-            "lhs": float(measured),
-            "rhs": float(10 * delta_f * len(q)),
-            "holds": measured < 10 * delta_f * len(q),
-        },
-        {
-            "name": "claimed-margin",
-            "lhs": max(float(Fraction(len(z), npts)) for z in plan.zeta),
-            "rhs": float(r) * max(float(_frac(w)) for w in q.weights),
-            "holds": all(
-                Fraction(len(z), npts) < r * _frac(w)
-                for z, w in zip(plan.zeta, q.weights)
-            ),
-        },
+        inequality("entropy-precondition", h_xi_f, h_target, h_xi_f < h_target),
+        inequality(
+            "reserved-density", most_reserved, float(reserve_cap), most_reserved < reserve_cap
+        ),
+        inequality("trim-bound", most_trimmed, float(trim_cap), most_trimmed < trim_cap),
+        inequality("decoder-budget", float(mismatch), float(radius), mismatch < radius),
+        inequality("name-distance", float(measured), float(name_cap), measured < name_cap),
+        inequality(
+            "claimed-margin", float(max(claimed)), float(r) * max(float(w) for w in q_w),
+            all(z < r * w for z, w in zip(claimed, q_w)),
+        ),
     ]
     certificate = {
         "schema": "1",
@@ -669,9 +663,9 @@ def krieger_recode(
             "q": q.to_strings(),
             "blocks": [list(b) for b in params.blocks.blocks],
             "r": str(r),
-            "delta": str(delta_f),
-            "eps": str(_frac(params.eps)),
-            "pack_delta": str(_frac(pack_delta)),
+            "delta": str(delta),
+            "eps": str(params.eps),
+            "pack_delta": str(pack_delta),
             "reserved": list(plan.reserved),
         },
         "system": {"points": npts},
@@ -679,12 +673,10 @@ def krieger_recode(
             "m": tower.m,
             "n": tower.n,
             "classes": len(tower.transversal),
-            "side_weight": str(
-                sys.total_weight(tower.s1) + sys.total_weight(tower.s2)
-            ),
+            "side_weight": str(sys.total_weight(tower.s1) + sys.total_weight(tower.s2)),
         },
         "codebook": {
-            "k": codebook.k,
+            "k": k,
             "rho": str(codebook.rho),
             "packing_size": len(codebook.packing),
             "books": len(codebook.books),
@@ -696,14 +688,12 @@ def krieger_recode(
         "masses": {
             "q_level": [str(v) for v in masses_q],
             "p_level": [str(v) for v in masses_p],
-            "exact": masses_q == [r * _frac(w) for w in q.weights]
-            and masses_p == [r * _frac(w) for w in params.p.weights],
+            "exact": masses_q == [r * w for w in q_w]
+            and masses_p == [r * w for w in p_w],
         },
-        "decode": {"status": "exact" if exact else "mismatch"},
-        "algebra": {"refines_xi": refines, "cells": len(algebra)},
+        "decode": {"status": "exact"},
+        "algebra": {"refines_xi": algebra.refines(GAlgebra(fine)), "cells": len(algebra)},
     }
-    if not exact:
-        raise DecodeError("decoded labeling differs from the input")
     return alpha, certificate
 
 

@@ -26,6 +26,7 @@ from .system import (
 )
 
 CONSTRAINTS = (
+    "m >= 1",
     "m divides N",
     "m > 4/eps",
     "m > Nmin",
@@ -37,16 +38,18 @@ CONSTRAINTS = (
 def admissible_m(n_points: int, n_cells: int, eps, nmin: int, m: int) -> str | None:
     """Name of the first violated tower constraint, or None if m works."""
     eps = Fraction(eps)
-    if n_points % m != 0:
+    if m < 1:
         return CONSTRAINTS[0]
-    if m * eps <= 4:
+    if n_points % m != 0:
         return CONSTRAINTS[1]
-    if m <= nmin:
+    if m * eps <= 4:
         return CONSTRAINTS[2]
-    if n_cells * math.log2(m + 1) >= float(eps) / 4 * m:
+    if m <= nmin:
         return CONSTRAINTS[3]
-    if math.ceil(eps / 4 * m) >= m:
+    if n_cells * math.log2(m + 1) >= float(eps) / 4 * m:
         return CONSTRAINTS[4]
+    if math.ceil(eps / 4 * m) >= m:
+        return CONSTRAINTS[5]
     return None
 
 
@@ -170,7 +173,7 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     v, k = mix.theta, mix.n
 
     # theta climbs each column and jumps to the next column of the v-class
-    top = set(h.invert().apply(s) for s in s1)
+    top = {columns[s][-1] for s in s1}
     pairs = []
     words = []
     for x in range(sys.n_points):

@@ -42,6 +42,7 @@ __all__ = [
     "greedy_packing",
     "verify_packing",
     "choose_J",
+    "inequality",
     "build_injections",
 ]
 
@@ -439,6 +440,11 @@ class CodeBook:
         }
 
 
+def inequality(name: str, lhs, rhs, holds) -> dict:
+    """One certificate inequality record: its name, both sides, and whether it holds."""
+    return {"name": name, "lhs": lhs, "rhs": rhs, "holds": bool(holds)}
+
+
 def _chain_checks(
     xi: ProbVec,
     blocks: Coarsening,
@@ -471,10 +477,7 @@ def _chain_checks(
         ("covering-chain", mid, log_target - log_cover, mid <= log_target - log_cover),
         ("capacity-exact", max_fiber, packing_size, max_fiber <= packing_size),
     ]
-    return [
-        {"name": name, "lhs": lhs, "rhs": rhs, "holds": bool(ok)}
-        for name, lhs, rhs, ok in checks
-    ]
+    return [inequality(*check) for check in checks]
 
 
 # The asymptotic windows on the target count ("target-window-lower",

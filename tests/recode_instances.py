@@ -10,10 +10,8 @@ codeword separation.
 from fractions import Fraction as F
 
 from fingen.probvec import Coarsening, ProbVec
-from fingen.recoder import RecodeParams
+from fingen.recoder import RecodeParams, join_factor, recode_codebook, scan_towers
 from fingen.system import FiniteSystem, GAlgebra
-from fingen.tower import build_tower
-from fingen.typical import PackingBudget, build_injections
 
 TWO_ONE_BLOCKS = ((0, 1), (2,))
 
@@ -55,31 +53,11 @@ def build(entry):
 
 
 def pipeline_parts(entry):
-    """Rebuild the intermediate objects of the pipeline for one instance."""
+    """Run the join, tower and codebook stages of the pipeline for one instance."""
     sysn, xi, falg, params, kwargs = build(entry)
-    pairs = sorted({(falg.labels[x], xi[x]) for x in range(sysn.n_points)})
-    index = {pair: i for i, pair in enumerate(pairs)}
-    fine = tuple(index[(falg.labels[x], xi[x])] for x in range(sysn.n_points))
-    coarse_ids = sorted({b for b, _ in pairs})
-    fine_blocks = Coarsening(
-        tuple(
-            tuple(i for i, (b, _) in enumerate(pairs) if b == bb) for bb in coarse_ids
-        ),
-        len(pairs),
-    )
-    blk = fine_blocks.block_of()
-    beta = tuple(blk[fine[x]] for x in range(sysn.n_points))
-    counts = [0] * len(pairs)
-    for f in fine:
-        counts[f] += 1
-    fine_dist = ProbVec(tuple(F(c, sysn.n_points) for c in counts))
-    tower = build_tower(sysn, fine, kwargs["tower_eps"], 1, kwargs["m"])
-    pack_delta = kwargs.get("pack_delta") or F(9, 400 * len(params.q))
-    budget = PackingBudget(pack_delta, params.r)
-    needed = sorted(
-        {tuple(beta[x] for x in tower.theta.orbit(y)) for y in tower.transversal}
-    )
-    codebook = build_injections(
-        fine_dist, fine_blocks, params.q, budget, 0, tower.n, "exact", only=needed
+    fine, beta, blocks, dist = join_factor(xi, falg)
+    tower, _ = scan_towers(sysn, fine, kwargs["tower_eps"], 1, kwargs["m"])
+    codebook, _ = recode_codebook(
+        sysn, tower, beta, dist, blocks, params, kwargs.get("pack_delta")
     )
     return sysn, xi, falg, params, fine, beta, tower, codebook

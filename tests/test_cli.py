@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fingen import cli
 from fingen.cli import child_seed, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -158,3 +159,52 @@ def test_out_writes_file(tmp_path, capsys):
 def test_bad_seed_exits_two(capsys):
     code, _, _ = run(capsys, ["oracle", "--points", "2", "--seed", str(2**64)])
     assert code == 2
+
+
+def write_config(tmp_path, blob) -> str:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(blob))
+    return str(cfg)
+
+
+def test_divisibility_failure_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"system": {"cyclic": 7}, "labels": {"modulus": 2}})
+    code, _, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "DivisibilityError"
+    assert payload["error"]["name"] == "no admissible column count m"
+    assert payload["error"]["message"] == "no admissible column count m: N=7 eps=2 nmin=1"
+
+
+def test_zero_modulus_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"system": {"cyclic": 60}, "labels": {"modulus": 0}})
+    code, _, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert "config error" in err
+
+
+def test_missing_labels_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"system": {"cyclic": 60}})
+    code, _, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert "config error" in err
+
+
+def test_non_integer_m_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"system": {"cyclic": 60}, "labels": {"modulus": 2}, "m": "x"}
+    )
+    code, _, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert "config error" in err
+
+
+def test_library_bug_is_not_reported_as_config_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "build_tower", broken)
+    with pytest.raises(KeyError):
+        main(["tower", "--config", str(CONFIGS / "tower.json")])
+    assert "config error" not in capsys.readouterr().err

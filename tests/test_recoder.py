@@ -14,6 +14,7 @@ from fingen.errors import (
     CapacityError,
     DecodeError,
     DivisibilityError,
+    FingenError,
     InvalidParamsError,
     InvalidPartitionError,
 )
@@ -456,6 +457,64 @@ def test_krieger_tolerance_scan_recorded():
     assert [s["ok"] for s in cert["scan"]] == [False, False, False, True]
     assert cert["scan"][-1]["m"] == 24
     assert cert["decode"]["status"] == "exact"
+
+
+def test_krieger_rejects_nonpositive_m():
+    sysn, xi, falg, params, kwargs = build(FAMILY[0])
+    kwargs["m"] = 0
+    with pytest.raises(InvalidParamsError) as err:
+        krieger_recode(sysn, xi, falg, params, **kwargs)
+    assert err.value.constraint == "m >= 1"
+
+
+@st.composite
+def small_recode_instances(draw):
+    """A cyclic system of at most 30 points with a mod-d factor broken at up
+    to three exception points, a random 3-symbol target split into a pair
+    block and a single block, and r <= 1/2, so the codeword length stays at
+    most 15.  Half the draws lean towards instances that can succeed: an
+    even size of 18 or more, few exceptions, r = 1/2, balanced blocks and
+    the default tower scan."""
+    lean = draw(st.booleans())
+    n = draw(st.sampled_from(range(18, 31, 2)) if lean else st.integers(4, 30))
+    d = draw(st.sampled_from([v for v in ((2, 3) if lean else (1, 2, 3, 4)) if n % v == 0]))
+    size = draw(st.integers(0, 1 if lean else 3))
+    exc = set(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)))
+    xi = tuple(d if x in exc else x % d for x in range(n))
+    falg = GAlgebra(tuple(x % d for x in range(n)))
+    r = F(1, 2) if lean else draw(st.sampled_from((F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 6))))
+    # point counts of the three target cells, integral whenever r n is
+    total = int(r * n) if (r * n).denominator == 1 and r * n >= 3 else 12
+    pair = total // 2 if lean else draw(st.integers(2, total - 1))
+    first = draw(st.integers(1, pair - 1))
+    a, b, c = draw(st.permutations(range(3)))
+    counts = {a: first, b: pair - first, c: total - pair}
+    p = ProbVec(tuple(F(counts[i], total) for i in range(3)))
+    blocks = draw(st.sampled_from((((a, b), (c,)), ((c,), (a, b)))))
+    delta = draw(st.sampled_from((F(1, 8), F(1, 10)) + (() if lean else (F(1, 6),))))
+    params = RecodeParams(p, Coarsening(blocks, 3), r, delta, 0)
+    divisors = [v for v in range(1, n + 1) if n % v == 0]
+    kwargs = {
+        "tower_eps": None if lean else draw(st.none() | st.sampled_from((2, F(5, 2), F(7, 2)))),
+        "m": None if lean else draw(st.none() | st.sampled_from([0] + divisors)),
+        "reserved": tuple(draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))),
+    }
+    pack_delta = draw(st.none() | st.sampled_from((F(1, 100), F(1, 200), F(3, 400))))
+    if pack_delta is not None:
+        kwargs["pack_delta"] = pack_delta
+    return FiniteSystem.cyclic(n), xi, falg, params, kwargs
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_recode_instances())
+def test_recode_decodes_exactly_or_fails_by_name(instance):
+    sysn, xi, falg, params, kwargs = instance
+    try:
+        _, cert = krieger_recode(sysn, xi, falg, params, **kwargs)
+    except FingenError:
+        return
+    assert cert["decode"]["status"] == "exact"
+    assert cert["masses"]["exact"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,21 @@ def test_named_constraint_violations():
         build_tower(FiniteSystem.cyclic(300), ALPHA60 * 5, F(1, 100), 10)
 
 
+def test_divisibility_error_names_its_constraint():
+    with pytest.raises(DivisibilityError) as err:
+        build_tower(FiniteSystem.cyclic(7), tuple(x % 2 for x in range(7)), 2, 1)
+    assert err.value.constraint == "no admissible column count m"
+    assert str(err.value) == "no admissible column count m: N=7 eps=2 nmin=1"
+
+
+def test_nonpositive_m_is_a_named_constraint():
+    assert admissible_m(60, 2, F(2), 1, 0) == "m >= 1"
+    for m in (0, -3):
+        with pytest.raises(InvalidParamsError) as err:
+            build_tower(Z60, ALPHA60, 2, 1, m=m)
+        assert err.value.constraint == "m >= 1"
+
+
 def test_audit_z60():
     tw = build_tower(Z60, ALPHA60, 2, 1)
     rep = audit_tower(tw)
