@@ -32,7 +32,7 @@ def min_conditional_generating(sysn, falg):
         cells = label_cells(labels)
         if len(generated_algebra(sysn, cells + fcells)) != n:
             return
-        h = cond_entropy(tuple(labels), falg.labels, sysn.weights.weights)
+        h = cond_entropy(tuple(labels), falg.labels)
         if h < best - 1e-12:
             best = h
             best_witness = tuple(cells)

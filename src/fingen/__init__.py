@@ -5,7 +5,7 @@ Modules
 probvec   exact probability vectors, entropy calculus, rational decomposition
 typical   typical-word counting, normalized Hamming packing, injective codebooks
 coding    ternary prefix codes over conditional fibers, binary digit maps
-system    finite weighted actions, invariant algebras, expressible partial maps
+system    finite transitive actions, invariant algebras, expressible partial maps
 tower     periodic tower construction with a frequency side channel
 recoder   alphabet reduction, end-to-end recoding pipeline, brute-force oracle
 cli       deterministic command-line reports over the above

@@ -113,21 +113,22 @@ class ExperimentConfig:
 def make_system(spec, cap: int) -> FiniteSystem:
     if not isinstance(spec, dict):
         raise ConfigError("system must be an object")
-    if "cyclic" in spec:
-        n = _int(spec["cyclic"])
-        if n > cap:
-            raise ConfigError(f"system size {n} exceeds max-points {cap}")
+    if "weights" in spec:
+        raise ConfigError("a transitive system's weights are uniform; drop 'weights'")
+    key = "cyclic" if "cyclic" in spec else "points"
+    if key not in spec:
+        raise ConfigError("system needs 'cyclic' or 'points'")
+    n = _int(spec[key])
+    if n < 1:
+        raise ConfigError(f"system size {n} must be positive")
+    if n > cap:
+        raise ConfigError(f"system size {n} exceeds max-points {cap}")
+    if key == "cyclic":
         return FiniteSystem.cyclic(n)
-    if "points" in spec:
-        n = _int(spec["points"])
-        if n > cap:
-            raise ConfigError(f"system size {n} exceeds max-points {cap}")
-        gens = _req(spec, "generators")
-        if not isinstance(gens, dict):
-            raise ConfigError("generators must be an object")
-        gens = {name: tuple(_ints(perm, "permutation")) for name, perm in gens.items()}
-        return FiniteSystem.make(n, gens, _opt(spec, "weights", _vec))
-    raise ConfigError("system needs 'cyclic' or 'points'")
+    gens = _req(spec, "generators")
+    if not isinstance(gens, dict):
+        raise ConfigError("generators must be an object")
+    return FiniteSystem.make(n, {name: _ints(perm, "permutation") for name, perm in gens.items()})
 
 
 def parse_labels(spec, n: int) -> tuple:
@@ -177,7 +178,7 @@ def expand_range(spec) -> list:
         raise ConfigError("range needs an int, 'a:b:c', a list, or start/stop/step")
     if step == 0:
         raise ConfigError("range step must be nonzero")
-    return list(range(start, stop + 1, step))
+    return list(range(start, stop + (1 if step > 0 else -1), step))
 
 
 def jsonable(v):
@@ -332,13 +333,12 @@ def cmd_reduce(cfg: ExperimentConfig) -> dict:
     )
     ga = generated_algebra(sysn, label_cells(alpha) + label_cells(falg.labels))
     gx = generated_algebra(sysn, label_cells(xi) + label_cells(falg.labels))
-    w = sysn.weights.weights
     return {
         "certificate": {
             "cells_before": len(set(xi)),
             "cells_after": len(set(alpha)),
-            "h_before": cond_entropy(xi, falg.labels, w),
-            "h_after": cond_entropy(alpha, falg.labels, w),
+            "h_before": cond_entropy(xi, falg.labels),
+            "h_after": cond_entropy(alpha, falg.labels),
             "eps": str(eps),
             "algebra_equal": ga.labels == gx.labels,
             "plan": plan.to_json(),

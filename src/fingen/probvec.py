@@ -94,10 +94,6 @@ class ProbVec:
     def __getitem__(self, i):
         return self.weights[i]
 
-    @classmethod
-    def uniform(cls, k: int) -> "ProbVec":
-        return cls(tuple(Fraction(1, k) for _ in range(k)))
-
     def as_fractions(self) -> tuple:
         """Entries as exact rationals (floats converted to their binary value)."""
         return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.weights)

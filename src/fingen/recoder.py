@@ -164,7 +164,7 @@ def reduce_alphabet(
     if eps_f <= 0:
         raise InvalidParamsError("eps > 0")
 
-    fd = FiberDistribution.from_labels(xi, F.labels, sys.weights.weights)
+    fd = FiberDistribution.from_labels(xi, F.labels)
     code = build_code(fd)
     words = tuple(code.word(F.labels[x], xi[x]) for x in range(sys.n_points))
     max_len = max(len(w) for w in words)
@@ -589,12 +589,14 @@ def krieger_recode(
     xi = tuple(xi)
     if len(xi) != sys.n_points:
         raise InvalidParamsError("one label per point")
+    if len(F.labels) != sys.n_points:
+        raise InvalidParamsError("F lives on the points")
     if not F.invariant_under(sys):
         raise InvalidPartitionError("F must be invariant")
     npts = sys.n_points
     r, delta, q = params.r, params.delta, params.q
 
-    h_xi_f = cond_entropy(xi, F.labels, sys.weights.weights)
+    h_xi_f = cond_entropy(xi, F.labels)
     h_target = float(r) * entropy(params.p)
     if not h_xi_f < h_target:
         raise InvalidParamsError(

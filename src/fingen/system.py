@@ -1,10 +1,13 @@
-"""Finite weighted point systems acted on by named permutations.
+"""Finite point systems acted on by named permutations.
 
-A system is a set of points {0..N-1} with invariant rational weights and a
-set of named generator permutations acting transitively.  On top of it live
-invariant partitions (the finite stand-in for invariant sigma-algebras),
-partial bijections carrying generator-word certificates, and the mixing
-constructions that average cell frequencies over equal-size classes.
+A system is the point set {0..N-1} together with named generator
+permutations that act transitively.  A transitive action has exactly one
+invariant probability measure, the uniform one, so a set A of points has
+measure |A|/N and the system stores nothing beyond its points and
+generators.  On top of it live invariant partitions (the finite stand-in for
+invariant sigma-algebras), partial bijections carrying generator-word
+certificates, and the mixing constructions that average cell frequencies
+over equal-size classes.
 
 Group elements are enumerated deterministically: identity, then generators
 and their inverses in declaration order, then longer words length-first and
@@ -24,12 +27,12 @@ from .errors import (
     ExpressibilityUndecided,
     InvalidParamsError,
     InvalidPartitionError,
-    InvalidVectorError,
 )
 from .probvec import ProbVec, canon_labels, label_cells, ratcomb_decompose
 
 # word tokens: "a" applies generator a, "~a" its inverse; applied left to right
 DEFAULT_GROUP_CAP = 100_000
+WORD_LEN_PER_POINT = 2  # enumerated group words have at most 2N tokens
 
 
 def invert_token(tok: str) -> str:
@@ -42,101 +45,79 @@ def invert_word(word: tuple) -> tuple:
 
 class GroupEnum(NamedTuple):
     elements: tuple  # ((word, perm), ...) in enumeration order
-    complete: bool
+    complete: bool  # False only when some element was left out
 
 
 @dataclass(frozen=True)
 class FiniteSystem:
     n_points: int
-    weights: ProbVec
     generators: tuple  # ((name, perm), ...) in declaration order
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # token -> permutation table: every generator, then every "~" inverse
+    _tables: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n_points
         if n < 1:
             raise InvalidParamsError("n_points >= 1")
-        if len(self.weights) != n:
-            raise InvalidVectorError("one weight per point")
-        if any(w <= 0 for w in self.weights.weights):
-            raise InvalidVectorError("point weights must be positive")
         if not self.generators:
             raise InvalidParamsError("at least one generator")
-        seen = set()
+        tables = {}
         for name, perm in self.generators:
             if not name or name.startswith("~"):
                 raise InvalidParamsError("generator names are nonempty, no ~ prefix")
-            if name in seen:
+            if name in tables:
                 raise InvalidParamsError(f"duplicate generator name {name!r}")
-            seen.add(name)
             if sorted(perm) != list(range(n)):
                 raise InvalidPartitionError(f"generator {name!r} is not a permutation")
-            for x in range(n):
-                if self.weights.weights[perm[x]] != self.weights.weights[x]:
-                    raise InvalidVectorError(f"weights not invariant under {name!r}")
-        # transitivity: generator edges connect all points
-        seen_pts = {0}
+            tables[name] = tuple(perm)
+        for name, _ in self.generators:
+            inv = [0] * n
+            for x, y in enumerate(tables[name]):
+                inv[y] = x
+            tables[invert_token(name)] = tuple(inv)
+        object.__setattr__(self, "_tables", tables)
+        # transitivity: generator edges, both directions, connect all points
+        seen = {0}
         frontier = [0]
         while frontier:
             x = frontier.pop()
-            for _, perm in self.generators:
-                for y in (perm[x], perm.index(x)):
-                    if y not in seen_pts:
-                        seen_pts.add(y)
-                        frontier.append(y)
-        if len(seen_pts) != n:
+            for p in tables.values():
+                if p[x] not in seen:
+                    seen.add(p[x])
+                    frontier.append(p[x])
+        if len(seen) != n:
             raise InvalidParamsError("generators act transitively")
 
     @classmethod
-    def make(cls, n: int, generators, weights=None) -> "FiniteSystem":
+    def make(cls, n: int, generators) -> "FiniteSystem":
         """generators: mapping or pair list name -> permutation sequence."""
         gens = tuple(
             (name, tuple(perm))
             for name, perm in (generators.items() if hasattr(generators, "items") else generators)
         )
-        if weights is None:
-            w = ProbVec.uniform(n)
-        elif isinstance(weights, ProbVec):
-            w = weights
-        else:
-            w = ProbVec(tuple(Fraction(x) for x in weights))
-        return cls(n, w, gens)
+        return cls(n, gens)
 
     @classmethod
-    def cyclic(cls, n: int, step: int = 1, name: str = "r") -> "FiniteSystem":
-        return cls.make(n, {name: [(x + step) % n for x in range(n)]})
+    def cyclic(cls, n: int) -> "FiniteSystem":
+        return cls.make(n, {"r": [(x + 1) % n for x in range(n)]})
 
     def to_json(self) -> dict:
         return {
             "points": self.n_points,
-            "weights": self.weights.to_strings(),
             "generators": {name: list(perm) for name, perm in self.generators},
         }
 
     @classmethod
     def from_json(cls, blob: dict) -> "FiniteSystem":
-        return cls.make(
-            blob["points"],
-            list(blob["generators"].items()),
-            weights=ProbVec.from_strings(blob["weights"]) if "weights" in blob else None,
-        )
+        return cls.make(blob["points"], blob["generators"])
 
     def perm(self, token: str) -> tuple:
-        key = ("perm", token)
-        if key not in self._cache:
+        try:
+            return self._tables[token]
+        except KeyError:
             name = token[1:] if token.startswith("~") else token
-            for gname, p in self.generators:
-                if gname == name:
-                    break
-            else:
-                raise InvalidParamsError(f"unknown generator {name!r}")
-            if token.startswith("~"):
-                inv = [0] * self.n_points
-                for x, y in enumerate(p):
-                    inv[y] = x
-                p = tuple(inv)
-            self._cache[key] = tuple(p)
-        return self._cache[key]
+            raise InvalidParamsError(f"unknown generator {name!r}") from None
 
     def apply_word(self, word, x: int) -> int:
         for tok in word:
@@ -150,56 +131,51 @@ class FiniteSystem:
             out = tuple(p[x] for x in out)
         return out
 
-    def group(self, max_elements: int | None = None, max_word_len: int | None = None) -> GroupEnum:
-        """Enumerate distinct group elements with their first producing word."""
+    def group(self, max_elements: int | None = None) -> GroupEnum:
+        """Enumerate distinct group elements with their first producing word.
+
+        At most ``max_elements`` elements are kept, each with a word of at
+        most 2N tokens; ``complete`` turns False only when a further element
+        exists past one of these two bounds.
+        """
         cap = DEFAULT_GROUP_CAP if max_elements is None else max_elements
-        lcap = 2 * self.n_points if max_word_len is None else max_word_len
         cached = self._cache.get("group")
         if cached is not None:
-            enum, ccap, clcap = cached
-            if enum.complete or (ccap >= cap and clcap >= lcap):
+            enum, ccap = cached
+            if enum.complete or ccap >= cap:
                 if len(enum.elements) <= cap:
                     return enum
                 return GroupEnum(enum.elements[:cap], False)
+        max_len = WORD_LEN_PER_POINT * self.n_points
         ident = tuple(range(self.n_points))
-        tokens = [name for name, _ in self.generators]
-        tokens += [invert_token(t) for t in tokens]
-        seen = {ident: ()}
+        seen = {ident}
         order = [((), ident)]
-        layer = order[:]
+        layer = order
         complete = True
-        while layer:
-            if len(order) >= cap:
-                complete = False
-                break
-            if layer[0][0] and len(layer[0][0]) >= lcap:
-                complete = False
-                break
+        while layer and complete:
             nxt = []
             for word, perm in layer:
-                for tok in tokens:
-                    p = self.perm(tok)
+                for tok, p in self._tables.items():
                     q = tuple(p[y] for y in perm)
-                    if q not in seen:
-                        w = word + (tok,)
-                        seen[q] = w
-                        entry = (w, q)
-                        order.append(entry)
-                        nxt.append(entry)
-                        if len(order) >= cap:
-                            break
-                if len(order) >= cap:
+                    if q in seen:
+                        continue
+                    if len(order) >= cap or len(word) >= max_len:
+                        complete = False
+                        break
+                    seen.add(q)
+                    entry = (word + (tok,), q)
+                    order.append(entry)
+                    nxt.append(entry)
+                if not complete:
                     break
             layer = nxt
-        enum = GroupEnum(tuple(order), complete and len(order) <= cap)
-        self._cache["group"] = (enum, cap, lcap)
+        enum = GroupEnum(tuple(order), complete)
+        self._cache["group"] = (enum, cap)
         return enum
 
     def total_weight(self, points) -> Fraction:
-        return sum((Fraction(self.weights.weights[x]) for x in points), Fraction(0))
-
-    def is_uniform(self) -> bool:
-        return len(set(self.weights.weights)) == 1
+        """Uniform measure |points| / N, the only invariant one."""
+        return Fraction(len(points), self.n_points)
 
 
 @dataclass(frozen=True)
@@ -267,9 +243,7 @@ def generated_algebra(sys: FiniteSystem, seed_sets) -> GAlgebra:
     for s in seeds:
         if any(not (0 <= x < n) for x in s):
             raise InvalidParamsError("seed sets live on the points")
-    perms = [sys.perm(name) for name, _ in sys.generators]
-    perms += [sys.perm(invert_token(name)) for name, _ in sys.generators]
-    return refine_partition(n, seeds, perms)
+    return refine_partition(n, seeds, list(sys._tables.values()))
 
 
 def refine_partition(n: int, seed_sets, perms) -> GAlgebra:
@@ -308,11 +282,6 @@ class PseudoMap:
                 raise InvalidParamsError("word certificate mismatch", f"at point {x}")
         object.__setattr__(self, "_fwd", dict(self.pairs))
         object.__setattr__(self, "_words_by_point", dict(zip(xs, self.words)))
-
-    @classmethod
-    def from_mapping(cls, sys: FiniteSystem, mapping: dict, words: dict) -> "PseudoMap":
-        items = sorted(mapping.items())
-        return cls(sys, tuple(items), tuple(words[x] for x, _ in items))
 
     @classmethod
     def identity(cls, sys: FiniteSystem, points=None) -> "PseudoMap":
@@ -395,8 +364,7 @@ def merge_maps(maps) -> PseudoMap:
 
 
 def is_expressible(theta: PseudoMap, algebra: GAlgebra,
-                   max_elements: int | None = None,
-                   max_word_len: int | None = None) -> bool:
+                   max_elements: int | None = None) -> bool:
     """Whether theta moves each algebra cell by a single group element.
 
     The domain and range must be unions of cells, and every cell inside the
@@ -408,7 +376,7 @@ def is_expressible(theta: PseudoMap, algebra: GAlgebra,
     dom = set(theta.domain)
     if not algebra.measurable(dom) or not algebra.measurable(theta.range):
         return False
-    enum = sys.group(max_elements=max_elements, max_word_len=max_word_len)
+    enum = sys.group(max_elements=max_elements)
     fwd = dict(theta.pairs)
     for cell in algebra.cells:
         if cell[0] not in dom:
@@ -438,7 +406,7 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     Bset = set(B)
     if not A:
         raise InvalidParamsError("A nonempty")
-    if sys.total_weight(A) > sys.total_weight(Bset):
+    if len(A) > len(Bset):
         raise InvalidParamsError("weight(A) <= weight(B)")
     rem_dom = set(A)
     rem_rng = set(Bset)
@@ -461,14 +429,14 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
 
 
 def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> list:
-    """Split B into n equal-weight pieces with C as the first piece."""
+    """Split B into n equal-size pieces with C as the first piece."""
     C = sorted(set(C))
     Bset = set(B)
     if not set(C) <= Bset:
         raise InvalidParamsError("C inside B")
     if n < 1:
         raise InvalidParamsError("n >= 1")
-    if sys.total_weight(C) * n != sys.total_weight(Bset):
+    if len(C) * n != len(Bset):
         raise DivisibilityError("weight(C) * n == weight(B)")
     pieces = [tuple(C)]
     used = set(C)
@@ -491,8 +459,7 @@ def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
     allpts = [x for p in pieces for x in p]
     if len(set(allpts)) != len(allpts):
         raise InvalidParamsError("pieces pairwise disjoint")
-    w0 = sys.total_weight(pieces[0])
-    if any(sys.total_weight(p) != w0 for p in pieces):
+    if any(len(p) != len(pieces[0]) for p in pieces):
         raise InvalidParamsError("pieces of equal weight")
     phis = [PseudoMap.identity(sys, pieces[0])]
     for p in pieces[1:]:

@@ -133,8 +133,6 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     admissibility conditions are exactly the named CONSTRAINTS and the first
     violated one is reported on failure.
     """
-    if not sys.is_uniform():
-        raise InvalidParamsError("uniform weights required")
     alpha = tuple(alpha)
     if len(alpha) != sys.n_points:
         raise InvalidParamsError("one label per point")

@@ -493,9 +493,8 @@ def test_alphabet_reductions():
         after = generated_algebra(sysn, cells_of(alpha) + cells_of(falg.labels))
         assert before == after
 
-        w = sysn.weights.weights
-        h_alpha = cond_entropy(alpha, falg.labels, w)
-        h_xi = cond_entropy(xi, falg.labels, w)
+        h_alpha = cond_entropy(alpha, falg.labels)
+        h_xi = cond_entropy(xi, falg.labels)
         assert h_alpha < h_xi + float(eps)
     check_budget(started, 30)
 

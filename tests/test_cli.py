@@ -200,6 +200,32 @@ def test_non_integer_m_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "system", [{"cyclic": 0}, {"points": 0, "generators": {"a": []}}]
+)
+def test_empty_system_is_a_config_error(tmp_path, capsys, system):
+    cfg = write_config(tmp_path, {"system": system, "labels": {"modulus": 2}})
+    code, _, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("weights", [["1/2", "1/2"], ["2/3", "1/3"]])
+def test_system_weights_are_a_config_error(tmp_path, capsys, weights):
+    system = {"points": 2, "generators": {"a": [1, 0]}, "weights": weights}
+    cfg = write_config(tmp_path, {"system": system, "labels": {"modulus": 2}})
+    code, _, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert "config error" in err and "uniform" in err
+
+
+def test_range_stop_is_inclusive_in_both_directions():
+    assert cli.expand_range("10:60:10") == [10, 20, 30, 40, 50, 60]
+    assert cli.expand_range("60:10:-10") == [60, 50, 40, 30, 20, 10]
+    assert cli.expand_range({"start": 9, "stop": 3, "step": -3}) == [9, 6, 3]
+    assert cli.expand_range("5:1:-3") == [5, 2]
+
+
 def test_library_bug_is_not_reported_as_config_error(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise KeyError("internal")

@@ -87,8 +87,8 @@ def reduce_postconditions(sysn, xi, falg, eps, alpha, plan):
     ga = generated_algebra(sysn, cells_of(alpha) + cells_of(falg.labels))
     gx = generated_algebra(sysn, cells_of(xi) + cells_of(falg.labels))
     assert ga.labels == gx.labels
-    h_a = cond_entropy(alpha, falg.labels, sysn.weights.weights)
-    h_x = cond_entropy(xi, falg.labels, sysn.weights.weights)
+    h_a = cond_entropy(alpha, falg.labels)
+    h_x = cond_entropy(xi, falg.labels)
     assert h_a < h_x + float(eps)
     gamma_cells = len(set(plan.gamma))
     assert len(set(alpha)) <= 7 * gamma_cells
@@ -112,8 +112,8 @@ def test_reduce_without_relocation_keeps_everything():
     assert plan.thetas == ()
     assert plan.cutoff == max(len(w) for w in plan.words) + 1
     assert len(set(alpha)) == 3
-    h_a = cond_entropy(alpha, falg.labels, s12.weights.weights)
-    h_x = cond_entropy(xi, falg.labels, s12.weights.weights)
+    h_a = cond_entropy(alpha, falg.labels)
+    h_x = cond_entropy(xi, falg.labels)
     assert abs(h_a - h_x) < 1e-12
     reduce_postconditions(s12, xi, falg, F(1, 2), alpha, plan)
 
@@ -124,7 +124,7 @@ def test_reduce_over_discrete_factor_collapses():
     falg = GAlgebra(tuple(range(6)))
     alpha, plan = reduce_alphabet(s6, xi, falg, F(1, 2))
     assert len(set(alpha)) == 1
-    assert cond_entropy(alpha, falg.labels, s6.weights.weights) == 0.0
+    assert cond_entropy(alpha, falg.labels) == 0.0
     reduce_postconditions(s6, xi, falg, F(1, 2), alpha, plan)
 
 
@@ -465,6 +465,14 @@ def test_krieger_rejects_nonpositive_m():
     with pytest.raises(InvalidParamsError) as err:
         krieger_recode(sysn, xi, falg, params, **kwargs)
     assert err.value.constraint == "m >= 1"
+
+
+def test_krieger_rejects_factor_of_wrong_length():
+    sysn, xi, falg, params, kwargs = build(FAMILY[0])
+    short = GAlgebra(falg.labels[:-1])
+    with pytest.raises(InvalidParamsError) as err:
+        krieger_recode(sysn, xi, short, params, **kwargs)
+    assert err.value.constraint == "F lives on the points"
 
 
 @st.composite

@@ -8,9 +8,7 @@ from fingen.errors import (
     ExpressibilityUndecided,
     InvalidParamsError,
     InvalidPartitionError,
-    InvalidVectorError,
 )
-from fingen.probvec import ProbVec
 from fingen.system import (
     FiniteSystem,
     GAlgebra,
@@ -37,11 +35,11 @@ TRIV8 = GAlgebra((0,) * 8)
 PARITY8 = GAlgebra(tuple(x % 2 for x in range(8)))
 
 
-def tau_even_up():
+def tau_even_up(sysn=Z8):
     # swaps {0,1},{2,3},...: needs the parity cells to express over rot1
     perm = tuple(x + 1 if x % 2 == 0 else x - 1 for x in range(8))
     words = tuple(("r",) if x % 2 == 0 else ("~r",) for x in range(8))
-    return PseudoMap(Z8, tuple(zip(range(8), perm)), words)
+    return PseudoMap(sysn, tuple(zip(range(8), perm)), words)
 
 
 def test_system_validation():
@@ -49,8 +47,6 @@ def test_system_validation():
         FiniteSystem.make(3, {"a": [0, 0, 1]})
     with pytest.raises(InvalidParamsError):
         FiniteSystem.make(4, {"a": [1, 0, 3, 2]})  # two orbits, not transitive
-    with pytest.raises(InvalidVectorError):
-        FiniteSystem.make(2, {"a": [1, 0]}, weights=["2/3", "1/3"])
     with pytest.raises(InvalidParamsError):
         FiniteSystem.make(2, {"~a": [1, 0]})
 
@@ -73,6 +69,15 @@ def test_group_cap_marks_incomplete():
     assert not enum.complete
     full = Z8.group()
     assert full.complete and len(full.elements) == 8
+
+
+def test_group_cap_at_group_order_is_complete():
+    assert FiniteSystem.cyclic(4).group(max_elements=4).complete
+    tau = tau_even_up(FiniteSystem.cyclic(8))
+    assert not is_expressible(tau, TRIV8, max_elements=8)
+    with pytest.raises(ExpressibilityUndecided):
+        is_expressible(tau, TRIV8, max_elements=7)
+    assert not FiniteSystem.cyclic(8).group(max_elements=7).complete
 
 
 def test_word_application():
