@@ -57,10 +57,15 @@ def _fr(v) -> Fraction:
 
 
 def _int(v) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"not an integer: {v!r}")
+    """An int (not a bool) or a string spelling one; anything else is refused."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ConfigError(f"not an integer: {v!r}")
 
 
 def _ints(items, what: str) -> list:
@@ -162,7 +167,7 @@ def parse_blocks(spec, size: int) -> Coarsening:
 
 def expand_range(spec) -> list:
     if isinstance(spec, int):
-        return [spec]
+        return [_int(spec)]
     if isinstance(spec, str):
         parts = [_int(p) for p in spec.split(":")]
         if len(parts) == 1:
@@ -295,8 +300,6 @@ def cmd_codebook(cfg: ExperimentConfig) -> dict:
         "separation": str(book.separation()),
         "checks": list(book.checks),
     }
-    if o.get("include_books"):
-        report["codebook"] = book.to_json()
     return {"certificate": report}
 
 
@@ -519,8 +522,12 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return 1
     if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            sys.stderr.write(f"config error: cannot write report: {e}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -1,10 +1,11 @@
 """Variable-length ternary rank codes on partition cells.
 
-Within each fiber the cells are ranked by decreasing conditional weight and
-the cell of rank n receives the base-3 expansion of n.  The expected code
-length is then controlled by m * |t(m)| + H(cells | fibers), where m is the
-least integer above exp(1 / (1 - log3(e))).  A bit-extraction helper shared
-with the tower encoder lives here as well.
+Within each fiber the cells are ranked from 1 by decreasing conditional
+weight, and the cell of rank n receives t(n), the base-3 expansion of n, as
+in the paper.  The expected code length is then controlled by
+m * |t(m)| + H(cells | fibers), where m is the least integer above
+exp(1 / (1 - log3(e))).  A bit-extraction helper shared with the tower
+encoder lives here as well.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ def ternary(n: int) -> tuple:
         n, d = divmod(n, 3)
         digits.append(d)
     return tuple(reversed(digits))
-
-
-def _rank_word(n: int, start_rank: int) -> tuple:
-    if start_rank == 0:
-        return (0,) if n == 0 else ternary(n)
-    return ternary(n)
 
 
 def binary_digit(i: int, t: int) -> int:
@@ -64,31 +59,23 @@ class FiberDistribution:
             if not isinstance(mu, ProbVec) or len(mu) != cells:
                 raise InvalidVectorError("all fibers share one cell index set")
 
-    @property
-    def cells(self) -> int:
-        return len(self.mus[0])
-
     @classmethod
-    def from_labels(cls, cell_labels, fiber_labels, weights=None) -> "FiberDistribution":
-        """Disintegrate point weights over the fibers of a second labeling."""
+    def from_labels(cls, cell_labels, fiber_labels) -> "FiberDistribution":
+        """Disintegrate the uniform point measure over the fibers of a second
+        labeling, fibers in increasing label order."""
         if len(cell_labels) != len(fiber_labels):
             raise InvalidVectorError("labelings cover the same points")
-        n = len(cell_labels)
-        if weights is None:
-            weights = (Fraction(1, n),) * n
+        w = Fraction(1, len(cell_labels))
         cells = max(cell_labels) + 1
-        fibers = sorted(set(fiber_labels))
         nu = []
         mus = []
-        for y in fibers:
-            mass = sum(w for w, f in zip(weights, fiber_labels) if f == y)
-            if mass == 0:
-                continue
+        for y in sorted(set(fiber_labels)):
             cond = [Fraction(0)] * cells
-            for w, c, f in zip(weights, cell_labels, fiber_labels):
+            for c, f in zip(cell_labels, fiber_labels):
                 if f == y:
-                    cond[c] += Fraction(w)
-            nu.append(Fraction(mass))
+                    cond[c] += w
+            mass = sum(cond)
+            nu.append(mass)
             mus.append(ProbVec(tuple(v / mass for v in cond)))
         return cls(ProbVec(tuple(nu)), tuple(mus))
 
@@ -98,37 +85,25 @@ class TernaryCode:
     """Injective ternary words per fiber, aligned with the cell index set."""
 
     words: tuple  # words[y][c] is the code of cell c within fiber y
-    start_rank: int = 1
 
     def word(self, y: int, c: int) -> tuple:
         return self.words[y][c]
 
-    def length(self, y: int, c: int) -> int:
-        return len(self.words[y][c])
 
-    def to_json(self) -> list:
-        return [
-            {"fiber": y, "codes": {str(c): "".join(map(str, w)) for c, w in enumerate(ws)}}
-            for y, ws in enumerate(self.words)
-        ]
-
-
-def build_code(fd: FiberDistribution, start_rank: int = 1) -> TernaryCode:
-    """Rank cells inside each fiber and hand rank n the expansion t(n).
+def build_code(fd: FiberDistribution) -> TernaryCode:
+    """Rank cells inside each fiber from 1 and hand rank n the expansion t(n).
 
     Ranking is by decreasing conditional weight, ties and zero-weight cells
     by increasing cell index, so the heaviest cells get the shortest words.
     """
-    if start_rank not in (0, 1):
-        raise InvalidParamsError("start_rank in {0, 1}", f"got {start_rank}")
     out = []
     for mu in fd.mus:
         order = sorted(range(len(mu)), key=lambda c: (-mu.weights[c], c))
         ws = [()] * len(mu)
         for pos, c in enumerate(order):
-            ws[c] = _rank_word(pos + start_rank, start_rank)
+            ws[c] = ternary(pos + 1)
         out.append(tuple(ws))
-    return TernaryCode(tuple(out), start_rank)
+    return TernaryCode(tuple(out))
 
 
 class LengthBound(NamedTuple):

@@ -24,7 +24,7 @@ class FingenError(Exception):
 
 
 class InvalidVectorError(FingenError, ValueError):
-    """A probability vector is malformed (negative entry, bad sum, wrong mode)."""
+    """A probability vector is malformed (negative entry, bad sum, inexact weight)."""
 
 
 class InvalidPartitionError(FingenError, ValueError):

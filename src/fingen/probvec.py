@@ -1,8 +1,9 @@
-"""Weighted finite probability vectors and partition entropy.
+"""Exact finite probability vectors and partition entropy.
 
-Two arithmetic modes coexist deliberately.  Decomposition and counting run
-on ``fractions.Fraction`` so reconstruction identities hold exactly;
-entropies are reported as floats in nats and compared with tolerances.
+Weights are exact rationals: a ``ProbVec`` holds ``fractions.Fraction``
+entries summing to exactly 1 and refuses floats, so decomposition and
+counting satisfy their reconstruction identities exactly.  Entropies are
+reported as floats in nats and compared with tolerances.
 
 A *labeling* is a sequence of cell indices over a finite point set; the
 conditional entropy of one labeling given another is the weighted average
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError
 
@@ -35,55 +36,36 @@ __all__ = [
     "uniform_weights",
 ]
 
-FLOAT_SUM_TOL = 1e-9
-
 
 def ratio_str(x: Fraction) -> str:
     """``n/d`` with the denominator always written, also when it is 1."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def _coerce_weights(values: Iterable) -> tuple:
-    out = []
-    exact = True
-    for v in values:
-        if isinstance(v, Fraction):
-            out.append(v)
-        elif isinstance(v, int):
-            out.append(Fraction(v))
-        elif isinstance(v, float):
-            out.append(v)
-            exact = False
-        else:
-            raise InvalidVectorError(f"unsupported weight type {type(v).__name__}")
-    if not exact:
-        out = [float(v) for v in out]
-    return tuple(out)
+def _exact(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise InvalidVectorError(f"weights are Fraction or int, not {type(v).__name__}")
 
 
 @dataclass(frozen=True)
 class ProbVec:
-    """Ordered weights, all Fraction (exact mode) or all float."""
+    """Ordered exact weights: Fractions kept as given, ints turned into Fractions."""
 
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _coerce_weights(self.weights))
-        w = self.weights
+        w = tuple(map(_exact, self.weights))
+        object.__setattr__(self, "weights", w)
         if not w:
             raise InvalidVectorError("empty vector")
         if any((x < 0) for x in w):
             raise InvalidVectorError("negative weight")
         total = sum(w)
-        if self.exact:
-            if total != 1:
-                raise InvalidVectorError(f"exact weights sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise InvalidVectorError(f"float weights sum to {total!r}")
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(x, Fraction) for x in self.weights)
+        if total != 1:
+            raise InvalidVectorError(f"weights sum to {total}, not 1")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -94,26 +76,8 @@ class ProbVec:
     def __getitem__(self, i):
         return self.weights[i]
 
-    def as_fractions(self) -> tuple:
-        """Entries as exact rationals (floats converted to their binary value)."""
-        return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.weights)
-
     def to_strings(self) -> list:
-        if self.exact:
-            return [ratio_str(x) for x in self.weights]
-        return [repr(x) for x in self.weights]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "ProbVec":
-        vals = []
-        for s in items:
-            s = s.strip()
-            if "/" in s:
-                num, den = s.split("/", 1)
-                vals.append(Fraction(int(num), int(den)))
-            else:
-                vals.append(float(s))
-        return cls(tuple(vals))
+        return [ratio_str(x) for x in self.weights]
 
 
 @dataclass(frozen=True)
@@ -166,7 +130,7 @@ def entropy_pair(a: float, b: float) -> float:
 def coarsen(p: ProbVec, q: Coarsening) -> ProbVec:
     if q.size != len(p):
         raise InvalidPartitionError("coarsening size mismatch")
-    return ProbVec(tuple(sum((p.weights[i] for i in b), start=Fraction(0) if p.exact else 0.0) for b in q.blocks))
+    return ProbVec(tuple(sum(p.weights[i] for i in b) for b in q.blocks))
 
 
 def label_cells(labels: Sequence) -> list:
@@ -245,7 +209,7 @@ class RatDecomposition:
         for c, r in zip(self.mixing.weights, self.vectors):
             for i in range(p):
                 acc[i] += c * r.weights[i]
-        if tuple(acc) != self.source.as_fractions():
+        if tuple(acc) != self.source.weights:
             raise InvalidVectorError("mix does not reconstruct the source exactly")
         for r in self.vectors:
             for i in range(p):
@@ -260,10 +224,8 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
 
     The common denominator is the least n with n > (p-1)/eps and
     n > 2(p-1)/a_p, so each component stays within eps of ``a`` entrywise.
-    Requires exact mode and a positive final entry (reorder beforehand).
+    Requires a positive final entry (reorder beforehand).
     """
-    if not a.exact:
-        raise InvalidVectorError("decomposition needs exact rational weights")
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidParamsError("eps > 0")

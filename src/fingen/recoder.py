@@ -284,16 +284,6 @@ class RecodePlan:
         worst = max(len(self.excluded(i)) for i in range(len(self.b_words)))
         return Fraction(worst, k)
 
-    def to_json(self) -> dict:
-        return {
-            "transversal": list(self.tower.transversal),
-            "reserved": list(self.reserved),
-            "codewords": [list(w) for w in self.codewords],
-            "excluded": [sorted(self.excluded(i)) for i in range(len(self.b_words))],
-            "zeta_sizes": [len(z) for z in self.zeta],
-            "budget": str(self.budget()),
-        }
-
 
 def encode_names(
     sys: FiniteSystem,
@@ -389,7 +379,7 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
     sys = plan.tower.system
     npts = sys.n_points
     targets = []
-    for t, w in enumerate(params.q.as_fractions()):
+    for t, w in enumerate(params.q.weights):
         goal = params.r * w * npts
         if goal.denominator != 1:
             raise DivisibilityError(
@@ -416,7 +406,7 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
 def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
     """Split each target cell along the blocks to reach masses r * p_i."""
     npts = sys.n_points
-    p = params.p.as_fractions()
+    p = params.p.weights
     out: list = [None] * len(p)
     for t, block in enumerate(params.blocks.blocks):
         pts = sorted(cells[t])
@@ -636,7 +626,7 @@ def krieger_recode(
         dbar(_observed_prefix(alpha, tower.theta.orbit(y), k, block_of), a)
         for y, a in zip(tower.transversal, plan.codewords)
     )
-    q_w, p_w = q.as_fractions(), params.p.as_fractions()
+    q_w, p_w = q.weights, params.p.weights
     masses_q = [Fraction(len(c), npts) for c in cells_q]
     masses_p = [Fraction(len(c), npts) for c in cells_p]
     claimed = [Fraction(len(z), npts) for z in plan.zeta]

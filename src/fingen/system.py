@@ -102,16 +102,6 @@ class FiniteSystem:
     def cyclic(cls, n: int) -> "FiniteSystem":
         return cls.make(n, {"r": [(x + 1) % n for x in range(n)]})
 
-    def to_json(self) -> dict:
-        return {
-            "points": self.n_points,
-            "generators": {name: list(perm) for name, perm in self.generators},
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "FiniteSystem":
-        return cls.make(blob["points"], blob["generators"])
-
     def perm(self, token: str) -> tuple:
         try:
             return self._tables[token]
@@ -124,28 +114,16 @@ class FiniteSystem:
             x = self.perm(tok)[x]
         return x
 
-    def word_perm(self, word) -> tuple:
-        out = tuple(range(self.n_points))
-        for tok in word:
-            p = self.perm(tok)
-            out = tuple(p[x] for x in out)
-        return out
-
-    def group(self, max_elements: int | None = None) -> GroupEnum:
+    def group(self) -> GroupEnum:
         """Enumerate distinct group elements with their first producing word.
 
-        At most ``max_elements`` elements are kept, each with a word of at
-        most 2N tokens; ``complete`` turns False only when a further element
-        exists past one of these two bounds.
+        Built once per system: at most ``DEFAULT_GROUP_CAP`` elements, each
+        with a word of at most 2N tokens; ``complete`` turns False only when a
+        further element exists past one of these two bounds.
         """
-        cap = DEFAULT_GROUP_CAP if max_elements is None else max_elements
         cached = self._cache.get("group")
         if cached is not None:
-            enum, ccap = cached
-            if enum.complete or ccap >= cap:
-                if len(enum.elements) <= cap:
-                    return enum
-                return GroupEnum(enum.elements[:cap], False)
+            return cached
         max_len = WORD_LEN_PER_POINT * self.n_points
         ident = tuple(range(self.n_points))
         seen = {ident}
@@ -159,7 +137,7 @@ class FiniteSystem:
                     q = tuple(p[y] for y in perm)
                     if q in seen:
                         continue
-                    if len(order) >= cap or len(word) >= max_len:
+                    if len(order) >= DEFAULT_GROUP_CAP or len(word) >= max_len:
                         complete = False
                         break
                     seen.add(q)
@@ -170,7 +148,7 @@ class FiniteSystem:
                     break
             layer = nxt
         enum = GroupEnum(tuple(order), complete)
-        self._cache["group"] = (enum, cap)
+        self._cache["group"] = enum
         return enum
 
     def total_weight(self, points) -> Fraction:
@@ -194,28 +172,12 @@ class GAlgebra:
     def cells(self) -> tuple:
         return tuple(label_cells(self.labels))
 
-    @classmethod
-    def from_cells(cls, cells, n: int) -> "GAlgebra":
-        labels = [-1] * n
-        for i, cell in enumerate(cells):
-            for x in cell:
-                if labels[x] != -1:
-                    raise InvalidPartitionError("cells overlap")
-                labels[x] = i
-        if -1 in labels:
-            raise InvalidPartitionError("cells do not cover the points")
-        return cls(tuple(labels))
-
     def measurable(self, points) -> bool:
         marked = set(points)
         return all(
             all(x in marked for x in cell) or all(x not in marked for x in cell)
             for cell in self.cells
         )
-
-    def cell_of(self, x: int) -> tuple:
-        c = self.labels[x]
-        return tuple(i for i, l in enumerate(self.labels) if l == c)
 
     def join(self, other: "GAlgebra") -> "GAlgebra":
         return GAlgebra(tuple(zip(self.labels, other.labels)))
@@ -312,12 +274,6 @@ class PseudoMap:
             raise InvalidParamsError(f"point {x} outside the domain")
         return self._words_by_point[x]
 
-    def decomposition(self) -> dict:
-        out: dict = {}
-        for (x, _), w in zip(self.pairs, self.words):
-            out.setdefault(w, []).append(x)
-        return {w: tuple(xs) for w, xs in out.items()}
-
     def compose(self, other: "PseudoMap") -> "PseudoMap":
         """self after other; words concatenate along the trajectory."""
         fwd = self._fwd
@@ -334,11 +290,6 @@ class PseudoMap:
         pairs = tuple(sorted((y, x) for x, y in self.pairs))
         back = {y: invert_word(w) for (x, y), w in zip(self.pairs, self.words)}
         return PseudoMap(self.system, pairs, tuple(back[x] for x, _ in pairs))
-
-    def restrict(self, points) -> "PseudoMap":
-        keep = set(points)
-        pw = [(p, w) for p, w in zip(self.pairs, self.words) if p[0] in keep]
-        return PseudoMap(self.system, tuple(p for p, _ in pw), tuple(w for _, w in pw))
 
     def orbit(self, x: int) -> tuple:
         fwd = self._fwd
@@ -363,8 +314,7 @@ def merge_maps(maps) -> PseudoMap:
     return PseudoMap(sys, tuple(pairs[i] for i in order), tuple(words[i] for i in order))
 
 
-def is_expressible(theta: PseudoMap, algebra: GAlgebra,
-                   max_elements: int | None = None) -> bool:
+def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
     """Whether theta moves each algebra cell by a single group element.
 
     The domain and range must be unions of cells, and every cell inside the
@@ -376,7 +326,7 @@ def is_expressible(theta: PseudoMap, algebra: GAlgebra,
     dom = set(theta.domain)
     if not algebra.measurable(dom) or not algebra.measurable(theta.range):
         return False
-    enum = sys.group(max_elements=max_elements)
+    enum = sys.group()
     fwd = dict(theta.pairs)
     for cell in algebra.cells:
         if cell[0] not in dom:

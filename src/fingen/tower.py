@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .coding import binary_digit
 from .errors import DivisibilityError, InvalidParamsError
-from .probvec import ratio_str
 from .system import (
     FiniteSystem,
     PseudoMap,
@@ -109,21 +108,6 @@ class Tower:
         if len(seen) != self.system.n_points:
             raise InvalidParamsError("classes do not cover the points")
         return tuple(out)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "n": self.n,
-            "ell": self.ell,
-            "s1": list(self.s1),
-            "s2": list(self.s2),
-            "h": [self.h.apply(x) for x in range(self.system.n_points)],
-            "v": {str(x): self.v.apply(x) for x in self.s1},
-            "theta": [self.theta.apply(x) for x in range(self.system.n_points)],
-            "transversal": list(self.transversal),
-            "profiles": [[ratio_str(p) for p in prof] for prof in self.profiles],
-        }
 
 
 def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = None) -> Tower:

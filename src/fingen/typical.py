@@ -3,8 +3,8 @@
 A length-n word over the alphabet of a probability vector q is *typical at
 tolerance eps* when every symbol frequency sits within eps of its target,
 boundaries included.  Membership is decided in exact rational arithmetic
-(floats are taken at their binary value), so the counting recursion and the
-brute-force enumeration agree bit for bit.
+(q is an exact ``ProbVec``, eps is read with ``Fraction``), so the counting
+recursion and the brute-force enumeration agree bit for bit.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -23,7 +23,7 @@ from .errors import (
     InvalidParamsError,
     InvalidPartitionError,
 )
-from .probvec import Coarsening, ProbVec, coarsen, cond_entropy, entropy, entropy_pair, ratio_str
+from .probvec import Coarsening, ProbVec, coarsen, cond_entropy, entropy, entropy_pair
 
 __all__ = [
     "TypicalSpec",
@@ -64,7 +64,7 @@ class TypicalSpec:
         slack = eps * self.n
         ranges = []
         for w in self.q.weights:
-            target = Fraction(w) * self.n
+            target = w * self.n
             lo = max(0, math.ceil(target - slack))
             hi = min(self.n, math.floor(target + slack))
             ranges.append((lo, hi))
@@ -260,6 +260,8 @@ def stirling_window(
 def binomial_bound_report(delta, n: int) -> dict:
     """C(n, floor(delta n)) against exp(2n H(delta, 1-delta)), exact left side."""
     d = float(delta)
+    if not 0 <= d <= 1:
+        raise InvalidParamsError("0 <= delta <= 1", f"got {delta}")
     k = math.floor(d * n)
     lhs = math.comb(n, k)
     rhs_log = 2.0 * n * entropy_pair(d, 1.0 - d)
@@ -341,7 +343,7 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
             positions[t].append(i)
     out = []
     for t in range(k):
-        qt = Fraction(q.weights[t])
+        qt = q.weights[t]
         if qt == 0:
             if positions[t]:
                 raise InvalidParamsError("q_t > 0 for every symbol present")
@@ -359,22 +361,27 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
 
 @dataclass(frozen=True)
 class PackingBudget:
-    """Separation budget: packing radius is 20 * delta * |q|, length floor(r n)."""
+    """Separation budget: packing radius is 20 * delta * |q|, length floor(r n).
+
+    delta and r are stored as Fractions whatever number type is given.
+    """
 
     delta: object
     r: object
 
     def __post_init__(self):
-        if not (0 < Fraction(self.delta)):
+        for name in ("delta", "r"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if not (0 < self.delta):
             raise InvalidParamsError("delta > 0")
-        if not (0 < Fraction(self.r) <= 1):
+        if not (0 < self.r <= 1):
             raise InvalidParamsError("0 < r <= 1")
 
     def k(self, n: int) -> int:
-        return math.floor(Fraction(self.r) * n)
+        return math.floor(self.r * n)
 
     def rho(self, alphabet: int) -> Fraction:
-        out = 20 * Fraction(self.delta) * alphabet
+        out = 20 * self.delta * alphabet
         if out >= Fraction(1, 2):
             raise InvalidParamsError(
                 "20 * delta * alphabet < 1/2", f"got {out}"
@@ -401,16 +408,6 @@ class CodeBook:
                 return dict(entries)
         raise KeyError(f"no book for block word {b}")
 
-    def encode(self, b: Sequence[int], c: Sequence[int]) -> tuple:
-        return self.mapping(b)[tuple(c)]
-
-    def decode_exact(self, b: Sequence[int], codeword: Sequence[int]) -> tuple:
-        codeword = tuple(codeword)
-        for c, w in self.mapping(b).items():
-            if w == codeword:
-                return c
-        raise KeyError("codeword not in the image")
-
     def separation(self) -> Fraction:
         """Smallest pairwise dbar within any single book's image."""
         best = None
@@ -422,22 +419,6 @@ class CodeBook:
                     if best is None or d < best:
                         best = d
         return best if best is not None else Fraction(1)
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q.to_strings(),
-            "eps": str(self.eps),
-            "k": self.k,
-            "rho": ratio_str(self.rho),
-            "packing_size": len(self.packing),
-            "books": [
-                {
-                    "b": list(b),
-                    "entries": [{"c": list(c), "code": list(w)} for c, w in entries],
-                }
-                for b, entries in self.books
-            ],
-        }
 
 
 def inequality(name: str, lhs, rhs, holds) -> dict:
@@ -457,8 +438,8 @@ def _chain_checks(
     packing_size: int,
 ) -> list:
     """Feasibility inequalities, exact counts on one side, analytic rates on the other."""
-    delta = float(Fraction(budget.delta))
-    r = float(Fraction(budget.r))
+    delta = float(budget.delta)
+    r = float(budget.r)
     k = budget.k(n)
     rho = float(budget.rho(len(q)))
     h_cond = cond_entropy_vec(xi, blocks)

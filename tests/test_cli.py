@@ -234,3 +234,42 @@ def test_library_bug_is_not_reported_as_config_error(monkeypatch, capsys):
     with pytest.raises(KeyError):
         main(["tower", "--config", str(CONFIGS / "tower.json")])
     assert "config error" not in capsys.readouterr().err
+
+
+TOWER = {"system": {"cyclic": 60}, "labels": {"modulus": 2}}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"system": {"cyclic": 60.9}},
+        {"system": {"cyclic": True}},
+        {"labels": {"modulus": 2.5}},
+        {"m": 20.7},
+        {"m": True},
+        {"nmin": 1.0},
+    ],
+    ids=["cyclic-float", "cyclic-bool", "modulus-float", "m-float", "m-bool", "nmin-float"],
+)
+def test_non_integral_config_integers_are_refused(tmp_path, capsys, patch):
+    cfg = write_config(tmp_path, {**TOWER, **patch})
+    code, out, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: not an integer" in err
+
+
+def test_integer_strings_are_read_as_integers(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**TOWER, "m": "30", "nmin": "1"})
+    code, out, _ = run(capsys, ["tower", "--config", cfg])
+    assert code == 0
+    assert json.loads(out)["certificate"]["m"] == 30
+
+
+def test_unwritable_out_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["oracle", "--points", "2", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: cannot write report: ")
+    assert not target.exists()

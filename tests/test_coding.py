@@ -76,9 +76,6 @@ def test_build_code_sorts_by_weight():
 def test_build_code_uniform_five_lengths():
     code = build_code(one_fiber(*(["1/5"] * 5)))
     assert [len(w) for w in code.words[0]] == [1, 1, 2, 2, 2]
-    zero = build_code(one_fiber(*(["1/5"] * 5)), start_rank=0)
-    assert [len(w) for w in zero.words[0]] == [1, 1, 1, 2, 2]
-    assert zero.words[0][0] == (0,)
 
 
 def test_build_code_zero_weight_cells_sort_last():
@@ -102,10 +99,8 @@ def test_build_code_injective_per_fiber(rows):
     nu = ProbVec(tuple(F(1, len(rows)) for _ in rows))
     mus = tuple(ProbVec(tuple(F(x, sum(r)) for x in r)) for r in rows)
     fd = FiberDistribution(nu, mus)
-    for flag in (0, 1):
-        code = build_code(fd, start_rank=flag)
-        for ws in code.words:
-            assert len(set(ws)) == len(ws)
+    for ws in build_code(fd).words:
+        assert len(set(ws)) == len(ws)
 
 
 def test_tail_rank_bound_random():
@@ -147,9 +142,6 @@ def test_length_bound_uniform_three():
     rep = code_length_bound(fd, build_code(fd))
     assert rep.avg_len == pytest.approx(4 / 3)  # ranks 1..3 give t(3) = (1,0)
     assert rep.holds
-    zero = code_length_bound(fd, build_code(fd, start_rank=0))
-    assert zero.avg_len == pytest.approx(1.0)  # ranks 0..2 all one digit
-    assert zero.holds
 
 
 def test_from_labels_disintegration():
@@ -177,7 +169,3 @@ def test_fiber_distribution_validation():
             (ProbVec((F(1),)), ProbVec((F(1, 2), F(1, 2)))),
         )
 
-
-def test_code_json_shape():
-    code = build_code(one_fiber("1/2", "1/2"))
-    assert code.to_json() == [{"fiber": 0, "codes": {"0": "1", "1": "2"}}]

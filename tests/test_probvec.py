@@ -26,7 +26,7 @@ LOG2 = math.log(2)
 @pytest.mark.parametrize(
     "weights, expected",
     [
-        ((0.5, 0.25, 0.25), 1.5 * LOG2),
+        ((F(1, 2), F(1, 4), F(1, 4)), 1.5 * LOG2),
         ((F(1),), 0.0),
         ((F(1, 2), F(1, 2)), LOG2),
         ((F(1, 4), F(3, 4)), 2 * LOG2 - 0.75 * math.log(3)),
@@ -48,18 +48,22 @@ def test_probvec_validation():
         ProbVec((F(3, 2), F(-1, 2)))
     with pytest.raises(InvalidVectorError):
         ProbVec(())
-    # float mode tolerates 1e-9 slack in the sum
-    ProbVec((0.5, 0.5 + 2e-10))
-    with pytest.raises(InvalidVectorError):
-        ProbVec((0.5, 0.51))
+    # ints become Fractions; floats and bools are refused by type name
+    assert ProbVec((1, 0)).weights == (F(1), F(0))
+    assert all(type(x) is F for x in ProbVec((1, 0)).weights)
+    with pytest.raises(InvalidVectorError, match="float"):
+        ProbVec((0.5, 0.5))
+    with pytest.raises(InvalidVectorError, match="float"):
+        ProbVec((F(1, 2), 0.5))
+    with pytest.raises(InvalidVectorError, match="bool"):
+        ProbVec((True, False))
 
 
 def test_string_round_trip():
     p = ProbVec((F(1, 3), F(2, 3)))
     assert p.to_strings() == ["1/3", "2/3"]
-    assert ProbVec.from_strings(p.to_strings()) == p
-    q = ProbVec((0.25, 0.75))
-    assert ProbVec.from_strings(q.to_strings()) == q
+    assert ProbVec(tuple(map(F, p.to_strings()))) == p
+    assert ProbVec((1,)).to_strings() == ["1/1"]
 
 
 def test_coarsen_example():

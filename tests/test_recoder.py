@@ -256,7 +256,6 @@ def test_encode_names_plan_shape():
     assert plan.budget() == F(1, 6)
     for t, z in enumerate(plan.zeta):
         assert F(len(z), sysn.n_points) < params.r * params.q.weights[t]
-    assert json.dumps(plan.to_json())
 
 
 def test_encode_names_reserved_indices_tracked():

