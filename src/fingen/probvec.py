@@ -190,17 +190,13 @@ def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = 
 class RatDecomposition:
     """Convex mix ``sum_j mixing[j] * vectors[j]`` equal to the source exactly.
 
-    Every component vector has denominator ``n``; ``lambdas``, ``ks`` and
-    ``order`` record the internal interpolation data for audits.
+    Every component vector has denominator ``n``.
     """
 
     source: ProbVec
     n: int
     vectors: tuple
     mixing: ProbVec
-    lambdas: tuple
-    ks: tuple
-    order: tuple
 
     def verify(self, eps) -> None:
         eps = Fraction(eps)
@@ -235,7 +231,7 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
         raise InvalidVectorError("final entry must be positive; place a positive cell last")
     if p == 1:
         one = ProbVec((Fraction(1),))
-        return RatDecomposition(a, 1, (one,), one, (Fraction(1),), (1,), (0,))
+        return RatDecomposition(a, 1, (one,), one)
 
     n = max(
         math.floor(Fraction(p - 1) / eps) + 1,
@@ -246,8 +242,7 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
     if all((n * w).denominator == 1 for w in a.weights):
         # a is itself a denominator-n vector: every component may equal a.
         mixing = ProbVec((Fraction(1),) + (Fraction(0),) * (p - 1))
-        ks = tuple(int(n * w) for w in a.weights)
-        out = RatDecomposition(a, n, (a,) * p, mixing, (Fraction(1),) * (p - 1), ks, tuple(range(p - 1)))
+        out = RatDecomposition(a, n, (a,) * p, mixing)
         out.verify(eps)
         return out
 
@@ -272,6 +267,6 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
             raise InvalidVectorError("final component entry not positive; eps too loose for a_p")
         vectors.append(ProbVec(tuple(comp)))
 
-    out = RatDecomposition(a, n, tuple(vectors), mixing, tuple(lambdas), tuple(ks), tuple(order))
+    out = RatDecomposition(a, n, tuple(vectors), mixing)
     out.verify(eps)
     return out

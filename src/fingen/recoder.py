@@ -62,6 +62,7 @@ __all__ = [
     "decode",
     "theta_algebra",
     "krieger_recode",
+    "growth_strings",
     "brute_force_generator_search",
 ]
 
@@ -269,7 +270,6 @@ class RecodePlan:
     delta: Fraction
     reserved: tuple  # reserved points, sorted
     b_words: tuple  # coarse name per transversal point
-    c_words: tuple  # fine name per transversal point
     codewords: tuple  # injected target word per transversal point
     m_full: tuple  # orbit indices hitting the reserved set, over the full class
     m_idx: tuple  # the same restricted to codeword positions
@@ -321,7 +321,7 @@ def encode_names(
         raise InvalidParamsError("reserved points live on the points")
     mset = set(reserved)
 
-    b_words, c_words, codewords, m_full, m_idx, j_idx = [], [], [], [], [], []
+    b_words, codewords, m_full, m_idx, j_idx = [], [], [], [], []
     zeta: list = [set() for _ in range(len(codebook.q))]
     for y in tower.transversal:
         orbit = tower.theta.orbit(y)
@@ -347,7 +347,6 @@ def encode_names(
             if i not in mi and i not in J:
                 zeta[a[i]].add(orbit[i])
         b_words.append(b)
-        c_words.append(c)
         codewords.append(a)
         m_full.append(mf)
         m_idx.append(mi)
@@ -360,7 +359,6 @@ def encode_names(
         delta,
         reserved,
         tuple(b_words),
-        tuple(c_words),
         tuple(codewords),
         tuple(m_full),
         tuple(m_idx),
@@ -548,7 +546,7 @@ def recode_codebook(
     """
     q = params.q
     pack_delta = Fraction(9, 400 * len(q)) if pack_delta is None else Fraction(pack_delta)
-    needed = sorted({name_word(sys, beta, tower.theta, y) for y in tower.transversal})
+    needed = sorted({name_word(beta, tower.theta, y) for y in tower.transversal})
     budget = PackingBudget(pack_delta, params.r)
     codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, capacity, only=needed)
     return codebook, pack_delta
@@ -693,6 +691,26 @@ def krieger_recode(
 # exhaustive oracle
 
 
+def growth_strings(n: int, k_max: int):
+    """Every partition of ``range(n)`` into at most k_max >= 1 cells, once.
+
+    Yields restricted growth strings (label 0 first, each label at most one
+    above the largest before it, all below k_max) in lexicographic order.
+    """
+    labels = [0] * n
+    tops = [0] * n  # tops[i] = max(labels[: i + 1])
+    while True:
+        yield tuple(labels)
+        i = n - 1
+        while i > 0 and labels[i] >= min(tops[i - 1] + 1, k_max - 1):
+            i -= 1
+        if i <= 0:
+            return
+        labels[i] += 1
+        tops[i:] = [max(tops[i - 1], labels[i])] * (n - i)
+        labels[i + 1 :] = [0] * (n - i - 1)
+
+
 def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:
     """Minimum entropy over all generating partitions, by full enumeration.
 
@@ -709,26 +727,13 @@ def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:
         raise InvalidParamsError("k_max >= 1")
     best_h = math.inf
     best: tuple | None = None
-    labels = [0] * npts
-
-    def consider():
-        nonlocal best_h, best
+    for labels in growth_strings(npts, k_max):
         cells = label_cells(labels)
         algebra = generated_algebra(sys, cells)
         if len(algebra) != npts:
-            return
+            continue
         h = entropy(ProbVec(tuple(sys.total_weight(c) for c in cells)))
         witness = tuple(sorted(cells, key=lambda c: (len(c), c)))
         if h < best_h - 1e-12 or (abs(h - best_h) <= 1e-12 and witness < best):
             best_h, best = h, witness
-
-    def rec(i: int, top: int):
-        if i == npts:
-            consider()
-            return
-        for v in range(min(top + 1, k_max - 1) + 1):
-            labels[i] = v
-            rec(i + 1, max(top, v))
-
-    rec(1 if npts else 0, 0)
     return best_h, best

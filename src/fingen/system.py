@@ -7,7 +7,8 @@ measure |A|/N and the system stores nothing beyond its points and
 generators.  On top of it live invariant partitions (the finite stand-in for
 invariant sigma-algebras), partial bijections carrying generator-word
 certificates, and the mixing constructions that average cell frequencies
-over equal-size classes.
+over equal-size classes.  A cyclic map is built once from the group-element
+matchings of its first piece onto the others, so each word is checked once.
 
 Group elements are enumerated deterministically: identity, then generators
 and their inverses in declaration order, then longer words length-first and
@@ -179,9 +180,6 @@ class GAlgebra:
             for cell in self.cells
         )
 
-    def join(self, other: "GAlgebra") -> "GAlgebra":
-        return GAlgebra(tuple(zip(self.labels, other.labels)))
-
     def refines(self, other: "GAlgebra") -> bool:
         seen: dict = {}
         for mine, theirs in zip(self.labels, other.labels):
@@ -237,6 +235,8 @@ class PseudoMap:
         object.__setattr__(self, "words", tuple(self.words[i] for i in order))
         xs = [x for x, _ in self.pairs]
         ys = [y for _, y in self.pairs]
+        if any(not (0 <= x < self.system.n_points) for x in xs + ys):
+            raise InvalidParamsError("pairs live on the points")
         if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
             raise InvalidParamsError("map must be a bijection")
         for (x, y), w in zip(self.pairs, self.words):
@@ -244,17 +244,6 @@ class PseudoMap:
                 raise InvalidParamsError("word certificate mismatch", f"at point {x}")
         object.__setattr__(self, "_fwd", dict(self.pairs))
         object.__setattr__(self, "_words_by_point", dict(zip(xs, self.words)))
-
-    @classmethod
-    def identity(cls, sys: FiniteSystem, points=None) -> "PseudoMap":
-        pts = sorted(range(sys.n_points) if points is None else points)
-        return cls(sys, tuple((x, x) for x in pts), ((),) * len(pts))
-
-    @classmethod
-    def from_word(cls, sys: FiniteSystem, word, points=None) -> "PseudoMap":
-        pts = sorted(range(sys.n_points) if points is None else points)
-        word = tuple(word)
-        return cls(sys, tuple((x, sys.apply_word(word, x)) for x in pts), (word,) * len(pts))
 
     @property
     def domain(self) -> tuple:
@@ -274,23 +263,6 @@ class PseudoMap:
             raise InvalidParamsError(f"point {x} outside the domain")
         return self._words_by_point[x]
 
-    def compose(self, other: "PseudoMap") -> "PseudoMap":
-        """self after other; words concatenate along the trajectory."""
-        fwd = self._fwd
-        pairs = []
-        words = []
-        for (x, mid), w in zip(other.pairs, other.words):
-            if mid not in fwd:
-                raise InvalidParamsError("range/domain mismatch", f"point {mid}")
-            pairs.append((x, fwd[mid]))
-            words.append(w + self.word_at(mid))
-        return PseudoMap(self.system, tuple(pairs), tuple(words))
-
-    def invert(self) -> "PseudoMap":
-        pairs = tuple(sorted((y, x) for x, y in self.pairs))
-        back = {y: invert_word(w) for (x, y), w in zip(self.pairs, self.words)}
-        return PseudoMap(self.system, pairs, tuple(back[x] for x, _ in pairs))
-
     def orbit(self, x: int) -> tuple:
         fwd = self._fwd
         out = [x]
@@ -301,17 +273,6 @@ class PseudoMap:
         if y != x:
             raise InvalidParamsError(f"orbit of {x} leaves the domain")
         return tuple(out)
-
-
-def merge_maps(maps) -> PseudoMap:
-    pairs: list = []
-    words: list = []
-    for m in maps:
-        pairs.extend(m.pairs)
-        words.extend(m.words)
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
-    sys = maps[0].system
-    return PseudoMap(sys, tuple(pairs[i] for i in order), tuple(words[i] for i in order))
 
 
 def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
@@ -356,6 +317,8 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     Bset = set(B)
     if not A:
         raise InvalidParamsError("A nonempty")
+    if A[0] < 0 or A[-1] >= sys.n_points:
+        raise InvalidParamsError("A lives on the points")
     if len(A) > len(Bset):
         raise InvalidParamsError("weight(A) <= weight(B)")
     rem_dom = set(A)
@@ -411,15 +374,17 @@ def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
         raise InvalidParamsError("pieces pairwise disjoint")
     if any(len(p) != len(pieces[0]) for p in pieces):
         raise InvalidParamsError("pieces of equal weight")
-    phis = [PseudoMap.identity(sys, pieces[0])]
+    # leg k: phi_k on the first piece (phi_0 the identity); step k is phi_{k+1} phi_k^-1
+    legs = [(pieces[0], ((),) * len(pieces[0]))]
     for p in pieces[1:]:
-        phis.append(simplemix(sys, pieces[0], p))
-    n = len(pieces)
-    steps = []
-    for k in range(n):
-        nxt = phis[(k + 1) % n]
-        steps.append(nxt.compose(phis[k].invert()))
-    return merge_maps(steps)
+        phi = simplemix(sys, pieces[0], p)
+        legs.append((tuple(y for _, y in phi.pairs), phi.words))
+    pairs, words = [], []
+    for k, (src, src_words) in enumerate(legs):
+        dst, dst_words = legs[(k + 1) % len(legs)]
+        pairs.extend(zip(src, dst))
+        words.extend(invert_word(u) + v for u, v in zip(src_words, dst_words))
+    return PseudoMap(sys, tuple(pairs), tuple(words))
 
 
 @dataclass(frozen=True)
@@ -468,8 +433,7 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
         return MixResult(classes, theta, len(atoms), "atomic", algebra)
     dec, sizes = plan
     atoms_by_cell = {c: [at for at in atoms if labels[at[0]] == c] for c in present}
-    maps = []
-    classes: list = []
+    pairs, words, classes = [], [], []
     for j, s_j in enumerate(sizes):
         if s_j == 0:
             continue
@@ -483,9 +447,10 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
                 piece = tuple(x for at in grabbed[t : t + per_piece] for x in at)
                 block_pieces.append(tuple(sorted(piece)))
         theta_j = cyclic_permute(sys, block_pieces)
-        maps.append(theta_j)
+        pairs.extend(theta_j.pairs)
+        words.extend(theta_j.words)
         classes.extend(_orbit_classes(theta_j))
-    theta = merge_maps(maps)
+    theta = PseudoMap(sys, tuple(pairs), tuple(words))
     return MixResult(tuple(classes), theta, dec.n, "ratcomb", algebra)
 
 
@@ -524,6 +489,6 @@ def avgfuncmix(sys: FiniteSystem, B, funcs, eps) -> MixResult:
     return avgmix(sys, B, tuple(labels), shrunk)
 
 
-def name_word(sys: FiniteSystem, labels, theta: PseudoMap, x: int) -> tuple:
+def name_word(labels, theta: PseudoMap, x: int) -> tuple:
     """Labels read along the full theta-orbit of x."""
     return tuple(labels[y] for y in theta.orbit(x))

@@ -24,6 +24,7 @@ from fingen.recoder import (
     brute_force_generator_search,
     decode,
     encode_names,
+    growth_strings,
     krieger_recode,
     reduce_alphabet,
     refine_to_p,
@@ -68,14 +69,14 @@ def test_params_validation():
 
 def test_theta_algebra_translation_by_three():
     s6 = FiniteSystem.cyclic(6)
-    rot3 = PseudoMap.from_word(s6, ("r",) * 3)
+    rot3 = PseudoMap(s6, tuple((x, (x + 3) % 6) for x in range(6)), (("r",) * 3,) * 6)
     alg = theta_algebra(rot3, [(0, 1)])
     assert alg.cells == ((0, 1), (2, 5), (3, 4))
 
 
 def test_theta_algebra_full_shift_separates():
     s6 = FiniteSystem.cyclic(6)
-    shift = PseudoMap.from_word(s6, ("r",))
+    shift = PseudoMap(s6, tuple((x, (x + 1) % 6) for x in range(6)), (("r",),) * 6)
     assert len(theta_algebra(shift, [(0,)])) == 6
 
 
@@ -526,6 +527,31 @@ def test_recode_decodes_exactly_or_fails_by_name(instance):
 
 # ---------------------------------------------------------------------------
 # exhaustive search oracle
+
+
+def recursive_growth_strings(n, k_max):
+    # reference: the plain recursive walk over restricted growth strings
+    out = []
+    labels = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            out.append(tuple(labels))
+            return
+        for v in range(min(top + 1, k_max - 1) + 1):
+            labels[i] = v
+            rec(i + 1, max(top, v))
+
+    rec(1 if n else 0, 0)
+    return out
+
+
+def test_growth_strings_match_recursive_walk():
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+    for n in range(9):
+        for k_max in range(1, n + 2):
+            assert list(growth_strings(n, k_max)) == recursive_growth_strings(n, k_max)
+        assert len(list(growth_strings(n, n + 1))) == bell[n]
 
 
 def test_brute_force_one_three_split():

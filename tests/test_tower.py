@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from fingen.errors import DivisibilityError, InvalidParamsError
-from fingen.system import FiniteSystem
+from fingen.system import FiniteSystem, PseudoMap
 from fingen.tower import Tower, admissible_m, audit_tower, build_tower
 
 Z60 = FiniteSystem.cyclic(60)
@@ -113,3 +113,17 @@ def test_several_systems_audit():
         assert rep["side_weight"] < eps
         assert rep["freq_deviation"] <= eps
         assert tw.n >= nmin
+
+
+def test_tower_checks_each_map_once(monkeypatch):
+    # each simplemix matching and each cyclic map is built and checked once
+    calls = []
+    check = PseudoMap.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        check(self)
+
+    monkeypatch.setattr(PseudoMap, "__post_init__", counted)
+    build_tower(FiniteSystem.cyclic(120), tuple(x % 2 for x in range(120)), 2, 1, 20)
+    assert 0 < len(calls) <= 41
