@@ -282,6 +282,29 @@ def test_avgmix_theta_properties():
     assert is_expressible(res.theta, res.algebra)
 
 
+def test_avgmix_ratcomb_certificate_words():
+    # no golden reaches the ratcomb route, so its certificate is pinned here
+    res = avgmix(FiniteSystem.cyclic(10), range(10), (0,) * 5 + (1,) * 5, F(3, 10))
+    assert res.route == "ratcomb"
+    assert res.classes == ((0, 1, 5, 6, 7), (2, 3, 4, 8, 9))
+    assert res.theta.pairs == (
+        (0, 1), (1, 5), (2, 3), (3, 4), (4, 8), (5, 6), (6, 7), (7, 0), (8, 9), (9, 2),
+    )
+    r, ir = "r", "~r"
+    assert res.theta.words == (
+        (r,),
+        (ir, r, r, r, r, r),
+        (r,),
+        (ir, r, r),
+        (ir,) * 6,
+        (ir,) * 9,
+        (r, r, r, r, ir, ir, ir),
+        (r, r, r),
+        (r, r, r, r, ir, ir, ir),
+        (r, r, r),
+    )
+
+
 def test_avgmix_random_within_eps():
     rng = random.Random(21)
     for _ in range(15):
