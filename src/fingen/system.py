@@ -341,8 +341,23 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     return PseudoMap(sys, tuple(pairs), tuple(words))
 
 
-def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> list:
-    """Split B into n equal-size pieces with C as the first piece."""
+def _cycle(first, phis) -> tuple:
+    """Pairs and words of the order-n map cycling ``first`` (sorted) through
+    the ranges of its matchings phi_1..phi_{n-1}, with phi_0 the identity:
+    leg k sends phi_k(c) to phi_{k+1 mod n}(c) by the word w_k(c)^-1 w_{k+1}(c)."""
+    legs = [(tuple(first), ((),) * len(first))]
+    legs += [(tuple(y for _, y in phi.pairs), phi.words) for phi in phis]
+    pairs, words = [], []
+    for k, (src, src_words) in enumerate(legs):
+        dst, dst_words = legs[(k + 1) % len(legs)]
+        pairs.extend(zip(src, dst))
+        words.extend(invert_word(u) + v for u, v in zip(src_words, dst_words))
+    return pairs, words
+
+
+def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> tuple:
+    """Split B into n equal-size pieces with C as the first piece; return them
+    with the order-n map cycling them, built from the matchings that cut them."""
     C = sorted(set(C))
     Bset = set(B)
     if not set(C) <= Bset:
@@ -352,16 +367,15 @@ def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> list:
     if len(C) * n != len(Bset):
         raise DivisibilityError("weight(C) * n == weight(B)")
     pieces = [tuple(C)]
+    phis = []
     used = set(C)
     for _ in range(n - 1):
-        rest = Bset - used
-        phi = simplemix(sys, C, rest)
-        piece = phi.range
-        pieces.append(piece)
-        used.update(piece)
+        phis.append(simplemix(sys, C, Bset - used))
+        pieces.append(phis[-1].range)
+        used.update(pieces[-1])
     if used != Bset:
         raise DivisibilityError("pieces exhaust B exactly")
-    return pieces
+    return pieces, PseudoMap(sys, *_cycle(C, phis))
 
 
 def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
@@ -374,17 +388,8 @@ def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
         raise InvalidParamsError("pieces pairwise disjoint")
     if any(len(p) != len(pieces[0]) for p in pieces):
         raise InvalidParamsError("pieces of equal weight")
-    # leg k: phi_k on the first piece (phi_0 the identity); step k is phi_{k+1} phi_k^-1
-    legs = [(pieces[0], ((),) * len(pieces[0]))]
-    for p in pieces[1:]:
-        phi = simplemix(sys, pieces[0], p)
-        legs.append((tuple(y for _, y in phi.pairs), phi.words))
-    pairs, words = [], []
-    for k, (src, src_words) in enumerate(legs):
-        dst, dst_words = legs[(k + 1) % len(legs)]
-        pairs.extend(zip(src, dst))
-        words.extend(invert_word(u) + v for u, v in zip(src_words, dst_words))
-    return PseudoMap(sys, tuple(pairs), tuple(words))
+    phis = [simplemix(sys, pieces[0], p) for p in pieces[1:]]
+    return PseudoMap(sys, *_cycle(pieces[0], phis))
 
 
 @dataclass(frozen=True)
@@ -433,7 +438,7 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
         return MixResult(classes, theta, len(atoms), "atomic", algebra)
     dec, sizes = plan
     atoms_by_cell = {c: [at for at in atoms if labels[at[0]] == c] for c in present}
-    pairs, words, classes = [], [], []
+    pairs, words = [], []
     for j, s_j in enumerate(sizes):
         if s_j == 0:
             continue
@@ -446,12 +451,12 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
             for t in range(0, take, per_piece):
                 piece = tuple(x for at in grabbed[t : t + per_piece] for x in at)
                 block_pieces.append(tuple(sorted(piece)))
-        theta_j = cyclic_permute(sys, block_pieces)
-        pairs.extend(theta_j.pairs)
-        words.extend(theta_j.words)
-        classes.extend(_orbit_classes(theta_j))
+        phis = [simplemix(sys, block_pieces[0], p) for p in block_pieces[1:]]
+        block_pairs, block_words = _cycle(block_pieces[0], phis)
+        pairs.extend(block_pairs)
+        words.extend(block_words)
     theta = PseudoMap(sys, tuple(pairs), tuple(words))
-    return MixResult(tuple(classes), theta, dec.n, "ratcomb", algebra)
+    return MixResult(_orbit_classes(theta), theta, dec.n, "ratcomb", algebra)
 
 
 def _orbit_classes(theta: PseudoMap) -> tuple:

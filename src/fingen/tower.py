@@ -20,7 +20,6 @@ from .system import (
     FiniteSystem,
     PseudoMap,
     avgfuncmix,
-    cyclic_permute,
     make_equal_partition,
 )
 
@@ -142,8 +141,7 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
             )
 
     s1 = tuple(x for x in range(sys.n_points) if x % m == 0)
-    pieces = make_equal_partition(sys, s1, range(sys.n_points), m)
-    h = cyclic_permute(sys, pieces)
+    _, h = make_equal_partition(sys, s1, range(sys.n_points), m)
 
     cells = sorted(set(alpha))
     columns = {s: h.orbit(s) for s in s1}
@@ -182,11 +180,7 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     s2 = []
     for s in s1:
         r = rank[profile(s)]
-        x = s
-        for i in range(1, ell + 1):
-            x = h.apply(x)
-            if binary_digit(i, r) == 1:
-                s2.append(x)
+        s2.extend(columns[s][i] for i in range(1, ell + 1) if binary_digit(i, r) == 1)
     return Tower(
         sys, alpha, eps, m, k, k * m, ell, s1, tuple(sorted(s2)),
         h, v, theta, transversal, table,

@@ -199,9 +199,12 @@ def test_simplemix_expressible_over_seed_algebra():
 
 
 def test_make_equal_partition_examples():
-    assert make_equal_partition(Z6, range(6), range(6), 1) == [tuple(range(6))]
-    pieces = make_equal_partition(Z6, (0, 3), range(6), 3)
+    pieces, h = make_equal_partition(Z6, range(6), range(6), 1)
+    assert pieces == [tuple(range(6))]
+    assert h.pairs == tuple((x, x) for x in range(6)) and set(h.words) == {()}
+    pieces, h = make_equal_partition(Z6, (0, 3), range(6), 3)
     assert pieces[0] == (0, 3)
+    assert h == cyclic_permute(Z6, pieces)  # the same pairs and words, one sweep
     assert sorted(x for p in pieces for x in p) == list(range(6))
     assert all(len(p) == 2 for p in pieces)
     with pytest.raises(DivisibilityError):
@@ -219,7 +222,7 @@ def test_cyclic_permute_small():
 
 
 def test_cyclic_permute_exact_order():
-    pieces = make_equal_partition(Z6, (0, 3), range(6), 3)
+    pieces, _ = make_equal_partition(Z6, (0, 3), range(6), 3)
     th = cyclic_permute(Z6, pieces)
     cur = {x: x for x in range(6)}
     for step in range(1, 4):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fingen import system
 from fingen.errors import DivisibilityError, InvalidParamsError
 from fingen.system import FiniteSystem, PseudoMap
 from fingen.tower import Tower, admissible_m, audit_tower, build_tower
@@ -116,14 +117,23 @@ def test_several_systems_audit():
 
 
 def test_tower_checks_each_map_once(monkeypatch):
-    # each simplemix matching and each cyclic map is built and checked once
-    calls = []
+    # the m-1 column matchings are swept once, and each of them plus h, v and
+    # theta is checked once: 19 sweeps and 22 checks for cyclic(120), m=20
+    sweeps = []
+    checks = []
     check = PseudoMap.__post_init__
+    sweep = system.simplemix
 
-    def counted(self):
-        calls.append(1)
+    def counted_check(self):
+        checks.append(1)
         check(self)
 
-    monkeypatch.setattr(PseudoMap, "__post_init__", counted)
+    def counted_sweep(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(PseudoMap, "__post_init__", counted_check)
+    monkeypatch.setattr(system, "simplemix", counted_sweep)
     build_tower(FiniteSystem.cyclic(120), tuple(x % 2 for x in range(120)), 2, 1, 20)
-    assert 0 < len(calls) <= 41
+    assert len(sweeps) == 19
+    assert len(checks) == 22
