@@ -7,8 +7,9 @@ measure |A|/N and the system stores nothing beyond its points and
 generators.  On top of it live invariant partitions (the finite stand-in for
 invariant sigma-algebras), partial bijections carrying generator-word
 certificates, and the mixing constructions that average cell frequencies
-over equal-size classes.  A cyclic map is built once from the group-element
-matchings of its first piece onto the others, so each word is checked once.
+over equal-size classes.  Each cyclic map is built once from the matchings of
+its first piece, so each word is checked once; ``make_equal_partition`` also
+returns the cycle that the matchings of its own sweep give.
 
 Group elements are enumerated deterministically: identity, then generators
 and their inverses in declaration order, then longer words length-first and
@@ -319,6 +320,8 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
         raise InvalidParamsError("A nonempty")
     if A[0] < 0 or A[-1] >= sys.n_points:
         raise InvalidParamsError("A lives on the points")
+    if Bset and (min(Bset) < 0 or max(Bset) >= sys.n_points):
+        raise InvalidParamsError("B lives on the points")
     if len(A) > len(Bset):
         raise InvalidParamsError("weight(A) <= weight(B)")
     rem_dom = set(A)
@@ -342,9 +345,8 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
 
 
 def _cycle(first, phis) -> tuple:
-    """Pairs and words of the order-n map cycling ``first`` (sorted) through
-    the ranges of its matchings phi_1..phi_{n-1}, with phi_0 the identity:
-    leg k sends phi_k(c) to phi_{k+1 mod n}(c) by the word w_k(c)^-1 w_{k+1}(c)."""
+    """Pairs and words of the order-n map sending phi_k(c) to phi_{k+1 mod n}(c)
+    by w_k(c)^-1 w_{k+1}(c), for c in ``first`` (sorted) and phi_0 the identity."""
     legs = [(tuple(first), ((),) * len(first))]
     legs += [(tuple(y for _, y in phi.pairs), phi.words) for phi in phis]
     pairs, words = [], []
@@ -417,7 +419,13 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     B = tuple(sorted(set(B)))
     if not B:
         raise InvalidParamsError("B nonempty")
+    if B[0] < 0 or B[-1] >= sys.n_points:
+        raise InvalidParamsError("B lives on the points")
+    if len(labels) != sys.n_points:
+        raise InvalidParamsError("one label per point")
     eps = Fraction(eps)
+    if eps < 0:
+        raise InvalidParamsError("eps >= 0")
     present = sorted({labels[x] for x in B})
     cells = {c: frozenset(x for x in B if labels[x] == c) for c in present}
     seeds = [cells[c] for c in present] + [frozenset(B)]
@@ -479,16 +487,17 @@ def avgfuncmix(sys: FiniteSystem, B, funcs, eps) -> MixResult:
     """
     B = tuple(sorted(set(B)))
     names = list(funcs)
-    values = {x: tuple(Fraction(funcs[f][x]) for f in names) for x in B}
-    level_of: dict = {}
-    for x in B:
-        level_of.setdefault(values[x], len(level_of))
+    for f in names:
+        missing = [x for x in B if x not in funcs[f]]
+        if missing:
+            raise InvalidParamsError("funcs are defined on B", f"{f!r} misses {missing}")
+    values = [tuple(Fraction(funcs[f][x]) for f in names) for x in B]
     labels = [0] * sys.n_points
-    for x in B:
-        labels[x] = level_of[values[x]] + 1
+    for x, level in zip(B, canon_labels(values)):
+        labels[x] = level + 1
     scale = Fraction(0)
     for i, _ in enumerate(names):
-        amp = sum(abs(v[i]) for v in level_of)
+        amp = sum(abs(v[i]) for v in set(values))
         scale = max(scale, amp)
     shrunk = Fraction(eps) / scale if scale > 0 else Fraction(eps)
     return avgmix(sys, B, tuple(labels), shrunk)

@@ -186,6 +186,20 @@ def test_simplemix_weight_error():
         simplemix(Z4, {0, 1}, {3})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simplemix(Z4, [0], [5]),
+        lambda: make_equal_partition(Z6, (0,), [0, 7], 2),
+        lambda: cyclic_permute(Z6, [(0,), (7,)]),
+    ],
+    ids=["simplemix", "make_equal_partition", "cyclic_permute"],
+)
+def test_mixing_rejects_b_off_the_points(call):
+    with pytest.raises(InvalidParamsError, match="B lives on the points"):
+        call()
+
+
 def test_simplemix_expressible_over_seed_algebra():
     rng = random.Random(9)
     for _ in range(25):
@@ -340,6 +354,26 @@ def test_avgfuncmix_scales_large_values():
     for cl in res.classes:
         avg = F(sum(f[x] for x in cl), len(cl))
         assert abs(avg - mean) < F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "B, labels, eps, name",
+    [
+        (range(6), (0, 1, 0), F(1, 2), "one label per point"),
+        ([0, 9], (0,) * 6, F(1, 2), "B lives on the points"),
+        (range(6), (0, 1) * 3, F(-1, 2), "eps >= 0"),
+    ],
+    ids=["labels", "B", "eps"],
+)
+def test_avgmix_rejects_bad_inputs_by_name(B, labels, eps, name):
+    with pytest.raises(InvalidParamsError, match=name):
+        avgmix(Z6, B, labels, eps)
+
+
+def test_avgfuncmix_rejects_function_undefined_on_b():
+    partial = {x: 1 for x in range(5)}
+    with pytest.raises(InvalidParamsError, match="funcs are defined on B"):
+        avgfuncmix(Z6, range(6), {"f": partial}, F(1, 3))
 
 
 def test_name_word():
