@@ -442,8 +442,7 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
             plan = (dec, [int(s) for s in sizes])
     if plan is None:
         theta = cyclic_permute(sys, atoms)
-        classes = _orbit_classes(theta)
-        return MixResult(classes, theta, len(atoms), "atomic", algebra)
+        return MixResult(_orbit_classes(theta), theta, len(atoms), "atomic", algebra)
     dec, sizes = plan
     atoms_by_cell = {c: [at for at in atoms if labels[at[0]] == c] for c in present}
     pairs, words = [], []
@@ -492,15 +491,14 @@ def avgfuncmix(sys: FiniteSystem, B, funcs, eps) -> MixResult:
         if missing:
             raise InvalidParamsError("funcs are defined on B", f"{f!r} misses {missing}")
     values = [tuple(Fraction(funcs[f][x]) for f in names) for x in B]
-    labels = [0] * sys.n_points
-    for x, level in zip(B, canon_labels(values)):
-        labels[x] = level + 1
+    level = dict(zip(B, canon_labels(values)))
+    labels = tuple(level[x] + 1 if x in level else 0 for x in range(sys.n_points))
     scale = Fraction(0)
     for i, _ in enumerate(names):
         amp = sum(abs(v[i]) for v in set(values))
         scale = max(scale, amp)
     shrunk = Fraction(eps) / scale if scale > 0 else Fraction(eps)
-    return avgmix(sys, B, tuple(labels), shrunk)
+    return avgmix(sys, B, labels, shrunk)
 
 
 def name_word(labels, theta: PseudoMap, x: int) -> tuple:

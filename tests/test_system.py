@@ -370,10 +370,12 @@ def test_avgmix_rejects_bad_inputs_by_name(B, labels, eps, name):
         avgmix(Z6, B, labels, eps)
 
 
-def test_avgfuncmix_rejects_function_undefined_on_b():
+def test_avgfuncmix_rejects_bad_inputs_by_name():
     partial = {x: 1 for x in range(5)}
     with pytest.raises(InvalidParamsError, match="funcs are defined on B"):
         avgfuncmix(Z6, range(6), {"f": partial}, F(1, 3))
+    with pytest.raises(InvalidParamsError, match="B lives on the points"):
+        avgfuncmix(Z6, [0, 9], {"f": {0: 1, 9: 0}}, F(1, 3))
 
 
 def test_name_word():
