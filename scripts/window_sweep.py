@@ -26,7 +26,7 @@ CELLS_EPS = [F(1, 20), F(1, 10), F(1, 4)]
 
 def minimal_n(q, delta, eps, n_max):
     for n in range(1, n_max + 1):
-        if stirling_window(q, None, delta, eps, n).holds:
+        if stirling_window(q, delta, eps, n).holds:
             return n
     return None
 
@@ -47,7 +47,7 @@ def main():
                     print(f"{qs:<18} {str(delta):>6} {str(eps):>6} {'-':>6} none<=n_max")
                     continue
                 run = [
-                    stirling_window(q, None, delta, eps, n).holds
+                    stirling_window(q, delta, eps, n).holds
                     for n in range(n0, n0 + args.stretch + 1)
                 ]
                 note = "solid" if all(run) else f"gap at +{run.index(False)}"

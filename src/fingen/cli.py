@@ -147,6 +147,8 @@ def parse_labels(spec, n: int) -> tuple:
             if d < 1:
                 raise ConfigError("modulus must be positive")
             exc = set(_ints(spec.get("exceptions", []), "exceptions"))
+            if any(not (0 <= x < n) for x in exc):
+                raise ConfigError("exceptions live on the points")
             return tuple(d if x in exc else x % d for x in range(n))
         if "sizes" in spec:
             sizes = _ints(spec["sizes"], "sizes")
@@ -168,22 +170,26 @@ def parse_blocks(spec, size: int) -> Coarsening:
 def expand_range(spec) -> list:
     if isinstance(spec, int):
         return [_int(spec)]
-    if isinstance(spec, str):
-        parts = [_int(p) for p in spec.split(":")]
-        if len(parts) == 1:
-            return parts
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-    elif isinstance(spec, dict):
-        start, stop = _int(_req(spec, "start")), _int(_req(spec, "stop"))
-        step = _int(spec.get("step", 1))
-    elif isinstance(spec, list):
-        return _ints(spec, "range")
+    if isinstance(spec, list):
+        values = _ints(spec, "range")
     else:
-        raise ConfigError("range needs an int, 'a:b:c', a list, or start/stop/step")
-    if step == 0:
-        raise ConfigError("range step must be nonzero")
-    return list(range(start, stop + (1 if step > 0 else -1), step))
+        if isinstance(spec, str):
+            parts = [_int(p) for p in spec.split(":")]
+            if len(parts) == 1:
+                return parts
+            start, stop = parts[0], parts[1]
+            step = parts[2] if len(parts) > 2 else 1
+        elif isinstance(spec, dict):
+            start, stop = _int(_req(spec, "start")), _int(_req(spec, "stop"))
+            step = _int(spec.get("step", 1))
+        else:
+            raise ConfigError("range needs an int, 'a:b:c', a list, or start/stop/step")
+        if step == 0:
+            raise ConfigError("range step must be nonzero")
+        values = list(range(start, stop + (1 if step > 0 else -1), step))
+    if not values:
+        raise ConfigError("range is empty")
+    return values
 
 
 def jsonable(v):
@@ -213,7 +219,7 @@ def cmd_count(cfg: ExperimentConfig) -> dict:
     rows = []
     for n in expand_range(o.get("n", 24)):
         for eps in eps_list:
-            rep = stirling_window(q, None, delta, eps, n)
+            rep = stirling_window(q, delta, eps, n)
             rows.append(
                 {
                     "n": n,
@@ -267,6 +273,8 @@ def cmd_decompose(cfg: ExperimentConfig) -> dict:
     if o.get("a") is not None:
         rows.append(_decompose_row("given", _vec(o["a"]), eps))
     samples, max_len = _int(o.get("samples", 0)), _int(o.get("max_len", 5))
+    if samples < 0:
+        raise ConfigError("samples must be nonnegative")
     if samples > 0 and max_len < 2:
         raise ConfigError("max_len must be at least 2")
     for i in range(samples):
@@ -327,13 +335,14 @@ def cmd_tower(cfg: ExperimentConfig) -> dict:
 
 def cmd_reduce(cfg: ExperimentConfig) -> dict:
     o = cfg.options
+    for key in ("delta", "cutoff"):
+        if key in o:
+            raise ConfigError(f"reduce chooses delta and cutoff itself; drop {key!r}")
     sysn = make_system(_req(o, "system"), cfg.max_points)
     xi = parse_labels(_req(o, "labels"), sysn.n_points)
     falg = GAlgebra(parse_labels(o.get("factor", {"modulus": 1}), sysn.n_points))
     eps = _fr(o.get("eps", "1"))
-    alpha, plan = reduce_alphabet(
-        sysn, xi, falg, eps, _opt(o, "delta", _fr), _opt(o, "cutoff", _int)
-    )
+    alpha, plan = reduce_alphabet(sysn, xi, falg, eps)
     ga = generated_algebra(sysn, label_cells(alpha) + label_cells(falg.labels))
     gx = generated_algebra(sysn, label_cells(xi) + label_cells(falg.labels))
     return {

@@ -106,11 +106,10 @@ def uniform_weights(n: int) -> tuple:
     return tuple(Fraction(1, n) for _ in range(n))
 
 
-def entropy(p) -> float:
+def entropy(p: ProbVec) -> float:
     """Shannon entropy in nats; the zero-weight convention 0*log 0 = 0 applies."""
-    weights = p.weights if isinstance(p, ProbVec) else ProbVec(tuple(p)).weights
     h = 0.0
-    for w in weights:
+    for w in p.weights:
         x = float(w)
         if x > 0.0:
             h -= x * math.log(x)

@@ -134,14 +134,7 @@ def _entropy_margin_ok(delta: float, eps: float) -> bool:
     return entropy_pair(delta, 1.0 - delta) + delta * math.log(7.0) < eps
 
 
-def reduce_alphabet(
-    sys: FiniteSystem,
-    xi,
-    F: GAlgebra,
-    eps,
-    delta=None,
-    cutoff: int | None = None,
-) -> tuple:
+def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
     """Replace xi by a small-alphabet labeling generating the same algebra
     over F, raising the conditional entropy by less than eps.
 
@@ -150,8 +143,7 @@ def reduce_alphabet(
     are relocated into three digit cells plus a chain cell on the light tail
     set.  The cutoff is the least level whose tail weight drops below delta;
     delta itself shrinks from min(1/5, eps/2) until the two-cell entropy
-    margin fits inside eps.  Explicit delta or cutoff must meet the same
-    constraints.
+    margin fits inside eps.
     """
     xi = canon_labels(xi)
     if len(xi) != sys.n_points:
@@ -170,18 +162,9 @@ def reduce_alphabet(
     words = tuple(code.word(F.labels[x], xi[x]) for x in range(sys.n_points))
     max_len = max(len(w) for w in words)
 
-    if delta is None:
-        d = min(Fraction(1, 5), eps / 2)
-        while not _entropy_margin_ok(float(d), eps_f):
-            d /= 2
-    else:
-        d = Fraction(delta)
-        if not (0 < d < min(Fraction(1, 4), eps / 2)) or not _entropy_margin_ok(
-            float(d), eps_f
-        ):
-            raise InvalidParamsError(
-                "delta < min(1/4, eps/2) with H(delta, 1-delta) + delta log 7 < eps"
-            )
+    d = min(Fraction(1, 5), eps / 2)
+    while not _entropy_margin_ok(float(d), eps_f):
+        d /= 2
 
     p_sets = tuple(
         tuple(x for x in range(sys.n_points) if len(words[x]) >= n)
@@ -194,19 +177,7 @@ def reduce_alphabet(
             Fraction(0),
         )
 
-    if cutoff is None:
-        cut = next(n for n in range(1, max_len + 2) if tail(n) < d)
-    else:
-        cut = cutoff
-        if cut < 1 or cut > max_len + 1:
-            raise InvalidParamsError(
-                "cutoff within the word lengths present", f"max length {max_len}"
-            )
-        if tail(cut) >= d:
-            raise InvalidParamsError(
-                "tail weight below delta at the cutoff",
-                f"tail={tail(cut)} delta={d}",
-            )
+    cut = next(n for n in range(1, max_len + 2) if tail(n) < d)
 
     # relocate each surviving tail level into the space still untouched
     blocked = set(p_sets[cut - 1]) if cut <= max_len else set()
@@ -266,8 +237,6 @@ class RecodePlan:
 
     tower: Tower
     codebook: CodeBook
-    r: Fraction
-    delta: Fraction
     reserved: tuple  # reserved points, sorted
     b_words: tuple  # coarse name per transversal point
     codewords: tuple  # injected target word per transversal point
@@ -286,7 +255,6 @@ class RecodePlan:
 
 
 def encode_names(
-    sys: FiniteSystem,
     tower: Tower,
     xi,
     beta,
@@ -304,8 +272,7 @@ def encode_names(
     density must stay below 2 r delta.  A name outside the codebook's
     typical sets is a mismatch between the tower and the codebook.
     """
-    if tower.system is not sys:
-        raise InvalidParamsError("tower belongs to a different system")
+    sys = tower.system
     xi = tuple(xi)
     beta = tuple(beta)
     if len(xi) != sys.n_points or len(beta) != sys.n_points:
@@ -355,8 +322,6 @@ def encode_names(
     return RecodePlan(
         tower,
         codebook,
-        r,
-        delta,
         reserved,
         tuple(b_words),
         tuple(codewords),
@@ -426,26 +391,19 @@ def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
 
 
 def _observed_prefix(alpha, orbit, k: int, block_of) -> list:
-    """Labels alpha shows on the first k orbit points, mapped through
-    block_of when given, with -1 where alpha leaves a point unassigned."""
-    out = []
-    for x in orbit[:k]:
-        v = alpha[x]
-        if v is not None and block_of is not None:
-            v = block_of[v]
-        out.append(-1 if v is None else v)
-    return out
+    """Blocks of the labels alpha shows on the first k orbit points, with -1
+    where alpha leaves a point unassigned."""
+    return [-1 if alpha[x] is None else block_of[alpha[x]] for x in orbit[:k]]
 
 
 def decode(
-    sys: FiniteSystem,
     alpha,
     beta,
     Y,
     theta: PseudoMap,
     codebook: CodeBook,
     delta,
-    p_blocks: Coarsening | None = None,
+    p_blocks: Coarsening,
 ) -> tuple:
     """Recover the fine labeling from a pre-partition labeling alone.
 
@@ -457,8 +415,8 @@ def decode(
     delta = Fraction(delta)
     alpha = tuple(alpha)
     beta = tuple(beta)
-    block_of = p_blocks.block_of() if p_blocks is not None else None
-    out: list = [None] * sys.n_points
+    block_of = p_blocks.block_of()
+    out: list = [None] * theta.system.n_points
     for y in sorted(Y):
         orbit = theta.orbit(y)
         b = tuple(beta[x] for x in orbit)
@@ -536,7 +494,7 @@ def scan_towers(sys: FiniteSystem, fine, tower_eps=None, nmin: int = 1, m=None) 
 
 
 def recode_codebook(
-    sys: FiniteSystem, tower: Tower, beta, dist: ProbVec, blocks: Coarsening,
+    tower: Tower, beta, dist: ProbVec, blocks: Coarsening,
     params: RecodeParams, pack_delta=None, capacity: str = "exact",
 ) -> tuple:
     """Books for the coarse names the tower reads, packed into target words
@@ -594,9 +552,9 @@ def krieger_recode(
     fine, beta, fine_blocks, fine_dist = join_factor(xi, F)
     tower, scan = scan_towers(sys, fine, tower_eps, nmin, m)
     codebook, pack_delta = recode_codebook(
-        sys, tower, beta, fine_dist, fine_blocks, params, pack_delta, capacity
+        tower, beta, fine_dist, fine_blocks, params, pack_delta, capacity
     )
-    plan = encode_names(sys, tower, fine, beta, codebook, r=r, delta=delta, reserved=reserved)
+    plan = encode_names(tower, fine, beta, codebook, r=r, delta=delta, reserved=reserved)
 
     separation = codebook.separation()
     radius = separation / 2
@@ -613,7 +571,7 @@ def krieger_recode(
     alpha = tuple(label_of.get(x) for x in range(npts))
 
     decoded = decode(
-        sys, alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
+        alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
     )
     if decoded != fine:
         raise DecodeError("decoded labeling differs from the input")

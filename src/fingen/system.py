@@ -93,12 +93,8 @@ class FiniteSystem:
 
     @classmethod
     def make(cls, n: int, generators) -> "FiniteSystem":
-        """generators: mapping or pair list name -> permutation sequence."""
-        gens = tuple(
-            (name, tuple(perm))
-            for name, perm in (generators.items() if hasattr(generators, "items") else generators)
-        )
-        return cls(n, gens)
+        """generators: mapping name -> permutation sequence."""
+        return cls(n, tuple((name, tuple(perm)) for name, perm in generators.items()))
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteSystem":

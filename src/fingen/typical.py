@@ -211,8 +211,6 @@ def cond_entropy_vec(xi: ProbVec, blocks: Coarsening) -> float:
 
 @dataclass(frozen=True)
 class WindowReport:
-    lower: float
-    upper: float
     count: int
     holds: bool
     log_lower: float
@@ -220,41 +218,17 @@ class WindowReport:
     log_count: float
 
 
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def stirling_window(
-    xi: ProbVec,
-    blocks: Coarsening | None,
-    delta,
-    eps,
-    n: int,
-    b: Sequence[int] | None = None,
-) -> WindowReport:
-    """Exact count against the exp(n(H +- delta)) window around its entropy rate.
-
-    With ``blocks`` (and a block word ``b``) the count is the fiber over ``b``
-    and the rate is the conditional entropy; without, the count is the full
-    typical set and the rate is H(q).
-    """
+def stirling_window(q: ProbVec, delta, eps, n: int) -> WindowReport:
+    """Exact typical count against the exp(n(H(q) +- delta)) window around
+    its entropy rate."""
     delta = float(delta)
     if delta <= 0:
         raise InvalidParamsError("delta > 0")
-    if blocks is None:
-        rate = entropy(xi)
-        cnt = count_typical(TypicalSpec(xi, eps, n))
-    else:
-        if b is None:
-            raise InvalidParamsError("block word required when blocks are given")
-        rate = cond_entropy_vec(xi, blocks)
-        cnt = count_fiber(xi, blocks, eps, n, b)
+    rate = entropy(q)
+    cnt = count_typical(TypicalSpec(q, eps, n))
     lo, hi = n * (rate - delta), n * (rate + delta)
     logc = math.log(cnt) if cnt > 0 else -math.inf
-    return WindowReport(_safe_exp(lo), _safe_exp(hi), cnt, lo <= logc <= hi, lo, hi, logc)
+    return WindowReport(cnt, lo <= logc <= hi, lo, hi, logc)
 
 
 def binomial_bound_report(delta, n: int) -> dict:

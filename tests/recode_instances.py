@@ -58,6 +58,6 @@ def pipeline_parts(entry):
     fine, beta, blocks, dist = join_factor(xi, falg)
     tower, _ = scan_towers(sysn, fine, kwargs["tower_eps"], 1, kwargs["m"])
     codebook, _ = recode_codebook(
-        sysn, tower, beta, dist, blocks, params, kwargs.get("pack_delta")
+        tower, beta, dist, blocks, params, kwargs.get("pack_delta")
     )
     return sysn, xi, falg, params, fine, beta, tower, codebook

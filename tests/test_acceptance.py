@@ -236,11 +236,11 @@ def test_counting_windows():
             for eps in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)):
                 n_min = None
                 for n in range(1, 101):
-                    if stirling_window(q, None, delta, eps, n).holds:
+                    if stirling_window(q, delta, eps, n).holds:
                         n_min = n
                         break
                 assert n_min is not None, (q.weights, delta, eps)
-                rep = stirling_window(q, None, delta, eps, n_min)
+                rep = stirling_window(q, delta, eps, n_min)
                 assert rep.holds
                 assert rep.log_lower <= rep.log_count <= rep.log_upper
                 report.append(
@@ -414,7 +414,7 @@ def test_recode_round_trip():
         _, _, _, _, fine, beta, tower, codebook = pipeline_parts(entry)
         radius = codebook.separation() / 2
         got = decode(
-            sysn, list(alpha), beta, tower.transversal, tower.theta,
+            list(alpha), beta, tower.transversal, tower.theta,
             codebook, radius, params.blocks,
         )
         assert got == fine
@@ -441,7 +441,7 @@ def test_recode_round_trip():
     assert wiped == 3
     with pytest.raises(DecodeError):
         decode(
-            sysn, bad, beta, tower.transversal, tower.theta,
+            bad, beta, tower.transversal, tower.theta,
             codebook, radius, params.blocks,
         )
     check_budget(started, 120)

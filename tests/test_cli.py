@@ -273,3 +273,43 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: cannot write report: ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("key, value", [("delta", "1/5"), ("cutoff", 3)])
+def test_reduce_refuses_delta_and_cutoff(tmp_path, capsys, key, value):
+    blob = json.loads((CONFIGS / "reduce.json").read_text())
+    cfg = write_config(tmp_path, {**blob, key: value})
+    code, out, err = run(capsys, ["reduce", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert f"config error: reduce chooses delta and cutoff itself; drop '{key}'" in err
+
+
+@pytest.mark.parametrize("exceptions", [[60], [-1], [99, -1]])
+def test_exceptions_off_the_points_are_a_config_error(tmp_path, capsys, exceptions):
+    cfg = write_config(
+        tmp_path, {**TOWER, "labels": {"modulus": 2, "exceptions": exceptions}}
+    )
+    code, out, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: exceptions live on the points" in err
+
+
+def test_negative_samples_are_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"samples": -3})
+    code, out, err = run(capsys, ["decompose", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: samples must be nonnegative" in err
+
+
+@pytest.mark.parametrize("spec", ["5:1", "1:5:-1", {"start": 5, "stop": 1}, []])
+def test_empty_range_is_a_config_error(tmp_path, capsys, spec):
+    with pytest.raises(cli.ConfigError, match="range is empty"):
+        cli.expand_range(spec)
+    cfg = write_config(tmp_path, {"n": spec})
+    code, out, err = run(capsys, ["count", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: range is empty" in err

@@ -170,23 +170,6 @@ def test_reduce_two_levels_with_chain_set():
     assert json.dumps(plan.to_json())
 
 
-def test_reduce_explicit_delta_and_cutoff():
-    s = FiniteSystem.cyclic(250)
-    xi = heavy_tail_labeling()
-    falg = GAlgebra((0,) * 250)
-    auto_alpha, auto_plan = reduce_alphabet(s, xi, falg, 1)
-    alpha, plan = reduce_alphabet(s, xi, falg, 1, delta=F(1, 5), cutoff=3)
-    assert alpha == auto_alpha and plan.cutoff == auto_plan.cutoff
-    with pytest.raises(InvalidParamsError):
-        reduce_alphabet(s, xi, falg, 1, cutoff=9)
-    with pytest.raises(InvalidParamsError):
-        reduce_alphabet(s, xi, falg, 1, cutoff=2)  # tail still too heavy
-    with pytest.raises(InvalidParamsError):
-        reduce_alphabet(s, xi, falg, 1, delta=F(1, 3))
-    with pytest.raises(InvalidParamsError):
-        reduce_alphabet(s, xi, falg, F(1, 10), delta=F(1, 5))
-
-
 def test_reduce_requires_invariant_factor():
     s12 = FiniteSystem.cyclic(12)
     xi = tuple(x % 2 for x in range(12))
@@ -248,7 +231,7 @@ def test_restriction_rejects_atypical_word():
 def test_encode_names_plan_shape():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     plan = encode_names(
-        sysn, tower, fine, beta, codebook, r=params.r, delta=params.delta
+        tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     classes = len(tower.transversal)
     assert len(plan.b_words) == len(plan.codewords) == classes
@@ -262,7 +245,7 @@ def test_encode_names_plan_shape():
 def test_encode_names_reserved_indices_tracked():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[2])
     plan = encode_names(
-        sysn, tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=(5,)
+        tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=(5,)
     )
     assert sum(len(m) for m in plan.m_full) == 1
     claimed = set().union(*map(set, plan.zeta))
@@ -275,7 +258,7 @@ def test_encode_names_atypical_fine_name():
     broken[3] = fine[0]  # a second exception point skews the fiber counts
     with pytest.raises(AtypicalNameError):
         encode_names(
-            sysn, tower, tuple(broken), beta, codebook, r=params.r, delta=params.delta
+            tower, tuple(broken), beta, codebook, r=params.r, delta=params.delta
         )
 
 
@@ -285,7 +268,7 @@ def test_encode_names_atypical_coarse_name():
     broken[1] = 1 - broken[1]
     with pytest.raises(AtypicalNameError):
         encode_names(
-            sysn, tower, fine, tuple(broken), codebook, r=params.r, delta=params.delta
+            tower, fine, tuple(broken), codebook, r=params.r, delta=params.delta
         )
 
 
@@ -293,7 +276,7 @@ def test_encode_names_reserved_density_gate():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     with pytest.raises(InvalidParamsError):
         encode_names(
-            sysn, tower, fine, beta, codebook,
+            tower, fine, beta, codebook,
             r=params.r, delta=params.delta, reserved=(1, 2, 3),
         )
 
@@ -301,7 +284,7 @@ def test_encode_names_reserved_density_gate():
 def test_synthesize_and_refine_exact_masses():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     plan = encode_names(
-        sysn, tower, fine, beta, codebook, r=params.r, delta=params.delta
+        tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     cells_q = synthesize_prepartition(plan, params)
     n = sysn.n_points
@@ -317,7 +300,7 @@ def test_synthesize_and_refine_exact_masses():
 def test_synthesize_rejects_full_claimed_cell():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     plan = encode_names(
-        sysn, tower, fine, beta, codebook, r=params.r, delta=params.delta
+        tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     extra = next(x for x in range(sysn.n_points) if x not in plan.zeta[0])
     packed = replace(plan, zeta=(plan.zeta[0] + (extra,), plan.zeta[1]))
@@ -328,7 +311,7 @@ def test_synthesize_rejects_full_claimed_cell():
 def test_synthesize_requires_integral_targets():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     plan = encode_names(
-        sysn, tower, fine, beta, codebook, r=params.r, delta=params.delta
+        tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     with pytest.raises(DivisibilityError):
         synthesize_prepartition(plan, replace(params, r=F(1, 5)))
@@ -337,7 +320,7 @@ def test_synthesize_requires_integral_targets():
 def test_refine_rejects_unbalanced_cells():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     plan = encode_names(
-        sysn, tower, fine, beta, codebook, r=params.r, delta=params.delta
+        tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     cells_q = synthesize_prepartition(plan, params)
     bloated = (cells_q[0] + (cells_q[1][0],), cells_q[1])
@@ -352,7 +335,7 @@ def test_refine_rejects_unbalanced_cells():
 def decoded_setup(entry):
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
     plan = encode_names(
-        sysn, tower, fine, beta, codebook, r=params.r, delta=params.delta
+        tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     cells_p = refine_to_p(sysn, synthesize_prepartition(plan, params), params)
     alpha = [None] * sysn.n_points
@@ -366,7 +349,7 @@ def decoded_setup(entry):
 def test_decode_roundtrip():
     sysn, params, fine, beta, tower, codebook, alpha, radius = decoded_setup(FAMILY[0])
     got = decode(
-        sysn, alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
+        alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
     )
     assert got == fine
 
@@ -383,7 +366,7 @@ def test_decode_corruption_beyond_radius_fails():
     assert wiped == 3
     with pytest.raises(DecodeError):
         decode(
-            sysn, bad, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
+            bad, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
         )
 
 
@@ -398,7 +381,7 @@ def test_decode_tolerates_corruption_inside_radius():
             bad[x] = None
             wiped += 1
     got = decode(
-        sysn, bad, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
+        bad, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
     )
     assert got == fine
 
@@ -406,7 +389,7 @@ def test_decode_tolerates_corruption_inside_radius():
 def test_decode_requires_cover():
     sysn, params, fine, beta, tower, codebook, alpha, radius = decoded_setup(FAMILY[0])
     with pytest.raises(InvalidParamsError):
-        decode(sysn, alpha, beta, (), tower.theta, codebook, radius, params.blocks)
+        decode(alpha, beta, (), tower.theta, codebook, radius, params.blocks)
 
 
 # ---------------------------------------------------------------------------

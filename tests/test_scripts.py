@@ -1,9 +1,13 @@
 """The experiment scripts still import and run against the library."""
 
 import importlib.util
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+from fingen.probvec import ProbVec
+from fingen.typical import TypicalSpec, greedy_packing
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -24,3 +28,16 @@ def test_subadditivity_scan_small():
     rows = load("subadditivity_scan").scan(5)
     assert [(r["n"], r["d"]) for r in rows] == [(4, 2)]
     assert all(r["holds"] for r in rows)
+
+
+@pytest.mark.parametrize(
+    "q, tol, n_min",
+    [((F(1, 2), F(1, 2)), F(1, 10), 5), ((F(1, 4), F(3, 4)), F(1, 20), 14)],
+)
+def test_window_sweep_minimal_n(q, tol, n_min):
+    assert load("window_sweep").minimal_n(ProbVec(q), tol, tol, 400) == n_min
+
+
+def test_packing_scan_min_separation():
+    words = greedy_packing(TypicalSpec(ProbVec((F(1, 2), F(1, 2))), 0, 8), F(1, 5))
+    assert load("packing_scan").min_separation(words) == F(1, 4)

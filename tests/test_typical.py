@@ -144,16 +144,9 @@ def test_fiber_rejects_bad_block_words(b, error):
 
 
 def test_stirling_window_example():
-    rep = stirling_window(HALF, None, 0.2, 0.05, 60)
+    rep = stirling_window(HALF, 0.2, 0.05, 60)
     assert rep.holds
     assert rep.count == sum(math.comb(60, k) for k in range(27, 34))
-
-
-def test_stirling_window_conditional():
-    xi = ProbVec((F(1, 4),) * 4)
-    bl = Coarsening(((0, 1), (2, 3)), 4)
-    rep = stirling_window(xi, bl, 0.5, 0.25, 4, (0, 0, 1, 1))
-    assert rep.count == 16
 
 
 def test_binomial_bound_sweep():
