@@ -175,6 +175,8 @@ def expand_range(spec) -> list:
     else:
         if isinstance(spec, str):
             parts = [_int(p) for p in spec.split(":")]
+            if len(parts) > 3:
+                raise ConfigError(f"range {spec!r} has more than three ':' parts")
             if len(parts) == 1:
                 return parts
             start, stop = parts[0], parts[1]
@@ -214,6 +216,8 @@ def cmd_count(cfg: ExperimentConfig) -> dict:
     eps_list = o.get("eps", ["0"])
     if not isinstance(eps_list, list):
         eps_list = [eps_list]
+    if not eps_list:
+        raise ConfigError("eps list is empty")
     eps_list = [_fr(e) for e in eps_list]
     delta = _fr(o.get("delta", "1/10"))
     rows = []

@@ -13,16 +13,19 @@ returns the cycle that the matchings of its own sweep give.
 
 Group elements are enumerated deterministically: identity, then generators
 and their inverses in declaration order, then longer words length-first and
-left-to-right lexicographically.  Every derived map records, per point, the
-word that moves it, so expressibility over a given invariant partition can
-be re-checked independently of how the map was built.
+left-to-right lexicographically.  The enumeration is a lazy, memoized
+breadth-first walk: it extends only as far as a consumer reads, so a sweep
+that is done after a few elements never builds the rest of the group, and
+asking whether the enumeration is complete finishes the walk.  Every derived
+map records, per point, the word that moves it, so expressibility over a
+given invariant partition can be re-checked independently of how the map was
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     DivisibilityError,
@@ -45,9 +48,60 @@ def invert_word(word: tuple) -> tuple:
     return tuple(invert_token(t) for t in reversed(word))
 
 
-class GroupEnum(NamedTuple):
-    elements: tuple  # ((word, perm), ...) in enumeration order
-    complete: bool  # False only when some element was left out
+class GroupEnum:
+    """Distinct group elements, each with its first producing word, walked
+    breadth-first on demand.
+
+    Iterating yields ``(word, perm)`` pairs in enumeration order and extends
+    the walk only as far as the consumer reads; every iterator shares one
+    memo.  ``elements`` is the part walked so far.  ``complete`` finishes the
+    walk and is False only when some element was left out.
+    """
+
+    def __init__(self, tables: dict, n_points: int, cap: int):
+        ident = tuple(range(n_points))
+        self.elements = [((), ident)]
+        self._state = [True]  # complete flag, shared with the walk
+        # the walk holds the memo, not self, so a dropped system is freed
+        # by refcounting alone
+        self._walk = _walk(
+            self.elements, self._state, tables, WORD_LEN_PER_POINT * n_points, cap, {ident}
+        )
+
+    def __iter__(self):
+        elements = self.elements
+        i = 0
+        while i < len(elements) or next(self._walk, None) is not None:
+            yield elements[i]
+            i += 1
+
+    @property
+    def complete(self) -> bool:
+        for _ in self._walk:
+            pass
+        return self._state[0]
+
+
+def _walk(elements, state, tables, max_len, cap, seen):
+    """Append the next group element to ``elements`` on each step, layer by
+    layer; stop with ``state[0] = False`` when a new element lies past
+    ``cap`` elements or ``max_len`` tokens."""
+    start = 0
+    while start < len(elements):
+        end = len(elements)
+        for i in range(start, end):
+            word, perm = elements[i]
+            for tok, p in tables.items():
+                q = tuple(map(p.__getitem__, perm))
+                if q in seen:
+                    continue
+                if len(elements) >= cap or len(word) >= max_len:
+                    state[0] = False
+                    return
+                seen.add(q)
+                elements.append((word + (tok,), q))
+                yield True
+        start = end
 
 
 @dataclass(frozen=True)
@@ -113,41 +167,19 @@ class FiniteSystem:
         return x
 
     def group(self) -> GroupEnum:
-        """Enumerate distinct group elements with their first producing word.
+        """The group enumeration of this system, one lazy walk per system.
 
-        Built once per system: at most ``DEFAULT_GROUP_CAP`` elements, each
-        with a word of at most 2N tokens; ``complete`` turns False only when a
-        further element exists past one of these two bounds.
+        The walk is memoized in ``_cache`` and extends only as far as its
+        readers iterate: at most ``DEFAULT_GROUP_CAP`` elements, each with a
+        word of at most 2N tokens.  Reading ``complete`` finishes the walk;
+        it turns False only when a further element exists past one of these
+        two bounds.
         """
         cached = self._cache.get("group")
-        if cached is not None:
-            return cached
-        max_len = WORD_LEN_PER_POINT * self.n_points
-        ident = tuple(range(self.n_points))
-        seen = {ident}
-        order = [((), ident)]
-        layer = order
-        complete = True
-        while layer and complete:
-            nxt = []
-            for word, perm in layer:
-                for tok, p in self._tables.items():
-                    q = tuple(p[y] for y in perm)
-                    if q in seen:
-                        continue
-                    if len(order) >= DEFAULT_GROUP_CAP or len(word) >= max_len:
-                        complete = False
-                        break
-                    seen.add(q)
-                    entry = (word + (tok,), q)
-                    order.append(entry)
-                    nxt.append(entry)
-                if not complete:
-                    break
-            layer = nxt
-        enum = GroupEnum(tuple(order), complete)
-        self._cache["group"] = enum
-        return enum
+        if cached is None:
+            cached = GroupEnum(self._tables, self.n_points, DEFAULT_GROUP_CAP)
+            self._cache["group"] = cached
+        return cached
 
     def total_weight(self, points) -> Fraction:
         """Uniform measure |points| / N, the only invariant one."""
@@ -290,7 +322,7 @@ def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
         if cell[0] not in dom:
             continue
         hit = False
-        for _, perm in enum.elements:
+        for _, perm in enum:
             if all(perm[x] == fwd[x] for x in cell):
                 hit = True
                 break
@@ -308,7 +340,8 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
 
     Each group element claims every still-unmatched domain point it sends
     into the still-unclaimed part of B, so the word decomposition is
-    measurable over the algebra generated by {A, B}.
+    measurable over the algebra generated by {A, B}.  The sweep stops once A
+    is matched, so the lazy walk goes no further than the elements it read.
     """
     A = sorted(set(A))
     Bset = set(B)
@@ -324,7 +357,7 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     rem_rng = set(Bset)
     pairs: list = []
     words: list = []
-    for word, perm in sys.group().elements:
+    for word, perm in sys.group():
         if not rem_dom:
             break
         batch = [x for x in sorted(rem_dom) if perm[x] in rem_rng]

@@ -313,3 +313,21 @@ def test_empty_range_is_a_config_error(tmp_path, capsys, spec):
     assert code == 2
     assert out == ""
     assert "config error: range is empty" in err
+
+
+def test_range_with_more_than_three_parts_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match="more than three"):
+        cli.expand_range("1:5:1:9")
+    cfg = write_config(tmp_path, {"n": "1:5:1:9"})
+    code, out, err = run(capsys, ["count", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: range '1:5:1:9' has more than three ':' parts" in err
+
+
+def test_empty_eps_list_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 4, "eps": []})
+    code, out, err = run(capsys, ["count", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: eps list is empty" in err

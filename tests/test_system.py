@@ -1,4 +1,7 @@
+import gc
+import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +27,7 @@ from fingen.system import (
     name_word,
     simplemix,
 )
+from fingen.tower import build_tower
 
 Z4 = FiniteSystem.cyclic(4)
 Z6 = FiniteSystem.cyclic(6)
@@ -60,8 +64,89 @@ def test_system_validation():
 
 def test_group_enumeration_order():
     enum = Z4.group()
-    assert [w for w, _ in enum.elements] == [(), ("r",), ("~r",), ("r", "r")]
     assert enum.complete
+    assert [w for w, _ in enum.elements] == [(), ("r",), ("~r",), ("r", "r")]
+
+
+def regular(gens):
+    """The group generated by ``gens`` (permutations of one range) acting on
+    itself by left multiplication."""
+    ident = tuple(range(len(next(iter(gens.values())))))
+    elems, index = [ident], {ident: 0}
+    for g in elems:
+        for p in gens.values():
+            h = tuple(p[y] for y in g)
+            if h not in index:
+                index[h] = len(elems)
+                elems.append(h)
+    return FiniteSystem.make(
+        len(elems),
+        {name: [index[tuple(p[y] for y in g)] for g in elems] for name, p in gens.items()},
+    )
+
+
+def full_bfs(sysn):
+    """Eager breadth-first enumeration: the order the lazy walk must keep."""
+    tokens = [name for name, _ in sysn.generators]
+    tokens += ["~" + t for t in tokens]
+    ident = tuple(range(sysn.n_points))
+    order, seen = [((), ident)], {ident}
+    for word, perm in order:
+        for tok in tokens:
+            q = tuple(sysn.perm(tok)[y] for y in perm)
+            if q not in seen:
+                seen.add(q)
+                order.append((word + (tok,), q))
+    return order
+
+
+# fresh systems per test, since a system's walk is memoized
+WALKED = {
+    "cyclic9": lambda: FiniteSystem.cyclic(9),
+    "z4xz2": lambda: regular({"a": (1, 2, 3, 0, 4, 5), "b": (0, 1, 2, 3, 5, 4)}),
+    "s4": lambda: regular({"s": (1, 0, 2, 3), "c": (1, 2, 3, 0)}),
+    "d7": lambda: regular({"r": (1, 2, 3, 4, 5, 6, 0), "f": (0, 6, 5, 4, 3, 2, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_lazy_walk_matches_full_bfs(name):
+    sysn = WALKED[name]()
+    ref = full_bfs(sysn)
+    assert len(ref) == sysn.n_points  # regular actions: one element per point
+    enum = sysn.group()
+    first = iter(enum)
+    assert next(first) == ref[0]
+    assert len(enum.elements) == 1
+    assert list(itertools.islice(enum, 3)) == ref[:3]
+    assert len(enum.elements) == 3
+    assert list(enum) == ref
+    assert list(first) == ref[1:]
+    assert enum.complete
+    assert enum.elements == ref
+    assert sysn.group() is enum
+
+
+@pytest.mark.parametrize("n", [120, 480, 10_000])
+def test_tower_walks_only_the_elements_it_reads(n):
+    sysn = FiniteSystem.cyclic(n)
+    build_tower(sysn, tuple(x % 2 for x in range(n)), 2, 1, 20)
+    assert len(sysn.group().elements) == 21
+
+
+def test_dropped_system_frees_its_walk():
+    gc.disable()
+    try:
+        sysn = FiniteSystem.cyclic(12)
+        enum = sysn.group()
+        reader = iter(enum)
+        next(reader)
+        next(reader)
+        refs = [weakref.ref(sysn), weakref.ref(enum), weakref.ref(enum._walk)]
+        del sysn, enum, reader
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 # A system caches its group enumeration, so every capped case below builds
@@ -71,8 +156,8 @@ def test_group_enumeration_order():
 def test_group_cap_marks_incomplete(monkeypatch):
     monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", 3)
     enum = FiniteSystem.cyclic(8).group()
-    assert len(enum.elements) == 3
     assert not enum.complete
+    assert len(enum.elements) == 3
     monkeypatch.undo()
     full = FiniteSystem.cyclic(8).group()
     assert full.complete and len(full.elements) == 8
