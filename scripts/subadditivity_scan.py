@@ -25,17 +25,15 @@ from fingen.system import FiniteSystem, GAlgebra, generated_algebra
 def min_conditional_generating(sysn, falg):
     """Minimum of H(xi | F) over xi whose join with F generates everything."""
     n = sysn.n_points
-    fcells = label_cells(falg.labels)
     best = math.inf
     best_witness = None
     for labels in growth_strings(n, n):
-        cells = label_cells(labels)
-        if len(generated_algebra(sysn, cells + fcells)) != n:
+        if len(generated_algebra(sysn, zip(labels, falg.labels))) != n:
             continue
         h = cond_entropy(labels, falg.labels)
         if h < best - 1e-12:
             best = h
-            best_witness = tuple(cells)
+            best_witness = tuple(label_cells(labels))
     return best, best_witness
 
 

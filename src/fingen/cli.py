@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FingenError
-from .probvec import Coarsening, ProbVec, cond_entropy, label_cells, ratcomb_decompose
+from .probvec import Coarsening, ProbVec, cond_entropy, ratcomb_decompose
 from .recoder import (
     RecodeParams,
     brute_force_generator_search,
@@ -48,7 +48,7 @@ class ConfigError(ValueError):
 def _fr(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     try:
         return Fraction(str(v).strip())
@@ -120,9 +120,10 @@ def make_system(spec, cap: int) -> FiniteSystem:
         raise ConfigError("system must be an object")
     if "weights" in spec:
         raise ConfigError("a transitive system's weights are uniform; drop 'weights'")
-    key = "cyclic" if "cyclic" in spec else "points"
-    if key not in spec:
-        raise ConfigError("system needs 'cyclic' or 'points'")
+    keys = [key for key in ("cyclic", "points") if key in spec]
+    if len(keys) != 1:
+        raise ConfigError("system needs exactly one of 'cyclic' and 'points'")
+    key = keys[0]
     n = _int(spec[key])
     if n < 1:
         raise ConfigError(f"system size {n} must be positive")
@@ -142,6 +143,8 @@ def parse_labels(spec, n: int) -> tuple:
             raise ConfigError("one label per point")
         return tuple(_ints(spec, "labels"))
     if isinstance(spec, dict):
+        if "modulus" in spec and "sizes" in spec:
+            raise ConfigError("labels name both 'modulus' and 'sizes'; keep one")
         if "modulus" in spec:
             d = _int(spec["modulus"])
             if d < 1:
@@ -347,8 +350,8 @@ def cmd_reduce(cfg: ExperimentConfig) -> dict:
     falg = GAlgebra(parse_labels(o.get("factor", {"modulus": 1}), sysn.n_points))
     eps = _fr(o.get("eps", "1"))
     alpha, plan = reduce_alphabet(sysn, xi, falg, eps)
-    ga = generated_algebra(sysn, label_cells(alpha) + label_cells(falg.labels))
-    gx = generated_algebra(sysn, label_cells(xi) + label_cells(falg.labels))
+    ga = generated_algebra(sysn, zip(alpha, falg.labels))
+    gx = generated_algebra(sysn, zip(xi, falg.labels))
     return {
         "certificate": {
             "cells_before": len(set(xi)),

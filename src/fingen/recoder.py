@@ -437,14 +437,14 @@ def decode(
     return tuple(out)
 
 
-def theta_algebra(theta: PseudoMap, seeds) -> GAlgebra:
-    """Refinement fixpoint of the seed sets under one full-domain map."""
+def theta_algebra(theta: PseudoMap, labels) -> GAlgebra:
+    """Refinement fixpoint of the labeling ``labels`` under one full-domain map."""
     npts = theta.system.n_points
     fwd = [theta.apply(x) for x in range(npts)]
     inv = [0] * npts
     for x, y in enumerate(fwd):
         inv[y] = x
-    return refine_partition(npts, seeds, [fwd, inv])
+    return refine_partition(labels, [fwd, inv])
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +575,8 @@ def krieger_recode(
     )
     if decoded != fine:
         raise DecodeError("decoded labeling differs from the input")
-    algebra = theta_algebra(tower.theta, list(cells_p) + label_cells(beta) + [tower.transversal])
+    marks = set(tower.transversal)
+    algebra = theta_algebra(tower.theta, zip(alpha, beta, (x in marks for x in range(npts))))
 
     k, block_of = codebook.k, params.blocks.block_of()
     measured = max(
@@ -686,10 +687,9 @@ def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:
     best_h = math.inf
     best: tuple | None = None
     for labels in growth_strings(npts, k_max):
-        cells = label_cells(labels)
-        algebra = generated_algebra(sys, cells)
-        if len(algebra) != npts:
+        if len(generated_algebra(sys, labels)) != npts:
             continue
+        cells = label_cells(labels)
         h = entropy(ProbVec(tuple(sys.total_weight(c) for c in cells)))
         witness = tuple(sorted(cells, key=lambda c: (len(c), c)))
         if h < best_h - 1e-12 or (abs(h - best_h) <= 1e-12 and witness < best):

@@ -7,9 +7,11 @@ measure |A|/N and the system stores nothing beyond its points and
 generators.  On top of it live invariant partitions (the finite stand-in for
 invariant sigma-algebras), partial bijections carrying generator-word
 certificates, and the mixing constructions that average cell frequencies
-over equal-size classes.  Each cyclic map is built once from the matchings of
-its first piece, so each word is checked once; ``make_equal_partition`` also
-returns the cycle that the matchings of its own sweep give.
+over equal-size classes.  Partitions travel as labelings, one hashable label
+per point, and the refinement fixpoint takes the labeling a caller holds.
+Each cyclic map is built once from the matchings of its first piece, so each
+word is checked once; ``make_equal_partition`` also returns the cycle that
+the matchings of its own sweep give.
 
 Group elements are enumerated deterministically: identity, then generators
 and their inverses in declaration order, then longer words length-first and
@@ -24,6 +26,7 @@ built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -217,30 +220,23 @@ class GAlgebra:
         return True
 
     def invariant_under(self, sys: FiniteSystem) -> bool:
-        for _, perm in sys.generators:
-            image: dict = {}
-            for x in range(sys.n_points):
-                if image.setdefault(self.labels[x], self.labels[perm[x]]) != self.labels[perm[x]]:
-                    return False
-        return True
+        """Whether one refinement round under the generator tables keeps the cell count."""
+        return len(refine_partition(self.labels, sys._tables.values())) == len(self)
 
 
-def generated_algebra(sys: FiniteSystem, seed_sets) -> GAlgebra:
-    """Coarsest generator-stable partition separating all the seed sets."""
-    n = sys.n_points
-    seeds = [frozenset(s) for s in seed_sets]
-    for s in seeds:
-        if any(not (0 <= x < n) for x in s):
-            raise InvalidParamsError("seed sets live on the points")
-    return refine_partition(n, seeds, list(sys._tables.values()))
+def generated_algebra(sys: FiniteSystem, labels) -> GAlgebra:
+    """Coarsest generator-stable partition refining the labeling ``labels``,
+    one hashable label per point."""
+    return refine_partition(labels, sys._tables.values())
 
 
-def refine_partition(n: int, seed_sets, perms) -> GAlgebra:
-    """Coarsest partition of ``range(n)`` that separates the seed sets and that
-    every permutation in ``perms`` maps cell to cell: split each cell by the
-    cells its images land in until the cell count stops growing."""
-    seeds = [frozenset(s) for s in seed_sets]
-    labels = canon_labels(tuple(x in s for s in seeds) for x in range(n))
+def refine_partition(labels, perms) -> GAlgebra:
+    """Coarsest partition refining ``labels``, one hashable label per point,
+    that every permutation in ``perms`` maps cell to cell: split each cell by
+    the cells its images land in until the cell count stops growing."""
+    labels = canon_labels(labels)
+    if any(len(p) != len(labels) for p in perms):
+        raise InvalidParamsError("one label per point")
     while True:
         nxt = canon_labels(zip(labels, *([labels[y] for y in p] for p in perms)))
         if len(set(nxt)) == len(set(labels)):
@@ -432,11 +428,6 @@ class MixResult:
     algebra: GAlgebra
 
 
-def _atoms_in(algebra: GAlgebra, B) -> list:
-    Bset = set(B)
-    return [cell for cell in algebra.cells if cell[0] in Bset]
-
-
 def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     """Classes of one size whose per-class cell frequencies track the global.
 
@@ -450,17 +441,17 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
         raise InvalidParamsError("B nonempty")
     if B[0] < 0 or B[-1] >= sys.n_points:
         raise InvalidParamsError("B lives on the points")
-    if len(labels) != sys.n_points:
-        raise InvalidParamsError("one label per point")
     eps = Fraction(eps)
     if eps < 0:
         raise InvalidParamsError("eps >= 0")
-    present = sorted({labels[x] for x in B})
-    cells = {c: frozenset(x for x in B if labels[x] == c) for c in present}
-    seeds = [cells[c] for c in present] + [frozenset(B)]
-    algebra = generated_algebra(sys, seeds)
-    atoms = _atoms_in(algebra, B)
-    a = ProbVec(tuple(Fraction(len(cells[c]), len(B)) for c in present))
+    Bset = set(B)
+    algebra = generated_algebra(
+        sys, ((x in Bset, lab if x in Bset else None) for x, lab in enumerate(labels))
+    )
+    atoms = [cell for cell in algebra.cells if cell[0] in Bset]
+    counts = Counter(labels[x] for x in B)
+    present = sorted(counts)
+    a = ProbVec(tuple(Fraction(counts[c], len(B)) for c in present))
     plan = None
     if eps > 0 and len(present) > 1:
         dec = ratcomb_decompose(a, eps)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .coding import binary_digit
 from .errors import DivisibilityError, InvalidParamsError
@@ -68,9 +69,13 @@ class Tower:
     transversal: tuple
     profiles: tuple  # rank -> frequency profile over the alpha cells, lex sorted
 
-    @property
+    @cached_property
     def cells(self) -> tuple:
         return tuple(sorted(set(self.alpha)))
+
+    @cached_property
+    def _marks(self) -> tuple:
+        return frozenset(self.s1), frozenset(self.s2)
 
     def column(self, s: int) -> tuple:
         return self.h.orbit(s)
@@ -84,9 +89,9 @@ class Tower:
 
     def decode_profile(self, s: int) -> tuple:
         """Recover the column profile of s from S1/S2 membership alone."""
-        if s not in set(self.s1):
+        s1, s2 = self._marks
+        if s not in s1:
             raise InvalidParamsError(f"point {s} not in S1")
-        s2 = set(self.s2)
         rank = 0
         x = s
         for i in range(1, self.ell + 1):

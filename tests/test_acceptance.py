@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from labelings import cells_of, membership
 from recode_instances import FAMILY, build, pipeline_parts
 
 from fingen.cli import main
@@ -48,13 +49,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def check_budget(started, limit):
     elapsed = time.monotonic() - started
     assert elapsed < limit, f"{elapsed:.1f}s exceeds the {limit}s budget"
-
-
-def cells_of(labels):
-    groups = {}
-    for x, c in enumerate(labels):
-        groups.setdefault(c, []).append(x)
-    return [tuple(v) for v in groups.values()]
 
 
 def plain_entropy(labels, weights):
@@ -423,7 +417,7 @@ def test_recode_round_trip():
 
         acells = [c for c in cells_of(alpha) if alpha[c[0]] is not None]
         bcells = cells_of(beta)
-        alg = generated_algebra(sysn, acells + bcells + [tower.transversal])
+        alg = generated_algebra(sysn, membership(npts, acells + bcells + [tower.transversal]))
         assert alg.refines(GAlgebra(xi))
 
     # corrupting more name positions than the budget tolerates must be caught
@@ -489,8 +483,8 @@ def test_alphabet_reductions():
         falg = GAlgebra(tuple(x % fmod for x in range(npts)))
         alpha, plan = reduce_alphabet(sysn, xi, falg, eps)
 
-        before = generated_algebra(sysn, cells_of(xi) + cells_of(falg.labels))
-        after = generated_algebra(sysn, cells_of(alpha) + cells_of(falg.labels))
+        before = generated_algebra(sysn, membership(npts, cells_of(xi) + cells_of(falg.labels)))
+        after = generated_algebra(sysn, membership(npts, cells_of(alpha) + cells_of(falg.labels)))
         assert before == after
 
         h_alpha = cond_entropy(alpha, falg.labels)

@@ -331,3 +331,30 @@ def test_empty_eps_list_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "config error: eps list is empty" in err
+
+
+def test_booleans_are_not_rationals(tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match="not a rational: True"):
+        cli._fr(True)
+    cfg = write_config(tmp_path, {"n": 4, "q": [True, False], "eps": [False]})
+    code, out, err = run(capsys, ["count", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: not a rational: True" in err
+
+
+@pytest.mark.parametrize(
+    "patch, keys",
+    [
+        ({"system": {"cyclic": 60, "points": 60, "generators": {"a": [*range(1, 60), 0]}}},
+         "'cyclic' and 'points'"),
+        ({"labels": {"modulus": 2, "sizes": [30, 30]}}, "'modulus' and 'sizes'"),
+    ],
+    ids=["system", "labels"],
+)
+def test_two_forms_in_one_spec_are_a_config_error(tmp_path, capsys, patch, keys):
+    cfg = write_config(tmp_path, {**TOWER, **patch})
+    code, out, err = run(capsys, ["tower", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert keys in err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelings import cells_of, membership
 from recode_instances import FAMILY, build, pipeline_parts
 
 from fingen.errors import (
@@ -36,13 +37,6 @@ from fingen.tower import build_tower
 from fingen.typical import PackingBudget, build_injections
 
 
-def cells_of(labels):
-    out = {}
-    for x, c in enumerate(labels):
-        out.setdefault(c, []).append(x)
-    return [tuple(v) for v in out.values()]
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -70,14 +64,22 @@ def test_params_validation():
 def test_theta_algebra_translation_by_three():
     s6 = FiniteSystem.cyclic(6)
     rot3 = PseudoMap(s6, tuple((x, (x + 3) % 6) for x in range(6)), (("r",) * 3,) * 6)
-    alg = theta_algebra(rot3, [(0, 1)])
+    alg = theta_algebra(rot3, membership(6, [(0, 1)]))
     assert alg.cells == ((0, 1), (2, 5), (3, 4))
 
 
 def test_theta_algebra_full_shift_separates():
     s6 = FiniteSystem.cyclic(6)
     shift = PseudoMap(s6, tuple((x, (x + 1) % 6) for x in range(6)), (("r",),) * 6)
-    assert len(theta_algebra(shift, [(0,)])) == 6
+    assert len(theta_algebra(shift, membership(6, [(0,)]))) == 6
+
+
+def test_theta_algebra_rejects_a_labeling_of_the_wrong_length():
+    s6 = FiniteSystem.cyclic(6)
+    shift = PseudoMap(s6, tuple((x, (x + 1) % 6) for x in range(6)), (("r",),) * 6)
+    for labels in [(0, 1), (0,) * 7]:
+        with pytest.raises(InvalidParamsError, match="one label per point"):
+            theta_algebra(shift, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +87,9 @@ def test_theta_algebra_full_shift_separates():
 
 
 def reduce_postconditions(sysn, xi, falg, eps, alpha, plan):
-    ga = generated_algebra(sysn, cells_of(alpha) + cells_of(falg.labels))
-    gx = generated_algebra(sysn, cells_of(xi) + cells_of(falg.labels))
+    n = sysn.n_points
+    ga = generated_algebra(sysn, membership(n, cells_of(alpha) + cells_of(falg.labels)))
+    gx = generated_algebra(sysn, membership(n, cells_of(xi) + cells_of(falg.labels)))
     assert ga.labels == gx.labels
     h_a = cond_entropy(alpha, falg.labels)
     h_x = cond_entropy(xi, falg.labels)
@@ -569,7 +572,7 @@ def test_brute_force_witness_consistency(n):
     sysn = FiniteSystem.cyclic(n)
     h, witness = brute_force_generator_search(sysn, n)
     assert witness is not None
-    assert len(generated_algebra(sysn, witness)) == n
+    assert len(generated_algebra(sysn, membership(n, witness))) == n
     hw = entropy(ProbVec(tuple(sysn.total_weight(c) for c in witness)))
     assert abs(h - hw) < 1e-12
     h2, _ = brute_force_generator_search(sysn, 2)

@@ -28,6 +28,7 @@ from fingen.system import (
     simplemix,
 )
 from fingen.tower import build_tower
+from labelings import membership
 
 Z4 = FiniteSystem.cyclic(4)
 Z6 = FiniteSystem.cyclic(6)
@@ -181,18 +182,94 @@ def test_word_application():
 
 
 def test_generated_algebra_examples():
-    assert generated_algebra(Z4, [range(4)]).cells == ((0, 1, 2, 3),)
-    assert generated_algebra(Z4, [{0}]).cells == ((0,), (1,), (2,), (3,))
-    assert generated_algebra(Z6, [{0, 3}]).cells == ((0, 3), (1, 4), (2, 5))
+    assert generated_algebra(Z4, membership(4, [range(4)])).cells == ((0, 1, 2, 3),)
+    assert generated_algebra(Z4, membership(4, [{0}])).cells == ((0,), (1,), (2,), (3,))
+    assert generated_algebra(Z6, membership(6, [{0, 3}])).cells == ((0, 3), (1, 4), (2, 5))
 
 
 def test_generated_algebra_idempotent_and_monotone():
-    alg = generated_algebra(Z6, [{0, 3}])
-    again = generated_algebra(Z6, list(alg.cells))
+    alg = generated_algebra(Z6, membership(6, [{0, 3}]))
+    again = generated_algebra(Z6, membership(6, alg.cells))
     assert again.labels == alg.labels
-    finer = generated_algebra(Z6, [{0, 3}, {1}])
+    finer = generated_algebra(Z6, membership(6, [{0, 3}, {1}]))
     assert finer.refines(alg)
     assert alg.invariant_under(Z6) and finer.invariant_under(Z6)
+
+
+def reference_fixpoint(sysn, labels):
+    """Coarsest generator-stable partition refining ``labels``, as the set of
+    related pairs: x ~ y while they share a label and each generator maps
+    them to related points."""
+    n = sysn.n_points
+    related = {(x, y) for x in range(n) for y in range(n) if labels[x] == labels[y]}
+    while True:
+        kept = {
+            (x, y) for x, y in related
+            if all((p[x], p[y]) in related for _, p in sysn.generators)
+        }
+        if kept == related:
+            return related
+        related = kept
+
+
+def one_pass_invariant(alg, sysn):
+    """The generator-by-generator check ``invariant_under`` made before it
+    became one refinement round."""
+    for _, perm in sysn.generators:
+        image: dict = {}
+        for x in range(sysn.n_points):
+            if image.setdefault(alg.labels[x], alg.labels[perm[x]]) != alg.labels[perm[x]]:
+                return False
+    return True
+
+
+ACTIONS = {
+    "cyclic12": lambda: Z12,
+    "z4xz2": lambda: regular({"a": (1, 2, 3, 0, 4, 5), "b": (0, 1, 2, 3, 5, 4)}),
+    "s3": lambda: regular({"s": (1, 0, 2), "c": (1, 2, 0)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_generated_algebra_matches_reference_fixpoint(name):
+    sysn = ACTIONS[name]()
+    n = sysn.n_points
+    rng = random.Random(len(name) * 1000 + n)
+    for _ in range(80):
+        seeds = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+        labels = membership(n, seeds)
+        alg = generated_algebra(sysn, labels)
+        same = {(x, y) for x in range(n) for y in range(n) if alg.labels[x] == alg.labels[y]}
+        assert same == reference_fixpoint(sysn, labels)
+        assert alg.invariant_under(sysn)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_invariant_under_agrees_with_one_pass_check(name):
+    sysn = ACTIONS[name]()
+    n = sysn.n_points
+    rng = random.Random(len(name) * 1000 + n)
+    verdicts = []
+    for i in range(300):
+        period, k = rng.randint(1, n), rng.randint(1, 3)
+        word = [rng.randrange(k) for _ in range(period)]
+        labels = tuple(word[x % period] for x in range(n))
+        if i % 3:
+            labels = generated_algebra(sysn, labels).labels
+        if i % 3 == 2:
+            # a coarsening of an invariant partition is invariant only sometimes
+            merge = [rng.randrange(2) for _ in range(max(labels) + 1)]
+            labels = tuple(merge[c] for c in labels)
+        alg = GAlgebra(labels)
+        verdicts.append(alg.invariant_under(sysn))
+        assert verdicts[-1] == one_pass_invariant(alg, sysn)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 0), (0,) * 7])
+def test_generated_algebra_rejects_a_labeling_of_the_wrong_length(labels):
+    with pytest.raises(InvalidParamsError, match="one label per point"):
+        generated_algebra(Z6, labels)
 
 
 def test_galgebra_basics():
@@ -293,7 +370,7 @@ def test_simplemix_expressible_over_seed_algebra():
         sm = simplemix(Z12, a, b)
         assert set(sm.domain) == a
         assert set(sm.range) <= b
-        alg = generated_algebra(Z12, [a, b])
+        alg = generated_algebra(Z12, membership(12, [a, b]))
         assert is_expressible(sm, alg)
 
 
@@ -487,6 +564,6 @@ def test_orbit_equivalence_invariance():
         cells = [
             {x for x in range(8) if labels[x] == c} for c in set(labels)
         ]
-        left = generated_algebra(Z8, cells + [PARITY8.cells[0]])
-        right = generated_algebra(gamma, cells + [PARITY8.cells[0]])
+        left = generated_algebra(Z8, membership(8, cells + [PARITY8.cells[0]]))
+        right = generated_algebra(gamma, membership(8, cells + [PARITY8.cells[0]]))
         assert left.labels == right.labels

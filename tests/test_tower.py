@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -137,3 +138,28 @@ def test_tower_checks_each_map_once(monkeypatch):
     build_tower(FiniteSystem.cyclic(120), tuple(x % 2 for x in range(120)), 2, 1, 20)
     assert len(sweeps) == 19
     assert len(checks) == 22
+
+
+class CountedTuple(tuple):
+    """A tuple that counts how often anything iterates it whole."""
+
+    iterations = 0
+
+    def __iter__(self):
+        CountedTuple.iterations += 1
+        return super().__iter__()
+
+
+def test_audit_sweeps_do_not_grow_with_columns():
+    # the cell list and the S1/S2 sets are built once per tower, not per column
+    sweeps = []
+    for n in (120, 480, 1920):
+        tw = build_tower(FiniteSystem.cyclic(n), tuple(x % 2 for x in range(n)), 2, 1, 20)
+        assert len(tw.s1) == n // 20
+        counted = replace(
+            tw, alpha=CountedTuple(tw.alpha), s1=CountedTuple(tw.s1), s2=CountedTuple(tw.s2)
+        )
+        CountedTuple.iterations = 0
+        assert audit_tower(counted) == audit_tower(tw)
+        sweeps.append(CountedTuple.iterations)
+    assert sweeps[0] == sweeps[1] == sweeps[2], sweeps
