@@ -130,6 +130,8 @@ def make_system(spec, cap: int) -> FiniteSystem:
     if n > cap:
         raise ConfigError(f"system size {n} exceeds max-points {cap}")
     if key == "cyclic":
+        if "generators" in spec:
+            raise ConfigError("system names both 'cyclic' and 'generators'; keep one")
         return FiniteSystem.cyclic(n)
     gens = _req(spec, "generators")
     if not isinstance(gens, dict):
@@ -143,8 +145,9 @@ def parse_labels(spec, n: int) -> tuple:
             raise ConfigError("one label per point")
         return tuple(_ints(spec, "labels"))
     if isinstance(spec, dict):
-        if "modulus" in spec and "sizes" in spec:
-            raise ConfigError("labels name both 'modulus' and 'sizes'; keep one")
+        for pair in (("modulus", "sizes"), ("sizes", "exceptions")):
+            if all(key in spec for key in pair):
+                raise ConfigError("labels name both '%s' and '%s'; keep one" % pair)
         if "modulus" in spec:
             d = _int(spec["modulus"])
             if d < 1:

@@ -5,12 +5,12 @@ permutations that act transitively.  A transitive action has exactly one
 invariant probability measure, the uniform one, so a set A of points has
 measure |A|/N and the system stores nothing beyond its points and
 generators.  On top of it live invariant partitions (the finite stand-in for
-invariant sigma-algebras), partial bijections carrying generator-word
+invariant sigma-algebras), partial bijections carrying group-element
 certificates, and the mixing constructions that average cell frequencies
 over equal-size classes.  Partitions travel as labelings, one hashable label
 per point, and the refinement fixpoint takes the labeling a caller holds.
 Each cyclic map is built once from the matchings of its first piece, so each
-word is checked once; ``make_equal_partition`` also returns the cycle that
+move is checked once; ``make_equal_partition`` also returns the cycle that
 the matchings of its own sweep give.
 
 Group elements are enumerated deterministically: identity, then generators
@@ -19,9 +19,9 @@ left-to-right lexicographically.  The enumeration is a lazy, memoized
 breadth-first walk: it extends only as far as a consumer reads, so a sweep
 that is done after a few elements never builds the rest of the group, and
 asking whether the enumeration is complete finishes the walk.  Every derived
-map records, per point, the word that moves it, so expressibility over a
-given invariant partition can be re-checked independently of how the map was
-built.
+map records, per point, a move: walk indices read in pairs (i, j), undo
+element i, then apply element j.  So a map is re-checked against the walk,
+and a point's word is derived from the words the walk keeps.
 """
 
 from __future__ import annotations
@@ -38,17 +38,16 @@ from .errors import (
 )
 from .probvec import ProbVec, canon_labels, label_cells, ratcomb_decompose
 
-# word tokens: "a" applies generator a, "~a" its inverse; applied left to right
+# walk word tokens: "a" applies generator a, "~a" its inverse; left to right
 DEFAULT_GROUP_CAP = 100_000
 WORD_LEN_PER_POINT = 2  # enumerated group words have at most 2N tokens
 
 
-def invert_token(tok: str) -> str:
-    return tok[1:] if tok.startswith("~") else "~" + tok
-
-
-def invert_word(word: tuple) -> tuple:
-    return tuple(invert_token(t) for t in reversed(word))
+def _inverse(perm) -> tuple:
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return tuple(inv)
 
 
 class GroupEnum:
@@ -64,6 +63,7 @@ class GroupEnum:
     def __init__(self, tables: dict, n_points: int, cap: int):
         ident = tuple(range(n_points))
         self.elements = [((), ident)]
+        self._inverses: dict = {}
         self._state = [True]  # complete flag, shared with the walk
         # the walk holds the memo, not self, so a dropped system is freed
         # by refcounting alone
@@ -72,10 +72,9 @@ class GroupEnum:
         )
 
     def __iter__(self):
-        elements = self.elements
         i = 0
-        while i < len(elements) or next(self._walk, None) is not None:
-            yield elements[i]
+        while self.reach(i):
+            yield self.elements[i]
             i += 1
 
     @property
@@ -83,6 +82,19 @@ class GroupEnum:
         for _ in self._walk:
             pass
         return self._state[0]
+
+    def reach(self, i: int) -> bool:
+        """Walk until element ``i`` exists; False when the walk ends first."""
+        while len(self.elements) <= i:
+            if next(self._walk, None) is None:
+                return False
+        return True
+
+    def inverse(self, i: int) -> tuple:
+        """Inverse permutation of element ``i``, computed once per element."""
+        if i not in self._inverses:
+            self._inverses[i] = _inverse(self.elements[i][1])
+        return self._inverses[i]
 
 
 def _walk(elements, state, tables, max_len, cap, seen):
@@ -130,11 +142,7 @@ class FiniteSystem:
             if sorted(perm) != list(range(n)):
                 raise InvalidPartitionError(f"generator {name!r} is not a permutation")
             tables[name] = tuple(perm)
-        for name, _ in self.generators:
-            inv = [0] * n
-            for x, y in enumerate(tables[name]):
-                inv[y] = x
-            tables[invert_token(name)] = tuple(inv)
+        tables.update({"~" + name: _inverse(perm) for name, perm in self.generators})
         object.__setattr__(self, "_tables", tables)
         # transitivity: generator edges, both directions, connect all points
         seen = {0}
@@ -156,18 +164,6 @@ class FiniteSystem:
     @classmethod
     def cyclic(cls, n: int) -> "FiniteSystem":
         return cls.make(n, {"r": [(x + 1) % n for x in range(n)]})
-
-    def perm(self, token: str) -> tuple:
-        try:
-            return self._tables[token]
-        except KeyError:
-            name = token[1:] if token.startswith("~") else token
-            raise InvalidParamsError(f"unknown generator {name!r}") from None
-
-    def apply_word(self, word, x: int) -> int:
-        for tok in word:
-            x = self.perm(tok)[x]
-        return x
 
     def group(self) -> GroupEnum:
         """The group enumeration of this system, one lazy walk per system.
@@ -246,29 +242,39 @@ def refine_partition(labels, perms) -> GAlgebra:
 
 @dataclass(frozen=True)
 class PseudoMap:
-    """Partial bijection whose every point moves by a recorded generator word."""
+    """Partial bijection whose every point moves by a recorded group element."""
 
     system: FiniteSystem
     pairs: tuple  # ((x, y), ...) sorted by x
-    words: tuple  # word moving x to y, aligned with pairs
+    moves: tuple  # walk-index move carrying x to y, aligned with pairs
 
     def __post_init__(self):
         order = sorted(range(len(self.pairs)), key=lambda i: self.pairs[i])
         object.__setattr__(self, "pairs", tuple(self.pairs[i] for i in order))
-        if len(self.words) != len(self.pairs):
-            raise InvalidParamsError("one word per pair")
-        object.__setattr__(self, "words", tuple(self.words[i] for i in order))
+        if len(self.moves) != len(self.pairs):
+            raise InvalidParamsError("one move per pair")
+        object.__setattr__(self, "moves", tuple(self.moves[i] for i in order))
         xs = [x for x, _ in self.pairs]
         ys = [y for _, y in self.pairs]
         if any(not (0 <= x < self.system.n_points) for x in xs + ys):
             raise InvalidParamsError("pairs live on the points")
         if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
             raise InvalidParamsError("map must be a bijection")
-        for (x, y), w in zip(self.pairs, self.words):
-            if self.system.apply_word(w, x) != y:
-                raise InvalidParamsError("word certificate mismatch", f"at point {x}")
+        enum = self.system.group()
+        steps = {}  # per move: (inverse of element i, element j) for each pair (i, j)
+        for mv in set(self.moves):
+            if len(mv) % 2:
+                raise InvalidParamsError("moves are pairs of walk indices")
+            if any(i < 0 or not enum.reach(i) for i in mv):
+                raise InvalidParamsError("move indices lie on the group walk")
+            steps[mv] = [(enum.inverse(i), enum.elements[j][1]) for i, j in zip(mv[::2], mv[1::2])]
+        for (x, y), mv in zip(self.pairs, self.moves):
+            z = x
+            for undo, do in steps[mv]:
+                z = do[undo[z]]
+            if z != y:
+                raise InvalidParamsError("move certificate mismatch", f"at point {x}")
         object.__setattr__(self, "_fwd", dict(self.pairs))
-        object.__setattr__(self, "_words_by_point", dict(zip(xs, self.words)))
 
     @property
     def domain(self) -> tuple:
@@ -282,11 +288,6 @@ class PseudoMap:
         if x not in self._fwd:
             raise InvalidParamsError(f"point {x} outside the domain")
         return self._fwd[x]
-
-    def word_at(self, x: int) -> tuple:
-        if x not in self._words_by_point:
-            raise InvalidParamsError(f"point {x} outside the domain")
-        return self._words_by_point[x]
 
     def orbit(self, x: int) -> tuple:
         fwd = self._fwd
@@ -334,10 +335,10 @@ def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
 def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     """Greedy sweep matching A into B along the group enumeration.
 
-    Each group element claims every still-unmatched domain point it sends
-    into the still-unclaimed part of B, so the word decomposition is
-    measurable over the algebra generated by {A, B}.  The sweep stops once A
-    is matched, so the lazy walk goes no further than the elements it read.
+    Walk element i claims, by the move (0, i), every still-unmatched domain
+    point it sends into the still-unclaimed part of B, so the decomposition
+    is measurable over the algebra generated by {A, B}.  The sweep stops once
+    A is matched, so the lazy walk goes no further than the elements it read.
     """
     A = sorted(set(A))
     Bset = set(B)
@@ -351,35 +352,35 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
         raise InvalidParamsError("weight(A) <= weight(B)")
     rem_dom = set(A)
     rem_rng = set(Bset)
-    pairs: list = []
-    words: list = []
-    for word, perm in sys.group():
+    pairs, moves = [], []
+    for i, (_, perm) in enumerate(sys.group()):
         if not rem_dom:
             break
         batch = [x for x in sorted(rem_dom) if perm[x] in rem_rng]
         for x in batch:
             pairs.append((x, perm[x]))
-            words.append(word)
+            moves.append((0, i))
             rem_dom.discard(x)
             rem_rng.discard(perm[x])
     if rem_dom:
         raise InvalidParamsError(
             "group enumeration exhausted before matching", f"left {sorted(rem_dom)}"
         )
-    return PseudoMap(sys, tuple(pairs), tuple(words))
+    return PseudoMap(sys, tuple(pairs), tuple(moves))
 
 
 def _cycle(first, phis) -> tuple:
-    """Pairs and words of the order-n map sending phi_k(c) to phi_{k+1 mod n}(c)
-    by w_k(c)^-1 w_{k+1}(c), for c in ``first`` (sorted) and phi_0 the identity."""
-    legs = [(tuple(first), ((),) * len(first))]
-    legs += [(tuple(y for _, y in phi.pairs), phi.words) for phi in phis]
-    pairs, words = [], []
-    for k, (src, src_words) in enumerate(legs):
-        dst, dst_words = legs[(k + 1) % len(legs)]
+    """Pairs and moves of the order-n map sending phi_k(c) to phi_{k+1 mod n}(c)
+    by the move (i_k, i_{k+1}), for c in ``first`` (sorted), where the sweep
+    phi_k moves c by (0, i_k) and phi_0 is the identity, element 0."""
+    legs = [(tuple(first), (0,) * len(first))]
+    legs += [(tuple(y for _, y in phi.pairs), tuple(j for _, j in phi.moves)) for phi in phis]
+    pairs, moves = [], []
+    for k, (src, src_idx) in enumerate(legs):
+        dst, dst_idx = legs[(k + 1) % len(legs)]
         pairs.extend(zip(src, dst))
-        words.extend(invert_word(u) + v for u, v in zip(src_words, dst_words))
-    return pairs, words
+        moves.extend(zip(src_idx, dst_idx))
+    return pairs, moves
 
 
 def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> tuple:
@@ -465,7 +466,7 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
         return MixResult(_orbit_classes(theta), theta, len(atoms), "atomic", algebra)
     dec, sizes = plan
     atoms_by_cell = {c: [at for at in atoms if labels[at[0]] == c] for c in present}
-    pairs, words = [], []
+    pairs, moves = [], []
     for j, s_j in enumerate(sizes):
         if s_j == 0:
             continue
@@ -479,10 +480,10 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
                 piece = tuple(x for at in grabbed[t : t + per_piece] for x in at)
                 block_pieces.append(tuple(sorted(piece)))
         phis = [simplemix(sys, block_pieces[0], p) for p in block_pieces[1:]]
-        block_pairs, block_words = _cycle(block_pieces[0], phis)
+        block_pairs, block_moves = _cycle(block_pieces[0], phis)
         pairs.extend(block_pairs)
-        words.extend(block_words)
-    theta = PseudoMap(sys, tuple(pairs), tuple(words))
+        moves.extend(block_moves)
+    theta = PseudoMap(sys, tuple(pairs), tuple(moves))
     return MixResult(_orbit_classes(theta), theta, dec.n, "ratcomb", algebra)
 
 

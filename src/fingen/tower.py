@@ -159,17 +159,15 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
     # theta climbs each column and jumps to the next column of the v-class
     top = {columns[s][-1] for s in s1}
-    pairs = []
-    words = []
-    for x in range(sys.n_points):
-        y = h.apply(x)
-        w = h.word_at(x)
+    v_moves = dict(zip(v.domain, v.moves))
+    pairs, moves = [], []
+    for (x, y), mv in zip(h.pairs, h.moves):
         if x in top:
-            w = w + v.word_at(y)
+            mv = mv + v_moves[y]
             y = v.apply(y)
         pairs.append((x, y))
-        words.append(w)
-    theta = PseudoMap(sys, tuple(pairs), tuple(words))
+        moves.append(mv)
+    theta = PseudoMap(sys, tuple(pairs), tuple(moves))
 
     transversal = tuple(sorted(min(cl) for cl in mix.classes))
 
@@ -196,14 +194,10 @@ def audit_tower(t: Tower) -> dict:
     """Exhaustive verification of every tower postcondition."""
     sys = t.system
     n_pts = sys.n_points
-
-    def iterate(x: int, times: int) -> int:
-        for _ in range(times):
-            x = t.theta.apply(x)
-        return x
-
-    theta_order = all(iterate(x, t.n) == x for x in range(n_pts))
+    # classes() raises unless theta-orbits cover the points: theta^n = id iff
+    # every orbit length divides n
     classes = t.classes()
+    theta_order = all(t.n % len(cl) == 0 for cl in classes)
     class_sizes = all(len(cl) == t.n for cl in classes)
     covers = sorted(x for cl in classes for x in cl) == list(range(n_pts))
 

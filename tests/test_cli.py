@@ -349,8 +349,11 @@ def test_booleans_are_not_rationals(tmp_path, capsys):
         ({"system": {"cyclic": 60, "points": 60, "generators": {"a": [*range(1, 60), 0]}}},
          "'cyclic' and 'points'"),
         ({"labels": {"modulus": 2, "sizes": [30, 30]}}, "'modulus' and 'sizes'"),
+        ({"system": {"cyclic": 60, "generators": {"a": [*range(1, 60), 0]}}},
+         "'cyclic' and 'generators'"),
+        ({"labels": {"sizes": [30, 30], "exceptions": [0]}}, "'sizes' and 'exceptions'"),
     ],
-    ids=["system", "labels"],
+    ids=["system", "labels", "cyclic-generators", "sizes-exceptions"],
 )
 def test_two_forms_in_one_spec_are_a_config_error(tmp_path, capsys, patch, keys):
     cfg = write_config(tmp_path, {**TOWER, **patch})

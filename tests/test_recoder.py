@@ -63,20 +63,21 @@ def test_params_validation():
 
 def test_theta_algebra_translation_by_three():
     s6 = FiniteSystem.cyclic(6)
-    rot3 = PseudoMap(s6, tuple((x, (x + 3) % 6) for x in range(6)), (("r",) * 3,) * 6)
+    # Z6 walks (), r, ~r, rr, ~r~r, rrr: element 5 is rrr
+    rot3 = PseudoMap(s6, tuple((x, (x + 3) % 6) for x in range(6)), ((0, 5),) * 6)
     alg = theta_algebra(rot3, membership(6, [(0, 1)]))
     assert alg.cells == ((0, 1), (2, 5), (3, 4))
 
 
 def test_theta_algebra_full_shift_separates():
     s6 = FiniteSystem.cyclic(6)
-    shift = PseudoMap(s6, tuple((x, (x + 1) % 6) for x in range(6)), (("r",),) * 6)
+    shift = PseudoMap(s6, tuple((x, (x + 1) % 6) for x in range(6)), ((0, 1),) * 6)
     assert len(theta_algebra(shift, membership(6, [(0,)]))) == 6
 
 
 def test_theta_algebra_rejects_a_labeling_of_the_wrong_length():
     s6 = FiniteSystem.cyclic(6)
-    shift = PseudoMap(s6, tuple((x, (x + 1) % 6) for x in range(6)), (("r",),) * 6)
+    shift = PseudoMap(s6, tuple((x, (x + 1) % 6) for x in range(6)), ((0, 1),) * 6)
     for labels in [(0, 1), (0,) * 7]:
         with pytest.raises(InvalidParamsError, match="one label per point"):
             theta_algebra(shift, labels)

@@ -21,7 +21,6 @@ from fingen.system import (
     avgmix,
     cyclic_permute,
     generated_algebra,
-    invert_word,
     is_expressible,
     make_equal_partition,
     name_word,
@@ -40,18 +39,33 @@ TRIV8 = GAlgebra((0,) * 8)
 PARITY8 = GAlgebra(tuple(x % 2 for x in range(8)))
 
 
-def word_map(sys, word, points=None):
-    """The map moving each point (all of them by default) by one word."""
+def element_map(sys, i, points=None):
+    """The map moving each point (all of them by default) by walk element i."""
     pts = sorted(range(sys.n_points) if points is None else points)
-    word = tuple(word)
-    return PseudoMap(sys, tuple((x, sys.apply_word(word, x)) for x in pts), (word,) * len(pts))
+    _, perm = next(itertools.islice(sys.group(), i, None))
+    return PseudoMap(sys, tuple((x, perm[x]) for x in pts), ((0, i),) * len(pts))
 
 
 def tau_even_up(sysn=Z8):
-    # swaps {0,1},{2,3},...: needs the parity cells to express over rot1
+    # swaps {0,1},{2,3},...: needs the parity cells to express over rot1; the
+    # odd points undo r, so the map names only walk elements 0 and 1
     perm = tuple(x + 1 if x % 2 == 0 else x - 1 for x in range(8))
-    words = tuple(("r",) if x % 2 == 0 else ("~r",) for x in range(8))
-    return PseudoMap(sysn, tuple(zip(range(8), perm)), words)
+    moves = tuple((0, 1) if x % 2 == 0 else (1, 0) for x in range(8))
+    return PseudoMap(sysn, tuple(zip(range(8), perm)), moves)
+
+
+def undo_word(word):
+    return tuple(t[1:] if t.startswith("~") else "~" + t for t in reversed(word))
+
+
+def words_of(m):
+    """Each point's word, derived from the walk words its move names: the pair
+    (i, j) undoes element i's word, then applies element j's."""
+    words = [w for w, _ in m.system.group().elements]
+    return tuple(
+        sum((undo_word(words[i]) + words[j] for i, j in zip(mv[::2], mv[1::2])), ())
+        for mv in m.moves
+    )
 
 
 def test_system_validation():
@@ -88,13 +102,14 @@ def regular(gens):
 
 def full_bfs(sysn):
     """Eager breadth-first enumeration: the order the lazy walk must keep."""
-    tokens = [name for name, _ in sysn.generators]
-    tokens += ["~" + t for t in tokens]
+    tables = dict(sysn.generators)
+    for name, p in sysn.generators:
+        tables["~" + name] = tuple(sorted(range(len(p)), key=p.__getitem__))
     ident = tuple(range(sysn.n_points))
     order, seen = [((), ident)], {ident}
     for word, perm in order:
-        for tok in tokens:
-            q = tuple(sysn.perm(tok)[y] for y in perm)
+        for tok, p in tables.items():
+            q = tuple(p[y] for y in perm)
             if q not in seen:
                 seen.add(q)
                 order.append((word + (tok,), q))
@@ -175,10 +190,15 @@ def test_group_cap_at_group_order_is_complete(monkeypatch):
     assert not FiniteSystem.cyclic(8).group().complete
 
 
-def test_word_application():
-    assert Z6.apply_word(("r", "r", "~r"), 2) == 3
-    assert [Z6.apply_word(("r",), x) for x in range(6)] == [1, 2, 3, 4, 5, 0]
-    assert invert_word(("r", "~r", "r")) == ("~r", "r", "~r")
+def test_move_application():
+    # Z6 walks (), r, ~r, rr, ~r~r, rrr; a pair (i, j) undoes i, then applies j
+    sysn = FiniteSystem.cyclic(6)
+    m = PseudoMap(sysn, ((2, 5), (4, 3)), ((3, 2), (0, 3, 4, 1)))
+    assert len(sysn.group().elements) == 5  # walked only as far as index 4
+    assert words_of(m) == (("~r", "~r", "~r"), ("r", "r", "r", "r", "r"))
+    enum = sysn.group()
+    assert enum.inverse(3) == enum.elements[4][1]
+    assert enum.inverse(3) is enum.inverse(3)
 
 
 def test_generated_algebra_examples():
@@ -284,16 +304,25 @@ def test_galgebra_basics():
 
 def test_pseudomap_validation():
     with pytest.raises(InvalidParamsError):
-        PseudoMap(Z4, ((0, 1), (2, 1)), ((("r",)), ("~r",)))
+        PseudoMap(Z4, ((0, 1), (2, 1)), ((0, 1), (0, 2)))
     with pytest.raises(InvalidParamsError):
-        PseudoMap(Z4, ((0, 2),), (("r",),))  # word sends 0 to 1, not 2
+        PseudoMap(Z4, ((0, 2),), ((0, 1),))  # r sends 0 to 1, not 2
 
 
 def test_pseudomap_pairs_live_on_the_points():
     with pytest.raises(InvalidParamsError, match="pairs live on the points"):
-        PseudoMap(Z4, ((-1, 0),), (("r",),))
+        PseudoMap(Z4, ((-1, 0),), ((0, 1),))
     with pytest.raises(InvalidParamsError, match="pairs live on the points"):
-        PseudoMap(Z4, ((4, 0),), (("r",),))
+        PseudoMap(Z4, ((4, 0),), ((0, 1),))
+    # Z4's walk has 4 elements; a negative index must not wrap to the last
+    for moves, name in [
+        (((0, -1),), "move indices lie on the group walk"),
+        (((0, 4),), "move indices lie on the group walk"),
+        (((0, 1, 2),), "moves are pairs of walk indices"),
+        (((0, 3), (0, 3)), "one move per pair"),
+    ]:
+        with pytest.raises(InvalidParamsError, match=name):
+            PseudoMap(Z4, ((1, 0),), moves)
     for stray in (-1, 4):
         with pytest.raises(InvalidParamsError, match="on the points"):
             simplemix(Z4, [stray], [0, 1])
@@ -301,26 +330,27 @@ def test_pseudomap_pairs_live_on_the_points():
 
 def test_pseudomap_decomposition_and_orbit():
     tau = tau_even_up()
-    assert [x for x in tau.domain if tau.word_at(x) == ("r",)] == [0, 2, 4, 6]
-    assert [x for x in tau.domain if tau.word_at(x) == ("~r",)] == [1, 3, 5, 7]
+    words = dict(zip(tau.domain, words_of(tau)))
+    assert [x for x in tau.domain if words[x] == ("r",)] == [0, 2, 4, 6]
+    assert [x for x in tau.domain if words[x] == ("~r",)] == [1, 3, 5, 7]
     assert tau.orbit(0) == (0, 1)
-    part = PseudoMap(Z8, tau.pairs[:2], tau.words[:2])
+    part = PseudoMap(Z8, tau.pairs[:2], tau.moves[:2])
     with pytest.raises(InvalidParamsError):
         part.orbit(2)
     with pytest.raises(InvalidParamsError):
-        word_map(Z4, ("r",), points=(0,)).orbit(0)
+        element_map(Z4, 1, points=(0,)).orbit(0)
 
 
 def test_expressibility_examples():
-    assert is_expressible(word_map(Z4, ()), TRIV4)
-    assert is_expressible(word_map(Z4, ("r",)), TRIV4)
+    assert is_expressible(element_map(Z4, 0), TRIV4)
+    assert is_expressible(element_map(Z4, 1), TRIV4)
     tau = tau_even_up()
     assert is_expressible(tau, PARITY8)
     assert not is_expressible(tau, TRIV8)
 
 
 def test_expressibility_requires_measurable_sets():
-    half = word_map(Z8, ("r",), points=(0, 1, 2))
+    half = element_map(Z8, 1, points=(0, 1, 2))
     assert not is_expressible(half, PARITY8)
 
 
@@ -334,13 +364,13 @@ def test_expressibility_undecided_on_cap(monkeypatch):
 def test_simplemix_identity_when_equal():
     sm = simplemix(Z4, {1, 2}, {1, 2})
     assert all(sm.apply(x) == x for x in (1, 2))
-    assert sm.words == ((), ())
+    assert words_of(sm) == ((), ())
 
 
 def test_simplemix_singletons():
     sm = simplemix(Z4, {1}, {3})
     assert sm.pairs == ((1, 3),)
-    assert sm.words == (("r", "r"),)
+    assert words_of(sm) == (("r", "r"),)
 
 
 def test_simplemix_weight_error():
@@ -377,7 +407,7 @@ def test_simplemix_expressible_over_seed_algebra():
 def test_make_equal_partition_examples():
     pieces, h = make_equal_partition(Z6, range(6), range(6), 1)
     assert pieces == [tuple(range(6))]
-    assert h.pairs == tuple((x, x) for x in range(6)) and set(h.words) == {()}
+    assert h.pairs == tuple((x, x) for x in range(6)) and set(words_of(h)) == {()}
     pieces, h = make_equal_partition(Z6, (0, 3), range(6), 3)
     assert pieces[0] == (0, 3)
     assert h == cyclic_permute(Z6, pieces)  # the same pairs and words, one sweep
@@ -416,7 +446,7 @@ def test_cyclic_permute_exact_order():
 def test_cyclic_permute_certificate_words():
     th = cyclic_permute(Z6, [(0, 3), (1, 4), (2, 5)])
     assert th.pairs == ((0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 0))
-    assert th.words == (("r",), ("~r", "~r"), ("r",), ("r",), ("~r", "~r"), ("r",))
+    assert words_of(th) == (("r",), ("~r", "~r"), ("r",), ("r",), ("~r", "~r"), ("r",))
 
 
 def test_avgmix_trivial_labeling():
@@ -470,7 +500,7 @@ def test_avgmix_ratcomb_certificate_words():
         (0, 1), (1, 5), (2, 3), (3, 4), (4, 8), (5, 6), (6, 7), (7, 0), (8, 9), (9, 2),
     )
     r, ir = "r", "~r"
-    assert res.theta.words == (
+    assert words_of(res.theta) == (
         (r,),
         (ir, r, r, r, r, r),
         (r,),
@@ -541,7 +571,7 @@ def test_avgfuncmix_rejects_bad_inputs_by_name():
 
 
 def test_name_word():
-    rot = word_map(Z4, ("r",))
+    rot = element_map(Z4, 1)
     assert name_word((7, 7, 7, 7), rot, 2) == (7, 7, 7, 7)
     assert name_word((0, 1, 2, 3), rot, 0) == (0, 1, 2, 3)
     assert name_word((0, 1, 2, 3), rot, 1) == (1, 2, 3, 0)

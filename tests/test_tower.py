@@ -117,6 +117,15 @@ def test_several_systems_audit():
         assert tw.n >= nmin
 
 
+def test_audit_flags_theta_of_the_wrong_order():
+    # one 120-cycle through every point, against classes of n = 20
+    z120 = FiniteSystem.cyclic(120)
+    tw = build_tower(z120, tuple(x % 2 for x in range(120)), 2, 1, 20)
+    shift = PseudoMap(z120, tuple((x, (x + 1) % 120) for x in range(120)), ((0, 1),) * 120)
+    assert tw.n == 20
+    assert audit_tower(replace(tw, theta=shift))["theta_order"] is False
+
+
 def test_tower_checks_each_map_once(monkeypatch):
     # the m-1 column matchings are swept once, and each of them plus h, v and
     # theta is checked once: 19 sweeps and 22 checks for cyclic(120), m=20
