@@ -4,14 +4,14 @@ Modules
 -------
 probvec   exact probability vectors, entropy calculus, rational decomposition
 typical   typical-word counting, normalized Hamming packing, injective codebooks
-coding    ternary prefix codes over conditional fibers, binary digit maps
+coding    ternary prefix codes over conditional fibers
 system    finite transitive actions, invariant algebras, expressible partial maps
 tower     periodic tower construction with a frequency side channel
 recoder   alphabet reduction, end-to-end recoding pipeline, brute-force oracle
 cli       deterministic command-line reports over the above
 """
 
-from .coding import FiberDistribution, TernaryCode, binary_digit, build_code, code_length_bound, ternary
+from .coding import FiberDistribution, build_code, code_length_bound, ternary
 from .probvec import (
     Coarsening,
     ProbVec,
@@ -46,7 +46,6 @@ from .system import (
     generated_algebra,
     is_expressible,
     make_equal_partition,
-    name_word,
     simplemix,
 )
 from .tower import Tower, audit_tower, build_tower
@@ -79,13 +78,11 @@ __all__ = [
     "RatDecomposition",
     "RecodeParams",
     "RecodePlan",
-    "TernaryCode",
     "Tower",
     "TypicalSpec",
     "audit_tower",
     "avgfuncmix",
     "avgmix",
-    "binary_digit",
     "brute_force_generator_search",
     "build_code",
     "build_injections",
@@ -109,7 +106,6 @@ __all__ = [
     "krieger_recode",
     "label_distribution",
     "make_equal_partition",
-    "name_word",
     "ratcomb_decompose",
     "reduce_alphabet",
     "refine_to_p",

@@ -4,8 +4,7 @@ Within each fiber the cells are ranked from 1 by decreasing conditional
 weight, and the cell of rank n receives t(n), the base-3 expansion of n, as
 in the paper.  The expected code length is then controlled by
 m * |t(m)| + H(cells | fibers), where m is the least integer above
-exp(1 / (1 - log3(e))).  A bit-extraction helper shared with the tower
-encoder lives here as well.
+exp(1 / (1 - log3(e))).
 """
 
 from __future__ import annotations
@@ -33,15 +32,6 @@ def ternary(n: int) -> tuple:
     return tuple(reversed(digits))
 
 
-def binary_digit(i: int, t: int) -> int:
-    """Digit i of the binary expansion of t, i = 1 at the least significant end."""
-    if i < 1:
-        raise InvalidParamsError("i >= 1", f"got {i}")
-    if t < 0:
-        raise InvalidParamsError("t >= 0", f"got {t}")
-    return (t >> (i - 1)) & 1
-
-
 @dataclass(frozen=True)
 class FiberDistribution:
     """Fiber weights together with a conditional cell distribution per fiber."""
@@ -65,6 +55,8 @@ class FiberDistribution:
         labeling, fibers in increasing label order."""
         if len(cell_labels) != len(fiber_labels):
             raise InvalidVectorError("labelings cover the same points")
+        if any(not isinstance(c, int) or c < 0 for c in cell_labels):
+            raise InvalidVectorError("cell labels are nonnegative ints")
         w = Fraction(1, len(cell_labels))
         cells = max(cell_labels) + 1
         nu = []
@@ -80,18 +72,10 @@ class FiberDistribution:
         return cls(ProbVec(tuple(nu)), tuple(mus))
 
 
-@dataclass(frozen=True)
-class TernaryCode:
-    """Injective ternary words per fiber, aligned with the cell index set."""
-
-    words: tuple  # words[y][c] is the code of cell c within fiber y
-
-    def word(self, y: int, c: int) -> tuple:
-        return self.words[y][c]
-
-
-def build_code(fd: FiberDistribution) -> TernaryCode:
+def build_code(fd: FiberDistribution) -> tuple:
     """Rank cells inside each fiber from 1 and hand rank n the expansion t(n).
+
+    Returns the word table: entry [y][c] is the code of cell c within fiber y.
 
     Ranking is by decreasing conditional weight, ties and zero-weight cells
     by increasing cell index, so the heaviest cells get the shortest words.
@@ -103,7 +87,7 @@ def build_code(fd: FiberDistribution) -> TernaryCode:
         for pos, c in enumerate(order):
             ws[c] = ternary(pos + 1)
         out.append(tuple(ws))
-    return TernaryCode(tuple(out))
+    return tuple(out)
 
 
 class LengthBound(NamedTuple):
@@ -112,11 +96,11 @@ class LengthBound(NamedTuple):
     holds: bool
 
 
-def code_length_bound(fd: FiberDistribution, code: TernaryCode) -> LengthBound:
+def code_length_bound(fd: FiberDistribution, code: tuple) -> LengthBound:
     """Average code length against m * |t(m)| + H(cells | fibers)."""
     avg = 0.0
     cond = 0.0
-    for w, mu, ws in zip(fd.nu.weights, fd.mus, code.words):
+    for w, mu, ws in zip(fd.nu.weights, fd.mus, code):
         wf = float(w)
         avg += wf * sum(len(cw) * float(m) for cw, m in zip(ws, mu.weights))
         cond += wf * entropy(mu)

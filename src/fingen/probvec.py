@@ -170,6 +170,8 @@ def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = 
         raise InvalidPartitionError("labeling length mismatch")
     if weights is None:
         weights = uniform_weights(len(a))
+    if len(weights) != len(a):
+        raise InvalidPartitionError("one weight per point")
     h = 0.0
     for fiber in label_cells(b):
         wb = float(sum(weights[i] for i in fiber))

@@ -40,8 +40,8 @@ from .system import (
     FiniteSystem,
     GAlgebra,
     PseudoMap,
+    _inverse,
     generated_algebra,
-    name_word,
     refine_partition,
     simplemix,
 )
@@ -159,7 +159,7 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
 
     fd = FiberDistribution.from_labels(xi, F.labels)
     code = build_code(fd)
-    words = tuple(code.word(F.labels[x], xi[x]) for x in range(sys.n_points))
+    words = tuple(code[F.labels[x]][xi[x]] for x in range(sys.n_points))
     max_len = max(len(w) for w in words)
 
     d = min(Fraction(1, 5), eps / 2)
@@ -415,7 +415,11 @@ def decode(
     delta = Fraction(delta)
     alpha = tuple(alpha)
     beta = tuple(beta)
+    if len(alpha) != theta.system.n_points or len(beta) != theta.system.n_points:
+        raise InvalidParamsError("one label per point")
     block_of = p_blocks.block_of()
+    if any(a is not None and a not in block_of for a in alpha):
+        raise InvalidPartitionError("alpha labels lie in the target alphabet")
     out: list = [None] * theta.system.n_points
     for y in sorted(Y):
         orbit = theta.orbit(y)
@@ -439,12 +443,8 @@ def decode(
 
 def theta_algebra(theta: PseudoMap, labels) -> GAlgebra:
     """Refinement fixpoint of the labeling ``labels`` under one full-domain map."""
-    npts = theta.system.n_points
-    fwd = [theta.apply(x) for x in range(npts)]
-    inv = [0] * npts
-    for x, y in enumerate(fwd):
-        inv[y] = x
-    return refine_partition(labels, [fwd, inv])
+    fwd = [theta.apply(x) for x in range(theta.system.n_points)]
+    return refine_partition(labels, [fwd, _inverse(fwd)])
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +504,7 @@ def recode_codebook(
     """
     q = params.q
     pack_delta = Fraction(9, 400 * len(q)) if pack_delta is None else Fraction(pack_delta)
-    needed = sorted({name_word(beta, tower.theta, y) for y in tower.transversal})
+    needed = sorted({tuple(beta[x] for x in tower.theta.orbit(y)) for y in tower.transversal})
     budget = PackingBudget(pack_delta, params.r)
     codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, capacity, only=needed)
     return codebook, pack_delta

@@ -520,8 +520,3 @@ def avgfuncmix(sys: FiniteSystem, B, funcs, eps) -> MixResult:
         scale = max(scale, amp)
     shrunk = Fraction(eps) / scale if scale > 0 else Fraction(eps)
     return avgmix(sys, B, labels, shrunk)
-
-
-def name_word(labels, theta: PseudoMap, x: int) -> tuple:
-    """Labels read along the full theta-orbit of x."""
-    return tuple(labels[y] for y in theta.orbit(x))

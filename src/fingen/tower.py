@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .coding import binary_digit
 from .errors import DivisibilityError, InvalidParamsError
 from .system import (
     FiniteSystem,
@@ -64,7 +63,6 @@ class Tower:
     s1: tuple
     s2: tuple
     h: PseudoMap
-    v: PseudoMap
     theta: PseudoMap
     transversal: tuple
     profiles: tuple  # rank -> frequency profile over the alpha cells, lex sorted
@@ -183,10 +181,10 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     s2 = []
     for s in s1:
         r = rank[profile(s)]
-        s2.extend(columns[s][i] for i in range(1, ell + 1) if binary_digit(i, r) == 1)
+        s2.extend(columns[s][i] for i in range(1, ell + 1) if r >> (i - 1) & 1)
     return Tower(
         sys, alpha, eps, m, k, k * m, ell, s1, tuple(sorted(s2)),
-        h, v, theta, transversal, table,
+        h, theta, transversal, table,
     )
 
 

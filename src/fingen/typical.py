@@ -405,7 +405,6 @@ def _chain_checks(
     blocks: Coarsening,
     q: ProbVec,
     budget: PackingBudget,
-    eps,
     n: int,
     max_fiber: int,
     target_count: int,
@@ -493,7 +492,7 @@ def build_injections(
     target_spec = TypicalSpec(q, eps, k)
     packing = greedy_packing(target_spec, rho)
     target_count = count_typical(target_spec)
-    checks = _chain_checks(xi, blocks, q, budget, eps, n, max_fiber, target_count, len(packing))
+    checks = _chain_checks(xi, blocks, q, budget, n, max_fiber, target_count, len(packing))
     required = ANALYTIC_REQUIRED if capacity == "analytic" else EXACT_REQUIRED
     by_name = {c["name"]: c for c in checks}
     for name in required:

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from fingen.coding import (
     RANK_CUTOFF,
     FiberDistribution,
-    TernaryCode,
-    binary_digit,
     build_code,
     code_length_bound,
     ternary,
@@ -49,40 +47,26 @@ def test_rank_cutoff_value():
     assert len(ternary(RANK_CUTOFF)) == 11
 
 
-def test_binary_digit_examples():
-    assert binary_digit(1, 5) == 1
-    assert binary_digit(2, 5) == 0
-    assert binary_digit(3, 5) == 1
-    assert binary_digit(10, 5) == 0
-    with pytest.raises(InvalidParamsError):
-        binary_digit(0, 5)
-
-
-def test_binary_digit_reconstructs():
-    for t in range(64):
-        assert sum(binary_digit(i, t) << (i - 1) for i in range(1, 8)) == t
-
-
 def test_build_code_tie_break_by_index():
     code = build_code(one_fiber("1/2", "1/2"))
-    assert code.words == (((1,), (2,)),)
+    assert code == (((1,), (2,)),)
 
 
 def test_build_code_sorts_by_weight():
     code = build_code(one_fiber("1/10", "7/10", "2/10"))
-    assert code.words == (((1, 0), (1,), (2,)),)
+    assert code == (((1, 0), (1,), (2,)),)
 
 
 def test_build_code_uniform_five_lengths():
     code = build_code(one_fiber(*(["1/5"] * 5)))
-    assert [len(w) for w in code.words[0]] == [1, 1, 2, 2, 2]
+    assert [len(w) for w in code[0]] == [1, 1, 2, 2, 2]
 
 
 def test_build_code_zero_weight_cells_sort_last():
     code = build_code(one_fiber("3/4", "0", "1/4", "0"))
-    ranks = sorted(range(4), key=lambda c: len(code.words[0][c]))
-    assert code.words[0][0] == (1,)
-    assert code.words[0][2] == (2,)
+    ranks = sorted(range(4), key=lambda c: len(code[0][c]))
+    assert code[0][0] == (1,)
+    assert code[0][2] == (2,)
     assert ranks[-2:] == [1, 3]
 
 
@@ -99,7 +83,7 @@ def test_build_code_injective_per_fiber(rows):
     nu = ProbVec(tuple(F(1, len(rows)) for _ in rows))
     mus = tuple(ProbVec(tuple(F(x, sum(r)) for x in r)) for r in rows)
     fd = FiberDistribution(nu, mus)
-    for ws in build_code(fd).words:
+    for ws in build_code(fd):
         assert len(set(ws)) == len(ws)
 
 
@@ -112,10 +96,10 @@ def test_tail_rank_bound_random():
         raw = [rng.randrange(1, 100) for _ in range(k)]
         fd = one_fiber(*(F(x, sum(raw)) for x in raw))
         code = build_code(fd)
-        order = sorted(range(k), key=lambda c: len(code.words[0][c]))
+        order = sorted(range(k), key=lambda c: len(code[0][c]))
         for rank0, c in enumerate(order):
             mu = float(fd.mus[0][c])
-            if len(code.words[0][c]) > -math.log(mu):
+            if len(code[0][c]) > -math.log(mu):
                 assert rank0 + 1 <= RANK_CUTOFF
 
 
@@ -158,6 +142,12 @@ def test_from_labels_disintegration():
         for w, mu in zip(fd.nu.weights, fd.mus)
     )
     assert mix == pytest.approx(cond_entropy(cells, fibers))
+
+
+@pytest.mark.parametrize("cells", [(0, -1, 1, 1), ("a", "b", "a", "b"), (0, 1.0, 1, 0)])
+def test_from_labels_refuses_cells_that_are_not_nonnegative_ints(cells):
+    with pytest.raises(InvalidVectorError, match="nonnegative ints"):
+        FiberDistribution.from_labels(cells, (0, 0, 0, 0))
 
 
 def test_fiber_distribution_validation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingen.errors import InvalidVectorError
+from fingen.errors import InvalidPartitionError, InvalidVectorError
 from fingen.probvec import (
     Coarsening,
     ProbVec,
@@ -83,6 +83,14 @@ def test_cond_entropy_determined():
     b = (0, 1, 2, 0, 1, 2)
     a = tuple(x % 2 for x in b)
     assert cond_entropy(a, b) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cond_entropy_refuses_a_weight_count_off_the_points():
+    a, b = (0, 1), (0, 0)
+    with pytest.raises(InvalidPartitionError, match="one weight per point"):
+        cond_entropy(a, b, (F(1, 4), F(1, 4), F(1, 2)))
+    with pytest.raises(InvalidPartitionError, match="one weight per point"):
+        cond_entropy(a + (1,), b + (0,), (F(1, 2), F(1, 2)))
 
 
 def _random_labeling(rng, n, k):

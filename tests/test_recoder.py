@@ -396,6 +396,21 @@ def test_decode_requires_cover():
         decode(alpha, beta, (), tower.theta, codebook, radius, params.blocks)
 
 
+def test_decode_refuses_labelings_of_the_wrong_length():
+    sysn, params, fine, beta, tower, codebook, alpha, radius = decoded_setup(FAMILY[0])
+    for a, b in ((alpha[:-1], beta), (alpha, beta[:-1])):
+        with pytest.raises(InvalidParamsError, match="one label per point"):
+            decode(a, b, tower.transversal, tower.theta, codebook, radius, params.blocks)
+
+
+def test_decode_refuses_alpha_labels_outside_the_target_alphabet():
+    sysn, params, fine, beta, tower, codebook, alpha, radius = decoded_setup(FAMILY[0])
+    assert 7 not in params.blocks.block_of()
+    bad = [7] + list(alpha[1:])
+    with pytest.raises(InvalidPartitionError, match="target alphabet"):
+        decode(bad, beta, tower.transversal, tower.theta, codebook, radius, params.blocks)
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 

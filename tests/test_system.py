@@ -23,7 +23,6 @@ from fingen.system import (
     generated_algebra,
     is_expressible,
     make_equal_partition,
-    name_word,
     simplemix,
 )
 from fingen.tower import build_tower
@@ -568,13 +567,6 @@ def test_avgfuncmix_rejects_bad_inputs_by_name():
         avgfuncmix(Z6, range(6), {"f": partial}, F(1, 3))
     with pytest.raises(InvalidParamsError, match="B lives on the points"):
         avgfuncmix(Z6, [0, 9], {"f": {0: 1, 9: 0}}, F(1, 3))
-
-
-def test_name_word():
-    rot = element_map(Z4, 1)
-    assert name_word((7, 7, 7, 7), rot, 2) == (7, 7, 7, 7)
-    assert name_word((0, 1, 2, 3), rot, 0) == (0, 1, 2, 3)
-    assert name_word((0, 1, 2, 3), rot, 1) == (1, 2, 3, 0)
 
 
 def gamma_system():
