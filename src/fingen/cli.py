@@ -310,15 +310,7 @@ def cmd_codebook(cfg: ExperimentConfig) -> dict:
         xi, blocks, q, budget, _fr(o.get("eps", "0")), _int(_req(o, "n")),
         o.get("capacity", "analytic"),
     )
-    report = {
-        "k": book.k,
-        "rho": str(book.rho),
-        "packing_size": len(book.packing),
-        "books": len(book.books),
-        "separation": str(book.separation()),
-        "checks": list(book.checks),
-    }
-    return {"certificate": report}
+    return {"certificate": book.summary()}
 
 
 def cmd_tower(cfg: ExperimentConfig) -> dict:

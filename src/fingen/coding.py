@@ -55,6 +55,8 @@ class FiberDistribution:
         labeling, fibers in increasing label order."""
         if len(cell_labels) != len(fiber_labels):
             raise InvalidVectorError("labelings cover the same points")
+        if not cell_labels:
+            raise InvalidVectorError("at least one point")
         if any(not isinstance(c, int) or c < 0 for c in cell_labels):
             raise InvalidVectorError("cell labels are nonnegative ints")
         w = Fraction(1, len(cell_labels))
@@ -98,6 +100,8 @@ class LengthBound(NamedTuple):
 
 def code_length_bound(fd: FiberDistribution, code: tuple) -> LengthBound:
     """Average code length against m * |t(m)| + H(cells | fibers)."""
+    if len(code) != len(fd.mus) or any(len(ws) != len(mu) for ws, mu in zip(code, fd.mus)):
+        raise InvalidVectorError("one code word per cell of every fiber")
     avg = 0.0
     cond = 0.0
     for w, mu, ws in zip(fd.nu.weights, fd.mus, code):

@@ -368,6 +368,8 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
 
 def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
     """Split each target cell along the blocks to reach masses r * p_i."""
+    if len(cells) != len(params.blocks):
+        raise InvalidPartitionError("one cell per block")
     npts = sys.n_points
     p = params.p.weights
     out: list = [None] * len(p)
@@ -461,6 +463,8 @@ def join_factor(xi, F: GAlgebra) -> tuple:
     point's F cell, the blocks grouping joined labels by F cell, and the
     point-count distribution of the joined labels.
     """
+    if len(xi) != len(F.labels):
+        raise InvalidPartitionError("labeling length mismatch")
     pairs = sorted(set(zip(F.labels, xi)))
     index = {pair: i for i, pair in enumerate(pairs)}
     fine = tuple(index[pair] for pair in zip(F.labels, xi))
@@ -556,8 +560,7 @@ def krieger_recode(
     )
     plan = encode_names(tower, fine, beta, codebook, r=r, delta=delta, reserved=reserved)
 
-    separation = codebook.separation()
-    radius = separation / 2
+    radius = codebook.separation() / 2
     mismatch = plan.budget()
     if not mismatch < radius:
         raise CapacityError(
@@ -624,14 +627,7 @@ def krieger_recode(
             "classes": len(tower.transversal),
             "side_weight": str(sys.total_weight(tower.s1) + sys.total_weight(tower.s2)),
         },
-        "codebook": {
-            "k": k,
-            "rho": str(codebook.rho),
-            "packing_size": len(codebook.packing),
-            "books": len(codebook.books),
-            "separation": str(separation),
-            "checks": codebook.checks,
-        },
+        "codebook": codebook.summary(),
         "scan": scan,
         "inequalities": inequalities,
         "masses": {

@@ -209,6 +209,8 @@ class GAlgebra:
         )
 
     def refines(self, other: "GAlgebra") -> bool:
+        if len(self.labels) != len(other.labels):
+            raise InvalidPartitionError("labeling length mismatch")
         seen: dict = {}
         for mine, theirs in zip(self.labels, other.labels):
             if seen.setdefault(mine, theirs) != theirs:

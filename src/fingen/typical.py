@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -365,34 +366,40 @@ class PackingBudget:
 
 @dataclass(frozen=True)
 class CodeBook:
-    """Per block-word injections from its typical refinements into one packing."""
+    """Per block-word injections of typical fibers into one packing: ``books``
+    holds ``(b, fiber)`` per block word b in lexicographic order, ``fiber`` in
+    ``iter_fiber`` order, and book b sends ``fiber[i]`` to ``packing[i]``."""
 
     q: ProbVec
     eps: object
     k: int
     rho: Fraction
     packing: tuple
-    books: tuple  # ((b, ((c, codeword), ...)), ...) in lexicographic order
+    books: tuple
     checks: tuple = field(default=(), compare=False)
 
     def mapping(self, b: Sequence[int]) -> dict:
         b = tuple(b)
-        for bb, entries in self.books:
+        for bb, fiber in self.books:
             if bb == b:
-                return dict(entries)
+                return dict(zip(fiber, self.packing))
         raise KeyError(f"no book for block word {b}")
 
     def separation(self) -> Fraction:
-        """Smallest pairwise dbar within any single book's image."""
-        best = None
-        for _, entries in self.books:
-            words = [w for _, w in entries]
-            for i in range(len(words)):
-                for j in range(i + 1, len(words)):
-                    d = dbar(words[i], words[j])
-                    if best is None or d < best:
-                        best = d
-        return best if best is not None else Fraction(1)
+        """Smallest pairwise dbar within any single book's image (a packing prefix)."""
+        words = self.packing[: max((len(f) for _, f in self.books), default=0)]
+        return min((dbar(a, b) for a, b in combinations(words, 2)), default=Fraction(1))
+
+    def summary(self) -> dict:
+        """The codebook section of a report."""
+        return {
+            "k": self.k,
+            "rho": str(self.rho),
+            "packing_size": len(self.packing),
+            "books": len(self.books),
+            "separation": str(self.separation()),
+            "checks": list(self.checks),
+        }
 
 
 def inequality(name: str, lhs, rhs, holds) -> dict:
@@ -487,7 +494,7 @@ def build_injections(
                 raise InvalidParamsError("block words of length n")
             if not is_typical(w, beta_spec):
                 raise AtypicalNameError(f"block word {w} is outside the typical set")
-    fibers = [list(iter_fiber(xi, blocks, eps, n, b)) for b in beta_words]
+    fibers = [tuple(iter_fiber(xi, blocks, eps, n, b)) for b in beta_words]
     max_fiber = max((len(f) for f in fibers), default=0)
     target_spec = TypicalSpec(q, eps, k)
     packing = greedy_packing(target_spec, rho)
@@ -499,8 +506,4 @@ def build_injections(
         c = by_name[name]
         if not c["holds"]:
             raise CapacityError(name, f"lhs={c['lhs']} rhs={c['rhs']}")
-    books = []
-    for b, fiber in zip(beta_words, fibers):
-        entries = tuple((c, packing[i]) for i, c in enumerate(fiber))
-        books.append((b, entries))
-    return CodeBook(q, eps, k, rho, tuple(packing), tuple(books), tuple(checks))
+    return CodeBook(q, eps, k, rho, tuple(packing), tuple(zip(beta_words, fibers)), tuple(checks))

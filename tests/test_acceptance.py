@@ -323,7 +323,8 @@ def test_packings_and_codebooks():
 
         xi_ranges = TypicalSpec(xi, Fraction(0), n).count_ranges()
         blk = blocks.block_of()
-        for b, entries in cb.books:
+        for b, fiber in cb.books:
+            entries = tuple(zip(fiber, cb.packing))
             codes = [w for _, w in entries]
             assert len(set(codes)) == len(codes)
             assert all(w in pack for w in codes)

@@ -150,6 +150,19 @@ def test_from_labels_refuses_cells_that_are_not_nonnegative_ints(cells):
         FiberDistribution.from_labels(cells, (0, 0, 0, 0))
 
 
+def test_from_labels_refuses_an_empty_labeling():
+    with pytest.raises(InvalidVectorError, match="at least one point"):
+        FiberDistribution.from_labels((), ())
+
+
+def test_length_bound_refuses_a_table_that_misses_fibers_or_cells():
+    fd = FiberDistribution.from_labels((0, 1, 0, 1), (0, 0, 1, 1))
+    code = build_code(fd)
+    for short in (code[:1], tuple(ws[:1] for ws in code)):
+        with pytest.raises(InvalidVectorError, match="one code word per cell"):
+            code_length_bound(fd, short)
+
+
 def test_fiber_distribution_validation():
     with pytest.raises(InvalidVectorError):
         FiberDistribution(ProbVec((F(1),)), ())

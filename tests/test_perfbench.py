@@ -1,7 +1,9 @@
-"""The benchmark's tracer must still find every library function it wraps,
-and every benchmark op must pass its own output check."""
+"""The benchmark's tracer must still find every library function it wraps
+and measure every workload, and every benchmark op must pass its own output
+check."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -14,21 +16,48 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
-def test_tracer_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    tracer.assert_untraced()
+def load(path, name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # a module's dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    load(TRACER, "perfbench_tracer", monkeypatch).assert_untraced()
 
 
 @pytest.mark.parametrize("workload", ["recode-family", "tower-scale", "cli-suite"])
 def test_workload_ops_pass_their_checks(workload, tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # the module's dataclass resolves its annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = load(WORKLOADS, "perfbench_workloads", monkeypatch)
     ops = workloads.WORKLOADS[workload](ROOT, 0, tmp_path)
     assert ops
     for op in ops:
         assert op.check(op.run(), None) is None, op.name
+
+
+@pytest.mark.parametrize(
+    "workload, count",
+    [
+        ("recode-family", "typical.packing.used_ratio"),
+        ("tower-scale", "system.pseudomap.constructed"),
+        ("cli-suite", "recoder.oracle.partitions"),
+    ],
+)
+def test_traced_ops_yield_layer_metrics(workload, count, tmp_path, monkeypatch):
+    tracer = load(TRACER, "perfbench_tracer", monkeypatch)
+    workloads = load(WORKLOADS, "perfbench_workloads", monkeypatch)
+    ops = workloads.WORKLOADS[workload](ROOT, 0, tmp_path)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for i, op in enumerate(ops):
+            t.op = i
+            op.run()
+    finally:
+        t.uninstall()
+    assert tracer.work_counts(t.spans, [0] * len(ops))[0][count] > 0
+    metrics = tracer.layer_metrics(t.spans, len(ops))
+    assert all(math.isfinite(v) for v in metrics.values())

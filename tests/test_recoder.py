@@ -26,6 +26,7 @@ from fingen.recoder import (
     decode,
     encode_names,
     growth_strings,
+    join_factor,
     krieger_recode,
     reduce_alphabet,
     refine_to_p,
@@ -330,6 +331,21 @@ def test_refine_rejects_unbalanced_cells():
     bloated = (cells_q[0] + (cells_q[1][0],), cells_q[1])
     with pytest.raises(InvalidPartitionError):
         refine_to_p(sysn, bloated, params)
+
+
+@pytest.mark.parametrize("cells", [((0, 1), (2, 3), (4, 5)), ((0, 1),)])
+def test_refine_wants_one_cell_per_block(cells):
+    params = RecodeParams(
+        ProbVec((F(1, 4), F(1, 4), F(1, 2))), Coarsening(((0, 1), (2,)), 3), F(1, 2), F(1, 8), 0
+    )
+    with pytest.raises(InvalidPartitionError, match="one cell per block"):
+        refine_to_p(FiniteSystem.cyclic(8), cells, params)
+
+
+@pytest.mark.parametrize("xi", [(0, 1, 0), (0, 1, 0, 1, 0)])
+def test_join_factor_rejects_a_labeling_of_another_length(xi):
+    with pytest.raises(InvalidPartitionError, match="labeling length mismatch"):
+        join_factor(xi, GAlgebra((0, 0, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

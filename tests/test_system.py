@@ -301,6 +301,12 @@ def test_galgebra_basics():
     assert joined.refines(alg)
 
 
+@pytest.mark.parametrize("other", [(0, 0), (0, 0, 1, 1)])
+def test_refines_rejects_a_labeling_of_another_length(other):
+    with pytest.raises(InvalidPartitionError, match="labeling length mismatch"):
+        GAlgebra((0, 1, 2)).refines(GAlgebra(other))
+
+
 def test_pseudomap_validation():
     with pytest.raises(InvalidParamsError):
         PseudoMap(Z4, ((0, 1), (2, 1)), ((0, 1), (0, 2)))

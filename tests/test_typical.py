@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -299,7 +299,8 @@ def test_build_injections_feasible_instance():
     assert len(book.books) == 276
     assert book.separation() == F(1, 6)
     packed = set(book.packing)
-    for b, entries in book.books:
+    for b, fiber in book.books:
+        entries = tuple(zip(fiber, book.packing))
         assert len(entries) == 2
         codes = [cw for _, cw in entries]
         assert len(set(codes)) == len(codes)
@@ -317,12 +318,27 @@ def test_build_injections_decode_roundtrip():
     # every book is injective: distinct fiber words get distinct codewords,
     # so each codeword decodes to exactly one fiber word
     book = build_feasible()
-    for b, entries in book.books:
+    for b, fiber in book.books:
+        entries = tuple(zip(fiber, book.packing))
         cell_words = [c for c, _ in entries]
         codes = [w for _, w in entries]
         assert len(set(cell_words)) == len(cell_words)
         assert len(set(codes)) == len(codes)
         assert book.mapping(b) == dict(entries)
+
+
+@pytest.mark.parametrize("eps, sep", [(F(1, 12), F(1, 3)), (F(1, 6), F(1, 6))])
+def test_separation_matches_per_book_minimum_on_unequal_fibers(eps, sep):
+    xi = ProbVec((F(10, 12), F(1, 12), F(1, 12)))
+    book = build_injections(
+        xi, FEAS_BLOCKS, HALF, FEAS_BUDGET, eps, 12, capacity="exact"
+    )
+    assert len({len(fiber) for _, fiber in book.books}) > 1
+    per_book = min(
+        (dbar(a, c) for b, _ in book.books for a, c in combinations(book.mapping(b).values(), 2)),
+        default=F(1),
+    )
+    assert book.separation() == per_book == sep
 
 
 def test_build_injections_entropy_gap_errors():
@@ -342,7 +358,8 @@ def test_build_injections_trivial_fibers():
     bl = Coarsening(((0,), (1,), (2,)), 3)
     budget = PackingBudget(delta=F(1, 1000), r=F(1, 2))
     book = build_injections(xi, bl, ProbVec((F(1, 2), F(1, 2))), budget, 0, 20)
-    for _, entries in book.books:
+    for _, fiber in book.books:
+        entries = tuple(zip(fiber, book.packing))
         assert len(entries) == 1
         assert entries[0][1] == book.packing[0]
 
