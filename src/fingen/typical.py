@@ -258,30 +258,37 @@ def dbar(a: Sequence[int], b: Sequence[int]) -> Fraction:
     return Fraction(sum(1 for i in range(k) if a[i] != b[i]), k)
 
 
-def greedy_packing(spec: TypicalSpec, rho) -> list:
-    """First-fit maximal packing of the typical set at pairwise dbar > rho."""
+def greedy_packing(spec: TypicalSpec, rho, limit=None) -> list:
+    """First-fit packing of the typical set at pairwise dbar > rho: maximal,
+    or its first ``limit`` words (first fit is prefix-stable).
+
+    Words are compared as one-hot ints, one bit per (position, symbol), so
+    two words at Hamming distance d differ in exactly 2d bits."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
+        raise InvalidParamsError("limit is an int >= 0", f"got {limit!r}")
     rho = Fraction(rho)
-    need = math.floor(rho * spec.n) + 1  # mismatches needed for dbar > rho
+    need = 2 * (math.floor(rho * spec.n) + 1)  # differing bits needed for dbar > rho
+    s = len(spec.q)
     chosen: list = []
-    for w in iter_typical(spec):
-        ok = True
-        for c in chosen:
-            miss = 0
-            for x, y in zip(w, c):
-                if x != y:
-                    miss += 1
-                    if miss >= need:
-                        break
-            if miss < need:
-                ok = False
+    codes: list = []
+    for w in iter_typical(spec) if limit != 0 else ():
+        m = 0
+        for t in w:
+            m = m << s | 1 << t
+        for c in codes:
+            if (m ^ c).bit_count() < need:
                 break
-        if ok:
+        else:
             chosen.append(w)
+            codes.append(m)
+            if len(chosen) == limit:
+                break
     return chosen
 
 
 def verify_packing(spec: TypicalSpec, rho, packing: Sequence[tuple]) -> dict:
-    """Re-check separation and maximality of a claimed packing."""
+    """Re-check separation and maximality of a claimed packing.  Maximality
+    holds only for an unlimited ``greedy_packing``, not for a prefix."""
     rho = Fraction(rho)
     sep_ok = all(
         dbar(packing[i], packing[j]) > rho
@@ -368,7 +375,9 @@ class PackingBudget:
 class CodeBook:
     """Per block-word injections of typical fibers into one packing: ``books``
     holds ``(b, fiber)`` per block word b in lexicographic order, ``fiber`` in
-    ``iter_fiber`` order, and book b sends ``fiber[i]`` to ``packing[i]``."""
+    ``iter_fiber`` order, and book b sends ``fiber[i]`` to ``packing[i]``.
+    ``packing`` is the first-fit prefix as long as the largest fiber, which
+    exists since ``capacity-exact`` is required in both capacity modes."""
 
     q: ProbVec
     eps: object
@@ -386,16 +395,15 @@ class CodeBook:
         raise KeyError(f"no book for block word {b}")
 
     def separation(self) -> Fraction:
-        """Smallest pairwise dbar within any single book's image (a packing prefix)."""
-        words = self.packing[: max((len(f) for _, f in self.books), default=0)]
-        return min((dbar(a, b) for a, b in combinations(words, 2)), default=Fraction(1))
+        """Smallest pairwise dbar within any book's image (the largest is the packing)."""
+        return min((dbar(a, b) for a, b in combinations(self.packing, 2)), default=Fraction(1))
 
     def summary(self) -> dict:
         """The codebook section of a report."""
         return {
             "k": self.k,
             "rho": str(self.rho),
-            "packing_size": len(self.packing),
+            "packing_prefix": len(self.packing),
             "books": len(self.books),
             "separation": str(self.separation()),
             "checks": list(self.checks),
@@ -415,7 +423,7 @@ def _chain_checks(
     n: int,
     max_fiber: int,
     target_count: int,
-    packing_size: int,
+    packing_prefix: int,
 ) -> list:
     """Feasibility inequalities, exact counts on one side, analytic rates on the other."""
     delta = float(budget.delta)
@@ -436,7 +444,7 @@ def _chain_checks(
         ("target-window-lower", n * r * (h_q - delta), log_target, n * r * (h_q - delta) <= log_target),
         ("delta-margin", n * (h_cond + delta), mid, n * (h_cond + delta) < mid),
         ("covering-chain", mid, log_target - log_cover, mid <= log_target - log_cover),
-        ("capacity-exact", max_fiber, packing_size, max_fiber <= packing_size),
+        ("capacity-exact", max_fiber, packing_prefix, max_fiber <= packing_prefix),
     ]
     return [inequality(*check) for check in checks]
 
@@ -472,8 +480,9 @@ def build_injections(
     size against the packing).  All inequalities are reported either way.
 
     ``only`` restricts the books to the given block words, each of which must
-    be typical.  The packing is shared and each fiber is enumerated on its
-    own, so the restricted books agree entry for entry with the full build.
+    be typical.  Each build's packing is a prefix of the same first-fit
+    sequence and each fiber is enumerated on its own, so the restricted books
+    agree entry for entry with the full build.
     """
     if capacity not in ("analytic", "exact"):
         raise InvalidParamsError("capacity in {analytic, exact}")
@@ -497,7 +506,7 @@ def build_injections(
     fibers = [tuple(iter_fiber(xi, blocks, eps, n, b)) for b in beta_words]
     max_fiber = max((len(f) for f in fibers), default=0)
     target_spec = TypicalSpec(q, eps, k)
-    packing = greedy_packing(target_spec, rho)
+    packing = greedy_packing(target_spec, rho, max_fiber)
     target_count = count_typical(target_spec)
     checks = _chain_checks(xi, blocks, q, budget, n, max_fiber, target_count, len(packing))
     required = ANALYTIC_REQUIRED if capacity == "analytic" else EXACT_REQUIRED

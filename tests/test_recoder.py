@@ -218,6 +218,19 @@ def test_restricted_books_match_full_build():
         assert part.mapping(b) == full.mapping(b)
 
 
+def test_restricted_books_without_the_largest_fiber_use_a_packing_prefix():
+    xi = ProbVec((F(10, 12), F(1, 12), F(1, 12)))
+    args = (xi, FEAS_BLOCKS, FEAS_Q, FEAS_BUDGET, F(1, 12), 12, "exact")
+    full = build_injections(*args)
+    largest = max(len(fiber) for _, fiber in full.books)
+    some = [b for b, fiber in full.books if len(fiber) < largest]
+    part = build_injections(*args, only=some)
+    assert len(part.packing) < len(full.packing)
+    assert part.packing == full.packing[: len(part.packing)]
+    for b in some:
+        assert part.mapping(b) == full.mapping(b)
+
+
 def test_restriction_rejects_atypical_word():
     with pytest.raises(AtypicalNameError):
         build_injections(

@@ -1,12 +1,16 @@
+import json
 import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fingen import typical
+from fingen.cli import main
 from fingen.errors import CapacityError, InvalidParamsError, InvalidPartitionError
 from fingen.probvec import Coarsening, ProbVec
 from fingen.typical import (
@@ -27,6 +31,7 @@ from fingen.typical import (
 )
 
 HALF = ProbVec((F(1, 2), F(1, 2)))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_count(q, eps, n):
@@ -208,6 +213,70 @@ def test_packing_covering_bound():
     assert count_typical(spec) <= len(K) * ball
 
 
+def naive_first_fit(spec, rho):
+    chosen = []
+    for w in iter_typical(spec):
+        if all(F(sum(x != y for x, y in zip(w, c)), spec.n) > rho for c in chosen):
+            chosen.append(w)
+    return chosen
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    st.sampled_from((0, F(1, 8), F(1, 4))),
+    st.integers(1, 8),
+    st.sampled_from((0, F(1, 5), F(2, 5), F(1, 2))),
+)
+def test_greedy_packing_matches_naive_first_fit_and_prefixes(raw, eps, n, rho):
+    spec = TypicalSpec(ProbVec(tuple(F(x, sum(raw)) for x in raw)), eps, n)
+    assume(count_typical(spec) <= 150)
+    full = greedy_packing(spec, rho)
+    assert full == naive_first_fit(spec, rho)
+    for limit in range(len(full) + 2):
+        assert greedy_packing(spec, rho, limit) == full[:limit]
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Words each ``iter_typical`` call yields, as [spec, count] pairs."""
+    calls = []
+    real = typical.iter_typical
+
+    def counting(spec):
+        call = [spec, 0]
+        calls.append(call)
+        for w in real(spec):
+            call[1] += 1
+            yield w
+
+    monkeypatch.setattr(typical, "iter_typical", counting)
+    return calls
+
+
+def test_limited_packing_stops_its_scan(drawn):
+    # the target words of recode instance z36-wide-prefix, whose largest
+    # fiber has 18 names
+    spec = TypicalSpec(HALF, 0, 18)
+    assert len(greedy_packing(spec, F(2, 5), 18)) == 18
+    assert len(greedy_packing(spec, F(2, 5))) == 30
+    assert greedy_packing(spec, F(2, 5), 0) == []
+    # the limit-0 call never starts a scan, so there is no third call
+    assert [count for _, count in drawn] == [13642, 48620]
+
+
+def test_codebook_config_draws_two_target_words(drawn, capsys):
+    assert main(["codebook", "--config", str(CONFIGS / "codebook.json")]) == 0
+    k = json.loads(capsys.readouterr().out)["certificate"]["k"]
+    assert [count for spec, count in drawn if spec.n == k] == [2]
+
+
+@pytest.mark.parametrize("limit", [-1, 2.0, "2", True, F(2)], ids=repr)
+def test_greedy_packing_rejects_bad_limit(limit):
+    with pytest.raises(InvalidParamsError):
+        greedy_packing(TypicalSpec(HALF, 0, 4), F(1, 2), limit)
+
+
 def test_choose_J_worked_example():
     word = (0, 1) * 5
     J = choose_J(word, frozenset(), 0.3, 0.1, HALF)
@@ -295,7 +364,7 @@ def test_build_injections_feasible_instance():
     book = build_feasible()
     assert book.k == 12
     assert book.rho == F(1, 25)
-    assert len(book.packing) == 924
+    assert book.packing == tuple(greedy_packing(TypicalSpec(HALF, 0, 12), book.rho)[:2])
     assert len(book.books) == 276
     assert book.separation() == F(1, 6)
     packed = set(book.packing)
