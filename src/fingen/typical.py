@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -57,23 +58,29 @@ class TypicalSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParamsError("n >= 1")
-        eps = Fraction(self.eps)
-        if eps < 0:
-            raise InvalidParamsError("eps >= 0")
-        slack = eps * self.n
-        ranges = []
-        for w in self.q.weights:
-            target = w * self.n
-            lo = max(0, math.ceil(target - slack))
-            hi = min(self.n, math.floor(target + slack))
-            ranges.append((lo, hi))
-        object.__setattr__(self, "_ranges", tuple(ranges))
+        object.__setattr__(self, "_ranges", _count_ranges(self.q, self.eps, self.n))
 
     def count_ranges(self) -> list:
         """Inclusive admissible count interval per symbol, computed exactly."""
         return list(self._ranges)
+
+
+@lru_cache(maxsize=256)
+def _count_ranges(q: ProbVec, eps, n: int) -> tuple:
+    """The count ranges of q at tolerance eps and length n, worked out once
+    per (q, eps, n) in exact arithmetic, since every fiber of a build reads
+    the same ones."""
+    if n < 1:
+        raise InvalidParamsError("n >= 1")
+    eps = Fraction(eps)
+    if eps < 0:
+        raise InvalidParamsError("eps >= 0")
+    slack = eps * n
+    ranges = []
+    for w in q.weights:
+        target = w * n
+        ranges.append((max(0, math.ceil(target - slack)), min(n, math.floor(target + slack))))
+    return tuple(ranges)
 
 
 def _counts(word: Sequence[int], k: int) -> list:
@@ -98,11 +105,13 @@ def count_typical(spec: TypicalSpec) -> int:
     return _block_count(spec.n, range(len(spec.q)), spec.count_ranges())
 
 
-def iter_typical(spec: TypicalSpec) -> Iterator[tuple]:
+def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
     """All typical words in lexicographic order (symbols ascending), by
-    pruned search."""
+    pruned search.  Given ``rho``, only the first-fit code at pairwise
+    dbar > rho: each word farther than rho from every word yielded before it."""
     n = spec.n
-    yield from _iter_words((range(len(spec.q)),), spec.count_ranges(), (0,) * n, [n])
+    apart = 0 if rho is None else min(max(0, math.floor(Fraction(rho) * n) + 1), n + 1)
+    yield from _iter_words((range(len(spec.q)),), spec.count_ranges(), (0,) * n, [n], apart)
 
 
 def _block_count(positions: int, cells: Sequence[int], ranges: list) -> int:
@@ -119,7 +128,9 @@ def _block_count(positions: int, cells: Sequence[int], ranges: list) -> int:
     return dp.get(positions, 0)
 
 
-def _iter_words(cells_of: Sequence, ranges: list, b: Sequence[int], avail: list) -> Iterator[tuple]:
+def _iter_words(
+    cells_of: Sequence, ranges: list, b: Sequence[int], avail: list, apart: int = 0
+) -> Iterator[tuple]:
     """Words whose symbol at position i comes from block ``cells_of[b[i]]``,
     with every symbol count inside ``ranges``.
 
@@ -130,6 +141,12 @@ def _iter_words(cells_of: Sequence, ranges: list, b: Sequence[int], avail: list)
     remaining positions.  Placing a symbol changes only its own block's
     counters, so only that block needs checking; the block's total upper
     bound drops with its remaining positions, so it is checked once, up front.
+
+    With ``apart`` > 0 every word yielded becomes a codeword, and a prefix is
+    also kept only while each codeword can still be left ``apart`` mismatches
+    behind (``_Codewords.reach``).  The words yielded are then the first-fit
+    code: the first word in order that is far from every codeword is never
+    cut, and a completed word is far from all of them.
     """
     lo = [r[0] for r in ranges]
     hi = [r[1] for r in ranges]
@@ -138,26 +155,40 @@ def _iter_words(cells_of: Sequence, ranges: list, b: Sequence[int], avail: list)
     if any(not need[j] <= avail[j] <= room[j] for j in range(len(cells_of))):
         return
     n = len(b)
+    sizes = [len(cells) for cells in cells_of]
     counts = [0] * len(ranges)
     word = [0] * n
     tried = [0] * n  # per position, how many of its block's symbols were tried
+    code = _Codewords(n, lo, hi, apart) if apart else None
+    dist = [0] * (n + 1)  # per prefix length, its packed mismatches with the codewords
     pos = 0
     while pos >= 0:
         descend = False
         if pos < n:
             j = b[pos]
             cells = cells_of[j]
+            size = sizes[j]
             i = tried[pos]
-            while i < len(cells):
+            while i < size:
                 t = cells[i]
                 i += 1
                 c = counts[t]
                 if c < hi[t] and need[j] - (c < lo[t]) < avail[j]:
+                    if code is not None:
+                        d = dist[pos] + code.mismatch[pos][t]
+                        counts[t] = c + 1
+                        far = code.reach(d, pos + 1, counts)
+                        counts[t] = c
+                        if not far:
+                            continue
+                        dist[pos + 1] = d
                     descend = True
                     break
             tried[pos] = i if descend else 0
         else:
             yield tuple(word)
+            if code is not None:
+                code.add(word)  # 0 mismatches with every prefix on the path
         if descend:
             counts[t] = c + 1
             need[j] -= c < lo[t]
@@ -174,13 +205,85 @@ def _iter_words(cells_of: Sequence, ranges: list, b: Sequence[int], avail: list)
                 avail[j] += 1
 
 
+class _Codewords:
+    """The codewords of a first-fit search, one ``width``-bit field each in a
+    few shared ints, so a handful of int operations test a prefix against all
+    of them.
+
+    ``mismatch[p][t]`` has a 1 in the field of each codeword whose symbol at
+    position p is not t; ``suffix[p][s]`` holds each codeword's count of
+    symbol s from position p on.  Every field value stays below ``bias``, the
+    field's top bit: adding ``bias`` to a field turns the top bit into a sign,
+    set exactly where the unbiased value is >= 0, and the fields of ``guard``
+    are those top bits.
+    """
+
+    def __init__(self, n: int, lo: list, hi: list, apart: int):
+        self.n, self.lo, self.hi, self.apart = n, lo, hi, apart
+        k = len(lo)
+        # the largest field value is a sum of k excesses, each at most 3n + 1
+        self.width = (k * (3 * n + 1)).bit_length() + 1
+        self.bias = 1 << (self.width - 1)
+        self.ones = 0  # a 1 in the lowest bit of every field
+        self.guard = 0  # bias in every field
+        self.mismatch = [[0] * k for _ in range(n)]
+        self.suffix = [[0] * k for _ in range(n + 1)]
+
+    def add(self, word: Sequence[int]) -> None:
+        one = 1 << (self.width * self.ones.bit_count())
+        self.ones |= one
+        self.guard |= self.bias * one
+        counts = [0] * len(self.lo)
+        for p in range(self.n - 1, -1, -1):
+            counts[word[p]] += 1
+            for s, c in enumerate(counts):
+                self.mismatch[p][s] |= (s != word[p]) * one
+                self.suffix[p][s] |= c * one
+
+    def reach(self, d: int, pos: int, counts: list) -> bool:
+        """Whether a prefix of length ``pos`` with symbol ``counts`` and
+        packed mismatches ``d`` has, for each codeword, an admissible
+        completion with ``apart`` mismatches against it.
+
+        A completion fills left = n - pos positions with symbol counts a_s,
+        each at least max(lo_s, counts_s) - counts_s and at most the room
+        hi_s - counts_s, summing to left.  Against a codeword whose counts
+        from pos on are b_s, the best arrangement of a has
+        left - max(0, max_s (a_s + b_s) - left) mismatches.  So the codeword
+        needs slack = d + left - apart >= 0 (the distance bound) and an a with
+        every a_s + b_s <= top = left + slack (the composition bound).
+        Capping a_s at top - b_s takes excess_s = max(0, room_s + b_s - top)
+        off its room; such an a exists exactly when no capped room falls
+        below its lower bound and the capped rooms still hold left symbols.
+        """
+        left = self.n - pos
+        ones, bias, guard = self.ones, self.bias, self.guard
+        shift, full = self.width - 1, (bias << 1) - 1
+        slack = d + (bias + left - self.apart) * ones
+        if slack & guard != guard:
+            return False
+        top = slack - guard + left * ones
+        spare = -left  # the rooms' total beyond what the completion fills
+        total = 0
+        for b, c, lo, hi in zip(self.suffix[pos], counts, self.lo, self.hi):
+            room = hi - c
+            spare += room
+            x = b + (bias + room) * ones - top
+            sign = x & guard
+            excess = (x & (sign >> shift) * full) ^ sign
+            if ((bias + hi - (c if c > lo else lo)) * ones - excess) & guard != guard:
+                return False
+            total += excess
+        return ((bias + spare) * ones - total) & guard == guard
+
+
 def _fiber_setup(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> tuple:
     """Count ranges of xi and the position count of each block in ``b``."""
     if blocks.size != len(xi):
         raise InvalidPartitionError("blocks must partition the fine alphabet")
     if len(b) != n:
         raise InvalidParamsError("block word length mismatch")
-    return TypicalSpec(xi, eps, n).count_ranges(), _counts(b, len(blocks))
+    return list(_count_ranges(xi, eps, n)), _counts(b, len(blocks))
 
 
 def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> int:
@@ -260,30 +363,10 @@ def dbar(a: Sequence[int], b: Sequence[int]) -> Fraction:
 
 def greedy_packing(spec: TypicalSpec, rho, limit=None) -> list:
     """First-fit packing of the typical set at pairwise dbar > rho: maximal,
-    or its first ``limit`` words (first fit is prefix-stable).
-
-    Words are compared as one-hot ints, one bit per (position, symbol), so
-    two words at Hamming distance d differ in exactly 2d bits."""
+    or its first ``limit`` words (first fit is prefix-stable)."""
     if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
         raise InvalidParamsError("limit is an int >= 0", f"got {limit!r}")
-    rho = Fraction(rho)
-    need = 2 * (math.floor(rho * spec.n) + 1)  # differing bits needed for dbar > rho
-    s = len(spec.q)
-    chosen: list = []
-    codes: list = []
-    for w in iter_typical(spec) if limit != 0 else ():
-        m = 0
-        for t in w:
-            m = m << s | 1 << t
-        for c in codes:
-            if (m ^ c).bit_count() < need:
-                break
-        else:
-            chosen.append(w)
-            codes.append(m)
-            if len(chosen) == limit:
-                break
-    return chosen
+    return list(islice(iter_typical(spec, rho), limit))
 
 
 def verify_packing(spec: TypicalSpec, rho, packing: Sequence[tuple]) -> dict:
@@ -387,6 +470,11 @@ class CodeBook:
     books: tuple
     checks: tuple = field(default=(), compare=False)
 
+    def __post_init__(self):
+        # the decoder radius and the report both read it, so it is taken once
+        gaps = (dbar(a, b) for a, b in combinations(self.packing, 2))
+        object.__setattr__(self, "_separation", min(gaps, default=Fraction(1)))
+
     def mapping(self, b: Sequence[int]) -> dict:
         b = tuple(b)
         for bb, fiber in self.books:
@@ -396,7 +484,7 @@ class CodeBook:
 
     def separation(self) -> Fraction:
         """Smallest pairwise dbar within any book's image (the largest is the packing)."""
-        return min((dbar(a, b) for a, b in combinations(self.packing, 2)), default=Fraction(1))
+        return self._separation
 
     def summary(self) -> dict:
         """The codebook section of a report."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from recode_instances import FAMILY, pipeline_parts
 
 from fingen import typical
 from fingen.cli import main
@@ -213,9 +214,11 @@ def test_packing_covering_bound():
     assert count_typical(spec) <= len(K) * ball
 
 
-def naive_first_fit(spec, rho):
+def naive_first_fit(spec, rho, limit=None):
     chosen = []
     for w in iter_typical(spec):
+        if len(chosen) == limit:
+            break
         if all(F(sum(x != y for x, y in zip(w, c)), spec.n) > rho for c in chosen):
             chosen.append(w)
     return chosen
@@ -224,11 +227,13 @@ def naive_first_fit(spec, rho):
 @settings(deadline=None, max_examples=200)
 @given(
     st.lists(st.integers(1, 5), min_size=2, max_size=4),
-    st.sampled_from((0, F(1, 8), F(1, 4))),
-    st.integers(1, 8),
+    st.sampled_from((0, F(1, 8), F(1, 4), F(1, 3))),
+    st.integers(1, 10),
     st.sampled_from((0, F(1, 5), F(2, 5), F(1, 2))),
 )
 def test_greedy_packing_matches_naive_first_fit_and_prefixes(raw, eps, n, rho):
+    # 3 or 4 symbols at eps > 0 leave the counts loose enough for the
+    # composition bound to cut where the distance bound does not
     spec = TypicalSpec(ProbVec(tuple(F(x, sum(raw)) for x in raw)), eps, n)
     assume(count_typical(spec) <= 150)
     full = greedy_packing(spec, rho)
@@ -237,16 +242,65 @@ def test_greedy_packing_matches_naive_first_fit_and_prefixes(raw, eps, n, rho):
         assert greedy_packing(spec, rho, limit) == full[:limit]
 
 
+@pytest.mark.parametrize("entry", FAMILY, ids=[e[0] for e in FAMILY])
+def test_recode_family_packings_match_naive_first_fit(entry):
+    book = pipeline_parts(entry)[-1]
+    spec = TypicalSpec(book.q, book.eps, book.k)
+    limit = len(book.packing)
+    first_fit = naive_first_fit(spec, book.rho, limit)
+    assert greedy_packing(spec, book.rho, limit) == first_fit == list(book.packing)
+
+
+def brute_reach(spec, apart, codewords, prefix):
+    """Whether every codeword has a typical completion of ``prefix`` with at
+    least ``apart`` mismatches against it."""
+    completions = [w for w in iter_typical(spec) if w[: len(prefix)] == prefix]
+    return all(
+        any(sum(x != y for x, y in zip(w, c)) >= apart for w in completions)
+        for c in codewords
+    )
+
+
+def test_prefix_cut_is_exact():
+    # both bounds together are tight: a prefix survives exactly when each
+    # codeword, taken alone, has a typical completion far enough from it
+    rng = random.Random(31)
+    cases = cuts = 0
+    while cases < 400:
+        k = rng.randint(2, 4)
+        raw = [rng.randint(1, 4) for _ in range(k)]
+        q = ProbVec(tuple(F(x, sum(raw)) for x in raw))
+        spec = TypicalSpec(q, rng.choice((0, F(1, 8), F(1, 4))), rng.randint(2, 7))
+        words = list(iter_typical(spec))
+        if not words:
+            continue
+        cases += 1
+        n = spec.n
+        apart = rng.randint(1, n)
+        lo, hi = zip(*spec.count_ranges())
+        code = typical._Codewords(n, list(lo), list(hi), apart)
+        codewords = rng.sample(words, rng.randint(1, min(3, len(words))))
+        for c in codewords:
+            code.add(c)
+        prefix = rng.choice(words)[: rng.randint(0, n)]
+        d = sum(code.mismatch[p][t] for p, t in enumerate(prefix))
+        counts = [prefix.count(t) for t in range(k)]
+        expected = brute_reach(spec, apart, codewords, prefix)
+        assert code.reach(d, len(prefix), counts) == expected, (spec, apart, codewords, prefix)
+        cuts += not expected
+    assert 0 < cuts < cases
+
+
 @pytest.fixture
 def drawn(monkeypatch):
     """Words each ``iter_typical`` call yields, as [spec, count] pairs."""
     calls = []
     real = typical.iter_typical
 
-    def counting(spec):
+    def counting(spec, *args):
         call = [spec, 0]
         calls.append(call)
-        for w in real(spec):
+        for w in real(spec, *args):
             call[1] += 1
             yield w
 
@@ -261,8 +315,9 @@ def test_limited_packing_stops_its_scan(drawn):
     assert len(greedy_packing(spec, F(2, 5), 18)) == 18
     assert len(greedy_packing(spec, F(2, 5))) == 30
     assert greedy_packing(spec, F(2, 5), 0) == []
-    # the limit-0 call never starts a scan, so there is no third call
-    assert [count for _, count in drawn] == [13642, 48620]
+    # every word drawn is kept, and the limit-0 call never starts a scan,
+    # so there is no third call
+    assert [count for _, count in drawn] == [18, 30]
 
 
 def test_codebook_config_draws_two_target_words(drawn, capsys):
