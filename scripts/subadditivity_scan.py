@@ -4,7 +4,7 @@ For cyclic systems X = Z/n with the mod-d factor Y = Z/d this checks
 
     h(X)  <=  h(Y) + h(X | F)
 
-where h is the exhaustive minimum over generating partitions and the
+where h is the minimum entropy of a generating partition and the
 conditional term minimizes H(xi | F) over partitions xi whose join with F
 generates.  The inequality is not claimed anywhere for finite systems; this
 script only maps where it holds at desk scale.  Here it cannot fail: a

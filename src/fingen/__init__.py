@@ -7,7 +7,7 @@ typical   typical-word counting, normalized Hamming packing, injective codebooks
 coding    ternary prefix codes over conditional fibers
 system    finite transitive actions, invariant algebras, expressible partial maps
 tower     periodic tower construction with a frequency side channel
-recoder   alphabet reduction, end-to-end recoding pipeline, brute-force oracle
+recoder   alphabet reduction, end-to-end recoding pipeline, minimum-generator oracle
 cli       deterministic command-line reports over the above
 """
 

@@ -2,10 +2,11 @@
 
 Subcommands mirror the library surface: typical-set count windows, rational
 mixes, fiber codebooks, towers, alphabet reductions, the full recoding
-pipeline, and the exhaustive generator search.  Reports are JSON with sorted
-keys or RFC-4180 CSV, and are byte-identical for identical (config, seed)
-pairs.  Randomness exists only in instance sampling and is derived from the
-seed through labeled hash splits, never inside the core algorithms.
+pipeline, and the minimum-generator oracle (its closed form, checked by one
+``generated_algebra`` call).  Reports are JSON with sorted keys or RFC-4180
+CSV, and are byte-identical for identical (config, seed) pairs.  Randomness
+exists only in instance sampling and is derived from the seed through
+labeled hash splits, never inside the core algorithms.
 """
 
 from __future__ import annotations
@@ -387,6 +388,8 @@ def cmd_oracle(cfg: ExperimentConfig) -> dict:
     o = cfg.options
     sysn = make_system(o.get("system", {"cyclic": 4}), cfg.max_points)
     k_max = _int(o.get("k_max", sysn.n_points))
+    if k_max < 1:
+        raise ConfigError("k_max must be positive")
     h, witness = brute_force_generator_search(sysn, k_max)
     found = witness is not None
     return {

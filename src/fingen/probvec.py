@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError
@@ -52,7 +53,11 @@ def _exact(v) -> Fraction:
 
 @dataclass(frozen=True)
 class ProbVec:
-    """Ordered exact weights: Fractions kept as given, ints turned into Fractions."""
+    """Ordered exact weights: Fractions kept as given, ints turned into Fractions.
+
+    The hash of the weights is taken once, on first use: vectors key
+    caches, and hashing a Fraction costs a modular inverse.
+    """
 
     weights: tuple
 
@@ -66,6 +71,13 @@ class ProbVec:
         total = sum(w)
         if total != 1:
             raise InvalidVectorError(f"weights sum to {total}, not 1")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.weights)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -643,7 +643,7 @@ def krieger_recode(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle
+# minimum-generator oracle
 
 
 def growth_strings(n: int, k_max: int):
@@ -667,27 +667,23 @@ def growth_strings(n: int, k_max: int):
 
 
 def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:
-    """Minimum entropy over all generating partitions, by full enumeration.
+    """Minimum entropy over generating partitions with at most k_max cells.
 
-    Partitions are walked as restricted growth strings pruned at k_max
-    cells; a partition generates when the translate fixpoint separates all
-    points.  Ties keep the witness whose cells, ordered by size then least
-    element, come lexicographically first.  Returns (inf, None) when no
-    partition with at most k_max cells generates.
+    Every ``FiniteSystem`` acts transitively, so the singleton {0} against
+    the rest generates, and (N-1, 1) is the least-entropy profile with two
+    or more cells: the minimum is H(1/N, (N-1)/N) with witness
+    ``((0,), (1, ..., N-1))`` whenever k_max >= 2 (``((0,),)`` when N = 1).
+    One ``generated_algebra`` call checks the witness.  Returns (inf, None)
+    when no partition with at most k_max cells generates, that is when
+    N >= 2 and k_max = 1.
     """
-    npts = sys.n_points
-    if npts > 10:
-        raise InvalidParamsError("N <= 10 for exhaustive partition search")
     if k_max < 1:
         raise InvalidParamsError("k_max >= 1")
-    best_h = math.inf
-    best: tuple | None = None
-    for labels in growth_strings(npts, k_max):
-        if len(generated_algebra(sys, labels)) != npts:
-            continue
-        cells = label_cells(labels)
-        h = entropy(ProbVec(tuple(sys.total_weight(c) for c in cells)))
-        witness = tuple(sorted(cells, key=lambda c: (len(c), c)))
-        if h < best_h - 1e-12 or (abs(h - best_h) <= 1e-12 and witness < best):
-            best_h, best = h, witness
-    return best_h, best
+    npts = sys.n_points
+    if npts > 1 and k_max == 1:
+        return math.inf, None
+    labels = (0,) + (1,) * (npts - 1)
+    if len(generated_algebra(sys, labels)) != npts:
+        raise InvalidParamsError("generators act transitively", "{0} does not generate")
+    cells = tuple(label_cells(labels))
+    return entropy(ProbVec(tuple(sys.total_weight(c) for c in cells))), cells

@@ -84,6 +84,23 @@ def test_oracle_matches_exhaustive_value(capsys):
     assert cert["witness"] == [[0], [1, 2, 3]]
 
 
+def test_oracle_answers_past_ten_points(capsys):
+    code, out, _ = run(capsys, ["oracle", "--points", "1000"])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["points"] == cert["k_max"] == 1000 and cert["found"] is True
+    expected = -(0.001 * math.log(0.001) + 0.999 * math.log(0.999))
+    assert abs(cert["min_entropy"] - expected) < 1e-12
+    assert cert["witness"] == [[0], list(range(1, 1000))]
+
+
+def test_zero_k_max_is_a_config_error(capsys):
+    code, out, err = run(capsys, ["oracle", "--points", "4", "--k-max", "0"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
 def test_recode_demo_decodes_exactly(capsys):
     code, out, _ = run(capsys, ["recode", "--config", str(CONFIGS / "recode.json")])
     assert code == 0

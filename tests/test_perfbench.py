@@ -59,5 +59,11 @@ def test_traced_ops_yield_layer_metrics(workload, count, tmp_path, monkeypatch):
     finally:
         t.uninstall()
     assert tracer.work_counts(t.spans, [0] * len(ops))[0][count] > 0
+    if count == "recoder.oracle.partitions":
+        # the oracle checks its one closed-form witness, whatever N is
+        per_op = tracer.work_counts(t.spans, list(range(len(ops))))
+        assert {op.name: per_op[i][count] for i, op in enumerate(ops)} == {
+            op.name: int(op.name.startswith("oracle")) for op in ops
+        }
     metrics = tracer.layer_metrics(t.spans, len(ops))
     assert all(math.isfinite(v) for v in metrics.values())

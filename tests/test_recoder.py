@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -19,7 +20,8 @@ from fingen.errors import (
     InvalidParamsError,
     InvalidPartitionError,
 )
-from fingen.probvec import Coarsening, ProbVec, cond_entropy, entropy
+from fingen import recoder
+from fingen.probvec import Coarsening, ProbVec, cond_entropy, entropy, label_cells
 from fingen.recoder import (
     RecodeParams,
     brute_force_generator_search,
@@ -585,6 +587,57 @@ def test_growth_strings_match_recursive_walk():
         assert len(list(growth_strings(n, n + 1))) == bell[n]
 
 
+def bell_walk_search(sys, k_max):
+    # reference: the exhaustive walk over all Bell(N) partitions; ties keep
+    # the witness whose cells, ordered by size then least element, come first
+    npts = sys.n_points
+    if npts > 10:
+        raise InvalidParamsError("N <= 10 for exhaustive partition search")
+    if k_max < 1:
+        raise InvalidParamsError("k_max >= 1")
+    best_h = math.inf
+    best: tuple | None = None
+    for labels in growth_strings(npts, k_max):
+        if len(generated_algebra(sys, labels)) != npts:
+            continue
+        cells = label_cells(labels)
+        h = entropy(ProbVec(tuple(sys.total_weight(c) for c in cells)))
+        witness = tuple(sorted(cells, key=lambda c: (len(c), c)))
+        if h < best_h - 1e-12 or (abs(h - best_h) <= 1e-12 and witness < best):
+            best_h, best = h, witness
+    return best_h, best
+
+
+def random_transitive_system(rng, n):
+    # two uniform permutations, redrawn until they act transitively
+    while True:
+        gens = {name: rng.sample(range(n), n) for name in ("a", "b")}
+        try:
+            return FiniteSystem.make(n, gens)
+        except InvalidParamsError:
+            continue
+
+
+def closed_form(n):
+    return entropy(ProbVec((F(1, n), F(n - 1, n)))), ((0,), tuple(range(1, n)))
+
+
+def test_oracle_closed_form_matches_bell_walk():
+    rng = random.Random(0x0EAC1E)
+    cases = [(FiniteSystem.cyclic(n), range(1, n + 2)) for n in range(1, 9)]
+    cases.append((FiniteSystem.cyclic(9), (1, 2, 9)))
+    cases += [
+        (random_transitive_system(rng, n), range(1, n + 2))
+        for n in range(3, 9) for _ in range(3 if n <= 6 else 1)
+    ]
+    for sysn, k_maxes in cases:
+        for k_max in k_maxes:
+            h, witness = brute_force_generator_search(sysn, k_max)
+            h_ref, witness_ref = bell_walk_search(sysn, k_max)
+            assert h.hex() == h_ref.hex(), (sysn.n_points, k_max)
+            assert witness == witness_ref, (sysn.n_points, k_max)
+
+
 def test_brute_force_one_three_split():
     s4 = FiniteSystem.cyclic(4)
     h, witness = brute_force_generator_search(s4, 4)
@@ -604,11 +657,30 @@ def test_brute_force_small_systems():
     assert none_h == math.inf and none_w is None
 
 
-def test_brute_force_guards():
-    with pytest.raises(InvalidParamsError):
-        brute_force_generator_search(FiniteSystem.cyclic(11), 2)
+def test_brute_force_guards(monkeypatch):
+    calls = []
+
+    def counted(sys, labels):
+        calls.append(labels)
+        return generated_algebra(sys, labels)
+
+    monkeypatch.setattr(recoder, "generated_algebra", counted)
+    big = (
+        FiniteSystem.cyclic(11),
+        FiniteSystem.cyclic(1000),
+        random_transitive_system(random.Random(500), 500),
+    )
+    for sysn in big:
+        for k_max in (2, sysn.n_points):
+            calls.clear()
+            assert brute_force_generator_search(sysn, k_max) == closed_form(sysn.n_points)
+            assert len(calls) == 1  # one certificate check per search
     with pytest.raises(InvalidParamsError):
         brute_force_generator_search(FiniteSystem.cyclic(4), 0)
+    # a witness that fails its check is refused by name, not returned
+    monkeypatch.setattr(recoder, "generated_algebra", lambda sys, labels: GAlgebra(labels))
+    with pytest.raises(InvalidParamsError, match="generators act transitively"):
+        brute_force_generator_search(FiniteSystem.cyclic(4), 2)
 
 
 @settings(deadline=None, max_examples=10)

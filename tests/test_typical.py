@@ -487,3 +487,14 @@ def test_build_injections_trivial_fibers():
         assert len(entries) == 1
         assert entries[0][1] == book.packing[0]
 
+
+def test_equal_vectors_share_a_hash_and_a_count_cache_entry():
+    from_ints = ProbVec((0, 1, 0))
+    from_fractions = ProbVec((F(0), F(1), F(0)))
+    assert from_ints == from_fractions
+    assert hash(from_ints) == hash(from_fractions) == hash(from_ints.weights)
+    typical._count_ranges.cache_clear()
+    TypicalSpec(from_ints, F(1, 4), 5)
+    TypicalSpec(from_fractions, F(1, 4), 5)
+    info = typical._count_ranges.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
