@@ -40,7 +40,6 @@ from .system import (
     FiniteSystem,
     GAlgebra,
     PseudoMap,
-    _inverse,
     generated_algebra,
     refine_partition,
     simplemix,
@@ -444,9 +443,9 @@ def decode(
 
 
 def theta_algebra(theta: PseudoMap, labels) -> GAlgebra:
-    """Refinement fixpoint of the labeling ``labels`` under one full-domain map."""
-    fwd = [theta.apply(x) for x in range(theta.system.n_points)]
-    return refine_partition(labels, [fwd, _inverse(fwd)])
+    """Refinement fixpoint of the labeling ``labels`` under one full-domain
+    map; stability under a bijection gives stability under its inverse."""
+    return refine_partition(labels, [[theta.apply(x) for x in range(theta.system.n_points)]])
 
 
 # ---------------------------------------------------------------------------

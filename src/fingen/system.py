@@ -9,6 +9,8 @@ invariant sigma-algebras), partial bijections carrying group-element
 certificates, and the mixing constructions that average cell frequencies
 over equal-size classes.  Partitions travel as labelings, one hashable label
 per point, and the refinement fixpoint takes the labeling a caller holds.
+The fixpoint is Hopcroft partition refinement: cells split by the preimages
+of a worklist of splitter cells, in O(|tables| N log N), not round by round.
 Each cyclic map is built once from the matchings of its first piece, so each
 move is checked once; ``make_equal_partition`` also returns the cycle that
 the matchings of its own sweep give.
@@ -218,28 +220,71 @@ class GAlgebra:
         return True
 
     def invariant_under(self, sys: FiniteSystem) -> bool:
-        """Whether one refinement round under the generator tables keeps the cell count."""
-        return len(refine_partition(self.labels, sys._tables.values())) == len(self)
+        """Whether every generator maps cell to cell: the refinement fixpoint
+        of these labels under the generator tables keeps the cell count."""
+        return len(generated_algebra(sys, self.labels)) == len(self)
 
 
 def generated_algebra(sys: FiniteSystem, labels) -> GAlgebra:
     """Coarsest generator-stable partition refining the labeling ``labels``,
-    one hashable label per point."""
-    return refine_partition(labels, sys._tables.values())
+    one hashable label per point.  Only the generator tables are passed: a
+    permutation that maps every cell into a cell maps it onto one, so its
+    inverse maps cell to cell as well."""
+    return refine_partition(labels, [perm for _, perm in sys.generators])
 
 
 def refine_partition(labels, perms) -> GAlgebra:
     """Coarsest partition refining ``labels``, one hashable label per point,
-    that every permutation in ``perms`` maps cell to cell: split each cell by
-    the cells its images land in until the cell count stops growing."""
+    that every permutation table in ``perms`` maps cell to cell.
+
+    Hopcroft's splitter method (Hopcroft 1971; Paige-Tarjan 1987): cells are
+    sets, and a worklist holds splitter cells, at first every initial cell but
+    the largest.  A splitter's preimage under each table splits every cell it
+    cuts only partly.  A split cell already on the worklist queues its new
+    part; otherwise the smaller half is queued, since stability under a cell
+    and one half gives stability under the other half.  So each point enters
+    a splitter at most log2 N times and the fixpoint costs
+    O(|perms| N log N), with no per-round relabeling.  Each table must be a
+    permutation of the points: preimages are read off its inverse.
+    """
     labels = canon_labels(labels)
-    if any(len(p) != len(labels) for p in perms):
-        raise InvalidParamsError("one label per point")
-    while True:
-        nxt = canon_labels(zip(labels, *([labels[y] for y in p] for p in perms)))
-        if len(set(nxt)) == len(set(labels)):
-            return GAlgebra(labels)
-        labels = nxt
+    n = len(labels)
+    inverses = []
+    for p in perms:
+        if len(p) != n:
+            raise InvalidParamsError("one label per point")
+        if n and (min(p) < 0 or max(p) >= n):
+            raise InvalidParamsError("table entries lie on the points")
+        if len(set(p)) != n:
+            raise InvalidParamsError("tables are permutations", "an entry repeats")
+        inverses.append(_inverse(p))
+    cell_of = list(labels)
+    cells = [set(cell) for cell in label_cells(labels)]
+    largest = max(range(len(cells)), key=lambda c: len(cells[c]), default=None)
+    queue = [c for c in range(len(cells)) if c != largest]
+    queued = set(queue)
+    while queue:
+        top = queue.pop()
+        queued.discard(top)
+        splitter = tuple(cells[top])
+        for inv in inverses:
+            hits: dict = {}
+            for y in splitter:
+                x = inv[y]
+                hits.setdefault(cell_of[x], []).append(x)
+            for c, part in hits.items():
+                cell = cells[c]
+                if len(part) == len(cell):
+                    continue
+                new = len(cells)
+                cell.difference_update(part)
+                cells.append(set(part))
+                for x in part:
+                    cell_of[x] = new
+                pick = new if c in queued or len(part) <= len(cell) else c
+                queue.append(pick)
+                queued.add(pick)
+    return GAlgebra(cell_of)
 
 
 @dataclass(frozen=True)

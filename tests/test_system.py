@@ -13,6 +13,7 @@ from fingen.errors import (
     InvalidPartitionError,
 )
 from fingen import system
+from fingen.probvec import canon_labels
 from fingen.system import (
     FiniteSystem,
     GAlgebra,
@@ -23,6 +24,7 @@ from fingen.system import (
     generated_algebra,
     is_expressible,
     make_equal_partition,
+    refine_partition,
     simplemix,
 )
 from fingen.tower import build_tower
@@ -289,6 +291,81 @@ def test_invariant_under_agrees_with_one_pass_check(name):
 def test_generated_algebra_rejects_a_labeling_of_the_wrong_length(labels):
     with pytest.raises(InvalidParamsError, match="one label per point"):
         generated_algebra(Z6, labels)
+
+
+def moore_refine(labels, perms) -> GAlgebra:
+    """The round-by-round fixpoint ``refine_partition`` ran before Hopcroft
+    splitting: split each cell by the cells its images land in until the
+    cell count stops growing."""
+    labels = canon_labels(labels)
+    if any(len(p) != len(labels) for p in perms):
+        raise InvalidParamsError("one label per point")
+    while True:
+        nxt = canon_labels(zip(labels, *([labels[y] for y in p] for p in perms)))
+        if len(set(nxt)) == len(set(labels)):
+            return GAlgebra(labels)
+        labels = nxt
+
+
+MIXED_LABELS = (0, 1, 2, "a", "b", (0, 1), ("a",), (1, "b"))
+
+
+def test_refine_partition_matches_the_round_loop_on_random_tables():
+    rng = random.Random(17)
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        perms = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+        pool = rng.sample(MIXED_LABELS, rng.randint(1, len(MIXED_LABELS)))
+        labels = [rng.choice(pool) for _ in range(n)]
+        assert refine_partition(labels, perms).labels == moore_refine(labels, perms).labels
+        # callers pass the join of two labelings as a zip iterator
+        other = [rng.randrange(2) for _ in range(n)]
+        assert (
+            refine_partition(zip(labels, other), perms).labels
+            == moore_refine(zip(labels, other), perms).labels
+        )
+
+
+@pytest.mark.parametrize("n", [7, 60, 250, 1000])
+def test_generated_algebra_matches_the_round_loop_on_cyclic_systems(n):
+    sysn = FiniteSystem.cyclic(n)
+    rng = random.Random(n)
+    cases = {
+        "singleton": (0,) + (1,) * (n - 1),
+        "mod2": tuple(x % 2 for x in range(n)),
+        "random3": tuple(rng.randrange(3) for _ in range(n)),
+        "constant": (0,) * n,
+    }
+    for labels in cases.values():
+        # the round loop gets every generator and inverse table
+        want = moore_refine(labels, list(sysn._tables.values())).labels
+        assert generated_algebra(sysn, labels).labels == want
+
+
+@pytest.mark.parametrize(
+    "perm, match",
+    [
+        ((0, 1, -1), "table entries lie on the points"),
+        ((0, 1, 3), "table entries lie on the points"),
+        ((0, 0, 0), "tables are permutations"),
+    ],
+)
+def test_refine_partition_refuses_a_table_that_is_not_a_permutation(perm, match):
+    with pytest.raises(InvalidParamsError, match=match):
+        refine_partition((0, 1, 0), [perm])
+
+
+def test_refinement_relabels_once_not_once_per_round(monkeypatch):
+    calls = []
+
+    def counted(raw):
+        calls.append(1)
+        return canon_labels(raw)
+
+    monkeypatch.setattr(system, "canon_labels", counted)
+    alg = generated_algebra(FiniteSystem.cyclic(1000), (0,) + (1,) * 999)
+    assert len(alg) == 1000
+    assert len(calls) <= 2
 
 
 def test_galgebra_basics():
