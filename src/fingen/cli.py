@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -464,7 +465,9 @@ def render(report: dict, fmt: str) -> str:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``parse_args`` leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="fingen", description="finite recoding experiments"
     )

@@ -296,12 +296,13 @@ def encode_names(
         b = tuple(beta[x] for x in orbit)
         c = tuple(xi[x] for x in orbit)
         try:
-            book = codebook.mapping(b)
+            fiber = codebook.fiber(b)
         except KeyError:
             raise AtypicalNameError(f"coarse name of {y} has no book")
-        if c not in book:
+        try:
+            a = codebook.packing[fiber.index(c)]
+        except AtypicalNameError:
             raise AtypicalNameError(f"fine name of {y} is outside its book")
-        a = book[c]
         mf = tuple(i for i, x in enumerate(orbit) if x in mset)
         if len(mf) >= 2 * r * delta * n:
             raise InvalidParamsError(
@@ -426,17 +427,22 @@ def decode(
         orbit = theta.orbit(y)
         b = tuple(beta[x] for x in orbit)
         try:
-            book = codebook.mapping(b)
+            fiber = codebook.fiber(b)
         except KeyError:
             raise DecodeError("observed coarse name has no book")
         prefix = _observed_prefix(alpha, orbit, codebook.k, block_of)
-        hits = [c for c, w in book.items() if dbar(prefix, w) < delta]
+        # dbar(prefix, w) < delta, counted in mismatches on the min(len) positions
+        limit = delta * min(len(prefix), codebook.k)
+        hits = [
+            i for i, w in enumerate(codebook.packing[: len(fiber)])
+            if sum(x != t for x, t in zip(prefix, w)) < limit
+        ]
         if len(hits) != 1:
             raise DecodeError(
                 "exactly one codeword within the radius", f"found {len(hits)}"
             )
-        for i, x in enumerate(orbit):
-            out[x] = hits[0][i]
+        for x, s in zip(orbit, fiber[hits[0]]):
+            out[x] = s
     if any(v is None for v in out):
         raise InvalidParamsError("transversal orbits must cover the points")
     return tuple(out)

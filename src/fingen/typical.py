@@ -13,11 +13,12 @@ them are evaluated in log space.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Iterator, Sequence
 
 from .errors import (
     AtypicalNameError,
@@ -37,6 +38,7 @@ __all__ = [
     "iter_typical",
     "count_fiber",
     "iter_fiber",
+    "Fiber",
     "cond_entropy_vec",
     "stirling_window",
     "binomial_bound_report",
@@ -288,13 +290,7 @@ def _fiber_setup(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int])
 
 def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> int:
     """Typical refinements of the block word ``b``: per-block multinomial sums."""
-    ranges, avail = _fiber_setup(xi, blocks, eps, n, b)
-    total = 1
-    for j, cells in enumerate(blocks.blocks):
-        total *= _block_count(avail[j], cells, ranges)
-        if total == 0:
-            return 0
-    return total
+    return Fiber(xi, blocks, eps, n, b).size
 
 
 def iter_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> Iterator[tuple]:
@@ -302,6 +298,139 @@ def iter_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -
     block lists them: lexicographic order when every block is sorted."""
     ranges, avail = _fiber_setup(xi, blocks, eps, n, b)
     yield from _iter_words(blocks.blocks, ranges, b, avail)
+
+
+@lru_cache(maxsize=1 << 14)
+def _fill_count(left: int, bounds: tuple) -> int:
+    """Words of length ``left`` whose count of symbol s lies in ``bounds[s]``."""
+    return _block_count(left, range(len(bounds)), bounds)
+
+
+class Fiber(Sequence):
+    """The typical refinements of the block word ``b``, in ``iter_fiber``
+    order, held as counts instead of a list.
+
+    ``size`` is ``count_fiber`` (``len`` too, while it fits an index),
+    ``fiber[i]`` unranks, ``fiber.index(w)`` ranks and raises
+    ``AtypicalNameError`` on a name outside the fiber, and iterating calls
+    ``iter_fiber``.  Ranking and unranking go position by position: each
+    symbol that the position's block lists before the chosen one skips all
+    of its completions.  Completions factor over the blocks and only the
+    current block's factor changes, so each step reads one ``_fill_count``
+    per symbol tried.  ``ranges`` are xi's count ranges at (eps, n), for a
+    caller that already holds them.
+    """
+
+    __slots__ = ("_key", "_ranges", "_avail", "_factors", "size")
+
+    def __init__(
+        self, xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int], ranges=None
+    ):
+        b = tuple(b)
+        if ranges is None:
+            ranges, avail = _fiber_setup(xi, blocks, eps, n, b)
+        else:
+            avail = _counts(b, len(blocks))
+        self._key = (xi, blocks, Fraction(eps), n, b)
+        self._ranges = ranges
+        self._avail = avail
+        zero = [0] * len(ranges)
+        self._factors = [self._fill(cells, a, zero) for cells, a in zip(blocks.blocks, avail)]
+        self.size = math.prod(self._factors)
+
+    def _fill(self, cells, left: int, counts) -> int:
+        """Completions of one block: ``left`` positions over ``cells``, each
+        cell's count already at ``counts[cell]``."""
+        bounds = []
+        for t in cells:
+            lo, hi = self._ranges[t]
+            bounds.append((max(0, lo - counts[t]), hi - counts[t]))
+        return _fill_count(left, tuple(bounds))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter_fiber(*self._key)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Fiber) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __getitem__(self, i) -> tuple:
+        i = operator.index(i)
+        total = self.size
+        if i < 0:
+            i += total
+        if not 0 <= i < total:
+            raise IndexError("fiber index out of range")
+        _, blocks, _, _, b = self._key
+        left, factors = list(self._avail), list(self._factors)
+        counts = [0] * len(self._ranges)
+        word = []
+        for j in b:
+            cells = blocks.blocks[j]
+            if len(cells) == 1:  # a one-cell block's completion is forced
+                word.append(cells[0])
+                continue
+            left[j] -= 1
+            other = total // factors[j]
+            for t in cells:
+                if counts[t] < self._ranges[t][1]:
+                    counts[t] += 1
+                    f = self._fill(cells, left[j], counts)
+                    total = other * f
+                    if i < total:
+                        break
+                    i -= total
+                    counts[t] -= 1
+            factors[j] = f
+            word.append(t)
+        return tuple(word)
+
+    def index(self, word) -> int:
+        """The rank of ``word`` in ``iter_fiber`` order."""
+        _, blocks, _, n, b = self._key
+        word = tuple(word)
+        if len(word) != n:
+            raise AtypicalNameError(f"name of length {len(word)} in a fiber of length {n}")
+        total = self.size
+        if total == 0:
+            raise AtypicalNameError(f"the typical fiber of {b} is empty")
+        left, factors = list(self._avail), list(self._factors)
+        counts = [0] * len(self._ranges)
+        rank = 0
+        for p, (j, s) in enumerate(zip(b, word)):
+            cells = blocks.blocks[j]
+            if len(cells) == 1 and s == cells[0]:  # a one-cell block's completion is forced
+                continue
+            left[j] -= 1
+            other = total // factors[j]
+            for t in cells:
+                if t == s:
+                    break
+                if counts[t] < self._ranges[t][1]:
+                    counts[t] += 1
+                    rank += other * self._fill(cells, left[j], counts)
+                    counts[t] -= 1
+            else:
+                raise AtypicalNameError(f"symbol {s!r} at position {p} is outside block {j}")
+            counts[s] += 1
+            f = self._fill(cells, left[j], counts) if counts[s] <= self._ranges[s][1] else 0
+            if f == 0:
+                raise AtypicalNameError(f"name {word} is outside the typical fiber of {b}")
+            factors[j] = f
+            total = other * f
+        return rank
+
+    def __contains__(self, word) -> bool:
+        try:
+            self.index(word)
+        except AtypicalNameError:
+            return False
+        return True
 
 
 def cond_entropy_vec(xi: ProbVec, blocks: Coarsening) -> float:
@@ -457,8 +586,10 @@ class PackingBudget:
 @dataclass(frozen=True)
 class CodeBook:
     """Per block-word injections of typical fibers into one packing: ``books``
-    holds ``(b, fiber)`` per block word b in lexicographic order, ``fiber`` in
-    ``iter_fiber`` order, and book b sends ``fiber[i]`` to ``packing[i]``.
+    holds ``(b, fiber)`` per block word b in lexicographic order, ``fiber`` a
+    lazy ``Fiber`` in ``iter_fiber`` order, and book b sends ``fiber[i]`` to
+    ``packing[i]``.  So a name encodes to ``packing[fiber.index(name)]`` and a
+    codeword at ``packing[i]`` decodes to ``fiber[i]``; no fiber is listed.
     ``packing`` is the first-fit prefix as long as the largest fiber, which
     exists since ``capacity-exact`` is required in both capacity modes."""
 
@@ -472,15 +603,24 @@ class CodeBook:
 
     def __post_init__(self):
         # the decoder radius and the report both read it, so it is taken once
-        gaps = (dbar(a, b) for a, b in combinations(self.packing, 2))
-        object.__setattr__(self, "_separation", min(gaps, default=Fraction(1)))
+        gaps = (sum(x != y for x, y in zip(a, b)) for a, b in combinations(self.packing, 2))
+        closest = min(gaps, default=None)
+        object.__setattr__(
+            self, "_separation", Fraction(1) if closest is None else Fraction(closest, self.k)
+        )
+        object.__setattr__(self, "_fibers", dict(self.books))
+
+    def fiber(self, b: Sequence[int]) -> Fiber:
+        """The fiber of book b; ``KeyError`` when b has no book."""
+        try:
+            return self._fibers[tuple(b)]
+        except KeyError:
+            raise KeyError(f"no book for block word {tuple(b)}") from None
 
     def mapping(self, b: Sequence[int]) -> dict:
-        b = tuple(b)
-        for bb, fiber in self.books:
-            if bb == b:
-                return dict(zip(fiber, self.packing))
-        raise KeyError(f"no book for block word {b}")
+        """Book b as a dict from names to codewords, unranked entry by entry."""
+        fiber = self.fiber(b)
+        return {fiber[i]: self.packing[i] for i in range(len(fiber))}
 
     def separation(self) -> Fraction:
         """Smallest pairwise dbar within any book's image (the largest is the packing)."""
@@ -569,8 +709,14 @@ def build_injections(
 
     ``only`` restricts the books to the given block words, each of which must
     be typical.  Each build's packing is a prefix of the same first-fit
-    sequence and each fiber is enumerated on its own, so the restricted books
+    sequence and each fiber is ranked on its own, so the restricted books
     agree entry for entry with the full build.
+
+    No fiber is listed: each book holds a lazy ``Fiber`` that ranks and
+    unranks by counting.  A fiber's size depends on its block word only
+    through the word's block counts, and ``_fill_count`` memoises the
+    per-block counts, so the largest fiber costs one count DP per distinct
+    block-count vector.
     """
     if capacity not in ("analytic", "exact"):
         raise InvalidParamsError("capacity in {analytic, exact}")
@@ -591,8 +737,9 @@ def build_injections(
                 raise InvalidParamsError("block words of length n")
             if not is_typical(w, beta_spec):
                 raise AtypicalNameError(f"block word {w} is outside the typical set")
-    fibers = [tuple(iter_fiber(xi, blocks, eps, n, b)) for b in beta_words]
-    max_fiber = max((len(f) for f in fibers), default=0)
+    ranges = list(_count_ranges(xi, eps, n))
+    fibers = [Fiber(xi, blocks, eps, n, b, ranges) for b in beta_words]
+    max_fiber = max((f.size for f in fibers), default=0)
     target_spec = TypicalSpec(q, eps, k)
     packing = greedy_packing(target_spec, rho, max_fiber)
     target_count = count_typical(target_spec)

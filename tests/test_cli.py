@@ -378,3 +378,25 @@ def test_two_forms_in_one_spec_are_a_config_error(tmp_path, capsys, patch, keys)
     assert code == 2
     assert out == ""
     assert keys in err
+
+
+def test_parser_is_built_once_and_reports_match_a_fresh_parser(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    runs = [[name, "--config", str(CONFIGS / f"{name}.json"), "--format", fmt]
+            for name in ALL for fmt in ("json", "csv")]
+    runs += [["oracle", "--points", "7"], ["oracle", "--points", "8"]]
+
+    def reports():
+        out = []
+        with pytest.raises(SystemExit) as bad:
+            main(["count", "--no-such-flag"])
+        assert bad.value.code == 2
+        for argv in runs:
+            code, text, err = run(capsys, argv)
+            assert code == 0, err
+            out.append(text.encode())
+        return out
+
+    cached = reports()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == reports()

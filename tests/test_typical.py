@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 from pathlib import Path
@@ -8,13 +9,20 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from recode_instances import FAMILY, pipeline_parts
+from recode_instances import FAMILY, build, pipeline_parts
 
 from fingen import typical
 from fingen.cli import main
-from fingen.errors import CapacityError, InvalidParamsError, InvalidPartitionError
+from fingen.errors import (
+    AtypicalNameError,
+    CapacityError,
+    InvalidParamsError,
+    InvalidPartitionError,
+)
 from fingen.probvec import Coarsening, ProbVec
+from fingen.recoder import krieger_recode
 from fingen.typical import (
+    Fiber,
     PackingBudget,
     TypicalSpec,
     binomial_bound_report,
@@ -147,6 +155,96 @@ def test_fiber_rejects_bad_block_words(b, error):
         count_fiber(xi, bl, F(1, 4), 4, b)
     with pytest.raises(error):
         list(iter_fiber(xi, bl, F(1, 4), 4, b))
+
+
+def random_fiber_instance(rng):
+    """A seeded (xi, blocks, eps, n) with blocks in shuffled order and at most
+    3000 typical words, so every fiber of it can be listed."""
+    while True:
+        k = rng.randint(1, 4)
+        den = rng.choice((4, 6, 8, 10))
+        cuts = sorted(rng.choices(range(den + 1), k=k - 1))
+        xi = ProbVec(tuple(F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])))
+        eps = rng.choice((F(0), F(1, 8), F(1, 4)))
+        n = rng.randint(1, 10)
+        nb = rng.randint(1, k)
+        if nb**n <= 1024 and count_typical(TypicalSpec(xi, eps, n)) <= 3000:
+            break
+    symbols = rng.sample(range(k), k)
+    edges = [0] + sorted(rng.sample(range(1, k), nb - 1)) + [k]
+    bl = Coarsening(tuple(tuple(symbols[a:b]) for a, b in zip(edges, edges[1:])), k)
+    return xi, bl, eps, n
+
+
+def test_fiber_ranks_and_unranks_in_iter_fiber_order():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(60):
+        xi, bl, eps, n = random_fiber_instance(rng)
+        for b in product(range(len(bl)), repeat=n):
+            fiber = Fiber(xi, bl, eps, n, b)
+            listed = list(iter_fiber(xi, bl, eps, n, b))
+            assert len(fiber) == count_fiber(xi, bl, eps, n, b) == len(listed)
+            assert [fiber[i] for i in range(len(fiber))] == listed == list(fiber)
+            assert all(fiber.index(fiber[i]) == i for i in range(len(fiber)))
+            checked += len(fiber)
+            # refinements of b that miss the typical set are refused by name
+            members = set(listed)
+            for _ in range(20):
+                w = tuple(rng.choice(bl.blocks[j]) for j in b)
+                assert (w in fiber) == (w in members)
+                if w not in members:
+                    with pytest.raises(AtypicalNameError):
+                        fiber.index(w)
+            with pytest.raises(IndexError):
+                fiber[len(fiber)]
+            if listed:
+                assert fiber[-1] == listed[-1]
+                with pytest.raises(AtypicalNameError):
+                    fiber.index(listed[0] + (listed[0][0],))
+                if len(bl) > 1:
+                    outside = next(t for t in range(len(xi)) if t not in bl.blocks[b[0]])
+                    with pytest.raises(AtypicalNameError):
+                        fiber.index((outside,) + listed[0][1:])
+    assert checked > 2_000
+
+
+def test_large_fiber_ranks_without_listing():
+    # 30 positions of a three-cell block, each cell 9..11 times: about 3.6e13 names
+    xi = ProbVec((F(1, 10), F(1, 10), F(1, 10), F(7, 10)))
+    bl = Coarsening(((0, 1, 2), (3,)), 4)
+    eps, n = F(1, 100), 100
+    b = (1,) * 35 + (0,) * 30 + (1,) * 35
+    typical._fill_count.cache_clear()
+    started = time.perf_counter()
+    fiber = Fiber(xi, bl, eps, n, b)
+    assert len(fiber) == count_fiber(xi, bl, eps, n, b) > 10**12
+    rng = random.Random(7)
+    for _ in range(100):
+        i = rng.randrange(len(fiber))
+        assert fiber.index(fiber[i]) == i
+    stranger = tuple(1 if s == 0 else s for s in fiber[0])  # 0 occurs 9..11 times
+    with pytest.raises(AtypicalNameError):
+        fiber.index(stranger)
+    assert time.perf_counter() - started < 1.0
+    # a fiber past the index range keeps its exact size
+    huge = Fiber(ProbVec((F(1, 4),) * 4), Coarsening(((0, 1, 2, 3),), 4), 0, 100, (0,) * 100)
+    assert huge.size == math.factorial(100) // math.factorial(25) ** 4
+    assert huge.index(huge[huge.size - 1]) == huge.size - 1
+
+
+def test_codebooks_and_recodes_list_no_fiber(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fiber was listed")
+
+    monkeypatch.setattr(typical, "iter_fiber", refuse)
+    golden = Path(__file__).resolve().parent / "golden" / "cli-codebook.json"
+    assert main(["codebook", "--config", str(CONFIGS / "codebook.json"), "--seed", "0"]) == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    for entry in FAMILY:
+        sysn, xi, falg, params, kwargs = build(entry)
+        alpha, cert = krieger_recode(sysn, xi, falg, params, **kwargs)
+        assert len(alpha) == sysn.n_points
 
 
 def test_stirling_window_example():
