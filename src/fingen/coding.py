@@ -10,6 +10,7 @@ exp(1 / (1 - log3(e))).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -59,18 +60,15 @@ class FiberDistribution:
             raise InvalidVectorError("at least one point")
         if any(not isinstance(c, int) or c < 0 for c in cell_labels):
             raise InvalidVectorError("cell labels are nonnegative ints")
-        w = Fraction(1, len(cell_labels))
+        joint = Counter(zip(fiber_labels, cell_labels))
         cells = max(cell_labels) + 1
         nu = []
         mus = []
-        for y in sorted(set(fiber_labels)):
-            cond = [Fraction(0)] * cells
-            for c, f in zip(cell_labels, fiber_labels):
-                if f == y:
-                    cond[c] += w
-            mass = sum(cond)
-            nu.append(mass)
-            mus.append(ProbVec(tuple(v / mass for v in cond)))
+        for y in sorted({f for f, _ in joint}):
+            row = [joint[y, c] for c in range(cells)]
+            mass = sum(row)
+            nu.append(Fraction(mass, len(cell_labels)))
+            mus.append(ProbVec(tuple(Fraction(v, mass) for v in row)))
         return cls(ProbVec(tuple(nu)), tuple(mus))
 
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError
@@ -34,7 +35,6 @@ __all__ = [
     "label_cells",
     "canon_labels",
     "ratio_str",
-    "uniform_weights",
 ]
 
 
@@ -114,10 +114,6 @@ class Coarsening:
         return len(self.blocks)
 
 
-def uniform_weights(n: int) -> tuple:
-    return tuple(Fraction(1, n) for _ in range(n))
-
-
 def entropy(p: ProbVec) -> float:
     """Shannon entropy in nats; the zero-weight convention 0*log 0 = 0 applies."""
     h = 0.0
@@ -162,10 +158,11 @@ def canon_labels(raw) -> tuple:
 
 
 def label_distribution(labels: Sequence[int], weights: Sequence | None = None) -> ProbVec:
-    """Cell-mass vector of a labeling, cells ordered by label value."""
-    if weights is None:
-        weights = uniform_weights(len(labels))
+    """Cell-mass vector of a labeling, cells ordered by label value; with no
+    weights a cell's mass is its point count over the point count."""
     cells = sorted(label_cells(labels), key=lambda cell: labels[cell[0]])
+    if weights is None:
+        return ProbVec(tuple(Fraction(len(cell), len(labels)) for cell in cells))
     return ProbVec(tuple(sum(weights[i] for i in cell) for cell in cells))
 
 
@@ -177,23 +174,31 @@ def join_labels(a: Sequence[int], b: Sequence[int]) -> tuple:
 
 
 def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = None) -> float:
-    """H(a | b): average over b-fibers of the entropy of a restricted there."""
+    """H(a | b): average over b-fibers of the entropy of a restricted there.
+
+    With no weights every point weighs 1/N, so a mass is a point count
+    divided by N once: ``c / N`` rounds the same rational as
+    ``float(Fraction(c, N))``.
+    """
     if len(a) != len(b):
         raise InvalidPartitionError("labeling length mismatch")
     if weights is None:
-        weights = uniform_weights(len(a))
-    if len(weights) != len(a):
+        masses, total = repeat(1), len(a)
+    elif len(weights) != len(a):
         raise InvalidPartitionError("one weight per point")
+    else:
+        masses, total = weights, 1
+    fibers: dict = {}  # b-fiber -> a-label -> mass, each in first-occurrence order
+    for x, y, w in zip(a, b, masses):
+        sub = fibers.setdefault(y, {})
+        sub[x] = sub.get(x, 0) + w
     h = 0.0
-    for fiber in label_cells(b):
-        wb = float(sum(weights[i] for i in fiber))
+    for sub in fibers.values():
+        wb = float(sum(sub.values()) / total)
         if wb <= 0.0:
             continue
-        sub: dict = {}
-        for i in fiber:
-            sub[a[i]] = sub.get(a[i], 0) + weights[i]
         for wab in sub.values():
-            x = float(wab)
+            x = float(wab / total)
             if x > 0.0:
                 h -= x * math.log(x / wb)
     return h

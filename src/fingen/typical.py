@@ -6,6 +6,13 @@ boundaries included.  Membership is decided in exact rational arithmetic
 (q is an exact ``ProbVec``, eps is read with ``Fraction``), so the counting
 recursion and the brute-force enumeration agree bit for bit.
 
+Each job has one engine.  ``_fill_count`` is the count DP, memoised on the
+length left and the per-symbol count bounds: ``count_typical`` reads it once
+and a ``Fiber`` once per symbol it tries.  ``iter_typical`` is the one
+search; it lists the typical set, or with ``rho`` draws the first-fit
+packing.  The fiber of fine names over a block word is a ``Fiber``, which
+ranks and unranks by counting and never searches.
+
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
 """
@@ -39,7 +46,6 @@ __all__ = [
     "count_fiber",
     "iter_fiber",
     "Fiber",
-    "cond_entropy_vec",
     "stirling_window",
     "binomial_bound_report",
     "dbar",
@@ -70,8 +76,7 @@ class TypicalSpec:
 @lru_cache(maxsize=256)
 def _count_ranges(q: ProbVec, eps, n: int) -> tuple:
     """The count ranges of q at tolerance eps and length n, worked out once
-    per (q, eps, n) in exact arithmetic, since every fiber of a build reads
-    the same ones."""
+    per (q, eps, n) in exact arithmetic."""
     if n < 1:
         raise InvalidParamsError("n >= 1")
     eps = Fraction(eps)
@@ -103,79 +108,61 @@ def is_typical(word: Sequence[int], spec: TypicalSpec) -> bool:
 
 
 def count_typical(spec: TypicalSpec) -> int:
-    """Exact size of the typical set via convolution over symbol counts."""
-    return _block_count(spec.n, range(len(spec.q)), spec.count_ranges())
+    """Exact size of the typical set: one ``_fill_count`` over every symbol."""
+    return _fill_count(spec.n, spec._ranges)
+
+
+@lru_cache(maxsize=1 << 14)
+def _fill_count(left: int, bounds: tuple) -> int:
+    """Words of length ``left`` whose count of symbol s lies in ``bounds[s]``,
+    by convolution over the symbols."""
+    dp = {0: 1}
+    for lo, hi in bounds:
+        nxt: dict = {}
+        for used, ways in dp.items():
+            for c in range(lo, min(hi, left - used) + 1):
+                key = used + c
+                nxt[key] = nxt.get(key, 0) + ways * math.comb(left - used, c)
+        dp = nxt
+    return dp.get(left, 0)
 
 
 def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
-    """All typical words in lexicographic order (symbols ascending), by
-    pruned search.  Given ``rho``, only the first-fit code at pairwise
-    dbar > rho: each word farther than rho from every word yielded before it."""
-    n = spec.n
-    apart = 0 if rho is None else min(max(0, math.floor(Fraction(rho) * n) + 1), n + 1)
-    yield from _iter_words((range(len(spec.q)),), spec.count_ranges(), (0,) * n, [n], apart)
+    """All typical words in lexicographic order, by pruned search.  Given
+    ``rho``, only the first-fit code at pairwise dbar > rho: each word
+    farther than rho from every word yielded before it.
 
+    A prefix is kept while the unmet lower bounds (``need``) fit into the
+    positions left.  The total upper bound drops with those positions, so it
+    is checked once, up front.
 
-def _block_count(positions: int, cells: Sequence[int], ranges: list) -> int:
-    """Words filling ``positions`` slots from ``cells`` with admissible counts."""
-    dp = {0: 1}
-    for cell in cells:
-        lo, hi = ranges[cell]
-        nxt: dict = {}
-        for used, ways in dp.items():
-            for c in range(lo, min(hi, positions - used) + 1):
-                key = used + c
-                nxt[key] = nxt.get(key, 0) + ways * math.comb(positions - used, c)
-        dp = nxt
-    return dp.get(positions, 0)
-
-
-def _iter_words(
-    cells_of: Sequence, ranges: list, b: Sequence[int], avail: list, apart: int = 0
-) -> Iterator[tuple]:
-    """Words whose symbol at position i comes from block ``cells_of[b[i]]``,
-    with every symbol count inside ``ranges``.
-
-    The search tries each block's symbols in the order the block lists them,
-    so the words come out lexicographically when every block is sorted.
-    ``avail[j]`` counts the positions of block j and is consumed.  A prefix is
-    kept while each block's unmet lower bounds (``need``) fit into its
-    remaining positions.  Placing a symbol changes only its own block's
-    counters, so only that block needs checking; the block's total upper
-    bound drops with its remaining positions, so it is checked once, up front.
-
-    With ``apart`` > 0 every word yielded becomes a codeword, and a prefix is
-    also kept only while each codeword can still be left ``apart`` mismatches
+    With ``rho`` every word yielded becomes a codeword, and a prefix is also
+    kept only while each codeword can still be left ``apart`` mismatches
     behind (``_Codewords.reach``).  The words yielded are then the first-fit
     code: the first word in order that is far from every codeword is never
     cut, and a completed word is far from all of them.
     """
-    lo = [r[0] for r in ranges]
-    hi = [r[1] for r in ranges]
-    need = [sum(lo[t] for t in cells) for cells in cells_of]
-    room = [sum(hi[t] for t in cells) for cells in cells_of]
-    if any(not need[j] <= avail[j] <= room[j] for j in range(len(cells_of))):
+    n = spec.n
+    lo = [r[0] for r in spec._ranges]
+    hi = [r[1] for r in spec._ranges]
+    k = len(lo)
+    need = sum(lo)
+    if not need <= n <= sum(hi):
         return
-    n = len(b)
-    sizes = [len(cells) for cells in cells_of]
-    counts = [0] * len(ranges)
-    word = [0] * n
-    tried = [0] * n  # per position, how many of its block's symbols were tried
+    apart = 0 if rho is None else min(max(0, math.floor(Fraction(rho) * n) + 1), n + 1)
     code = _Codewords(n, lo, hi, apart) if apart else None
+    counts = [0] * k
+    word = [0] * n
+    tried = [0] * n  # per position, the first symbol not yet tried there
     dist = [0] * (n + 1)  # per prefix length, its packed mismatches with the codewords
     pos = 0
     while pos >= 0:
         descend = False
         if pos < n:
-            j = b[pos]
-            cells = cells_of[j]
-            size = sizes[j]
-            i = tried[pos]
-            while i < size:
-                t = cells[i]
-                i += 1
+            left = n - pos
+            for t in range(tried[pos], k):
                 c = counts[t]
-                if c < hi[t] and need[j] - (c < lo[t]) < avail[j]:
+                if c < hi[t] and need - (c < lo[t]) < left:
                     if code is not None:
                         d = dist[pos] + code.mismatch[pos][t]
                         counts[t] = c + 1
@@ -186,25 +173,22 @@ def _iter_words(
                         dist[pos + 1] = d
                     descend = True
                     break
-            tried[pos] = i if descend else 0
+            tried[pos] = t + 1 if descend else 0
         else:
             yield tuple(word)
             if code is not None:
                 code.add(word)  # 0 mismatches with every prefix on the path
         if descend:
             counts[t] = c + 1
-            need[j] -= c < lo[t]
-            avail[j] -= 1
+            need -= c < lo[t]
             word[pos] = t
             pos += 1
         else:
             pos -= 1
             if pos >= 0:
                 t = word[pos]
-                j = b[pos]
                 c = counts[t] = counts[t] - 1
-                need[j] += c < lo[t]
-                avail[j] += 1
+                need += c < lo[t]
 
 
 class _Codewords:
@@ -279,63 +263,48 @@ class _Codewords:
         return ((bias + spare) * ones - total) & guard == guard
 
 
-def _fiber_setup(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> tuple:
-    """Count ranges of xi and the position count of each block in ``b``."""
-    if blocks.size != len(xi):
-        raise InvalidPartitionError("blocks must partition the fine alphabet")
-    if len(b) != n:
-        raise InvalidParamsError("block word length mismatch")
-    return list(_count_ranges(xi, eps, n)), _counts(b, len(blocks))
-
-
 def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> int:
     """Typical refinements of the block word ``b``: per-block multinomial sums."""
-    return Fiber(xi, blocks, eps, n, b).size
+    return Fiber(TypicalSpec(xi, eps, n), blocks, b).size
 
 
 def iter_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> Iterator[tuple]:
-    """Typical refinements of ``b``, trying each block's cells in the order the
-    block lists them: lexicographic order when every block is sorted."""
-    ranges, avail = _fiber_setup(xi, blocks, eps, n, b)
-    yield from _iter_words(blocks.blocks, ranges, b, avail)
-
-
-@lru_cache(maxsize=1 << 14)
-def _fill_count(left: int, bounds: tuple) -> int:
-    """Words of length ``left`` whose count of symbol s lies in ``bounds[s]``."""
-    return _block_count(left, range(len(bounds)), bounds)
+    """Typical refinements of ``b`` in ``Fiber`` order, unranked one by one.
+    A generator, so the benchmark's span tracer counts the names it lists."""
+    yield from Fiber(TypicalSpec(xi, eps, n), blocks, b)
 
 
 class Fiber(Sequence):
-    """The typical refinements of the block word ``b``, in ``iter_fiber``
-    order, held as counts instead of a list.
+    """The typical refinements of the block word ``b``: the words of the fine
+    ``spec`` whose symbol at each position lies in that position's block,
+    held as counts instead of a list.
 
+    They are ordered position by position, each block's symbols in the order
+    the block lists them: lexicographic order when every block is sorted.
     ``size`` is ``count_fiber`` (``len`` too, while it fits an index),
     ``fiber[i]`` unranks, ``fiber.index(w)`` ranks and raises
-    ``AtypicalNameError`` on a name outside the fiber, and iterating calls
-    ``iter_fiber``.  Ranking and unranking go position by position: each
+    ``AtypicalNameError`` on a name outside the fiber, and iterating unranks
+    ``0..size-1``.  Ranking and unranking go position by position: each
     symbol that the position's block lists before the chosen one skips all
     of its completions.  Completions factor over the blocks and only the
     current block's factor changes, so each step reads one ``_fill_count``
-    per symbol tried.  ``ranges`` are xi's count ranges at (eps, n), for a
-    caller that already holds them.
+    per symbol tried.
     """
 
-    __slots__ = ("_key", "_ranges", "_avail", "_factors", "size")
+    __slots__ = ("_blocks", "_b", "_ranges", "_avail", "_factors", "size")
 
-    def __init__(
-        self, xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int], ranges=None
-    ):
+    def __init__(self, spec: TypicalSpec, blocks: Coarsening, b: Sequence[int]):
+        if blocks.size != len(spec.q):
+            raise InvalidPartitionError("blocks must partition the fine alphabet")
         b = tuple(b)
-        if ranges is None:
-            ranges, avail = _fiber_setup(xi, blocks, eps, n, b)
-        else:
-            avail = _counts(b, len(blocks))
-        self._key = (xi, blocks, Fraction(eps), n, b)
-        self._ranges = ranges
-        self._avail = avail
-        zero = [0] * len(ranges)
-        self._factors = [self._fill(cells, a, zero) for cells, a in zip(blocks.blocks, avail)]
+        if len(b) != spec.n:
+            raise InvalidParamsError("block word length mismatch")
+        self._blocks = blocks.blocks
+        self._b = b
+        self._ranges = spec._ranges
+        self._avail = _counts(b, len(blocks))
+        zero = [0] * len(self._ranges)
+        self._factors = [self._fill(cells, a, zero) for cells, a in zip(self._blocks, self._avail)]
         self.size = math.prod(self._factors)
 
     def _fill(self, cells, left: int, counts) -> int:
@@ -351,13 +320,7 @@ class Fiber(Sequence):
         return self.size
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter_fiber(*self._key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Fiber) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+        return map(self.__getitem__, range(self.size))
 
     def __getitem__(self, i) -> tuple:
         i = operator.index(i)
@@ -366,12 +329,11 @@ class Fiber(Sequence):
             i += total
         if not 0 <= i < total:
             raise IndexError("fiber index out of range")
-        _, blocks, _, _, b = self._key
         left, factors = list(self._avail), list(self._factors)
         counts = [0] * len(self._ranges)
         word = []
-        for j in b:
-            cells = blocks.blocks[j]
+        for j in self._b:
+            cells = self._blocks[j]
             if len(cells) == 1:  # a one-cell block's completion is forced
                 word.append(cells[0])
                 continue
@@ -391,11 +353,11 @@ class Fiber(Sequence):
         return tuple(word)
 
     def index(self, word) -> int:
-        """The rank of ``word`` in ``iter_fiber`` order."""
-        _, blocks, _, n, b = self._key
+        """The rank of ``word`` in fiber order."""
+        b = self._b
         word = tuple(word)
-        if len(word) != n:
-            raise AtypicalNameError(f"name of length {len(word)} in a fiber of length {n}")
+        if len(word) != len(b):
+            raise AtypicalNameError(f"name of length {len(word)} in a fiber of length {len(b)}")
         total = self.size
         if total == 0:
             raise AtypicalNameError(f"the typical fiber of {b} is empty")
@@ -403,7 +365,7 @@ class Fiber(Sequence):
         counts = [0] * len(self._ranges)
         rank = 0
         for p, (j, s) in enumerate(zip(b, word)):
-            cells = blocks.blocks[j]
+            cells = self._blocks[j]
             if len(cells) == 1 and s == cells[0]:  # a one-cell block's completion is forced
                 continue
             left[j] -= 1
@@ -431,15 +393,6 @@ class Fiber(Sequence):
         except AtypicalNameError:
             return False
         return True
-
-
-def cond_entropy_vec(xi: ProbVec, blocks: Coarsening) -> float:
-    """H(xi | coarsened xi) for distribution vectors, in nats."""
-    if blocks.size != len(xi):
-        raise InvalidPartitionError("coarsening size mismatch")
-    cells = [c for block in blocks.blocks for c in block]
-    block_of = [j for j, block in enumerate(blocks.blocks) for _ in block]
-    return cond_entropy(cells, block_of, [xi.weights[c] for c in cells])
 
 
 @dataclass(frozen=True)
@@ -587,7 +540,7 @@ class PackingBudget:
 class CodeBook:
     """Per block-word injections of typical fibers into one packing: ``books``
     holds ``(b, fiber)`` per block word b in lexicographic order, ``fiber`` a
-    lazy ``Fiber`` in ``iter_fiber`` order, and book b sends ``fiber[i]`` to
+    lazy ``Fiber``, and book b sends ``fiber[i]`` to
     ``packing[i]``.  So a name encodes to ``packing[fiber.index(name)]`` and a
     codeword at ``packing[i]`` decodes to ``fiber[i]``; no fiber is listed.
     ``packing`` is the first-fit prefix as long as the largest fiber, which
@@ -658,7 +611,9 @@ def _chain_checks(
     r = float(budget.r)
     k = budget.k(n)
     rho = float(budget.rho(len(q)))
-    h_cond = cond_entropy_vec(xi, blocks)
+    cells = [c for block in blocks.blocks for c in block]
+    block_of = [j for j, block in enumerate(blocks.blocks) for _ in block]
+    h_cond = cond_entropy(cells, block_of, [xi.weights[c] for c in cells])  # H(xi | coarsened xi)
     h_q = entropy(q)
     log_fiber = math.log(max_fiber) if max_fiber > 0 else -math.inf
     log_target = math.log(target_count) if target_count > 0 else -math.inf
@@ -712,11 +667,11 @@ def build_injections(
     sequence and each fiber is ranked on its own, so the restricted books
     agree entry for entry with the full build.
 
-    No fiber is listed: each book holds a lazy ``Fiber`` that ranks and
-    unranks by counting.  A fiber's size depends on its block word only
-    through the word's block counts, and ``_fill_count`` memoises the
-    per-block counts, so the largest fiber costs one count DP per distinct
-    block-count vector.
+    No fiber is listed: each book holds a lazy ``Fiber`` over the one fine
+    ``TypicalSpec`` of the build, which ranks and unranks by counting.  A
+    fiber's size depends on its block word only through the word's block
+    counts, and ``_fill_count`` memoises the per-block counts, so the
+    largest fiber costs one count DP per distinct block-count vector.
     """
     if capacity not in ("analytic", "exact"):
         raise InvalidParamsError("capacity in {analytic, exact}")
@@ -737,8 +692,8 @@ def build_injections(
                 raise InvalidParamsError("block words of length n")
             if not is_typical(w, beta_spec):
                 raise AtypicalNameError(f"block word {w} is outside the typical set")
-    ranges = list(_count_ranges(xi, eps, n))
-    fibers = [Fiber(xi, blocks, eps, n, b, ranges) for b in beta_words]
+    xi_spec = TypicalSpec(xi, eps, n)
+    fibers = [Fiber(xi_spec, blocks, b) for b in beta_words]
     max_fiber = max((f.size for f in fibers), default=0)
     target_spec = TypicalSpec(q, eps, k)
     packing = greedy_packing(target_spec, rho, max_fiber)

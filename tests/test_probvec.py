@@ -17,7 +17,6 @@ from fingen.probvec import (
     join_labels,
     label_distribution,
     ratcomb_decompose,
-    uniform_weights,
 )
 
 LOG2 = math.log(2)
@@ -230,4 +229,3 @@ def test_join_labels_canonical():
 
 def test_label_distribution_uniform_default():
     assert label_distribution((0, 1, 1, 2)).weights == (F(1, 4), F(1, 2), F(1, 4))
-    assert sum(uniform_weights(7)) == 1

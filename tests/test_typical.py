@@ -177,15 +177,24 @@ def random_fiber_instance(rng):
 
 
 def test_fiber_ranks_and_unranks_in_iter_fiber_order():
+    # the reference is the search: typical words grouped by block word, each
+    # group sorted by every position's index in its block
     rng = random.Random(41)
     checked = 0
     for _ in range(60):
         xi, bl, eps, n = random_fiber_instance(rng)
+        spec = TypicalSpec(xi, eps, n)
+        block_of = bl.block_of()
+        place = {t: i for block in bl.blocks for i, t in enumerate(block)}
+        refinements: dict = {}
+        for w in iter_typical(spec):
+            refinements.setdefault(tuple(block_of[s] for s in w), []).append(w)
         for b in product(range(len(bl)), repeat=n):
-            fiber = Fiber(xi, bl, eps, n, b)
-            listed = list(iter_fiber(xi, bl, eps, n, b))
+            fiber = Fiber(spec, bl, b)
+            listed = sorted(refinements.get(b, []), key=lambda w: [place[s] for s in w])
             assert len(fiber) == count_fiber(xi, bl, eps, n, b) == len(listed)
             assert [fiber[i] for i in range(len(fiber))] == listed == list(fiber)
+            assert list(iter_fiber(xi, bl, eps, n, b)) == listed
             assert all(fiber.index(fiber[i]) == i for i in range(len(fiber)))
             checked += len(fiber)
             # refinements of b that miss the typical set are refused by name
@@ -217,7 +226,7 @@ def test_large_fiber_ranks_without_listing():
     b = (1,) * 35 + (0,) * 30 + (1,) * 35
     typical._fill_count.cache_clear()
     started = time.perf_counter()
-    fiber = Fiber(xi, bl, eps, n, b)
+    fiber = Fiber(TypicalSpec(xi, eps, n), bl, b)
     assert len(fiber) == count_fiber(xi, bl, eps, n, b) > 10**12
     rng = random.Random(7)
     for _ in range(100):
@@ -228,9 +237,28 @@ def test_large_fiber_ranks_without_listing():
         fiber.index(stranger)
     assert time.perf_counter() - started < 1.0
     # a fiber past the index range keeps its exact size
-    huge = Fiber(ProbVec((F(1, 4),) * 4), Coarsening(((0, 1, 2, 3),), 4), 0, 100, (0,) * 100)
+    huge = Fiber(
+        TypicalSpec(ProbVec((F(1, 4),) * 4), 0, 100), Coarsening(((0, 1, 2, 3),), 4), (0,) * 100
+    )
     assert huge.size == math.factorial(100) // math.factorial(25) ** 4
     assert huge.index(huge[huge.size - 1]) == huge.size - 1
+
+
+def test_typical_set_is_the_one_block_fiber():
+    # the one test that pits the search against the unranker
+    rng = random.Random(23)
+    specs = [TypicalSpec(HALF, 0.25, 4), TypicalSpec(HALF, 0, 4), TypicalSpec(HALF, 0, 5)]
+    while len(specs) < 80:
+        k = rng.randint(1, 4)
+        den = rng.choice((4, 6, 8))
+        cuts = sorted(rng.choices(range(den + 1), k=k - 1))
+        q = ProbVec(tuple(F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])))
+        specs.append(TypicalSpec(q, F(rng.randint(0, 5), 16), rng.randint(1, 8)))
+    for spec in specs:
+        k, n = len(spec.q), spec.n
+        one_block = Fiber(spec, Coarsening((tuple(range(k)),), k), (0,) * n)
+        assert list(one_block) == list(iter_typical(spec))
+        assert one_block.size == count_typical(spec)
 
 
 def test_codebooks_and_recodes_list_no_fiber(monkeypatch, capsys):
@@ -238,6 +266,7 @@ def test_codebooks_and_recodes_list_no_fiber(monkeypatch, capsys):
         raise AssertionError("a fiber was listed")
 
     monkeypatch.setattr(typical, "iter_fiber", refuse)
+    monkeypatch.setattr(typical.Fiber, "__iter__", refuse)
     golden = Path(__file__).resolve().parent / "golden" / "cli-codebook.json"
     assert main(["codebook", "--config", str(CONFIGS / "codebook.json"), "--seed", "0"]) == 0
     assert capsys.readouterr().out.encode() == golden.read_bytes()
