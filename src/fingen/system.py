@@ -11,9 +11,12 @@ over equal-size classes.  Partitions travel as labelings, one hashable label
 per point, and the refinement fixpoint takes the labeling a caller holds.
 The fixpoint is Hopcroft partition refinement: cells split by the preimages
 of a worklist of splitter cells, in O(|tables| N log N), not round by round.
-Each cyclic map is built once from the matchings of its first piece, so each
-move is checked once; ``make_equal_partition`` also returns the cycle that
-the matchings of its own sweep give.
+A matching is a greedy sweep along the group walk that keeps a walk pointer
+per point.  The n-1 sweeps of ``make_equal_partition`` share one free set and
+one pointer map, so together they read each walk element at most once per
+point instead of restarting at the identity.  A cyclic map is built once from
+the sweeps of its first piece and checked once: that check covers every
+sweep, so no sweep builds a checked map of its own.
 
 Group elements are enumerated deterministically: identity, then generators
 and their inverses in declaration order, then longer words length-first and
@@ -28,6 +31,7 @@ and a point's word is derived from the words the walk keeps.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -379,6 +383,59 @@ def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
     return True
 
 
+def _sweep(enum: GroupEnum, dom, free: set, at: dict) -> tuple:
+    """Greedy matching of the points ``dom`` into the set ``free`` along the
+    walk: element i claims, by the move (0, i), every unmatched point of
+    ``dom`` it sends into ``free``, and a claimed image leaves ``free``.
+    Return the images and the claiming walk indices, aligned with ``dom``.
+
+    ``at`` maps a point to the first walk index it still has to try (0 when
+    absent) and is advanced in place.  A caller that only shrinks ``free``
+    between sweeps passes the same map again: an element that missed a point
+    misses it for good, so no sweep re-reads the elements before it.  Each
+    element is a bijection, so points waiting on one index never compete;
+    a heap over the waiting indices settles the claims lowest index first,
+    the order of a sweep that starts again at element 0.
+    """
+    waiting: dict = {}  # walk index -> points that try it next
+    for x in dom:
+        waiting.setdefault(at.get(x, 0), []).append(x)
+    order = list(waiting)
+    heapq.heapify(order)
+    elements = enum.elements
+    image, index = {}, {}
+    while order:
+        i = heapq.heappop(order)
+        if not enum.reach(i):
+            left = sorted(x for xs in waiting.values() for x in xs)
+            raise InvalidParamsError(
+                "group enumeration exhausted before matching", f"left {left}"
+            )
+        perm = elements[i][1]
+        missed = []
+        for x in waiting.pop(i):
+            y = perm[x]
+            if y in free:
+                free.discard(y)
+                image[x] = y
+                index[x] = i
+                at[x] = i + 1
+            else:
+                missed.append(x)
+        if missed:
+            if i + 1 in waiting:
+                waiting[i + 1].extend(missed)
+            else:
+                waiting[i + 1] = missed
+                heapq.heappush(order, i + 1)
+    return tuple(image[x] for x in dom), tuple(index[x] for x in dom)
+
+
+def _on_points(sys: FiniteSystem, points, name: str) -> None:
+    if points and (min(points) < 0 or max(points) >= sys.n_points):
+        raise InvalidParamsError(f"{name} lives on the points")
+
+
 def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     """Greedy sweep matching A into B along the group enumeration.
 
@@ -391,37 +448,26 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     Bset = set(B)
     if not A:
         raise InvalidParamsError("A nonempty")
-    if A[0] < 0 or A[-1] >= sys.n_points:
-        raise InvalidParamsError("A lives on the points")
-    if Bset and (min(Bset) < 0 or max(Bset) >= sys.n_points):
-        raise InvalidParamsError("B lives on the points")
+    _on_points(sys, A, "A")
+    _on_points(sys, Bset, "B")
     if len(A) > len(Bset):
         raise InvalidParamsError("weight(A) <= weight(B)")
-    rem_dom = set(A)
-    rem_rng = set(Bset)
-    pairs, moves = [], []
-    for i, (_, perm) in enumerate(sys.group()):
-        if not rem_dom:
-            break
-        batch = [x for x in sorted(rem_dom) if perm[x] in rem_rng]
-        for x in batch:
-            pairs.append((x, perm[x]))
-            moves.append((0, i))
-            rem_dom.discard(x)
-            rem_rng.discard(perm[x])
-    if rem_dom:
-        raise InvalidParamsError(
-            "group enumeration exhausted before matching", f"left {sorted(rem_dom)}"
-        )
-    return PseudoMap(sys, tuple(pairs), tuple(moves))
+    images, index = _sweep(sys.group(), A, Bset, {})
+    return PseudoMap(sys, tuple(zip(A, images)), tuple((0, i) for i in index))
 
 
-def _cycle(first, phis) -> tuple:
+def _cycle(first, legs) -> tuple:
     """Pairs and moves of the order-n map sending phi_k(c) to phi_{k+1 mod n}(c)
-    by the move (i_k, i_{k+1}), for c in ``first`` (sorted), where the sweep
-    phi_k moves c by (0, i_k) and phi_0 is the identity, element 0."""
-    legs = [(tuple(first), (0,) * len(first))]
-    legs += [(tuple(y for _, y in phi.pairs), tuple(j for _, j in phi.moves)) for phi in phis]
+    by the move (i_k, i_{k+1}), for c in ``first`` (sorted).  Leg k >= 1 is the
+    sweep phi_k as (images, walk indices) aligned with ``first``: it moves c
+    by (0, i_k), and phi_0 is the identity, element 0.
+
+    The sweeps are not checked on their own: the map built from these pairs
+    is, and that one check covers every leg.  Leg 0 proves phi_1(c) =
+    g_{i_1}(c), each leg k then proves phi_{k+1}(c) from phi_k(c), and its
+    distinct points prove the pieces disjoint.
+    """
+    legs = [(tuple(first), (0,) * len(first)), *legs]
     pairs, moves = [], []
     for k, (src, src_idx) in enumerate(legs):
         dst, dst_idx = legs[(k + 1) % len(legs)]
@@ -432,39 +478,54 @@ def _cycle(first, phis) -> tuple:
 
 def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> tuple:
     """Split B into n equal-size pieces with C as the first piece; return them
-    with the order-n map cycling them, built from the matchings that cut them."""
+    with the order-n map cycling them, built from the matchings that cut them.
+
+    Piece k is the sweep of C into what the pieces before it left of B.  The
+    n-1 sweeps share that shrinking free set and one walk pointer per point
+    of C, so together they read each walk element at most once per point, and
+    the cycle map is the one check they get.
+    """
     C = sorted(set(C))
     Bset = set(B)
+    if not C:
+        raise InvalidParamsError("C nonempty")
+    _on_points(sys, Bset, "B")
     if not set(C) <= Bset:
         raise InvalidParamsError("C inside B")
     if n < 1:
         raise InvalidParamsError("n >= 1")
     if len(C) * n != len(Bset):
         raise DivisibilityError("weight(C) * n == weight(B)")
-    pieces = [tuple(C)]
-    phis = []
-    used = set(C)
-    for _ in range(n - 1):
-        phis.append(simplemix(sys, C, Bset - used))
-        pieces.append(phis[-1].range)
-        used.update(pieces[-1])
-    if used != Bset:
-        raise DivisibilityError("pieces exhaust B exactly")
-    return pieces, PseudoMap(sys, *_cycle(C, phis))
+    enum = sys.group()
+    free = Bset.difference(C)
+    at: dict = {}
+    legs = [_sweep(enum, C, free, at) for _ in range(n - 1)]
+    pieces = [tuple(C)] + [tuple(sorted(images)) for images, _ in legs]
+    return pieces, PseudoMap(sys, *_cycle(C, legs))
+
+
+def _sweeps(sys: FiniteSystem, pieces) -> list:
+    """Legs sweeping the first of the sorted ``pieces`` onto each later one."""
+    enum = sys.group()
+    return [_sweep(enum, pieces[0], set(p), {}) for p in pieces[1:]]
 
 
 def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
-    """Order-n map sending piece k onto piece k+1, identity when n = 1."""
+    """Order-n map sending piece k onto piece k+1, identity when n = 1.
+
+    The pieces cut a set B; each piece after the first is the target of its
+    own sweep of the first piece, with a fresh walk pointer.
+    """
     pieces = [tuple(sorted(p)) for p in pieces]
     if not pieces or any(not p for p in pieces):
         raise InvalidParamsError("pieces nonempty")
     allpts = [x for p in pieces for x in p]
+    _on_points(sys, allpts, "B")
     if len(set(allpts)) != len(allpts):
         raise InvalidParamsError("pieces pairwise disjoint")
     if any(len(p) != len(pieces[0]) for p in pieces):
         raise InvalidParamsError("pieces of equal weight")
-    phis = [simplemix(sys, pieces[0], p) for p in pieces[1:]]
-    return PseudoMap(sys, *_cycle(pieces[0], phis))
+    return PseudoMap(sys, *_cycle(pieces[0], _sweeps(sys, pieces)))
 
 
 @dataclass(frozen=True)
@@ -487,8 +548,7 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     B = tuple(sorted(set(B)))
     if not B:
         raise InvalidParamsError("B nonempty")
-    if B[0] < 0 or B[-1] >= sys.n_points:
-        raise InvalidParamsError("B lives on the points")
+    _on_points(sys, B, "B")
     eps = Fraction(eps)
     if eps < 0:
         raise InvalidParamsError("eps >= 0")
@@ -526,8 +586,7 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
             for t in range(0, take, per_piece):
                 piece = tuple(x for at in grabbed[t : t + per_piece] for x in at)
                 block_pieces.append(tuple(sorted(piece)))
-        phis = [simplemix(sys, block_pieces[0], p) for p in block_pieces[1:]]
-        block_pairs, block_moves = _cycle(block_pieces[0], phis)
+        block_pairs, block_moves = _cycle(block_pieces[0], _sweeps(sys, block_pieces))
         pairs.extend(block_pairs)
         moves.extend(block_moves)
     theta = PseudoMap(sys, tuple(pairs), tuple(moves))

@@ -148,7 +148,8 @@ def test_lazy_walk_matches_full_bfs(name):
 def test_tower_walks_only_the_elements_it_reads(n):
     sysn = FiniteSystem.cyclic(n)
     build_tower(sysn, tuple(x % 2 for x in range(n)), 2, 1, 20)
-    assert len(sysn.group().elements) == 21
+    # shifts 0, ±1, ..., ±9 and +10 reach the 20 pieces; nothing past the last
+    assert len(sysn.group().elements) == 20
 
 
 def test_dropped_system_frees_its_walk():
@@ -466,12 +467,28 @@ def test_simplemix_weight_error():
         lambda: simplemix(Z4, [0], [5]),
         lambda: make_equal_partition(Z6, (0,), [0, 7], 2),
         lambda: cyclic_permute(Z6, [(0,), (7,)]),
+        lambda: cyclic_permute(Z6, [(7,), (0,)]),
+        lambda: make_equal_partition(Z6, (7,), [7], 1),
+        lambda: cyclic_permute(Z6, [(7,)]),
     ],
-    ids=["simplemix", "make_equal_partition", "cyclic_permute"],
+    ids=[
+        "simplemix",
+        "make_equal_partition",
+        "cyclic_permute",
+        "cyclic_permute-first-piece",
+        "make_equal_partition-n1",
+        "cyclic_permute-n1",
+    ],
 )
 def test_mixing_rejects_b_off_the_points(call):
     with pytest.raises(InvalidParamsError, match="B lives on the points"):
         call()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_make_equal_partition_names_an_empty_first_piece(n):
+    with pytest.raises(InvalidParamsError, match="C nonempty"):
+        make_equal_partition(Z6, (), [], n)
 
 
 def test_simplemix_expressible_over_seed_algebra():
@@ -529,6 +546,147 @@ def test_cyclic_permute_certificate_words():
     th = cyclic_permute(Z6, [(0, 3), (1, 4), (2, 5)])
     assert th.pairs == ((0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 0))
     assert words_of(th) == (("r",), ("~r", "~r"), ("r",), ("r",), ("~r", "~r"), ("r",))
+
+
+def restarted_sweep(sysn, A, B) -> tuple:
+    """The sweep each matching ran before walk pointers: it starts again at
+    element 0, and element i claims every unmatched point of A it sends into
+    the unclaimed part of B.  Images and claiming indices, aligned with the
+    sorted A."""
+    rem_dom, rem_rng, claims = set(A), set(B), []
+    for i, (_, perm) in enumerate(sysn.group()):
+        if not rem_dom:
+            break
+        for x in [x for x in sorted(rem_dom) if perm[x] in rem_rng]:
+            claims.append((x, perm[x], i))
+            rem_dom.discard(x)
+            rem_rng.discard(perm[x])
+    if rem_dom:
+        raise InvalidParamsError(
+            "group enumeration exhausted before matching", f"left {sorted(rem_dom)}"
+        )
+    claims.sort()
+    images = tuple(y for _, y, _ in claims)
+    index = tuple(i for _, _, i in claims)
+    PseudoMap(sysn, tuple(zip(sorted(A), images)), tuple((0, i) for i in index))
+    return images, index
+
+
+def reference_cycle(sysn, first, legs) -> PseudoMap:
+    legs = [(tuple(first), (0,) * len(first))] + legs
+    pairs, moves = [], []
+    for k, (src, src_idx) in enumerate(legs):
+        dst, dst_idx = legs[(k + 1) % len(legs)]
+        pairs.extend(zip(src, dst))
+        moves.extend(zip(src_idx, dst_idx))
+    return PseudoMap(sysn, tuple(pairs), tuple(moves))
+
+
+def reference_equal_partition(sysn, C, B, n) -> tuple:
+    """``make_equal_partition`` before walk pointers: n-1 checked sweeps of C,
+    each restarted at the identity, into what the pieces before it left."""
+    C = sorted(set(C))
+    pieces, legs, used = [tuple(C)], [], set(C)
+    for _ in range(n - 1):
+        legs.append(restarted_sweep(sysn, C, set(B) - used))
+        pieces.append(tuple(sorted(legs[-1][0])))
+        used.update(pieces[-1])
+    return pieces, reference_cycle(sysn, C, legs)
+
+
+def reference_cyclic_permute(sysn, pieces) -> PseudoMap:
+    """``cyclic_permute`` before walk pointers: one checked sweep per piece."""
+    pieces = [tuple(sorted(p)) for p in pieces]
+    legs = [restarted_sweep(sysn, pieces[0], p) for p in pieces[1:]]
+    return reference_cycle(sysn, pieces[0], legs)
+
+
+def outcome(call):
+    """The pieces, pairs and moves a call returns, or the error it raises."""
+    try:
+        got = call()
+    except InvalidParamsError as err:
+        return type(err), str(err)
+    if isinstance(got, PseudoMap):
+        return got.pairs, got.moves
+    pieces, h = got
+    return pieces, h.pairs, h.moves
+
+
+def random_transitive(rng, n):
+    while True:
+        try:
+            return FiniteSystem.make(n, {g: rng.sample(range(n), n) for g in "ab"})
+        except InvalidParamsError:
+            pass
+
+
+def test_pointer_sweeps_match_the_restarted_sweeps():
+    rng = random.Random(20)
+    cases = [FiniteSystem.cyclic(n) for n in range(1, 41)]
+    cases += [random_transitive(rng, rng.randint(1, 16)) for _ in range(60)]
+    for sysn in cases:
+        B = rng.sample(range(sysn.n_points), rng.randint(1, sysn.n_points))
+        for n in (d for d in range(1, len(B) + 1) if len(B) % d == 0):
+            C = rng.sample(B, len(B) // n)
+            want = outcome(lambda: reference_equal_partition(sysn, C, B, n))
+            assert outcome(lambda: make_equal_partition(sysn, C, B, n)) == want
+            rng.shuffle(B)
+            pieces = [B[k::n] for k in range(n)]
+            want = outcome(lambda: reference_cyclic_permute(sysn, pieces))
+            assert outcome(lambda: cyclic_permute(sysn, pieces)) == want
+
+
+@pytest.mark.parametrize("cap", [2, 3, 5])
+def test_pointer_sweeps_fail_like_the_restarted_sweeps_on_a_capped_walk(monkeypatch, cap):
+    monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", cap)
+    rng = random.Random(cap)
+    for sysn in [FiniteSystem.cyclic(12), random_transitive(rng, 12)]:
+        for C in [(0,), (0, 6), (0, 1, 2)]:
+            n = 12 // len(C)
+            want = outcome(lambda: reference_equal_partition(sysn, C, range(12), n))
+            assert want[0] is InvalidParamsError
+            assert "group enumeration exhausted before matching" in want[1]
+            assert outcome(lambda: make_equal_partition(sysn, C, range(12), n)) == want
+            pieces = [tuple(range(k, 12, n)) for k in range(n)]
+            want = outcome(lambda: reference_cyclic_permute(sysn, pieces))
+            assert outcome(lambda: cyclic_permute(sysn, pieces)) == want
+
+
+class CountedPerm(tuple):
+    """A permutation table that counts its point reads."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        CountedPerm.reads += 1
+        return super().__getitem__(x)
+
+
+def element_reads(sysn, call) -> int:
+    """Point reads of walk elements while ``call`` runs on a fully walked
+    ``sysn``: the sweeps' (walk index, point) probes plus one per pair in
+    the check of the map they build."""
+    enum = sysn.group()
+    assert enum.complete
+    enum.elements[:] = [(w, CountedPerm(p)) for w, p in enum.elements]
+    CountedPerm.reads = 0
+    call()
+    return CountedPerm.reads
+
+
+@pytest.mark.parametrize("n", [60, 240])
+def test_equal_partition_probes_grow_with_walk_length_not_its_square(n):
+    # m = N: C = {0} is swept onto every point.  The shared pointer probes
+    # element 0 (a miss) and then each element once, a claim each time, and
+    # the cycle check reads one element per pair: 2N reads, within a small
+    # multiple of walk length + n.  Sweeps restarted at the identity read
+    # about N^2/2.
+    sysn = FiniteSystem.cyclic(n)
+    reads = element_reads(sysn, lambda: make_equal_partition(sysn, (0,), range(n), n))
+    assert reads == 2 * n
+    restarted = element_reads(sysn, lambda: reference_equal_partition(sysn, (0,), range(n), n))
+    assert restarted > n * n // 2
 
 
 def test_avgmix_trivial_labeling():
