@@ -365,6 +365,8 @@ def cmd_reduce(cfg: ExperimentConfig) -> dict:
 
 def cmd_recode(cfg: ExperimentConfig) -> dict:
     o = cfg.options
+    if "nmin" in o:
+        raise ConfigError("recode fixes nmin at 1; drop 'nmin'")
     sysn = make_system(_req(o, "system"), cfg.max_points)
     xi = parse_labels(_req(o, "xi"), sysn.n_points)
     falg = GAlgebra(parse_labels(_req(o, "factor"), sysn.n_points))
@@ -378,7 +380,6 @@ def cmd_recode(cfg: ExperimentConfig) -> dict:
         reserved=tuple(_ints(o.get("reserved", []), "reserved")),
         tower_eps=_opt(o, "tower_eps", _fr),
         m=_opt(o, "m", _int),
-        nmin=_int(o.get("nmin", 1)),
         pack_delta=_opt(o, "pack_delta", _fr),
         capacity=o.get("capacity", "exact"),
     )

@@ -34,13 +34,7 @@ __all__ = [
     "label_distribution",
     "label_cells",
     "canon_labels",
-    "ratio_str",
 ]
-
-
-def ratio_str(x: Fraction) -> str:
-    """``n/d`` with the denominator always written, also when it is 1."""
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _exact(v) -> Fraction:
@@ -89,7 +83,7 @@ class ProbVec:
         return self.weights[i]
 
     def to_strings(self) -> list:
-        return [ratio_str(x) for x in self.weights]
+        return [str(x) for x in self.weights]
 
 
 @dataclass(frozen=True)
@@ -114,24 +108,24 @@ class Coarsening:
         return len(self.blocks)
 
 
-def entropy(p: ProbVec) -> float:
-    """Shannon entropy in nats; the zero-weight convention 0*log 0 = 0 applies."""
+def _entropy_sum(weights) -> float:
+    """Sum of -x log x over the weights as floats, in order; 0 log 0 = 0."""
     h = 0.0
-    for w in p.weights:
+    for w in weights:
         x = float(w)
         if x > 0.0:
             h -= x * math.log(x)
     return h
 
 
+def entropy(p: ProbVec) -> float:
+    """Shannon entropy in nats; the zero-weight convention 0*log 0 = 0 applies."""
+    return _entropy_sum(p.weights)
+
+
 def entropy_pair(a: float, b: float) -> float:
     """Entropy of an unnormalized two-outcome split (a, b), both nonnegative."""
-    h = 0.0
-    for x in (a, b):
-        x = float(x)
-        if x > 0.0:
-            h -= x * math.log(x)
-    return h
+    return _entropy_sum((a, b))
 
 
 def coarsen(p: ProbVec, q: Coarsening) -> ProbVec:

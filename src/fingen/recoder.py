@@ -1,9 +1,10 @@
 """End-to-end recoding against a prescribed distribution.
 
-The pipeline: shrink a large alphabet without losing the generated algebra,
+The pipeline ``krieger_recode`` runs: join the labeling with the factor,
 read names along tower orbits, inject each coarse fiber into a packed set
 of target codewords, realize the codewords as a pre-partition with exact
 cell masses, and decode the original labeling back from the pre-partition.
+Alphabet reduction (``reduce_alphabet``, ``fingen reduce``) is separate.
 
 The decoder is assisted: it receives the period map, the transversal, and
 the coarse labels directly instead of reconstructing them from the output
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .coding import FiberDistribution, build_code
 from .errors import (
@@ -111,10 +113,14 @@ class AlphabetReductionPlan:
     tail: Fraction  # sum of weight(P_n) for n >= cutoff
     p_sets: tuple  # P_n for n = 1 .. max length, each sorted
     thetas: tuple  # (n, relocation map with domain P_n) for n >= cutoff
-    relocated: tuple  # union of the relocation images, sorted
     digit_sets: tuple  # images of the digit classes: (B0, B1, B2)
     q_set: tuple  # image of the one-step tails, drives the chain recovery
     gamma: tuple  # labeling by the first cutoff-1 digits and their lengths
+
+    @property
+    def relocated(self) -> tuple:
+        """Union of the relocation images, sorted: each image takes one digit."""
+        return tuple(sorted(y for ys in self.digit_sets for y in ys))
 
     def to_json(self) -> dict:
         return {
@@ -129,8 +135,13 @@ class AlphabetReductionPlan:
         }
 
 
-def _entropy_margin_ok(delta: float, eps: float) -> bool:
-    return entropy_pair(delta, 1.0 - delta) + delta * math.log(7.0) < eps
+def _check_inputs(sys: FiniteSystem, xi: tuple, F: GAlgebra) -> None:
+    if len(xi) != sys.n_points:
+        raise InvalidParamsError("one label per point")
+    if len(F.labels) != sys.n_points:
+        raise InvalidParamsError("F lives on the points")
+    if not F.invariant_under(sys):
+        raise InvalidPartitionError("F must be invariant")
 
 
 def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
@@ -145,12 +156,7 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
     margin fits inside eps.
     """
     xi = canon_labels(xi)
-    if len(xi) != sys.n_points:
-        raise InvalidParamsError("one label per point")
-    if len(F.labels) != sys.n_points:
-        raise InvalidParamsError("F lives on the points")
-    if not F.invariant_under(sys):
-        raise InvalidPartitionError("F must be invariant")
+    _check_inputs(sys, xi, F)
     eps = Fraction(eps)
     eps_f = float(eps)
     if eps_f <= 0:
@@ -162,7 +168,7 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
     max_len = max(len(w) for w in words)
 
     d = min(Fraction(1, 5), eps / 2)
-    while not _entropy_margin_ok(float(d), eps_f):
+    while not entropy_pair(float(d), 1.0 - float(d)) + float(d) * math.log(7.0) < eps_f:
         d /= 2
 
     p_sets = tuple(
@@ -170,37 +176,27 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
         for n in range(1, max_len + 1)
     )
 
-    def tail(level: int) -> Fraction:
-        return sum(
-            (sys.total_weight(p_sets[n - 1]) for n in range(level, max_len + 1)),
-            Fraction(0),
-        )
+    # tails[n - 1] is the weight of P_n, P_n+1, ..., P_max_len; the last is 0
+    tails = list(accumulate(map(sys.total_weight, reversed(p_sets)), initial=Fraction(0)))
+    tails.reverse()
+    cut = next(n for n, t in enumerate(tails, 1) if t < d)
 
-    cut = next(n for n in range(1, max_len + 2) if tail(n) < d)
-
-    # relocate each surviving tail level into the space still untouched
-    blocked = set(p_sets[cut - 1]) if cut <= max_len else set()
+    # relocate each tail level into untouched space; each P_n holds P_max_len != {}
     thetas = []
-    for n in range(cut, max_len + 1):
-        dom = p_sets[n - 1]
-        if not dom:
-            continue
-        avail = [x for x in range(sys.n_points) if x not in blocked]
-        th = simplemix(sys, dom, avail)
-        thetas.append((n, th))
-        blocked.update(th.apply(x) for x in dom)
+    if cut <= max_len:
+        free = set(range(sys.n_points)).difference(p_sets[cut - 1])
+        for n in range(cut, max_len + 1):
+            th = simplemix(sys, p_sets[n - 1], free)
+            thetas.append((n, th))
+            free.difference_update(y for _, y in th.pairs)
 
     digit_sets = ([], [], [])
     q_pts = []
-    relocated = []
     for n, th in thetas:
-        for x, _ in th.pairs:
-            y = th.apply(x)
-            relocated.append(y)
+        for x, y in th.pairs:
             digit_sets[words[x][n - 1]].append(y)
             if len(words[x]) >= n + 1:
                 q_pts.append(y)
-    relocated = tuple(sorted(relocated))
     q_set = tuple(sorted(q_pts))
 
     gamma = canon_labels(w[:cut] for w in words)
@@ -214,10 +210,9 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
         words,
         d,
         cut,
-        tail(cut),
+        tails[cut - 1],
         p_sets,
         tuple(thetas),
-        relocated,
         tuple(tuple(sorted(b)) for b in digit_sets),
         q_set,
         gamma,
@@ -231,25 +226,21 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
 
 @dataclass(frozen=True)
 class RecodePlan:
-    """Per-transversal names, codewords, excluded indices, and the cells the
+    """Per-transversal codewords, excluded indices, and the cells the
     surviving codeword positions claim.  Tuples align with the transversal."""
 
     tower: Tower
     codebook: CodeBook
     reserved: tuple  # reserved points, sorted
-    b_words: tuple  # coarse name per transversal point
     codewords: tuple  # injected target word per transversal point
     m_full: tuple  # orbit indices hitting the reserved set, over the full class
-    m_idx: tuple  # the same restricted to codeword positions
     j_idx: tuple  # trimmed positions from the frequency repair
     zeta: tuple  # claimed cells Z_t, one per target symbol, sorted
 
-    def excluded(self, i: int) -> frozenset:
-        return frozenset(self.m_idx[i]) | frozenset(self.j_idx[i])
-
     def budget(self) -> Fraction:
+        """max over y of |M_y ∪ J_y| / k; J_y takes no reserved index."""
         k = self.codebook.k
-        worst = max(len(self.excluded(i)) for i in range(len(self.b_words)))
+        worst = max(sum(i < k for i in mf) + len(j) for mf, j in zip(self.m_full, self.j_idx))
         return Fraction(worst, k)
 
 
@@ -287,7 +278,7 @@ def encode_names(
         raise InvalidParamsError("reserved points live on the points")
     mset = set(reserved)
 
-    b_words, codewords, m_full, m_idx, j_idx = [], [], [], [], []
+    codewords, m_full, j_idx = [], [], []
     zeta: list = [set() for _ in range(len(codebook.q))]
     for y in tower.transversal:
         orbit = tower.theta.orbit(y)
@@ -313,20 +304,16 @@ def encode_names(
         for i in range(k):
             if i not in mi and i not in J:
                 zeta[a[i]].add(orbit[i])
-        b_words.append(b)
         codewords.append(a)
         m_full.append(mf)
-        m_idx.append(mi)
         j_idx.append(tuple(sorted(J)))
 
     return RecodePlan(
         tower,
         codebook,
         reserved,
-        tuple(b_words),
         tuple(codewords),
         tuple(m_full),
-        tuple(m_idx),
         tuple(j_idx),
         tuple(tuple(sorted(z)) for z in zeta),
     )
@@ -354,7 +341,7 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
                 "completion room weight(Z_t) < r * q_t",
                 f"symbol {t}: {len(plan.zeta[t])} of {goal}",
             )
-    used = set().union(*map(set, plan.zeta)) if plan.zeta else set()
+    used = set().union(*plan.zeta)
     rset = set(plan.reserved)
     pool = sorted((x for x in range(npts) if x not in used), key=lambda x: (x in rset, x))
     cells = []
@@ -479,7 +466,7 @@ def join_factor(xi, F: GAlgebra) -> tuple:
     return fine, beta, Coarsening(blocks, len(pairs)), label_distribution(fine)
 
 
-def scan_towers(sys: FiniteSystem, fine, tower_eps=None, nmin: int = 1, m=None) -> tuple:
+def scan_towers(sys: FiniteSystem, fine, tower_eps=None, *, m=None) -> tuple:
     """Tower the joined labeling at the first workable tolerance: tower_eps
     alone when given, else each of TOWER_EPS_LADDER in turn.
 
@@ -493,7 +480,7 @@ def scan_towers(sys: FiniteSystem, fine, tower_eps=None, nmin: int = 1, m=None) 
     scan = []
     for te in TOWER_EPS_LADDER if tower_eps is None else (tower_eps,):
         try:
-            tower = build_tower(sys, fine, te, nmin, m)
+            tower = build_tower(sys, fine, te, m=m)
         except (InvalidParamsError, DivisibilityError) as e:
             scan.append({"tower_eps": str(Fraction(te)), "ok": False, "error": str(e)})
         else:
@@ -528,7 +515,6 @@ def krieger_recode(
     reserved=(),
     tower_eps=None,
     m: int | None = None,
-    nmin: int = 1,
     pack_delta=None,
     capacity: str = "exact",
 ) -> tuple:
@@ -542,24 +528,20 @@ def krieger_recode(
     xi.  The feasibility scan over tower tolerances is recorded verbatim.
     """
     xi = tuple(xi)
-    if len(xi) != sys.n_points:
-        raise InvalidParamsError("one label per point")
-    if len(F.labels) != sys.n_points:
-        raise InvalidParamsError("F lives on the points")
-    if not F.invariant_under(sys):
-        raise InvalidPartitionError("F must be invariant")
+    _check_inputs(sys, xi, F)
     npts = sys.n_points
     r, delta, q = params.r, params.delta, params.q
 
     h_xi_f = cond_entropy(xi, F.labels)
     h_target = float(r) * entropy(params.p)
-    if not h_xi_f < h_target:
+    precondition = inequality("entropy-precondition", h_xi_f, h_target, h_xi_f < h_target)
+    if not precondition["holds"]:
         raise InvalidParamsError(
             "H(xi | F) < r * H(p)", f"{h_xi_f:.6f} vs {h_target:.6f}"
         )
 
     fine, beta, fine_blocks, fine_dist = join_factor(xi, F)
-    tower, scan = scan_towers(sys, fine, tower_eps, nmin, m)
+    tower, scan = scan_towers(sys, fine, tower_eps, m=m)
     codebook, pack_delta = recode_codebook(
         tower, beta, fine_dist, fine_blocks, params, pack_delta, capacity
     )
@@ -567,7 +549,8 @@ def krieger_recode(
 
     radius = codebook.separation() / 2
     mismatch = plan.budget()
-    if not mismatch < radius:
+    budget = inequality("decoder-budget", float(mismatch), float(radius), mismatch < radius)
+    if not budget["holds"]:
         raise CapacityError(
             "decoder-budget",
             f"max |M_y ∪ J_y| / k = {mismatch} vs separation/2 = {radius}",
@@ -600,12 +583,12 @@ def krieger_recode(
     reserve_cap = 2 * r * delta * tower.n
     trim_cap, name_cap = 3 * delta * len(q) * k, 10 * delta * len(q)
     inequalities = [
-        inequality("entropy-precondition", h_xi_f, h_target, h_xi_f < h_target),
+        precondition,
         inequality(
             "reserved-density", most_reserved, float(reserve_cap), most_reserved < reserve_cap
         ),
         inequality("trim-bound", most_trimmed, float(trim_cap), most_trimmed < trim_cap),
-        inequality("decoder-budget", float(mismatch), float(radius), mismatch < radius),
+        budget,
         inequality("name-distance", float(measured), float(name_cap), measured < name_cap),
         inequality(
             "claimed-margin", float(max(claimed)), float(r) * max(float(w) for w in q_w),

@@ -11,6 +11,7 @@ two side sets stays below the tolerance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -148,10 +149,9 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
     cells = sorted(set(alpha))
     columns = {s: h.orbit(s) for s in s1}
-    funcs = {
-        c: {s: Fraction(sum(1 for x in columns[s] if alpha[x] == c), m) for s in s1}
-        for c in cells
-    }
+    counts = {s: Counter(alpha[x] for x in columns[s]) for s in s1}
+    profiles = {s: tuple(Fraction(counts[s][c], m) for c in cells) for s in s1}
+    funcs = {c: {s: profiles[s][j] for s in s1} for j, c in enumerate(cells)}
     mix = avgfuncmix(sys, s1, funcs, eps)
     v, k = mix.theta, mix.n
 
@@ -171,16 +171,13 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
     ell = math.ceil(eps / 4 * m)
 
-    def profile(s: int) -> tuple:
-        return tuple(funcs[c][s] for c in cells)
-
-    table = tuple(sorted({profile(s) for s in s1}))
+    table = tuple(sorted(set(profiles.values())))
     if len(table) > (1 << ell):
         raise InvalidParamsError("profile table exceeds 2^ell")
     rank = {p: i for i, p in enumerate(table)}
     s2 = []
     for s in s1:
-        r = rank[profile(s)]
+        r = rank[profiles[s]]
         s2.extend(columns[s][i] for i in range(1, ell + 1) if r >> (i - 1) & 1)
     return Tower(
         sys, alpha, eps, m, k, k * m, ell, s1, tuple(sorted(s2)),

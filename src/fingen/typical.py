@@ -635,14 +635,14 @@ def _chain_checks(
 # The asymptotic windows on the target count ("target-window-lower",
 # "covering-chain") demand n r delta to beat a polynomial deficit, which no
 # enumerable instance can do; they are reported but never gate construction.
+# "separation-bound" is reported only: budget.rho refuses rho >= 1/2 first.
 ANALYTIC_REQUIRED = (
     "entropy-gap",
-    "separation-bound",
     "fiber-window-upper",
     "delta-margin",
     "capacity-exact",
 )
-EXACT_REQUIRED = ("entropy-gap", "separation-bound", "capacity-exact")
+EXACT_REQUIRED = ("entropy-gap", "capacity-exact")
 
 
 def build_injections(
@@ -659,8 +659,8 @@ def build_injections(
     typical target words, one book per block word.
 
     ``capacity`` selects the gating inequalities: "analytic" requires the full
-    rate chain, "exact" only the counting facts (gap, separation, max fiber
-    size against the packing).  All inequalities are reported either way.
+    rate chain, "exact" only the counting facts (gap, max fiber size against
+    the packing).  All inequalities are reported either way.
 
     ``only`` restricts the books to the given block words, each of which must
     be typical.  Each build's packing is a prefix of the same first-fit

@@ -56,7 +56,7 @@ def pipeline_parts(entry):
     """Run the join, tower and codebook stages of the pipeline for one instance."""
     sysn, xi, falg, params, kwargs = build(entry)
     fine, beta, blocks, dist = join_factor(xi, falg)
-    tower, _ = scan_towers(sysn, fine, kwargs["tower_eps"], 1, kwargs["m"])
+    tower, _ = scan_towers(sysn, fine, kwargs["tower_eps"], m=kwargs["m"])
     codebook, _ = recode_codebook(
         tower, beta, dist, blocks, params, kwargs.get("pack_delta")
     )

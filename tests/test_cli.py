@@ -302,6 +302,15 @@ def test_reduce_refuses_delta_and_cutoff(tmp_path, capsys, key, value):
     assert f"config error: reduce chooses delta and cutoff itself; drop '{key}'" in err
 
 
+def test_recode_refuses_nmin(tmp_path, capsys):
+    blob = json.loads((CONFIGS / "recode.json").read_text())
+    cfg = write_config(tmp_path, {**blob, "nmin": 1})
+    code, out, err = run(capsys, ["recode", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: recode fixes nmin at 1; drop 'nmin'" in err
+
+
 @pytest.mark.parametrize("exceptions", [[60], [-1], [99, -1]])
 def test_exceptions_off_the_points_are_a_config_error(tmp_path, capsys, exceptions):
     cfg = write_config(

@@ -62,7 +62,7 @@ def test_string_round_trip():
     p = ProbVec((F(1, 3), F(2, 3)))
     assert p.to_strings() == ["1/3", "2/3"]
     assert ProbVec(tuple(map(F, p.to_strings()))) == p
-    assert ProbVec((1,)).to_strings() == ["1/1"]
+    assert ProbVec((1,)).to_strings() == ["1"]
 
 
 def test_coarsen_example():

@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from labelings import cells_of, membership
 from recode_instances import FAMILY, build, pipeline_parts
 
+from fingen.coding import FiberDistribution, build_code
 from fingen.errors import (
     AtypicalNameError,
     CapacityError,
@@ -21,7 +23,16 @@ from fingen.errors import (
     InvalidPartitionError,
 )
 from fingen import recoder
-from fingen.probvec import Coarsening, ProbVec, cond_entropy, entropy, label_cells
+from fingen.cli import parse_labels
+from fingen.probvec import (
+    Coarsening,
+    ProbVec,
+    canon_labels,
+    cond_entropy,
+    entropy,
+    entropy_pair,
+    label_cells,
+)
 from fingen.recoder import (
     RecodeParams,
     brute_force_generator_search,
@@ -35,7 +46,7 @@ from fingen.recoder import (
     synthesize_prepartition,
     theta_algebra,
 )
-from fingen.system import FiniteSystem, GAlgebra, PseudoMap, generated_algebra
+from fingen.system import FiniteSystem, GAlgebra, PseudoMap, generated_algebra, simplemix
 from fingen.tower import build_tower
 from fingen.typical import PackingBudget, build_injections
 
@@ -184,6 +195,109 @@ def test_reduce_requires_invariant_factor():
         reduce_alphabet(s12, xi, GAlgebra((0,) * 11 + (1,)), 1)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def reference_reduce(sysn, xi, falg, eps):
+    """``reduce_alphabet`` as it ran before its sweep: the tail weight summed
+    again for every candidate cutoff, and each level relocated into an
+    ``avail`` list rebuilt over all points next to a ``blocked`` set."""
+    xi = canon_labels(xi)
+    eps = F(eps)
+    code = build_code(FiberDistribution.from_labels(xi, falg.labels))
+    words = tuple(code[falg.labels[x]][xi[x]] for x in range(sysn.n_points))
+    max_len = max(len(w) for w in words)
+    d = min(F(1, 5), eps / 2)
+    while not entropy_pair(float(d), 1.0 - float(d)) + float(d) * math.log(7.0) < float(eps):
+        d /= 2
+    p_sets = [
+        tuple(x for x in range(sysn.n_points) if len(words[x]) >= n)
+        for n in range(1, max_len + 1)
+    ]
+
+    def tail(level):
+        return sum(
+            (sysn.total_weight(p_sets[n - 1]) for n in range(level, max_len + 1)), F(0)
+        )
+
+    cut = next(n for n in range(1, max_len + 2) if tail(n) < d)
+    blocked = set(p_sets[cut - 1]) if cut <= max_len else set()
+    thetas = []
+    for n in range(cut, max_len + 1):
+        dom = p_sets[n - 1]
+        if not dom:
+            continue
+        avail = [x for x in range(sysn.n_points) if x not in blocked]
+        th = simplemix(sysn, dom, avail)
+        thetas.append((n, th))
+        blocked.update(th.apply(x) for x in dom)
+    digit_sets, q_pts, relocated = ([], [], []), [], []
+    for n, th in thetas:
+        for x, _ in th.pairs:
+            y = th.apply(x)
+            relocated.append(y)
+            digit_sets[words[x][n - 1]].append(y)
+            if len(words[x]) >= n + 1:
+                q_pts.append(y)
+    gamma = canon_labels(w[:cut] for w in words)
+    moved = {y: i for i, ys in enumerate(digit_sets) for y in ys}
+    alpha = canon_labels(
+        (gamma[x], moved.get(x, -1), x in set(q_pts)) for x in range(sysn.n_points)
+    )
+    return alpha, {
+        "delta": d,
+        "cutoff": cut,
+        "tail": tail(cut),
+        "thetas": [(n, th.pairs, th.moves) for n, th in thetas],
+        "relocated": tuple(sorted(relocated)),
+        "digit_sets": tuple(tuple(sorted(b)) for b in digit_sets),
+        "q_set": tuple(sorted(q_pts)),
+    }
+
+
+def seeded_reduce_cases():
+    """The bundled reduce config, the heavy tail, and seeded labelings with
+    one dominant cell and many light ones over cyclic systems with a mod-d
+    factor."""
+    blob = json.loads((CONFIGS / "reduce.json").read_text())
+    n = blob["system"]["cyclic"]
+    cases = [
+        (FiniteSystem.cyclic(n), parse_labels(blob["labels"], n), (0,) * n, F(blob["eps"])),
+        (FiniteSystem.cyclic(250), heavy_tail_labeling(), (0,) * 250, 1),
+    ]
+    rng = random.Random(0x5EED)
+    for _ in range(40):
+        n = rng.choice((24, 60, 90, 120, 180, 250))
+        d = rng.choice([v for v in (1, 2, 3) if n % v == 0])
+        cells, big = rng.randint(2, 60), rng.uniform(0.5, 0.9)
+        xi = tuple(0 if rng.random() < big else rng.randint(1, cells) for _ in range(n))
+        eps = rng.choice((F(1, 2), F(1), F(2)))
+        cases.append((FiniteSystem.cyclic(n), xi, tuple(x % d for x in range(n)), eps))
+    return cases
+
+
+def test_reduce_matches_the_reference_relocation():
+    levels = []
+    for sysn, xi, flabels, eps in seeded_reduce_cases():
+        falg = GAlgebra(flabels)
+        alpha, plan = reduce_alphabet(sysn, xi, falg, eps)
+        ref_alpha, ref = reference_reduce(sysn, xi, falg, eps)
+        assert alpha == ref_alpha
+        got = {
+            "delta": plan.delta,
+            "cutoff": plan.cutoff,
+            "tail": plan.tail,
+            "thetas": [(n, th.pairs, th.moves) for n, th in plan.thetas],
+            "relocated": plan.relocated,
+            "digit_sets": plan.digit_sets,
+            "q_set": plan.q_set,
+        }
+        assert got == ref
+        levels.append([n for n, _ in plan.thetas])
+    assert levels[:2] == [[3, 4], [3, 4]]
+    assert sum(len(lv) >= 2 for lv in levels) >= 5  # the seeds reach deep tails
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.data())
 def test_reduce_random_contiguous_instances(data):
@@ -254,9 +368,9 @@ def test_encode_names_plan_shape():
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     classes = len(tower.transversal)
-    assert len(plan.b_words) == len(plan.codewords) == classes
-    for i in range(classes):
-        assert not set(plan.m_idx[i]) & set(plan.j_idx[i])
+    assert len(plan.codewords) == len(plan.m_full) == len(plan.j_idx) == classes
+    for mf, j in zip(plan.m_full, plan.j_idx):
+        assert not {i for i in mf if i < codebook.k} & set(j)
     assert plan.budget() == F(1, 6)
     for t, z in enumerate(plan.zeta):
         assert F(len(z), sysn.n_points) < params.r * params.q.weights[t]
@@ -270,6 +384,33 @@ def test_encode_names_reserved_indices_tracked():
     assert sum(len(m) for m in plan.m_full) == 1
     claimed = set().union(*map(set, plan.zeta))
     assert 5 not in claimed
+
+
+def excluded_budget(plan):
+    # the budget as max |M_y ∪ J_y| / k over explicit excluded-index sets
+    k = plan.codebook.k
+    excluded = [{i for i in mf if i < k} | set(j) for mf, j in zip(plan.m_full, plan.j_idx)]
+    return F(max(map(len, excluded)), k)
+
+
+def test_budget_matches_the_excluded_sets():
+    for entry in FAMILY:
+        sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
+        plan = encode_names(
+            tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=entry[9]
+        )
+        assert plan.budget() == excluded_budget(plan), entry[0]
+    # z32 with reserved points inside and past the first codeword prefix
+    sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[2])
+    orbit = tower.theta.orbit(tower.transversal[0])
+    k = codebook.k
+    for picks in ((0,), (1, 4), (0, 2, 7), (3, k), (k, k + 1)):
+        reserved = tuple(orbit[i] for i in picks)
+        plan = encode_names(
+            tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=reserved
+        )
+        assert plan.m_full[0] == picks
+        assert plan.budget() == excluded_budget(plan), picks
 
 
 def test_encode_names_atypical_fine_name():
