@@ -4,7 +4,8 @@ The snapshots pin report content across commits: the JSON and CSV report of
 every bundled config at --seed 0, and the JSON-rendered (alpha, certificate)
 of every recode FAMILY instance in tests/recode_instances.py.
 tests/test_golden.py compares them byte for byte, so regenerate only when a
-report is meant to change, and say why in CHANGES.md.
+report is meant to change, and say why in CHANGES.md.  A golden file is
+written only when its bytes differ, and only those files are printed.
 
     PYTHONPATH=src python scripts/regen_golden.py
 """
@@ -69,8 +70,10 @@ def golden_cases() -> dict:
 def main():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, make in golden_cases().items():
-        (GOLDEN / name).write_bytes(make().encode())
-        print(f"wrote tests/golden/{name}")
+        path, text = GOLDEN / name, make().encode()
+        if not path.exists() or path.read_bytes() != text:
+            path.write_bytes(text)
+            print(f"wrote tests/golden/{name}")
 
 
 if __name__ == "__main__":

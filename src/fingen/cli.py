@@ -256,25 +256,15 @@ def _composition(rng: random.Random, total: int, parts: int) -> list:
 
 def _decompose_row(rid: str, a: ProbVec, eps: Fraction) -> dict:
     dec = ratcomb_decompose(a, eps)
-    identity = all(
-        sum(Fraction(c) * vec.weights[i] for c, vec in zip(dec.mixing.weights, dec.vectors))
-        == a.weights[i]
-        for i in range(len(a))
-    )
-    max_dev = max(
-        abs(Fraction(vec.weights[i]) - a.weights[i])
-        for vec in dec.vectors
-        for i in range(len(a))
-    )
     return {
         "id": rid,
         "a": ",".join(a.to_strings()),
         "n": dec.n,
         "components": len(dec.vectors),
         "mixing": ",".join(dec.mixing.to_strings()),
-        "max_dev": str(max_dev),
-        "identity": identity,
-        "within_eps": max_dev < eps,
+        "max_dev": str(dec.facts["max_dev"]),
+        "identity": dec.facts["identity"],
+        "within_eps": dec.facts["within_eps"],
     }
 
 

@@ -13,7 +13,7 @@ of the cell entropies over the conditioning fibers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -202,29 +202,34 @@ def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = 
 class RatDecomposition:
     """Convex mix ``sum_j mixing[j] * vectors[j]`` equal to the source exactly.
 
-    Every component vector has denominator ``n``.
+    Every component vector has denominator ``n``.  ``facts`` is what
+    ``verify`` decided when ``ratcomb_decompose`` built the mix.
     """
 
     source: ProbVec
     n: int
     vectors: tuple
     mixing: ProbVec
+    facts: dict | None = field(default=None, init=False, compare=False)
 
-    def verify(self, eps) -> None:
+    def verify(self, eps) -> dict:
+        """Return what the check at tolerance eps decided: ``identity`` (the mix
+        is the source exactly), ``max_dev`` (the largest entrywise distance of a
+        component from the source) and ``within_eps`` (max_dev < eps).  Raises
+        ``InvalidVectorError`` if either fails or a denominator does not divide n."""
         eps = Fraction(eps)
-        p = len(self.source)
-        acc = [Fraction(0)] * p
-        for c, r in zip(self.mixing.weights, self.vectors):
-            for i in range(p):
-                acc[i] += c * r.weights[i]
-        if tuple(acc) != self.source.weights:
+        src = self.source.weights
+        terms = [[c * x for x in r.weights] for c, r in zip(self.mixing.weights, self.vectors)]
+        identity = tuple(map(sum, zip(*terms))) == src
+        if not identity:
             raise InvalidVectorError("mix does not reconstruct the source exactly")
-        for r in self.vectors:
-            for i in range(p):
-                if abs(r.weights[i] - self.source.weights[i]) >= eps:
-                    raise InvalidVectorError("component strays beyond the tolerance")
-            if any(x.denominator > self.n or (self.n % x.denominator) != 0 for x in r.weights):
-                raise InvalidVectorError("component denominator exceeds n")
+        max_dev = max(abs(x - s) for r in self.vectors for x, s in zip(r.weights, src))
+        within_eps = max_dev < eps
+        if not within_eps:
+            raise InvalidVectorError("component strays beyond the tolerance")
+        if any(self.n % x.denominator for r in self.vectors for x in r.weights):
+            raise InvalidVectorError("component denominator exceeds n")
+        return {"identity": identity, "max_dev": max_dev, "within_eps": within_eps}
 
 
 def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
@@ -232,7 +237,8 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
 
     The common denominator is the least n with n > (p-1)/eps and
     n > 2(p-1)/a_p, so each component stays within eps of ``a`` entrywise.
-    Requires a positive final entry (reorder beforehand).
+    Requires a positive final entry (reorder beforehand).  Every result is
+    verified at eps, and its ``facts`` hold what ``verify`` decided.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -241,10 +247,6 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
     last = a.weights[-1]
     if last == 0:
         raise InvalidVectorError("final entry must be positive; place a positive cell last")
-    if p == 1:
-        one = ProbVec((Fraction(1),))
-        return RatDecomposition(a, 1, (one,), one)
-
     n = max(
         math.floor(Fraction(p - 1) / eps) + 1,
         math.floor(Fraction(2 * (p - 1)) / last) + 1,
@@ -252,33 +254,31 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
     )
 
     if all((n * w).denominator == 1 for w in a.weights):
-        # a is itself a denominator-n vector: every component may equal a.
+        # a is a denominator-n vector (always when p = 1): every component may equal a.
         mixing = ProbVec((Fraction(1),) + (Fraction(0),) * (p - 1))
-        out = RatDecomposition(a, n, (a,) * p, mixing)
-        out.verify(eps)
-        return out
+        vectors = [a] * p
+    else:
+        head = list(a.weights[:-1])
+        ks = [math.floor(n * w) for w in head]
+        lambdas = [Fraction(k + 1) - n * w for k, w in zip(ks, head)]
+        order = sorted(range(p - 1), key=lambda i: lambdas[i])  # stable: ties keep index order
 
-    head = list(a.weights[:-1])
-    ks = [math.floor(n * w) for w in head]
-    lambdas = [Fraction(k + 1) - n * w for k, w in zip(ks, head)]
-    order = sorted(range(p - 1), key=lambda i: lambdas[i])  # stable: ties keep index order
+        lam_sorted = [Fraction(0)] + [lambdas[i] for i in order] + [Fraction(1)]
+        mixing = ProbVec(tuple(lam_sorted[j] - lam_sorted[j - 1] for j in range(1, p + 1)))
 
-    lam_sorted = [Fraction(0)] + [lambdas[i] for i in order] + [Fraction(1)]
-    mixing = ProbVec(tuple(lam_sorted[j] - lam_sorted[j - 1] for j in range(1, p + 1)))
-
-    k_sorted = [ks[i] for i in order]
-    vectors = []
-    for j in range(1, p + 1):
-        comp = [Fraction(0)] * p
-        for t in range(p - 1):  # position t in the sorted order holds source index order[t]
-            k = k_sorted[t]
-            val = Fraction(k, n) if j <= t + 1 else Fraction(k + 1, n)
-            comp[order[t]] = val
-        comp[p - 1] = 1 - sum(comp[:-1])
-        if comp[p - 1] <= 0:
-            raise InvalidVectorError("final component entry not positive; eps too loose for a_p")
-        vectors.append(ProbVec(tuple(comp)))
+        k_sorted = [ks[i] for i in order]
+        vectors = []
+        for j in range(1, p + 1):
+            comp = [Fraction(0)] * p
+            for t in range(p - 1):  # position t in the sorted order holds source index order[t]
+                k = k_sorted[t]
+                val = Fraction(k, n) if j <= t + 1 else Fraction(k + 1, n)
+                comp[order[t]] = val
+            comp[p - 1] = 1 - sum(comp[:-1])
+            if comp[p - 1] <= 0:
+                raise InvalidVectorError("final component entry not positive; eps too loose for a_p")
+            vectors.append(ProbVec(tuple(comp)))
 
     out = RatDecomposition(a, n, tuple(vectors), mixing)
-    out.verify(eps)
+    object.__setattr__(out, "facts", out.verify(eps))
     return out

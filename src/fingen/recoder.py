@@ -199,7 +199,7 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
                 q_pts.append(y)
     q_set = tuple(sorted(q_pts))
 
-    gamma = canon_labels(w[:cut] for w in words)
+    gamma = canon_labels(w[:cut - 1] for w in words)
     moved = {y: i for i, ys in enumerate(digit_sets) for y in ys}
     qmembers = set(q_set)
     alpha = canon_labels(
@@ -226,8 +226,10 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
 
 @dataclass(frozen=True)
 class RecodePlan:
-    """Per-transversal codewords, excluded indices, and the cells the
-    surviving codeword positions claim.  Tuples align with the transversal."""
+    """Per-transversal codewords, excluded indices, the cells the surviving
+    codeword positions claim, and the records ``encode_names`` gated on.
+    Tuples align with the transversal.  ``claimed_margin`` builds the one
+    record that ``synthesize_prepartition`` gates on and the certificate lists."""
 
     tower: Tower
     codebook: CodeBook
@@ -236,12 +238,22 @@ class RecodePlan:
     m_full: tuple  # orbit indices hitting the reserved set, over the full class
     j_idx: tuple  # trimmed positions from the frequency repair
     zeta: tuple  # claimed cells Z_t, one per target symbol, sorted
+    checks: tuple  # the "reserved-density" and "trim-bound" records, both holding
 
     def budget(self) -> Fraction:
         """max over y of |M_y ∪ J_y| / k; J_y takes no reserved index."""
         k = self.codebook.k
         worst = max(sum(i < k for i in mf) + len(j) for mf, j in zip(self.m_full, self.j_idx))
         return Fraction(worst, k)
+
+    def claimed_margin(self, params: RecodeParams) -> dict:
+        """The "claimed-margin" record: weight(Z_t) < r * q_t for every t."""
+        claimed = [Fraction(len(z), self.tower.system.n_points) for z in self.zeta]
+        q_w = params.q.weights
+        return inequality(
+            "claimed-margin", float(max(claimed)), float(params.r) * max(float(w) for w in q_w),
+            all(z < params.r * w for z, w in zip(claimed, q_w)),
+        )
 
 
 def encode_names(
@@ -258,8 +270,9 @@ def encode_names(
     through its book, and trim indices until every kept symbol frequency
     sits strictly below the completion targets.
 
-    Reserved points are excluded from claimed positions; their per-orbit
-    density must stay below 2 r delta.  A name outside the codebook's
+    Reserved points are excluded from claimed positions.  The plan carries
+    the records it gated on: "reserved-density" (max |M_y| < 2 r delta n) and
+    "trim-bound" (max |J_y| < 3 delta |q| k).  A name outside the codebook's
     typical sets is a mismatch between the tower and the codebook.
     """
     sys = tower.system
@@ -295,10 +308,6 @@ def encode_names(
         except AtypicalNameError:
             raise AtypicalNameError(f"fine name of {y} is outside its book")
         mf = tuple(i for i, x in enumerate(orbit) if x in mset)
-        if len(mf) >= 2 * r * delta * n:
-            raise InvalidParamsError(
-                "reserved density |M_y| < 2 r delta n", f"|M_y|={len(mf)} at {y}"
-            )
         mi = tuple(i for i in mf if i < k)
         J = choose_J(a, mi, delta, codebook.eps, codebook.q)
         for i in range(k):
@@ -308,6 +317,15 @@ def encode_names(
         m_full.append(mf)
         j_idx.append(tuple(sorted(J)))
 
+    most_m, at_m = max(zip(map(len, m_full), tower.transversal))
+    most_j, at_j = max(zip(map(len, j_idx), tower.transversal))
+    reserve_cap, trim_cap = 2 * r * delta * n, 3 * delta * len(codebook.q) * k
+    density = inequality("reserved-density", most_m, float(reserve_cap), most_m < reserve_cap)
+    trim = inequality("trim-bound", most_j, float(trim_cap), most_j < trim_cap)
+    if not density["holds"]:
+        raise InvalidParamsError("reserved density |M_y| < 2 r delta n", f"|M_y|={most_m} at {at_m}")
+    if not trim["holds"]:
+        raise InvalidParamsError("trim size bound |J| < 3 delta |q| n", f"|J|={most_j} at {at_j}")
     return RecodePlan(
         tower,
         codebook,
@@ -316,6 +334,7 @@ def encode_names(
         tuple(m_full),
         tuple(j_idx),
         tuple(tuple(sorted(z)) for z in zeta),
+        (density, trim),
     )
 
 
@@ -323,11 +342,11 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
     """Grow each claimed cell Z_t to exact mass r * q_t.
 
     The fill draws from points no codeword position claimed, unreserved
-    points first, lowest index first.  The claimed cells must sit strictly
-    below their targets; integral targets are a divisibility requirement.
+    points first, lowest index first.  Integral targets are a divisibility
+    requirement, and the plan as given must pass the "claimed-margin" record:
+    every claimed cell strictly below its target.
     """
-    sys = plan.tower.system
-    npts = sys.n_points
+    npts = plan.tower.system.n_points
     targets = []
     for t, w in enumerate(params.q.weights):
         goal = params.r * w * npts
@@ -336,11 +355,11 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
                 "integral target counts r * q_t * N", f"symbol {t} needs {goal}"
             )
         targets.append(int(goal))
-        if len(plan.zeta[t]) >= goal:
-            raise InvalidParamsError(
-                "completion room weight(Z_t) < r * q_t",
-                f"symbol {t}: {len(plan.zeta[t])} of {goal}",
-            )
+    if not plan.claimed_margin(params)["holds"]:
+        raise InvalidParamsError(
+            "completion room weight(Z_t) < r * q_t",
+            f"claimed {[len(z) for z in plan.zeta]} of {targets} points",
+        )
     used = set().union(*plan.zeta)
     rset = set(plan.reserved)
     pool = sorted((x for x in range(npts) if x not in used), key=lambda x: (x in rset, x))
@@ -577,23 +596,13 @@ def krieger_recode(
     q_w, p_w = q.weights, params.p.weights
     masses_q = [Fraction(len(c), npts) for c in cells_q]
     masses_p = [Fraction(len(c), npts) for c in cells_p]
-    claimed = [Fraction(len(z), npts) for z in plan.zeta]
-    most_reserved = max((len(mf) for mf in plan.m_full), default=0)
-    most_trimmed = max((len(j) for j in plan.j_idx), default=0)
-    reserve_cap = 2 * r * delta * tower.n
-    trim_cap, name_cap = 3 * delta * len(q) * k, 10 * delta * len(q)
+    name_cap = 10 * delta * len(q)
     inequalities = [
         precondition,
-        inequality(
-            "reserved-density", most_reserved, float(reserve_cap), most_reserved < reserve_cap
-        ),
-        inequality("trim-bound", most_trimmed, float(trim_cap), most_trimmed < trim_cap),
+        *plan.checks,
         budget,
         inequality("name-distance", float(measured), float(name_cap), measured < name_cap),
-        inequality(
-            "claimed-margin", float(max(claimed)), float(r) * max(float(w) for w in q_w),
-            all(z < r * w for z, w in zip(claimed, q_w)),
-        ),
+        plan.claimed_margin(params),
     ]
     certificate = {
         "schema": "1",

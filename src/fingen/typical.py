@@ -471,7 +471,8 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
     strictly below min((q_t + eps)(1 - delta), q_t).
 
     ``reserved`` positions are treated as already removed.  Lowest indices go
-    first, and the result always satisfies |J| < 3 * delta * |q| * n.
+    first.  For a word typical for q, |J| < 3 * delta * |q| * n;
+    ``encode_names`` gates on that bound, so it is not compared here.
     """
     n = len(word)
     delta = Fraction(delta)
@@ -500,10 +501,7 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
         excess = len(positions[t]) - keep_max
         if excess > 0:
             out.extend(positions[t][:excess])
-    J = frozenset(out)
-    if len(J) >= 3 * delta * len(q) * n:
-        raise InvalidParamsError("trim size bound |J| < 3 delta |q| n", f"|J|={len(J)}")
-    return J
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -602,6 +600,8 @@ def _chain_checks(
     q: ProbVec,
     budget: PackingBudget,
     n: int,
+    k: int,
+    rho: float,
     max_fiber: int,
     target_count: int,
     packing_prefix: int,
@@ -609,8 +609,6 @@ def _chain_checks(
     """Feasibility inequalities, exact counts on one side, analytic rates on the other."""
     delta = float(budget.delta)
     r = float(budget.r)
-    k = budget.k(n)
-    rho = float(budget.rho(len(q)))
     cells = [c for block in blocks.blocks for c in block]
     block_of = [j for j, block in enumerate(blocks.blocks) for _ in block]
     h_cond = cond_entropy(cells, block_of, [xi.weights[c] for c in cells])  # H(xi | coarsened xi)
@@ -698,7 +696,9 @@ def build_injections(
     target_spec = TypicalSpec(q, eps, k)
     packing = greedy_packing(target_spec, rho, max_fiber)
     target_count = count_typical(target_spec)
-    checks = _chain_checks(xi, blocks, q, budget, n, max_fiber, target_count, len(packing))
+    checks = _chain_checks(
+        xi, blocks, q, budget, n, k, float(rho), max_fiber, target_count, len(packing)
+    )
     required = ANALYTIC_REQUIRED if capacity == "analytic" else EXACT_REQUIRED
     by_name = {c["name"]: c for c in checks}
     for name in required:

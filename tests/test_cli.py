@@ -6,6 +6,7 @@ import pytest
 
 from fingen import cli
 from fingen.cli import child_seed, main
+from fingen.probvec import RatDecomposition
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ALL = ("count", "decompose", "codebook", "tower", "reduce", "recode", "oracle")
@@ -121,6 +122,20 @@ def test_decompose_seed_controls_samples(capsys):
     assert [row["id"] for row in r0] == [row["id"] for row in r1]
     assert [row["a"] for row in r0] != [row["a"] for row in r1]
     assert all(row["identity"] and row["within_eps"] for row in r0 + r1)
+
+
+def test_decompose_single_cell_row_prints_what_verify_decided(capsys, monkeypatch):
+    calls = []
+    verify = RatDecomposition.verify
+    monkeypatch.setattr(
+        RatDecomposition, "verify", lambda self, eps: calls.append(eps) or verify(self, eps)
+    )
+    code, out, err = run(capsys, ["decompose", "--a", "1", "--eps", "1/2"])
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    assert row["identity"] is True and row["within_eps"] is True
+    assert row["max_dev"] == "0"
+    assert len(calls) == 1  # once per row, inside ratcomb_decompose
 
 
 def test_child_seed_is_stable_and_splits():

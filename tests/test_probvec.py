@@ -11,6 +11,7 @@ from fingen.errors import InvalidPartitionError, InvalidVectorError
 from fingen.probvec import (
     Coarsening,
     ProbVec,
+    RatDecomposition,
     coarsen,
     cond_entropy,
     entropy,
@@ -202,6 +203,18 @@ def test_ratcomb_trivial_denominator_match():
 def test_ratcomb_single_cell():
     d = ratcomb_decompose(ProbVec((F(1),)), 0.5)
     assert d.n == 1 and d.vectors[0].weights == (F(1),)
+    assert d.facts == {"identity": True, "max_dev": 0, "within_eps": True}
+
+
+def test_verify_refuses_a_deviation_of_exactly_eps():
+    half = ProbVec((F(1, 2), F(1, 2)))
+    apart = (ProbVec((F(1, 4), F(3, 4))), ProbVec((F(3, 4), F(1, 4))))
+    d = RatDecomposition(half, 4, apart, half)
+    assert d.verify(F(1, 3)) == {"identity": True, "max_dev": F(1, 4), "within_eps": True}
+    with pytest.raises(InvalidVectorError, match="tolerance"):
+        d.verify(F(1, 4))
+    with pytest.raises(InvalidVectorError, match="reconstruct"):
+        RatDecomposition(half, 4, apart, ProbVec((F(1, 4), F(3, 4)))).verify(1)
 
 
 def test_ratcomb_requires_positive_last_entry():
@@ -218,7 +231,7 @@ def test_ratcomb_random_tight_eps():
         a = ProbVec(tuple(F(x, total) for x in raw))
         eps = F(1, rng.randrange(3, 30))
         d = ratcomb_decompose(a, eps)
-        d.verify(eps)
+        assert d.facts == d.verify(eps)
         assert all(sum(v.weights) == 1 for v in d.vectors)
 
 

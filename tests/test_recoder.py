@@ -48,7 +48,7 @@ from fingen.recoder import (
 )
 from fingen.system import FiniteSystem, GAlgebra, PseudoMap, generated_algebra, simplemix
 from fingen.tower import build_tower
-from fingen.typical import PackingBudget, build_injections
+from fingen.typical import PackingBudget, build_injections, inequality
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def reference_reduce(sysn, xi, falg, eps):
     """``reduce_alphabet`` as it ran before its sweep: the tail weight summed
     again for every candidate cutoff, and each level relocated into an
-    ``avail`` list rebuilt over all points next to a ``blocked`` set."""
+    ``avail`` list rebuilt over all points next to a ``blocked`` set.  Only
+    the first cutoff - 1 digits go into gamma; deeper digits are relocated."""
     xi = canon_labels(xi)
     eps = F(eps)
     code = build_code(FiberDistribution.from_labels(xi, falg.labels))
@@ -239,7 +240,7 @@ def reference_reduce(sysn, xi, falg, eps):
             digit_sets[words[x][n - 1]].append(y)
             if len(words[x]) >= n + 1:
                 q_pts.append(y)
-    gamma = canon_labels(w[:cut] for w in words)
+    gamma = canon_labels(w[: cut - 1] for w in words)
     moved = {y: i for i, ys in enumerate(digit_sets) for y in ys}
     alpha = canon_labels(
         (gamma[x], moved.get(x, -1), x in set(q_pts)) for x in range(sysn.n_points)
@@ -296,6 +297,14 @@ def test_reduce_matches_the_reference_relocation():
         levels.append([n for n, _ in plan.thetas])
     assert levels[:2] == [[3, 4], [3, 4]]
     assert sum(len(lv) >= 2 for lv in levels) >= 5  # the seeds reach deep tails
+
+
+def test_reduce_gamma_keeps_only_the_digits_above_the_cutoff():
+    # digit `cutoff` and deeper live in the relocated digit cells, so gamma
+    # must not store digit `cutoff` a second time
+    for sysn, xi, flabels, eps in seeded_reduce_cases():
+        _, plan = reduce_alphabet(sysn, xi, GAlgebra(flabels), eps)
+        assert plan.gamma == canon_labels(w[: plan.cutoff - 1] for w in plan.words)
 
 
 @settings(deadline=None, max_examples=20)
@@ -374,6 +383,9 @@ def test_encode_names_plan_shape():
     assert plan.budget() == F(1, 6)
     for t, z in enumerate(plan.zeta):
         assert F(len(z), sysn.n_points) < params.r * params.q.weights[t]
+    assert [c["name"] for c in plan.checks] == ["reserved-density", "trim-bound"]
+    assert all(c["holds"] for c in plan.checks)
+    assert plan.checks[1]["lhs"] == max(map(len, plan.j_idx))
 
 
 def test_encode_names_reserved_indices_tracked():
@@ -435,11 +447,29 @@ def test_encode_names_atypical_coarse_name():
 
 def test_encode_names_reserved_density_gate():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match="reserved density"):
         encode_names(
             tower, fine, beta, codebook,
             r=params.r, delta=params.delta, reserved=(1, 2, 3),
         )
+
+
+def test_encode_names_trim_bound_gate(monkeypatch):
+    # choose_J does not compare the trim bound; encode_names owns that gate
+    sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
+    monkeypatch.setattr(
+        recoder, "choose_J",
+        lambda word, reserved, *args: frozenset(range(len(word))) - set(reserved),
+    )
+    # at delta = 1 / (3 |q|) the bound 3 delta |q| k is k itself, so |J| = k fails
+    edge = F(1, 3 * len(codebook.q))
+    for delta in (params.delta, edge):
+        with pytest.raises(InvalidParamsError, match="trim size bound") as err:
+            encode_names(tower, fine, beta, codebook, r=params.r, delta=delta)
+        assert err.value.constraint == "trim size bound |J| < 3 delta |q| n"
+    monkeypatch.setattr(recoder, "choose_J", lambda word, *args: frozenset(range(len(word) - 1)))
+    plan = encode_names(tower, fine, beta, codebook, r=params.r, delta=edge)
+    assert plan.checks[1] == inequality("trim-bound", codebook.k - 1, float(codebook.k), True)
 
 
 def test_synthesize_and_refine_exact_masses():
@@ -465,7 +495,8 @@ def test_synthesize_rejects_full_claimed_cell():
     )
     extra = next(x for x in range(sysn.n_points) if x not in plan.zeta[0])
     packed = replace(plan, zeta=(plan.zeta[0] + (extra,), plan.zeta[1]))
-    with pytest.raises(InvalidParamsError):
+    assert not packed.claimed_margin(params)["holds"]
+    with pytest.raises(InvalidParamsError, match="completion room"):
         synthesize_prepartition(packed, params)
 
 
