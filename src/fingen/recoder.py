@@ -247,13 +247,14 @@ class RecodePlan:
         return Fraction(worst, k)
 
     def claimed_margin(self, params: RecodeParams) -> dict:
-        """The "claimed-margin" record: weight(Z_t) < r * q_t for every t."""
-        claimed = [Fraction(len(z), self.tower.system.n_points) for z in self.zeta]
-        q_w = params.q.weights
-        return inequality(
-            "claimed-margin", float(max(claimed)), float(params.r) * max(float(w) for w in q_w),
-            all(z < params.r * w for z, w in zip(claimed, q_w)),
+        """The "claimed-margin" record: weight(Z_t) < r * q_t for every t, both
+        sides read at the first symbol with the least room r * q_t - weight(Z_t)."""
+        npts, r = self.tower.system.n_points, params.r
+        z, w = min(
+            ((Fraction(len(z), npts), w) for z, w in zip(self.zeta, params.q.weights)),
+            key=lambda zw: r * zw[1] - zw[0],
         )
+        return inequality("claimed-margin", float(z), float(r) * float(w), z < r * w)
 
 
 def encode_names(
@@ -456,7 +457,7 @@ def decode(
 
 def theta_algebra(theta: PseudoMap, labels) -> GAlgebra:
     """Refinement fixpoint of the labeling ``labels`` under one full-domain
-    map; stability under a bijection gives stability under its inverse."""
+    map, split by its images: theta^-1 maps cell to cell exactly when theta does."""
     return refine_partition(labels, [[theta.apply(x) for x in range(theta.system.n_points)]])
 
 

@@ -9,7 +9,7 @@ invariant sigma-algebras), partial bijections carrying group-element
 certificates, and the mixing constructions that average cell frequencies
 over equal-size classes.  Partitions travel as labelings, one hashable label
 per point, and the refinement fixpoint takes the labeling a caller holds.
-The fixpoint is Hopcroft partition refinement: cells split by the preimages
+The fixpoint is Hopcroft partition refinement: cells split by the images
 of a worklist of splitter cells, in O(|tables| N log N), not round by round.
 A matching is a greedy sweep along the group walk that keeps a walk pointer
 per point.  The n-1 sweeps of ``make_equal_partition`` share one free set and
@@ -231,9 +231,9 @@ class GAlgebra:
 
 def generated_algebra(sys: FiniteSystem, labels) -> GAlgebra:
     """Coarsest generator-stable partition refining the labeling ``labels``,
-    one hashable label per point.  Only the generator tables are passed: a
-    permutation that maps every cell into a cell maps it onto one, so its
-    inverse maps cell to cell as well."""
+    one hashable label per point.  Only the generator tables are passed, not
+    their ``~`` inverses: a permutation that maps every cell into a cell maps
+    it onto one, so its inverse maps cell to cell as well."""
     return refine_partition(labels, [perm for _, perm in sys.generators])
 
 
@@ -243,17 +243,18 @@ def refine_partition(labels, perms) -> GAlgebra:
 
     Hopcroft's splitter method (Hopcroft 1971; Paige-Tarjan 1987): cells are
     sets, and a worklist holds splitter cells, at first every initial cell but
-    the largest.  A splitter's preimage under each table splits every cell it
+    the largest.  A splitter's image under each table splits every cell it
     cuts only partly.  A split cell already on the worklist queues its new
     part; otherwise the smaller half is queued, since stability under a cell
     and one half gives stability under the other half.  So each point enters
     a splitter at most log2 N times and the fixpoint costs
-    O(|perms| N log N), with no per-round relabeling.  Each table must be a
-    permutation of the points: preimages are read off its inverse.
+    O(|perms| N log N), with no per-round relabeling.  Each table p must be a
+    permutation of the points and is not inverted: splitting by images makes
+    p^-1 map cells into cells, and so p too, since it is a bijection.
     """
     labels = canon_labels(labels)
     n = len(labels)
-    inverses = []
+    perms = list(perms)
     for p in perms:
         if len(p) != n:
             raise InvalidParamsError("one label per point")
@@ -261,7 +262,6 @@ def refine_partition(labels, perms) -> GAlgebra:
             raise InvalidParamsError("table entries lie on the points")
         if len(set(p)) != n:
             raise InvalidParamsError("tables are permutations", "an entry repeats")
-        inverses.append(_inverse(p))
     cell_of = list(labels)
     cells = [set(cell) for cell in label_cells(labels)]
     largest = max(range(len(cells)), key=lambda c: len(cells[c]), default=None)
@@ -271,10 +271,10 @@ def refine_partition(labels, perms) -> GAlgebra:
         top = queue.pop()
         queued.discard(top)
         splitter = tuple(cells[top])
-        for inv in inverses:
+        for p in perms:
             hits: dict = {}
             for y in splitter:
-                x = inv[y]
+                x = p[y]
                 hits.setdefault(cell_of[x], []).append(x)
             for c, part in hits.items():
                 cell = cells[c]
@@ -313,8 +313,12 @@ class PseudoMap:
             raise InvalidParamsError("map must be a bijection")
         enum = self.system.group()
         steps = {}  # per move: (inverse of element i, element j) for each pair (i, j)
-        for mv in set(self.moves):
-            if len(mv) % 2:
+        try:
+            distinct = set(self.moves)
+        except TypeError:  # a list, or a tuple holding one
+            raise InvalidParamsError("moves are pairs of walk indices") from None
+        for mv in distinct:
+            if not isinstance(mv, tuple) or len(mv) % 2 or any(type(i) is not int for i in mv):
                 raise InvalidParamsError("moves are pairs of walk indices")
             if any(i < 0 or not enum.reach(i) for i in mv):
                 raise InvalidParamsError("move indices lie on the group walk")

@@ -11,7 +11,8 @@ length left and the per-symbol count bounds: ``count_typical`` reads it once
 and a ``Fiber`` once per symbol it tries.  ``iter_typical`` is the one
 search; it lists the typical set, or with ``rho`` draws the first-fit
 packing.  The fiber of fine names over a block word is a ``Fiber``, which
-ranks and unranks by counting and never searches.
+ranks and unranks by counting and never searches: the two directions of one
+enumerative code (Cover 1973), taken by one position walk.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -284,11 +285,12 @@ class Fiber(Sequence):
     ``size`` is ``count_fiber`` (``len`` too, while it fits an index),
     ``fiber[i]`` unranks, ``fiber.index(w)`` ranks and raises
     ``AtypicalNameError`` on a name outside the fiber, and iterating unranks
-    ``0..size-1``.  Ranking and unranking go position by position: each
-    symbol that the position's block lists before the chosen one skips all
-    of its completions.  Completions factor over the blocks and only the
-    current block's factor changes, so each step reads one ``_fill_count``
-    per symbol tried.
+    ``0..size-1``.  Ranking and unranking are one walk, ``_walk``, position
+    by position: each symbol that the position's block lists before the
+    chosen one skips all of its completions, which the rank adds and the
+    unrank passes over (a symbol at its count bound has none).  Completions
+    factor over the blocks and only the current block's factor changes, so
+    each step reads one ``_fill_count`` per symbol tried.
     """
 
     __slots__ = ("_blocks", "_b", "_ranges", "_avail", "_factors", "size")
@@ -324,33 +326,11 @@ class Fiber(Sequence):
 
     def __getitem__(self, i) -> tuple:
         i = operator.index(i)
-        total = self.size
         if i < 0:
-            i += total
-        if not 0 <= i < total:
+            i += self.size
+        if not 0 <= i < self.size:
             raise IndexError("fiber index out of range")
-        left, factors = list(self._avail), list(self._factors)
-        counts = [0] * len(self._ranges)
-        word = []
-        for j in self._b:
-            cells = self._blocks[j]
-            if len(cells) == 1:  # a one-cell block's completion is forced
-                word.append(cells[0])
-                continue
-            left[j] -= 1
-            other = total // factors[j]
-            for t in cells:
-                if counts[t] < self._ranges[t][1]:
-                    counts[t] += 1
-                    f = self._fill(cells, left[j], counts)
-                    total = other * f
-                    if i < total:
-                        break
-                    i -= total
-                    counts[t] -= 1
-            factors[j] = f
-            word.append(t)
-        return tuple(word)
+        return self._walk(i, None)[1]
 
     def index(self, word) -> int:
         """The rank of ``word`` in fiber order."""
@@ -358,34 +338,39 @@ class Fiber(Sequence):
         word = tuple(word)
         if len(word) != len(b):
             raise AtypicalNameError(f"name of length {len(word)} in a fiber of length {len(b)}")
-        total = self.size
-        if total == 0:
+        if self.size == 0:
             raise AtypicalNameError(f"the typical fiber of {b} is empty")
+        return self._walk(None, word)[0]
+
+    def _walk(self, i, word) -> tuple:
+        """``(rank, word)`` of the index ``i`` when ``word`` is None, else of
+        ``word``; ``rank`` counts the names before the prefix walked so far."""
+        total, rank, out = self.size, 0, []
         left, factors = list(self._avail), list(self._factors)
         counts = [0] * len(self._ranges)
-        rank = 0
-        for p, (j, s) in enumerate(zip(b, word)):
+        for p, j in enumerate(self._b):
             cells = self._blocks[j]
-            if len(cells) == 1 and s == cells[0]:  # a one-cell block's completion is forced
+            s = None if word is None else word[p]
+            if len(cells) == 1 and (word is None or s == cells[0]):  # a forced completion
+                out.append(cells[0])
                 continue
             left[j] -= 1
             other = total // factors[j]
             for t in cells:
-                if t == s:
+                counts[t] += 1
+                f = self._fill(cells, left[j], counts)
+                total = other * f
+                if (i < rank + total) if word is None else t == s:
                     break
-                if counts[t] < self._ranges[t][1]:
-                    counts[t] += 1
-                    rank += other * self._fill(cells, left[j], counts)
-                    counts[t] -= 1
+                rank += total
+                counts[t] -= 1
             else:
                 raise AtypicalNameError(f"symbol {s!r} at position {p} is outside block {j}")
-            counts[s] += 1
-            f = self._fill(cells, left[j], counts) if counts[s] <= self._ranges[s][1] else 0
             if f == 0:
-                raise AtypicalNameError(f"name {word} is outside the typical fiber of {b}")
+                raise AtypicalNameError(f"name {word} is outside the typical fiber of {self._b}")
             factors[j] = f
-            total = other * f
-        return rank
+            out.append(t)
+        return rank, tuple(out)
 
     def __contains__(self, word) -> bool:
         try:

@@ -21,5 +21,7 @@ def test_golden_set_is_complete():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
-    expected = (regen_golden.GOLDEN / name).read_bytes()
-    assert CASES[name]().encode() == expected
+    # decoded without newline translation, so the check stays byte-exact while
+    # a mismatch prints as a line diff naming the changed field
+    expected = (regen_golden.GOLDEN / name).read_bytes().decode("utf-8")
+    assert CASES[name]() == expected

@@ -500,6 +500,29 @@ def test_synthesize_rejects_full_claimed_cell():
         synthesize_prepartition(packed, params)
 
 
+def test_claimed_margin_sides_come_from_the_deciding_symbol():
+    # the record shows the symbol with the least room, so its sides agree with holds
+    for entry in FAMILY:
+        sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
+        plan = encode_names(
+            tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=entry[9]
+        )
+        record = plan.claimed_margin(params)
+        assert (record["lhs"] < record["rhs"]) == record["holds"], entry[0]
+    # z24-skew-target: q = (1/3, 2/3), r = 1/2, so the targets are 4 and 8 of 24
+    entry = next(e for e in FAMILY if e[0] == "z24-skew-target")
+    sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
+    plan = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
+    used = set().union(*plan.zeta)
+    spare = [x for x in range(sysn.n_points) if x not in used]
+    filled = plan.zeta[0] + tuple(spare[: 4 - len(plan.zeta[0])])
+    full = replace(plan, zeta=(filled,) + plan.zeta[1:])
+    assert len(full.zeta[0]) == 4 and len(full.zeta[1]) < 8
+    record = full.claimed_margin(params)
+    assert not record["holds"] and not record["lhs"] < record["rhs"]
+    assert (record["lhs"], record["rhs"]) == (4 / 24, 0.5 * float(F(1, 3)))
+
+
 def test_synthesize_requires_integral_targets():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     plan = encode_names(

@@ -411,6 +411,14 @@ def test_pseudomap_pairs_live_on_the_points():
             simplemix(Z4, [stray], [0, 1])
 
 
+def test_pseudomap_refuses_malformed_moves_by_name():
+    # the move (0, 1) carries 0 to 1 on Z4; none of these spellings of it is a move
+    assert PseudoMap(Z4, ((0, 1),), ((0, 1),)).apply(0) == 1
+    for move in (5, [0, 1], (0, "1"), (0, 1.0), (0, True), ((0, 1),)):
+        with pytest.raises(InvalidParamsError, match="moves are pairs of walk indices"):
+            PseudoMap(Z4, ((0, 1),), (move,))
+
+
 def test_pseudomap_decomposition_and_orbit():
     tau = tau_even_up()
     words = dict(zip(tau.domain, words_of(tau)))

@@ -173,3 +173,54 @@ def test_audit_sweeps_do_not_grow_with_columns():
         assert audit_tower(counted) == audit_tower(tw)
         sweeps.append(CountedTuple.iterations)
     assert sweeps[0] == sweeps[1] == sweeps[2], sweeps
+
+
+# cyclic(132), labels x % 5 == 0, eps 3, nmin 1, m 11: the one pinned tower
+# whose classes come from avgmix's ratcomb route (k = 3, 4 classes, 2 profiles)
+RATCOMB_ALPHA = tuple(x % 5 == 0 for x in range(132))
+# theta as (image, move) for the points 0..131 in order
+RATCOMB_THETA = (
+    (1, (0, 1)), (131, (1, 2)), (130, (3, 4)), (129, (5, 6)), (128, (7, 8)), (127, (9, 10)),
+    (22, (10, 0, 0, 21)), (16, (8, 9)), (15, (6, 7)), (14, (4, 5)), (13, (2, 3)), (12, (0, 1)),
+    (10, (1, 2)), (9, (3, 4)), (8, (5, 6)), (7, (7, 8)), (6, (9, 10)), (33, (10, 0, 21, 43)),
+    (27, (8, 9)), (26, (6, 7)), (25, (4, 5)), (24, (2, 3)), (23, (0, 1)), (21, (1, 2)),
+    (20, (3, 4)), (19, (5, 6)), (18, (7, 8)), (17, (9, 10)), (11, (10, 0, 43, 0)), (38, (8, 9)),
+    (37, (6, 7)), (36, (4, 5)), (35, (2, 3)), (34, (0, 1)), (32, (1, 2)), (31, (3, 4)),
+    (30, (5, 6)), (29, (7, 8)), (28, (9, 10)), (99, (10, 0, 87, 66)), (49, (8, 9)),
+    (48, (6, 7)), (47, (4, 5)), (46, (2, 3)), (45, (0, 1)), (43, (1, 2)), (42, (3, 4)),
+    (41, (5, 6)), (40, (7, 8)), (39, (9, 10)), (66, (10, 0, 0, 21)), (60, (8, 9)), (59, (6, 7)),
+    (58, (4, 5)), (57, (2, 3)), (56, (0, 1)), (54, (1, 2)), (53, (3, 4)), (52, (5, 6)),
+    (51, (7, 8)), (50, (9, 10)), (88, (10, 0, 21, 65)), (71, (8, 9)), (70, (6, 7)),
+    (69, (4, 5)), (68, (2, 3)), (67, (0, 1)), (65, (1, 2)), (64, (3, 4)), (63, (5, 6)),
+    (62, (7, 8)), (61, (9, 10)), (121, (10, 0, 66, 21)), (82, (8, 9)), (81, (6, 7)),
+    (80, (4, 5)), (79, (2, 3)), (78, (0, 1)), (76, (1, 2)), (75, (3, 4)), (74, (5, 6)),
+    (73, (7, 8)), (72, (9, 10)), (55, (10, 0, 65, 0)), (93, (8, 9)), (92, (6, 7)), (91, (4, 5)),
+    (90, (2, 3)), (89, (0, 1)), (87, (1, 2)), (86, (3, 4)), (85, (5, 6)), (84, (7, 8)),
+    (83, (9, 10)), (0, (10, 0, 66, 0)), (104, (8, 9)), (103, (6, 7)), (102, (4, 5)),
+    (101, (2, 3)), (100, (0, 1)), (98, (1, 2)), (97, (3, 4)), (96, (5, 6)), (95, (7, 8)),
+    (94, (9, 10)), (77, (10, 0, 0, 66)), (115, (8, 9)), (114, (6, 7)), (113, (4, 5)),
+    (112, (2, 3)), (111, (0, 1)), (109, (1, 2)), (108, (3, 4)), (107, (5, 6)), (106, (7, 8)),
+    (105, (9, 10)), (110, (10, 0, 21, 0)), (126, (8, 9)), (125, (6, 7)), (124, (4, 5)),
+    (123, (2, 3)), (122, (0, 1)), (120, (1, 2)), (119, (3, 4)), (118, (5, 6)), (117, (7, 8)),
+    (116, (9, 10)), (44, (10, 0, 0, 87)), (5, (8, 9)), (4, (6, 7)), (3, (4, 5)), (2, (2, 3)),
+)
+
+
+def test_ratcomb_route_tower_is_pinned(monkeypatch):
+    routes = []
+    avgmix = system.avgmix
+
+    def traced(*args):
+        mix = avgmix(*args)
+        routes.append((mix.route, mix.n, len(mix.classes)))
+        return mix
+
+    monkeypatch.setattr(system, "avgmix", traced)
+    tw = build_tower(FiniteSystem.cyclic(132), RATCOMB_ALPHA, 3, 1, 11)
+    assert routes == [("ratcomb", 3, 4)]
+    assert (tw.k, tw.n, tw.ell, len(tw.profiles)) == (3, 33, 9, 2)
+    assert tw.transversal == (0, 11, 55, 77)
+    assert tw.s2 == (12, 23, 34, 45, 67, 78, 89, 100, 122)
+    assert tw.theta.pairs == tuple(enumerate(y for y, _ in RATCOMB_THETA))
+    assert tw.theta.moves == tuple(mv for _, mv in RATCOMB_THETA)
+    assert_all_ok(audit_tower(tw))

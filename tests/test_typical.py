@@ -218,6 +218,19 @@ def test_fiber_ranks_and_unranks_in_iter_fiber_order():
     assert checked > 2_000
 
 
+def test_fiber_walk_counts_once_per_symbol_tried(monkeypatch):
+    # a one-cell block's position is forced and reads no count; any other reads
+    # one per symbol tried, in rank and in unrank alike
+    xi = ProbVec((F(1, 2), F(1, 4), F(1, 4)))
+    fiber = Fiber(TypicalSpec(xi, 0, 4), Coarsening(((0,), (1, 2)), 3), (0, 1, 0, 1))
+    assert list(fiber) == [(0, 1, 0, 2), (0, 2, 0, 1)]
+    calls = []
+    fill = typical._fill_count
+    monkeypatch.setattr(typical, "_fill_count", lambda *args: calls.append(args) or fill(*args))
+    assert fiber[1] == (0, 2, 0, 1) and len(calls) == 3  # symbols 1, 2, then 1
+    assert fiber.index((0, 2, 0, 1)) == 1 and len(calls) == 6
+
+
 def test_large_fiber_ranks_without_listing():
     # 30 positions of a three-cell block, each cell 9..11 times: about 3.6e13 names
     xi = ProbVec((F(1, 10), F(1, 10), F(1, 10), F(7, 10)))
