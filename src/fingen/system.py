@@ -300,13 +300,18 @@ class PseudoMap:
     moves: tuple  # walk-index move carrying x to y, aligned with pairs
 
     def __post_init__(self):
+        try:  # unpacking refuses a pair of another length
+            xs = [x for x, _ in self.pairs]
+            ys = [y for _, y in self.pairs]
+        except (TypeError, ValueError):
+            raise InvalidParamsError("pairs are pairs of points") from None
+        if set(map(type, self.pairs)) - {tuple} or set(map(type, xs + ys)) - {int}:
+            raise InvalidParamsError("pairs are pairs of points")
         order = sorted(range(len(self.pairs)), key=lambda i: self.pairs[i])
         object.__setattr__(self, "pairs", tuple(self.pairs[i] for i in order))
         if len(self.moves) != len(self.pairs):
             raise InvalidParamsError("one move per pair")
         object.__setattr__(self, "moves", tuple(self.moves[i] for i in order))
-        xs = [x for x, _ in self.pairs]
-        ys = [y for _, y in self.pairs]
         if any(not (0 <= x < self.system.n_points) for x in xs + ys):
             raise InvalidParamsError("pairs live on the points")
         if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):

@@ -12,7 +12,9 @@ and a ``Fiber`` once per symbol it tries.  ``iter_typical`` is the one
 search; it lists the typical set, or with ``rho`` draws the first-fit
 packing.  The fiber of fine names over a block word is a ``Fiber``, which
 ranks and unranks by counting and never searches: the two directions of one
-enumerative code (Cover 1973), taken by one position walk.
+enumerative code (Cover 1973), taken by one position walk.  A codebook's
+books are ranked by the same code: a one-block ``Fiber`` over the block
+distribution unranks the typical block words, so no build lists them.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -519,22 +521,53 @@ class PackingBudget:
         return out
 
 
+class _Books(Sequence):
+    """A build's books, ``(b, fiber)`` per block word b in lexicographic
+    order.  ``words`` is the one-block ``Fiber`` over beta, which unranks the
+    typical set (``fibers`` None), or the sorted ``only`` words with the
+    fibers the build sized.  ``size`` is the exact book count (``len`` too,
+    while it fits an index)."""
+
+    __slots__ = ("_words", "_fibers", "_spec", "_blocks", "size")
+
+    def __init__(self, words: Sequence, fibers, spec: TypicalSpec, blocks: Coarsening):
+        self._words, self._fibers, self._spec, self._blocks = words, fibers, spec, blocks
+        self.size = words.size if fibers is None else len(words)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i) -> tuple:
+        b = self._words[i]
+        return b, Fiber(self._spec, self._blocks, b) if self._fibers is None else self._fibers[b]
+
+    def fiber(self, b: Sequence[int]) -> Fiber:
+        b = tuple(b)
+        if self._fibers is None:
+            if b in self._words:  # ranks b: its length, alphabet and typicality in one walk
+                return Fiber(self._spec, self._blocks, b)
+        elif b in self._fibers:
+            return self._fibers[b]
+        raise KeyError(f"no book for block word {b}")
+
+
 @dataclass(frozen=True)
 class CodeBook:
     """Per block-word injections of typical fibers into one packing: ``books``
-    holds ``(b, fiber)`` per block word b in lexicographic order, ``fiber`` a
-    lazy ``Fiber``, and book b sends ``fiber[i]`` to
-    ``packing[i]``.  So a name encodes to ``packing[fiber.index(name)]`` and a
-    codeword at ``packing[i]`` decodes to ``fiber[i]``; no fiber is listed.
-    ``packing`` is the first-fit prefix as long as the largest fiber, which
-    exists since ``capacity-exact`` is required in both capacity modes."""
+    is a lazy sequence of ``(b, fiber)`` per block word b in lexicographic
+    order, ranked rather than listed, ``fiber`` a lazy ``Fiber``, and book b
+    sends ``fiber[i]`` to ``packing[i]``.  So a name encodes to
+    ``packing[fiber.index(name)]`` and a codeword at ``packing[i]`` decodes
+    to ``fiber[i]``.  ``packing`` is the first-fit prefix as long as the
+    largest fiber, which exists since ``capacity-exact`` is required in both
+    capacity modes."""
 
     q: ProbVec
     eps: object
     k: int
     rho: Fraction
     packing: tuple
-    books: tuple
+    books: Sequence
     checks: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -544,14 +577,11 @@ class CodeBook:
         object.__setattr__(
             self, "_separation", Fraction(1) if closest is None else Fraction(closest, self.k)
         )
-        object.__setattr__(self, "_fibers", dict(self.books))
 
     def fiber(self, b: Sequence[int]) -> Fiber:
-        """The fiber of book b; ``KeyError`` when b has no book."""
-        try:
-            return self._fibers[tuple(b)]
-        except KeyError:
-            raise KeyError(f"no book for block word {tuple(b)}") from None
+        """The fiber of book b; ``KeyError`` when b has no book: b is not a
+        typical block word, or not one of the ``only`` words."""
+        return self.books.fiber(b)
 
     def mapping(self, b: Sequence[int]) -> dict:
         """Book b as a dict from names to codewords, unranked entry by entry."""
@@ -568,7 +598,7 @@ class CodeBook:
             "k": self.k,
             "rho": str(self.rho),
             "packing_prefix": len(self.packing),
-            "books": len(self.books),
+            "books": self.books.size,
             "separation": str(self.separation()),
             "checks": list(self.checks),
         }
@@ -650,11 +680,12 @@ def build_injections(
     sequence and each fiber is ranked on its own, so the restricted books
     agree entry for entry with the full build.
 
-    No fiber is listed: each book holds a lazy ``Fiber`` over the one fine
-    ``TypicalSpec`` of the build, which ranks and unranks by counting.  A
-    fiber's size depends on its block word only through the word's block
-    counts, and ``_fill_count`` memoises the per-block counts, so the
-    largest fiber costs one count DP per distinct block-count vector.
+    Neither the block words nor any fiber is listed.  The book count is
+    ``count_typical`` over beta, the books unrank the block words through a
+    one-block ``Fiber`` over beta, and each book's fiber is a lazy ``Fiber``.
+    A fiber's size depends on its block word only through the word's block
+    counts, so ``_largest_fiber`` takes the largest from the block-count
+    vectors.  An empty typical block set is refused by name before any search.
     """
     if capacity not in ("analytic", "exact"):
         raise InvalidParamsError("capacity in {analytic, exact}")
@@ -666,18 +697,23 @@ def build_injections(
     rho = budget.rho(len(q))
     beta = coarsen(xi, blocks)
     beta_spec = TypicalSpec(beta, eps, n)
+    if count_typical(beta_spec) == 0:
+        raise InvalidParamsError("a typical block word exists", f"none of length {n} at eps {eps}")
+    xi_spec = TypicalSpec(xi, eps, n)
     if only is None:
-        beta_words = list(iter_typical(beta_spec))
+        one_block = Coarsening((tuple(range(len(beta))),), len(beta))
+        books = _Books(Fiber(beta_spec, one_block, (0,) * n), None, xi_spec, blocks)
+        max_fiber = _largest_fiber(xi_spec, blocks, beta_spec)
     else:
-        beta_words = sorted({tuple(w) for w in only})
-        for w in beta_words:
+        words = sorted({tuple(w) for w in only})
+        for w in words:
             if len(w) != n:
                 raise InvalidParamsError("block words of length n")
             if not is_typical(w, beta_spec):
                 raise AtypicalNameError(f"block word {w} is outside the typical set")
-    xi_spec = TypicalSpec(xi, eps, n)
-    fibers = [Fiber(xi_spec, blocks, b) for b in beta_words]
-    max_fiber = max((f.size for f in fibers), default=0)
+        fibers = {b: Fiber(xi_spec, blocks, b) for b in words}
+        books = _Books(tuple(words), fibers, xi_spec, blocks)
+        max_fiber = max((f.size for f in fibers.values()), default=0)
     target_spec = TypicalSpec(q, eps, k)
     packing = greedy_packing(target_spec, rho, max_fiber)
     target_count = count_typical(target_spec)
@@ -690,4 +726,22 @@ def build_injections(
         c = by_name[name]
         if not c["holds"]:
             raise CapacityError(name, f"lhs={c['lhs']} rhs={c['rhs']}")
-    return CodeBook(q, eps, k, rho, tuple(packing), tuple(zip(beta_words, fibers)), tuple(checks))
+    return CodeBook(q, eps, k, rho, tuple(packing), books, tuple(checks))
+
+
+def _largest_fiber(fine: TypicalSpec, blocks: Coarsening, coarse: TypicalSpec) -> int:
+    """The largest ``Fiber`` size over the typical block words.  A size is
+    the product of each block's ``_fill_count`` at the word's count of that
+    block, as ``Fiber.__init__`` takes it, so this is the ``_fill_count``
+    convolution over the blocks with max in place of sum."""
+    n = coarse.n
+    best = {0: 1}  # per count of positions used, the largest product so far
+    for cells, (lo, hi) in zip(blocks.blocks, coarse._ranges):
+        bounds = tuple(fine._ranges[t] for t in cells)
+        nxt: dict = {}
+        for used, size in best.items():
+            for a in range(lo, min(hi, n - used) + 1):
+                key = used + a
+                nxt[key] = max(nxt.get(key, 0), size * _fill_count(a, bounds))
+        best = nxt
+    return best.get(n, 0)

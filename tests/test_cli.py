@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -424,3 +425,35 @@ def test_parser_is_built_once_and_reports_match_a_fresh_parser(capsys, monkeypat
     cached = reports()
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cached == reports()
+
+
+def codebook_config(n, c=None):
+    # the bundled codebook config at length n; with c, xi = ((n - 2c)/n, c/n, c/n)
+    blob = json.loads((CONFIGS / "codebook.json").read_text())
+    blob["n"] = n
+    if c is not None:
+        blob["xi"] = [f"{n - 2 * c}/{n}", f"{c}/{n}", f"{c}/{n}"]
+    return blob
+
+
+def test_empty_typical_block_set_is_refused_by_name(tmp_path, capsys):
+    # at n = 25 no block word has the bundled block frequencies exactly
+    cfg = write_config(tmp_path, codebook_config(25))
+    code, out, err = run(capsys, ["codebook", "--config", cfg])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "InvalidParamsError"
+    assert payload["error"]["name"] == "a typical block word exists"
+
+
+@pytest.mark.parametrize("n, c, books", [(48, 2, 194580), (96, 4, 132601016340)])
+def test_codebook_counts_its_books_without_listing_them(tmp_path, capsys, n, c, books):
+    # listing every typical block word took seconds at n = 48 and never ended at n = 96
+    cfg = write_config(tmp_path, codebook_config(n, c))
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["codebook", "--config", cfg])
+    elapsed = time.perf_counter() - started
+    assert code == 0, err
+    assert json.loads(out)["certificate"]["books"] == books == math.comb(n, 2 * c)
+    assert elapsed < 1, f"{elapsed:.2f}s"

@@ -419,6 +419,15 @@ def test_pseudomap_refuses_malformed_moves_by_name():
             PseudoMap(Z4, ((0, 1),), (move,))
 
 
+@pytest.mark.parametrize(
+    "pair", [(0, 1.0), (True, 2), (0.0, 1), ("0", 1), (0, 1, 2)], ids=repr
+)
+def test_pseudomap_refuses_malformed_pairs_by_name(pair):
+    # each spelling of the pair (0, 1), which the move (0, 1) certifies on Z4
+    with pytest.raises(InvalidParamsError, match="pairs are pairs of points"):
+        PseudoMap(Z4, (pair,), ((0, 1),))
+
+
 def test_pseudomap_decomposition_and_orbit():
     tau = tau_even_up()
     words = dict(zip(tau.domain, words_of(tau)))

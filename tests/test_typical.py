@@ -19,7 +19,7 @@ from fingen.errors import (
     InvalidParamsError,
     InvalidPartitionError,
 )
-from fingen.probvec import Coarsening, ProbVec
+from fingen.probvec import Coarsening, ProbVec, coarsen
 from fingen.recoder import krieger_recode
 from fingen.typical import (
     Fiber,
@@ -638,3 +638,84 @@ def test_equal_vectors_share_a_hash_and_a_count_cache_entry():
     TypicalSpec(from_fractions, F(1, 4), 5)
     info = typical._count_ranges.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def listed_books(xi, blocks, eps, n):
+    # the books as a listing build makes them: every typical block word in
+    # lexicographic order, one Fiber each
+    fine = TypicalSpec(xi, eps, n)
+    coarse = TypicalSpec(coarsen(xi, blocks), eps, n)
+    return [(b, Fiber(fine, blocks, b)) for b in iter_typical(coarse)]
+
+
+def bundled_codebook_case():
+    blob = json.loads((CONFIGS / "codebook.json").read_text())
+    xi = ProbVec(tuple(F(w) for w in blob["xi"]))
+    blocks = Coarsening(tuple(map(tuple, blob["blocks"])), len(xi))
+    budget = PackingBudget(F(blob["delta"]), F(blob["r"]))
+    q = ProbVec(tuple(F(w) for w in blob["q"]))
+    return xi, blocks, q, budget, F(blob["eps"]), blob["n"], blob["capacity"]
+
+
+def injection_cases():
+    from test_acceptance import INJECTION_CASES
+
+    budget = PackingBudget(F(1, 1000), F(1, 2))
+    cases = [
+        (ProbVec(tuple(F(v, n) for v in counts)), blocks, q, budget, F(0), n, "analytic")
+        for counts, blocks, q, n in INJECTION_CASES
+    ]
+    cases.append(bundled_codebook_case())
+    xi = ProbVec((F(10, 12), F(1, 12), F(1, 12)))
+    cases += [(xi, FEAS_BLOCKS, HALF, FEAS_BUDGET, eps, 12, "exact") for eps in (F(1, 12), F(1, 6))]
+    return cases
+
+
+@pytest.mark.parametrize("case", injection_cases(), ids=lambda case: f"n{case[5]}-eps{case[4]}")
+def test_ranked_books_match_the_listed_books(case):
+    xi, blocks, q, budget, eps, n, capacity = case
+    ref = listed_books(xi, blocks, eps, n)
+    book = build_injections(*case)
+    ranked = list(book.books)
+    assert book.summary()["books"] == len(book.books) == len(ranked) == len(ref)
+    assert [b for b, _ in ranked] == [b for b, _ in ref]
+    assert [f.size for _, f in ranked] == [f.size for _, f in ref]
+    assert book.books[-1][0] == ref[-1][0]
+    largest = max(f.size for _, f in ref)
+    capacity_exact = {c["name"]: c for c in book.checks}["capacity-exact"]
+    assert capacity_exact["lhs"] == largest == len(book.packing)
+    for b, f in ref[:: max(1, len(ref) // 7)]:
+        assert book.fiber(b).size == f.size
+        assert list(book.fiber(b)) == list(f)
+    # every block lies in the last block: a word outside the typical block set
+    atypical = (len(blocks) - 1,) * n
+    assert not is_typical(atypical, TypicalSpec(coarsen(xi, blocks), eps, n))
+    for b in (atypical, ref[0][0][:-1], ref[0][0] + (0,)):
+        with pytest.raises(KeyError, match="no book for block word"):
+            book.fiber(b)
+
+
+def test_build_injections_lists_no_typical_set(monkeypatch):
+    listed = []
+    search = typical.iter_typical
+
+    def counted(spec, rho=None):
+        listed.append(rho)
+        return search(spec, rho)
+
+    monkeypatch.setattr(typical, "iter_typical", counted)
+    for case in injection_cases():
+        book = build_injections(*case)
+        build_injections(*case, only=[book.books[i][0] for i in range(3)])
+    assert listed and None not in listed
+
+
+def test_empty_typical_block_set_is_refused_before_any_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(typical, "iter_typical", refuse)
+    for only in (None, [(0,) * 25]):
+        with pytest.raises(InvalidParamsError) as info:
+            build_injections(FEAS_XI, FEAS_BLOCKS, HALF, FEAS_BUDGET, 0, 25, only=only)
+        assert info.value.constraint == "a typical block word exists"
