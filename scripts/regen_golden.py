@@ -1,8 +1,9 @@
 """Regenerate the golden reports under tests/golden/.
 
 The snapshots pin report content across commits: the JSON and CSV report of
-every bundled config at --seed 0, and the JSON-rendered (alpha, certificate)
-of every recode FAMILY instance in tests/recode_instances.py.
+every subcommand in fingen.cli.COMMANDS on its bundled config at --seed 0,
+and the JSON-rendered (alpha, certificate) of every recode FAMILY instance
+in tests/recode_instances.py.
 tests/test_golden.py compares them byte for byte, so regenerate only when a
 report is meant to change, and say why in CHANGES.md.  A golden file is
 written only when its bytes differ, and only those files are printed.
@@ -15,14 +16,13 @@ import importlib.util
 import io
 from pathlib import Path
 
+from fingen.cli import COMMANDS, render
 from fingen.cli import main as cli_main
-from fingen.cli import render
 from fingen.recoder import krieger_recode
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = ROOT / "configs"
-COMMANDS = ("count", "decompose", "codebook", "tower", "reduce", "recode", "oracle")
 
 
 def _instances():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .coding import FiberDistribution, build_code
@@ -93,7 +94,7 @@ class RecodeParams:
         if self.eps < 0:
             raise InvalidParamsError("eps >= 0")
 
-    @property
+    @cached_property
     def q(self) -> ProbVec:
         return coarsen(self.p, self.blocks)
 

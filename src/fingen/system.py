@@ -104,25 +104,24 @@ class GroupEnum:
 
 
 def _walk(elements, state, tables, max_len, cap, seen):
-    """Append the next group element to ``elements`` on each step, layer by
-    layer; stop with ``state[0] = False`` when a new element lies past
-    ``cap`` elements or ``max_len`` tokens."""
-    start = 0
-    while start < len(elements):
-        end = len(elements)
-        for i in range(start, end):
-            word, perm = elements[i]
-            for tok, p in tables.items():
-                q = tuple(map(p.__getitem__, perm))
-                if q in seen:
-                    continue
-                if len(elements) >= cap or len(word) >= max_len:
-                    state[0] = False
-                    return
-                seen.add(q)
-                elements.append((word + (tok,), q))
-                yield True
-        start = end
+    """Append the next group element to ``elements`` on each step; stop with
+    ``state[0] = False`` when a new element lies past ``cap`` elements or
+    ``max_len`` tokens.  Elements are expanded in list order, the order they
+    were found in, so one index over the growing list walks breadth first."""
+    i = 0
+    while i < len(elements):
+        word, perm = elements[i]
+        for tok, p in tables.items():
+            q = tuple(map(p.__getitem__, perm))
+            if q in seen:
+                continue
+            if len(elements) >= cap or len(word) >= max_len:
+                state[0] = False
+                return
+            seen.add(q)
+            elements.append((word + (tok,), q))
+            yield True
+        i += 1
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ packing.  The fiber of fine names over a block word is a ``Fiber``, which
 ranks and unranks by counting and never searches: the two directions of one
 enumerative code (Cover 1973), taken by one position walk.  A codebook's
 books are ranked by the same code: a one-block ``Fiber`` over the block
-distribution unranks the typical block words, so no build lists them.
+distribution counts, ranks and unranks the typical block words, so no build
+lists them, and each book's fiber is built where it is read.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -27,7 +28,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 
 from .errors import (
@@ -523,31 +524,27 @@ class PackingBudget:
 
 class _Books(Sequence):
     """A build's books, ``(b, fiber)`` per block word b in lexicographic
-    order.  ``words`` is the one-block ``Fiber`` over beta, which unranks the
-    typical set (``fibers`` None), or the sorted ``only`` words with the
-    fibers the build sized.  ``size`` is the exact book count (``len`` too,
-    while it fits an index)."""
+    order, each ``Fiber`` built where it is read.  ``words`` holds the block
+    words with a book: the one-block ``Fiber`` over beta, which ranks and
+    unranks the typical set, or the sorted ``only`` words.  ``size`` is the
+    exact book count (``len`` too, while it fits an index)."""
 
-    __slots__ = ("_words", "_fibers", "_spec", "_blocks", "size")
+    __slots__ = ("_words", "_spec", "_blocks", "size")
 
-    def __init__(self, words: Sequence, fibers, spec: TypicalSpec, blocks: Coarsening):
-        self._words, self._fibers, self._spec, self._blocks = words, fibers, spec, blocks
-        self.size = words.size if fibers is None else len(words)
+    def __init__(self, words: Sequence, size: int, spec: TypicalSpec, blocks: Coarsening):
+        self._words, self.size, self._spec, self._blocks = words, size, spec, blocks
 
     def __len__(self) -> int:
         return self.size
 
     def __getitem__(self, i) -> tuple:
         b = self._words[i]
-        return b, Fiber(self._spec, self._blocks, b) if self._fibers is None else self._fibers[b]
+        return b, Fiber(self._spec, self._blocks, b)
 
     def fiber(self, b: Sequence[int]) -> Fiber:
         b = tuple(b)
-        if self._fibers is None:
-            if b in self._words:  # ranks b: its length, alphabet and typicality in one walk
-                return Fiber(self._spec, self._blocks, b)
-        elif b in self._fibers:
-            return self._fibers[b]
+        if b in self._words:  # the one-block Fiber ranks b: length, alphabet, typicality
+            return Fiber(self._spec, self._blocks, b)
         raise KeyError(f"no book for block word {b}")
 
 
@@ -555,12 +552,12 @@ class _Books(Sequence):
 class CodeBook:
     """Per block-word injections of typical fibers into one packing: ``books``
     is a lazy sequence of ``(b, fiber)`` per block word b in lexicographic
-    order, ranked rather than listed, ``fiber`` a lazy ``Fiber``, and book b
-    sends ``fiber[i]`` to ``packing[i]``.  So a name encodes to
-    ``packing[fiber.index(name)]`` and a codeword at ``packing[i]`` decodes
-    to ``fiber[i]``.  ``packing`` is the first-fit prefix as long as the
-    largest fiber, which exists since ``capacity-exact`` is required in both
-    capacity modes."""
+    order, ranked rather than listed, ``fiber`` a ``Fiber`` built when the
+    book is read, and book b sends ``fiber[i]`` to ``packing[i]``.  So a
+    name encodes to ``packing[fiber.index(name)]`` and a codeword at
+    ``packing[i]`` decodes to ``fiber[i]``.  ``packing`` is the first-fit
+    prefix as long as the largest fiber, which exists since
+    ``capacity-exact`` is required in both capacity modes."""
 
     q: ProbVec
     eps: object
@@ -570,17 +567,16 @@ class CodeBook:
     books: Sequence
     checks: tuple = field(default=(), compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _separation(self) -> Fraction:
         # the decoder radius and the report both read it, so it is taken once
         gaps = (sum(x != y for x, y in zip(a, b)) for a, b in combinations(self.packing, 2))
         closest = min(gaps, default=None)
-        object.__setattr__(
-            self, "_separation", Fraction(1) if closest is None else Fraction(closest, self.k)
-        )
+        return Fraction(1) if closest is None else Fraction(closest, self.k)
 
     def fiber(self, b: Sequence[int]) -> Fiber:
-        """The fiber of book b; ``KeyError`` when b has no book: b is not a
-        typical block word, or not one of the ``only`` words."""
+        """The fiber of book b, built on each call; ``KeyError`` when b has
+        no book: b is not a typical block word, or not an ``only`` word."""
         return self.books.fiber(b)
 
     def mapping(self, b: Sequence[int]) -> dict:
@@ -675,17 +671,18 @@ def build_injections(
     rate chain, "exact" only the counting facts (gap, max fiber size against
     the packing).  All inequalities are reported either way.
 
-    ``only`` restricts the books to the given block words, each of which must
-    be typical.  Each build's packing is a prefix of the same first-fit
-    sequence and each fiber is ranked on its own, so the restricted books
-    agree entry for entry with the full build.
+    ``only`` restricts the books to the given block words, at least one,
+    each of which must be typical.  Each build's packing is a prefix of the
+    same first-fit sequence and each fiber is ranked on its own, so the
+    restricted books agree entry for entry with the full build.
 
-    Neither the block words nor any fiber is listed.  The book count is
-    ``count_typical`` over beta, the books unrank the block words through a
-    one-block ``Fiber`` over beta, and each book's fiber is a lazy ``Fiber``.
-    A fiber's size depends on its block word only through the word's block
-    counts, so ``_largest_fiber`` takes the largest from the block-count
-    vectors.  An empty typical block set is refused by name before any search.
+    Neither the block words nor any fiber is listed.  A one-block ``Fiber``
+    over beta owns the typical block words: its size is the emptiness gate
+    and the full book count, and it ranks and unranks them.  A fiber's size
+    depends on its block word only through the word's block counts, so
+    ``_largest_fiber`` takes the full build's largest from the block-count
+    vectors.  An empty typical block set, then an empty ``only``, is refused
+    by name before any search.
     """
     if capacity not in ("analytic", "exact"):
         raise InvalidParamsError("capacity in {analytic, exact}")
@@ -697,23 +694,25 @@ def build_injections(
     rho = budget.rho(len(q))
     beta = coarsen(xi, blocks)
     beta_spec = TypicalSpec(beta, eps, n)
-    if count_typical(beta_spec) == 0:
+    one_block = Coarsening((tuple(range(len(beta))),), len(beta))
+    typical_words = Fiber(beta_spec, one_block, (0,) * n)
+    if typical_words.size == 0:
         raise InvalidParamsError("a typical block word exists", f"none of length {n} at eps {eps}")
     xi_spec = TypicalSpec(xi, eps, n)
     if only is None:
-        one_block = Coarsening((tuple(range(len(beta))),), len(beta))
-        books = _Books(Fiber(beta_spec, one_block, (0,) * n), None, xi_spec, blocks)
+        books = _Books(typical_words, typical_words.size, xi_spec, blocks)
         max_fiber = _largest_fiber(xi_spec, blocks, beta_spec)
     else:
         words = sorted({tuple(w) for w in only})
+        if not words:
+            raise InvalidParamsError("only lists a block word", "got none")
         for w in words:
             if len(w) != n:
                 raise InvalidParamsError("block words of length n")
             if not is_typical(w, beta_spec):
                 raise AtypicalNameError(f"block word {w} is outside the typical set")
-        fibers = {b: Fiber(xi_spec, blocks, b) for b in words}
-        books = _Books(tuple(words), fibers, xi_spec, blocks)
-        max_fiber = max((f.size for f in fibers.values()), default=0)
+        books = _Books(tuple(words), len(words), xi_spec, blocks)
+        max_fiber = max(Fiber(xi_spec, blocks, b).size for b in words)
     target_spec = TypicalSpec(q, eps, k)
     packing = greedy_packing(target_spec, rho, max_fiber)
     target_count = count_typical(target_spec)

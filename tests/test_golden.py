@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from fingen.cli import COMMANDS
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "regen_golden", ROOT / "scripts" / "regen_golden.py"
@@ -17,6 +19,11 @@ CASES = regen_golden.golden_cases()
 def test_golden_set_is_complete():
     on_disk = sorted(p.name for p in regen_golden.GOLDEN.iterdir())
     assert on_disk == sorted(CASES)
+
+
+def test_every_subcommand_has_golden_reports():
+    cli_cases = {name for name in CASES if name.startswith("cli-")}
+    assert cli_cases == {f"cli-{c}.{fmt}" for c in COMMANDS for fmt in ("json", "csv")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -28,6 +28,7 @@ from fingen.probvec import (
     Coarsening,
     ProbVec,
     canon_labels,
+    coarsen,
     cond_entropy,
     entropy,
     entropy_pair,
@@ -69,6 +70,14 @@ def test_params_validation():
         RecodeParams(p, blocks, F(1, 2), 1, 0)
     with pytest.raises(InvalidParamsError):
         RecodeParams(p, blocks, F(1, 2), F(1, 8), -1)
+
+
+def test_params_coarsen_p_once():
+    p = ProbVec((F(1, 4), F(1, 4), F(1, 2)))
+    blocks = Coarsening(((0, 1), (2,)), 3)
+    params = RecodeParams(p, blocks, F(1, 2), F(1, 8), 0)
+    assert params.q is params.q
+    assert params.q == coarsen(p, blocks)
 
 
 # ---------------------------------------------------------------------------

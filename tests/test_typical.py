@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -719,3 +720,80 @@ def test_empty_typical_block_set_is_refused_before_any_search(monkeypatch):
         with pytest.raises(InvalidParamsError) as info:
             build_injections(FEAS_XI, FEAS_BLOCKS, HALF, FEAS_BUDGET, 0, 25, only=only)
         assert info.value.constraint == "a typical block word exists"
+
+
+UNEQUAL_CASE = (
+    ProbVec((F(10, 12), F(1, 12), F(1, 12))), FEAS_BLOCKS, HALF, FEAS_BUDGET, F(1, 12), 12, "exact",
+)
+
+
+def test_both_book_modes_refuse_a_word_without_a_book():
+    full = build_injections(*UNEQUAL_CASE)
+    words = [b for b, _ in full.books]
+    only = build_injections(*UNEQUAL_CASE, only=words[1:3])
+    atypical = (1,) * 12
+    assert not is_typical(atypical, TypicalSpec(coarsen(UNEQUAL_CASE[0], FEAS_BLOCKS), F(1, 12), 12))
+    for b in (atypical, words[0][:-1], words[0] + (0,)):
+        messages = set()
+        for book in (full, only):
+            with pytest.raises(KeyError, match="no book for block word") as info:
+                book.fiber(b)
+            messages.add(str(info.value))
+        assert messages == {str(KeyError(f"no book for block word {b}"))}
+    # typical, but not one of the only words
+    for b in (words[0], words[3], words[-1]):
+        with pytest.raises(KeyError, match=f"no book for block word {re.escape(str(b))}"):
+            only.fiber(b)
+
+
+def test_only_books_are_the_fibers_of_their_words():
+    xi, blocks, _, _, eps, n, _ = UNEQUAL_CASE
+    spec = TypicalSpec(xi, eps, n)
+    full = build_injections(*UNEQUAL_CASE)
+    sizes = {b: len(f) for b, f in full.books}
+    # words with fibers of different sizes, given out of order and repeated
+    some = [b for b in sizes if sizes[b] == max(sizes.values())][:2]
+    some += [b for b in sizes if sizes[b] == min(sizes.values())][:2]
+    assert len(some) == 4 and len({sizes[b] for b in some}) == 2
+    book = build_injections(*UNEQUAL_CASE, only=some[::-1] + some[:1])
+    assert book.books.size == len(book.books) == 4
+    assert [b for b, _ in book.books] == sorted(some)
+    for b in some + some[::-1]:
+        ref = Fiber(spec, blocks, b)
+        for fiber in (book.fiber(b), dict(book.books)[b]):
+            assert fiber.size == ref.size
+            assert list(fiber) == list(ref)
+            assert all(fiber.index(w) == i for i, w in enumerate(ref))
+
+
+def test_empty_only_is_refused_by_name_before_any_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(typical, "iter_typical", refuse)
+    for only in ([], (), iter([])):
+        with pytest.raises(InvalidParamsError) as info:
+            build_injections(FEAS_XI, FEAS_BLOCKS, HALF, FEAS_BUDGET, 0, 24, only=only)
+        assert info.value.constraint == "only lists a block word"
+    # an empty typical block set is still named first
+    with pytest.raises(InvalidParamsError) as info:
+        build_injections(FEAS_XI, FEAS_BLOCKS, HALF, FEAS_BUDGET, 0, 25, only=[])
+    assert info.value.constraint == "a typical block word exists"
+
+
+def test_build_injections_counts_only_the_target_set(monkeypatch):
+    counted = []
+    count = typical.count_typical
+
+    def recorded(spec):
+        counted.append(spec)
+        return count(spec)
+
+    monkeypatch.setattr(typical, "count_typical", recorded)
+    for case in (UNEQUAL_CASE, bundled_codebook_case()):
+        xi, _, q, budget, eps, n, _ = case
+        words = [b for b, _ in build_injections(*case).books]
+        build_injections(*case, only=words[:2])
+        target = TypicalSpec(q, eps, budget.k(n))
+        assert counted == [target, target]
+        counted.clear()
