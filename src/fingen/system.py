@@ -23,10 +23,20 @@ and their inverses in declaration order, then longer words length-first and
 left-to-right lexicographically.  The enumeration is a lazy, memoized
 breadth-first walk: it extends only as far as a consumer reads, so a sweep
 that is done after a few elements never builds the rest of the group, and
-asking whether the enumeration is complete finishes the walk.  Every derived
-map records, per point, a move: walk indices read in pairs (i, j), undo
-element i, then apply element j.  So a map is re-checked against the walk,
-and a point's word is derived from the words the walk keeps.
+asking whether the enumeration is complete finishes the walk.  Readers see
+an element only through ``image(i, x)`` and ``inverse_image(i, x)``.
+
+The walk stores elements in one of two ways, in the same order and with the
+same words.  When the generators commute pairwise, the group is abelian and
+transitive, so it acts regularly (Wielandt, "Finite Permutation Groups",
+1964): only the identity fixes a point, and an element is fixed by its image
+of 0.  The walk then expands point 0 alone, in O(N * tokens), and stores each
+element as its exponent vector, one exponent per generator; a probe reads
+one cycle position per generator.  Otherwise (dihedral groups, random
+permutation pairs) each element is stored as its N-point table.  Every
+derived map records, per point, a move: walk indices read in pairs (i, j),
+undo element i, then apply element j.  So a map is re-checked against the
+walk, and a point's word is derived from the words the walk keeps.
 """
 
 from __future__ import annotations
@@ -56,31 +66,103 @@ def _inverse(perm) -> tuple:
     return tuple(inv)
 
 
+def _commute(perms) -> bool:
+    """Whether the permutation tables commute pairwise: p(q(x)) = q(p(x))."""
+    return all(
+        tuple(map(p.__getitem__, q)) == tuple(map(q.__getitem__, p))
+        for k, p in enumerate(perms)
+        for q in perms[k + 1 :]
+    )
+
+
+def _cycles(perm) -> list:
+    """Per point x, the cycle of ``perm`` through x, listed twice over, and
+    x's position in its first listing: for 0 <= e < the cycle's length,
+    perm^e(x) is ``cycle[pos + e]`` and perm^-e(x) is ``cycle[pos - e]``."""
+    where = [None] * len(perm)
+    for x in range(len(perm)):
+        if where[x] is None:
+            cycle = [x]
+            while perm[cycle[-1]] != x:
+                cycle.append(perm[cycle[-1]])
+            twice = tuple(cycle) * 2
+            for pos, y in enumerate(cycle):
+                where[y] = (twice, pos)
+    return where
+
+
+def _point_kind(generators, tables) -> tuple:
+    """Point walk: element g is keyed by g(0) and stored as ``(g(0), shifts)``,
+    one ``(cycles, e)`` pair per generator t, where ``cycles`` is
+    ``_cycles(t)`` and g is the product of the t^e.  Each e is reduced modulo
+    the order of t, the length of every cycle of t, since a transitive
+    abelian group acts regularly."""
+    axis = {}
+    for k, (name, perm) in enumerate(generators):
+        cycles = _cycles(perm)
+        order = len(cycles[0][0]) // 2
+        axis[name], axis["~" + name] = (k, cycles, 1, order), (k, cycles, -1, order)
+
+    def step(value, tok):
+        y = tables[tok][value[0]]
+        k, cycles, sign, order = axis[tok]
+        shifts = value[1]
+        return y, (y, shifts[:k] + ((cycles, (shifts[k][1] + sign) % order),) + shifts[k + 1 :])
+
+    return (0, tuple((axis[name][1], 0) for name, _ in generators)), 0, step
+
+
+def _tuple_kind(tables, n_points: int) -> tuple:
+    """Tuple walk: element g is stored and keyed as its permutation table."""
+    ident = tuple(range(n_points))
+
+    def step(perm, tok):
+        q = tuple(map(tables[tok].__getitem__, perm))
+        return q, q
+
+    return ident, ident, step
+
+
 class GroupEnum:
     """Distinct group elements, each with its first producing word, walked
     breadth-first on demand.
 
-    Iterating yields ``(word, perm)`` pairs in enumeration order and extends
-    the walk only as far as the consumer reads; every iterator shares one
-    memo.  ``elements`` is the part walked so far.  ``complete`` finishes the
-    walk and is False only when some element was left out.
+    ``image(i, x)`` moves point x by element i and ``inverse_image(i, x)``
+    undoes it; both need element i walked (``reach(i)``).  ``abelian`` says
+    which walk runs: on commuting generators element i is stored as its
+    exponent vector and probed through the generators' cycles, otherwise as
+    its permutation table.  Iterating yields ``(word, perm)`` pairs in
+    enumeration order, building an exponent vector's table only then, and
+    extends the walk only as far as the consumer reads; every iterator shares
+    one memo.  ``elements`` is the part walked so far, as (word, stored
+    element) pairs.  ``complete`` finishes the walk and is False only when
+    some element was left out.
     """
 
-    def __init__(self, tables: dict, n_points: int, cap: int):
-        ident = tuple(range(n_points))
-        self.elements = [((), ident)]
-        self._inverses: dict = {}
+    def __init__(self, generators, tables: dict, n_points: int, cap: int):
+        self.abelian = _commute([perm for _, perm in generators])
+        if self.abelian:
+            root, key, step = _point_kind(generators, tables)
+        else:
+            self._inverses: dict = {}
+            root, key, step = _tuple_kind(tables, n_points)
+        self._points = range(n_points)
+        self.elements = [((), root)]
         self._state = [True]  # complete flag, shared with the walk
         # the walk holds the memo, not self, so a dropped system is freed
         # by refcounting alone
         self._walk = _walk(
-            self.elements, self._state, tables, WORD_LEN_PER_POINT * n_points, cap, {ident}
+            self.elements, self._state, tuple(tables), WORD_LEN_PER_POINT * n_points, cap,
+            {key}, step,
         )
 
     def __iter__(self):
         i = 0
         while self.reach(i):
-            yield self.elements[i]
+            word, value = self.elements[i]
+            if self.abelian:
+                value = tuple(self.image(i, x) for x in self._points)
+            yield word, value
             i += 1
 
     @property
@@ -96,30 +178,55 @@ class GroupEnum:
                 return False
         return True
 
-    def inverse(self, i: int) -> tuple:
-        """Inverse permutation of element ``i``, computed once per element."""
-        if i not in self._inverses:
-            self._inverses[i] = _inverse(self.elements[i][1])
-        return self._inverses[i]
+    def image(self, i: int, x: int) -> int:
+        """Point ``x`` moved by element ``i``: a table read on the tuple walk,
+        one cycle read per generator on the point walk."""
+        value = self.elements[i][1]
+        if not self.abelian:
+            return value[x]
+        for cycles, e in value[1]:
+            cycle, pos = cycles[x]
+            x = cycle[pos + e]
+        return x
+
+    def inverse_image(self, i: int, x: int) -> int:
+        """The point that element ``i`` moves to ``x``.  The tuple walk
+        inverts an element's table once, when this first asks for it."""
+        value = self.elements[i][1]
+        if not self.abelian:
+            if i not in self._inverses:
+                self._inverses[i] = _inverse(value)
+            return self._inverses[i][x]
+        for cycles, e in value[1]:
+            cycle, pos = cycles[x]
+            x = cycle[pos - e]
+        return x
 
 
-def _walk(elements, state, tables, max_len, cap, seen):
+def _walk(elements, state, tokens, max_len, cap, seen, step):
     """Append the next group element to ``elements`` on each step; stop with
     ``state[0] = False`` when a new element lies past ``cap`` elements or
     ``max_len`` tokens.  Elements are expanded in list order, the order they
-    were found in, so one index over the growing list walks breadth first."""
+    were found in, so one index over the growing list walks breadth first.
+
+    ``step(value, tok)`` gives the key and the stored form of the element
+    that token ``tok`` reaches from an element stored as ``value``, and
+    ``seen`` holds the keys found so far.  Both walks make the same
+    candidates in the same order and drop the same ones, so they give the
+    same words and indices: a key is the whole table, or on commuting
+    generators the image of point 0, which fixes the element."""
     i = 0
     while i < len(elements):
-        word, perm = elements[i]
-        for tok, p in tables.items():
-            q = tuple(map(p.__getitem__, perm))
-            if q in seen:
+        word, value = elements[i]
+        for tok in tokens:
+            key, new = step(value, tok)
+            if key in seen:
                 continue
             if len(elements) >= cap or len(word) >= max_len:
                 state[0] = False
                 return
-            seen.add(q)
-            elements.append((word + (tok,), q))
+            seen.add(key)
+            elements.append((word + (tok,), new))
             yield True
         i += 1
 
@@ -144,7 +251,7 @@ class FiniteSystem:
                 raise InvalidParamsError("generator names are nonempty, no ~ prefix")
             if name in tables:
                 raise InvalidParamsError(f"duplicate generator name {name!r}")
-            if sorted(perm) != list(range(n)):
+            if set(map(type, perm)) - {int} or sorted(perm) != list(range(n)):
                 raise InvalidPartitionError(f"generator {name!r} is not a permutation")
             tables[name] = tuple(perm)
         tables.update({"~" + name: _inverse(perm) for name, perm in self.generators})
@@ -181,7 +288,7 @@ class FiniteSystem:
         """
         cached = self._cache.get("group")
         if cached is None:
-            cached = GroupEnum(self._tables, self.n_points, DEFAULT_GROUP_CAP)
+            cached = GroupEnum(self.generators, self._tables, self.n_points, DEFAULT_GROUP_CAP)
             self._cache["group"] = cached
         return cached
 
@@ -316,7 +423,7 @@ class PseudoMap:
         if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
             raise InvalidParamsError("map must be a bijection")
         enum = self.system.group()
-        steps = {}  # per move: (inverse of element i, element j) for each pair (i, j)
+        steps = {}  # per move: its walk-index pairs (i, j)
         try:
             distinct = set(self.moves)
         except TypeError:  # a list, or a tuple holding one
@@ -326,11 +433,12 @@ class PseudoMap:
                 raise InvalidParamsError("moves are pairs of walk indices")
             if any(i < 0 or not enum.reach(i) for i in mv):
                 raise InvalidParamsError("move indices lie on the group walk")
-            steps[mv] = [(enum.inverse(i), enum.elements[j][1]) for i, j in zip(mv[::2], mv[1::2])]
+            steps[mv] = tuple(zip(mv[::2], mv[1::2]))
+        image, undo = enum.image, enum.inverse_image
         for (x, y), mv in zip(self.pairs, self.moves):
             z = x
-            for undo, do in steps[mv]:
-                z = do[undo[z]]
+            for i, j in steps[mv]:
+                z = image(j, undo(i, z))
             if z != y:
                 raise InvalidParamsError("move certificate mismatch", f"at point {x}")
         object.__setattr__(self, "_fwd", dict(self.pairs))
@@ -377,12 +485,12 @@ def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
     for cell in algebra.cells:
         if cell[0] not in dom:
             continue
-        hit = False
-        for _, perm in enum:
-            if all(perm[x] == fwd[x] for x in cell):
-                hit = True
+        i = 0
+        while enum.reach(i):
+            if all(enum.image(i, x) == fwd[x] for x in cell):
                 break
-        if not hit:
+            i += 1
+        else:
             if enum.complete:
                 return False
             raise ExpressibilityUndecided(
@@ -410,7 +518,7 @@ def _sweep(enum: GroupEnum, dom, free: set, at: dict) -> tuple:
         waiting.setdefault(at.get(x, 0), []).append(x)
     order = list(waiting)
     heapq.heapify(order)
-    elements = enum.elements
+    probe = enum.image
     image, index = {}, {}
     while order:
         i = heapq.heappop(order)
@@ -419,10 +527,9 @@ def _sweep(enum: GroupEnum, dom, free: set, at: dict) -> tuple:
             raise InvalidParamsError(
                 "group enumeration exhausted before matching", f"left {left}"
             )
-        perm = elements[i][1]
         missed = []
         for x in waiting.pop(i):
-            y = perm[x]
+            y = probe(i, x)
             if y in free:
                 free.discard(y)
                 image[x] = y

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +79,14 @@ def test_system_validation():
         FiniteSystem.make(2, {"~a": [1, 0]})
 
 
+@pytest.mark.parametrize(
+    "perm", [[1.0, 2, 0], ["1", 2, 0], [True, 2, 0]], ids=["float", "str", "bool"]
+)
+def test_system_refuses_entries_that_are_not_ints(perm):
+    with pytest.raises(InvalidPartitionError, match="not a permutation"):
+        FiniteSystem.make(3, {"r": perm})
+
+
 def test_group_enumeration_order():
     enum = Z4.group()
     assert enum.complete
@@ -140,7 +149,7 @@ def test_lazy_walk_matches_full_bfs(name):
     assert list(enum) == ref
     assert list(first) == ref[1:]
     assert enum.complete
-    assert enum.elements == ref
+    assert len(enum.elements) == len(ref) and list(enum) == ref
     assert sysn.group() is enum
 
 
@@ -199,8 +208,10 @@ def test_move_application():
     assert len(sysn.group().elements) == 5  # walked only as far as index 4
     assert words_of(m) == (("~r", "~r", "~r"), ("r", "r", "r", "r", "r"))
     enum = sysn.group()
-    assert enum.inverse(3) == enum.elements[4][1]
-    assert enum.inverse(3) is enum.inverse(3)
+    perms = [perm for _, perm in enum]
+    for i, perm in enumerate(perms):
+        assert tuple(enum.image(i, x) for x in range(6)) == perm
+    assert tuple(enum.inverse_image(3, x) for x in range(6)) == perms[4]
 
 
 def test_generated_algebra_examples():
@@ -570,14 +581,17 @@ def restarted_sweep(sysn, A, B) -> tuple:
     element 0, and element i claims every unmatched point of A it sends into
     the unclaimed part of B.  Images and claiming indices, aligned with the
     sorted A."""
+    enum = sysn.group()
     rem_dom, rem_rng, claims = set(A), set(B), []
-    for i, (_, perm) in enumerate(sysn.group()):
-        if not rem_dom:
-            break
-        for x in [x for x in sorted(rem_dom) if perm[x] in rem_rng]:
-            claims.append((x, perm[x], i))
-            rem_dom.discard(x)
-            rem_rng.discard(perm[x])
+    i = 0
+    while rem_dom and enum.reach(i):
+        for x in sorted(rem_dom):
+            y = enum.image(i, x)
+            if y in rem_rng:
+                claims.append((x, y, i))
+                rem_dom.discard(x)
+                rem_rng.discard(y)
+        i += 1
     if rem_dom:
         raise InvalidParamsError(
             "group enumeration exhausted before matching", f"left {sorted(rem_dom)}"
@@ -638,6 +652,104 @@ def random_transitive(rng, n):
             pass
 
 
+def product(a, b):
+    """Z_a x Z_b on the points i*b + j, generated by the two coordinate shifts."""
+    return FiniteSystem.make(a * b, {
+        "a": [(x + b) % (a * b) for x in range(a * b)],
+        "b": [x - x % b + (x + 1) % b for x in range(a * b)],
+    })
+
+
+def shifts(n, *steps):
+    """Z_n generated by the named shifts x -> x + step."""
+    return FiniteSystem.make(n, {f"s{k}": [(x + k) % n for x in range(n)] for k in steps})
+
+
+# commuting systems, each built fresh, since a system's walk is memoized
+COMMUTING = {
+    "cyclic": [lambda n=n: FiniteSystem.cyclic(n) for n in range(1, 61)],
+    "products": [
+        lambda a=a, b=b: product(a, b)
+        for a in range(2, 31)
+        for b in range(2, 60 // a + 1)
+    ],
+    # r and r^2 generate Z_12, so one element has many exponent vectors
+    "z12-r-r2": [lambda: shifts(12, 1, 2), lambda: shifts(12, 2, 1)],
+    # the identity generator's tokens reach nothing new
+    "identity": [lambda: shifts(10, 0, 1), lambda: shifts(10, 3, 0), lambda: product(4, 3)],
+}
+
+
+def walk_and_sweeps(sysn, rng):
+    """The walk's words and tables and its complete flag, then the pieces,
+    pairs and moves (or the error) of equal partitions and cyclic maps on
+    random sets, drawn from ``rng``."""
+    enum = sysn.group()
+    got = [list(enum), enum.complete, len(enum.elements)]
+    B = rng.sample(range(sysn.n_points), rng.randint(1, sysn.n_points))
+    for n in (d for d in range(1, len(B) + 1) if len(B) % d == 0):
+        C = rng.sample(B, len(B) // n)
+        got.append(outcome(lambda: make_equal_partition(sysn, C, B, n)))
+        rng.shuffle(B)
+        got.append(outcome(lambda: cyclic_permute(sysn, [B[k::n] for k in range(n)])))
+    return got
+
+
+def on_both_walks(monkeypatch, build, read):
+    """``read(sysn)`` on a fresh ``build()`` system, first on the point walk
+    and then on the tuple walk, which it takes when its generators are not
+    taken to commute."""
+    sysn = build()
+    assert sysn.group().abelian
+    point = read(sysn)
+    with monkeypatch.context() as patch:
+        patch.setattr(system, "_commute", lambda perms: False)
+        sysn = build()
+        assert not sysn.group().abelian
+        return point, read(sysn)
+
+
+@pytest.mark.parametrize("family", sorted(COMMUTING))
+def test_point_walk_matches_the_tuple_walk(monkeypatch, family):
+    for k, build in enumerate(COMMUTING[family]):
+        point, tables = on_both_walks(
+            monkeypatch, build, lambda sysn: walk_and_sweeps(sysn, random.Random(k))
+        )
+        assert point == tables
+
+
+@pytest.mark.parametrize("cap", [2, 3, 5])
+def test_point_walk_fails_like_the_tuple_walk_on_a_capped_walk(monkeypatch, cap):
+    monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", cap)
+    builds = [lambda: FiniteSystem.cyclic(12), lambda: product(3, 4), *COMMUTING["z12-r-r2"]]
+    builds += COMMUTING["identity"]
+
+    def read(sysn):
+        n_points = sysn.n_points
+        got = walk_and_sweeps(sysn, random.Random(cap))
+        for C in [(0,), (0, n_points // 2), (0, 1, 2)][: 2 + (n_points % 3 == 0)]:
+            n = n_points // len(C)
+            got.append(outcome(lambda: make_equal_partition(sysn, C, range(n_points), n)))
+            pieces = [tuple(range(k, n_points, n)) for k in range(n)]
+            got.append(outcome(lambda: cyclic_permute(sysn, pieces)))
+        return got
+
+    for build in builds:
+        point, tables = on_both_walks(monkeypatch, build, read)
+        assert point == tables
+        assert point[1] is False  # the capped walk is incomplete
+        assert any(
+            o[0] is InvalidParamsError and "group enumeration exhausted" in o[1]
+            for o in point[3:]
+        )
+
+
+def test_non_commuting_systems_take_the_tuple_walk():
+    rng = random.Random(7)
+    for build in [WALKED["d7"], WALKED["s4"], lambda: random_transitive(rng, 12)]:
+        assert not build().group().abelian
+
+
 def test_pointer_sweeps_match_the_restarted_sweeps():
     rng = random.Random(20)
     cases = [FiniteSystem.cyclic(n) for n in range(1, 41)]
@@ -670,40 +782,77 @@ def test_pointer_sweeps_fail_like_the_restarted_sweeps_on_a_capped_walk(monkeypa
             assert outcome(lambda: cyclic_permute(sysn, pieces)) == want
 
 
-class CountedPerm(tuple):
-    """A permutation table that counts its point reads."""
+def count_reads(enum, counts: Counter) -> None:
+    """Count ``enum``'s point reads, ``image`` and ``inverse_image`` calls,
+    in ``counts["reads"]``; the counting wrappers shadow both methods."""
+    def counted(read):
+        def call(i, x):
+            counts["reads"] += 1
+            return read(i, x)
+        return call
 
-    reads = 0
-
-    def __getitem__(self, x):
-        CountedPerm.reads += 1
-        return super().__getitem__(x)
+    enum.image = counted(enum.image)
+    enum.inverse_image = counted(enum.inverse_image)
 
 
 def element_reads(sysn, call) -> int:
     """Point reads of walk elements while ``call`` runs on a fully walked
-    ``sysn``: the sweeps' (walk index, point) probes plus one per pair in
-    the check of the map they build."""
+    ``sysn``: the sweeps' (walk index, point) probes plus, per pair in the
+    check of the map they build, one ``inverse_image`` and one ``image``
+    read for each index pair of its move."""
     enum = sysn.group()
     assert enum.complete
-    enum.elements[:] = [(w, CountedPerm(p)) for w, p in enum.elements]
-    CountedPerm.reads = 0
+    counts = Counter()
+    count_reads(enum, counts)
     call()
-    return CountedPerm.reads
+    return counts["reads"]
 
 
 @pytest.mark.parametrize("n", [60, 240])
 def test_equal_partition_probes_grow_with_walk_length_not_its_square(n):
     # m = N: C = {0} is swept onto every point.  The shared pointer probes
-    # element 0 (a miss) and then each element once, a claim each time, and
-    # the cycle check reads one element per pair: 2N reads, within a small
-    # multiple of walk length + n.  Sweeps restarted at the identity read
-    # about N^2/2.
+    # element 0 (a miss) and then each element once, a claim each time: N
+    # probes.  The cycle check undoes and applies one element per pair: 2N
+    # reads.  So 3N reads, within a small multiple of walk length + n.
+    # Sweeps restarted at the identity read about N^2/2.
     sysn = FiniteSystem.cyclic(n)
     reads = element_reads(sysn, lambda: make_equal_partition(sysn, (0,), range(n), n))
-    assert reads == 2 * n
+    assert reads == 3 * n
     restarted = element_reads(sysn, lambda: reference_equal_partition(sysn, (0,), range(n), n))
     assert restarted > n * n // 2
+
+
+@pytest.mark.parametrize("n, m", [(500, 20), (2000, 40)])
+def test_atomic_route_reads_elements_only_where_it_probes(monkeypatch, n, m):
+    # The tower's maps are checked with two reads per index pair of each
+    # move, so every read beyond the sweeps' probes is one of at most 5N.
+    # The point walk stores no table: each element is its image of 0 and
+    # one exponent.
+    sysn = FiniteSystem.cyclic(n)
+    counts = Counter()
+    count_reads(sysn.group(), counts)
+    routes = []
+    sweep, mix = system._sweep, system.avgmix
+
+    def counted_sweep(*args):
+        before = counts["reads"]
+        try:
+            return sweep(*args)
+        finally:
+            counts["probes"] += counts["reads"] - before
+
+    def traced_mix(*args):
+        res = mix(*args)
+        routes.append(res.route)
+        return res
+
+    monkeypatch.setattr(system, "_sweep", counted_sweep)
+    monkeypatch.setattr(system, "avgmix", traced_mix)
+    build_tower(sysn, tuple(int(x % 7 == 0) for x in range(n)), 3, 1, m)
+    assert routes == ["atomic"]
+    assert counts["probes"] > n
+    assert counts["reads"] - counts["probes"] <= 5 * n
+    assert all(type(y) is int and len(shifts) == 1 for _, (y, shifts) in sysn.group().elements)
 
 
 def test_avgmix_trivial_labeling():
