@@ -36,13 +36,16 @@ one cycle position per generator.  Otherwise (dihedral groups, random
 permutation pairs) each element is stored as its N-point table.  Every
 derived map records, per point, a move: walk indices read in pairs (i, j),
 undo element i, then apply element j.  So a map is re-checked against the
-walk, and a point's word is derived from the words the walk keeps.
+walk, and a point's word is derived from the walk's words.  The walk keeps
+no word: each element keeps its parent's index and the token from it, and a
+word is rebuilt from those links when read.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -134,9 +137,9 @@ class GroupEnum:
     its permutation table.  Iterating yields ``(word, perm)`` pairs in
     enumeration order, building an exponent vector's table only then, and
     extends the walk only as far as the consumer reads; every iterator shares
-    one memo.  ``elements`` is the part walked so far, as (word, stored
-    element) pairs.  ``complete`` finishes the walk and is False only when
-    some element was left out.
+    one memo.  ``elements`` is the part walked so far, read as (word, stored
+    element) pairs, each word rebuilt when read.  ``complete`` finishes the
+    walk and is False only when some element was left out.
     """
 
     def __init__(self, generators, tables: dict, n_points: int, cap: int):
@@ -147,7 +150,7 @@ class GroupEnum:
             self._inverses: dict = {}
             root, key, step = _tuple_kind(tables, n_points)
         self._points = range(n_points)
-        self.elements = [((), root)]
+        self.elements = _Walked(root)
         self._state = [True]  # complete flag, shared with the walk
         # the walk holds the memo, not self, so a dropped system is freed
         # by refcounting alone
@@ -181,7 +184,7 @@ class GroupEnum:
     def image(self, i: int, x: int) -> int:
         """Point ``x`` moved by element ``i``: a table read on the tuple walk,
         one cycle read per generator on the point walk."""
-        value = self.elements[i][1]
+        value = self.elements.values[i]
         if not self.abelian:
             return value[x]
         for cycles, e in value[1]:
@@ -192,7 +195,7 @@ class GroupEnum:
     def inverse_image(self, i: int, x: int) -> int:
         """The point that element ``i`` moves to ``x``.  The tuple walk
         inverts an element's table once, when this first asks for it."""
-        value = self.elements[i][1]
+        value = self.elements.values[i]
         if not self.abelian:
             if i not in self._inverses:
                 self._inverses[i] = _inverse(value)
@@ -201,6 +204,39 @@ class GroupEnum:
             cycle, pos = cycles[x]
             x = cycle[pos - e]
         return x
+
+
+class _Walked(Sequence):
+    """The walked elements as ``(word, stored element)`` pairs.  Each element
+    keeps its stored form, its parent's index, the token that reached it
+    from the parent, and its depth, the length of its word; a word is
+    rebuilt from the parent links when read, so the walk stores no word."""
+
+    __slots__ = ("values", "parents", "tokens", "depths")
+
+    def __init__(self, root):
+        self.values, self.parents, self.tokens, self.depths = [root], [0], [None], [0]
+
+    def append(self, parent: int, tok: str, value) -> None:
+        self.values.append(value)
+        self.parents.append(parent)
+        self.tokens.append(tok)
+        self.depths.append(self.depths[parent] + 1)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i) -> tuple:
+        value = self.values[i]  # an IndexError ends Sequence iteration
+        return self.word(i), value
+
+    def word(self, i: int) -> tuple:
+        """The word of element ``i``: its tokens, root first."""
+        out = [None] * self.depths[i]
+        for d in range(len(out) - 1, -1, -1):
+            out[d] = self.tokens[i]
+            i = self.parents[i]
+        return tuple(out)
 
 
 def _walk(elements, state, tokens, max_len, cap, seen, step):
@@ -215,18 +251,19 @@ def _walk(elements, state, tokens, max_len, cap, seen, step):
     candidates in the same order and drop the same ones, so they give the
     same words and indices: a key is the whole table, or on commuting
     generators the image of point 0, which fixes the element."""
+    values, depths = elements.values, elements.depths
     i = 0
-    while i < len(elements):
-        word, value = elements[i]
+    while i < len(values):
+        value = values[i]
         for tok in tokens:
             key, new = step(value, tok)
             if key in seen:
                 continue
-            if len(elements) >= cap or len(word) >= max_len:
+            if len(values) >= cap or depths[i] >= max_len:
                 state[0] = False
                 return
             seen.add(key)
-            elements.append((word + (tok,), new))
+            elements.append(i, tok, new)
             yield True
         i += 1
 
@@ -247,11 +284,15 @@ class FiniteSystem:
             raise InvalidParamsError("at least one generator")
         tables = {}
         for name, perm in self.generators:
-            if not name or name.startswith("~"):
-                raise InvalidParamsError("generator names are nonempty, no ~ prefix")
+            if not isinstance(name, str) or not name or name.startswith("~"):
+                raise InvalidParamsError("generator names are nonempty strings, no ~ prefix")
             if name in tables:
                 raise InvalidParamsError(f"duplicate generator name {name!r}")
-            if set(map(type, perm)) - {int} or sorted(perm) != list(range(n)):
+            if (
+                not isinstance(perm, Sequence)
+                or set(map(type, perm)) - {int}
+                or sorted(perm) != list(range(n))
+            ):
                 raise InvalidPartitionError(f"generator {name!r} is not a permutation")
             tables[name] = tuple(perm)
         tables.update({"~" + name: _inverse(perm) for name, perm in self.generators})
@@ -271,7 +312,10 @@ class FiniteSystem:
     @classmethod
     def make(cls, n: int, generators) -> "FiniteSystem":
         """generators: mapping name -> permutation sequence."""
-        return cls(n, tuple((name, tuple(perm)) for name, perm in generators.items()))
+        return cls(n, tuple(
+            (name, tuple(perm) if isinstance(perm, Sequence) else perm)
+            for name, perm in generators.items()
+        ))
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteSystem":

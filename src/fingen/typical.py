@@ -10,12 +10,16 @@ Each job has one engine.  ``_fill_count`` is the count DP, memoised on the
 length left and the per-symbol count bounds: ``count_typical`` reads it once
 and a ``Fiber`` once per symbol it tries.  ``iter_typical`` is the one
 search; it lists the typical set, or with ``rho`` draws the first-fit
-packing.  The fiber of fine names over a block word is a ``Fiber``, which
-ranks and unranks by counting and never searches: the two directions of one
-enumerative code (Cover 1973), taken by one position walk.  A codebook's
-books are ranked by the same code: a one-block ``Fiber`` over the block
-distribution counts, ranks and unranks the typical block words, so no build
-lists them, and each book's fiber is built where it is read.
+packing.  Its cut at a prefix reads, per codeword, the most mismatches that
+a typical completion can have with the codeword's tail; that depends only
+on the prefix's symbol counts, so one memo per search holds it by prefix
+state and extends each entry by the codewords added since.  The fiber of
+fine names over a block word is a ``Fiber``, which ranks and unranks by
+counting and never searches: the two directions of one enumerative code
+(Cover 1973), taken by one position walk.  A codebook's books are ranked by
+the same code: a one-block ``Fiber`` over the block distribution counts,
+ranks and unranks the typical block words, so no build lists them, and each
+book's fiber is built where it is read.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -142,9 +146,14 @@ def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
 
     With ``rho`` every word yielded becomes a codeword, and a prefix is also
     kept only while each codeword can still be left ``apart`` mismatches
-    behind (``_Codewords.reach``).  The words yielded are then the first-fit
-    code: the first word in order that is far from every codeword is never
-    cut, and a completed word is far from all of them.
+    behind: the prefix's mismatches with it plus the most that a typical
+    completion can add must reach ``apart``.  That most depends only on the
+    prefix's symbol counts, which ``state`` codes as one int, and on the
+    codeword, so the search reads it from its memo of prefix states
+    (``_Codewords.bound``), which works it out once per state and codeword.
+    The words yielded are then the first-fit code: the first word in order
+    that is far from every codeword is never cut, and a completed word is
+    far from all of them.
     """
     n = spec.n
     lo = [r[0] for r in spec._ranges]
@@ -155,6 +164,13 @@ def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
         return
     apart = 0 if rho is None else min(max(0, math.floor(Fraction(rho) * n) + 1), n + 1)
     code = _Codewords(n, lo, hi, apart) if apart else None
+    if code is not None:
+        mismatch, bounds = code.mismatch, code.bounds
+    # local copies of code.size, code.thresh and code.guard: no codeword
+    # cuts anything until the first word is yielded, or ever without rho
+    size = thresh = guard = 0
+    step = [(n + 1) ** s for s in range(k)]  # state: the sum of counts[s] * step[s]
+    state = 0
     counts = [0] * k
     word = [0] * n
     tried = [0] * n  # per position, the first symbol not yet tried there
@@ -167,12 +183,15 @@ def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
             for t in range(tried[pos], k):
                 c = counts[t]
                 if c < hi[t] and need - (c < lo[t]) < left:
-                    if code is not None:
-                        d = dist[pos] + code.mismatch[pos][t]
-                        counts[t] = c + 1
-                        far = code.reach(d, pos + 1, counts)
-                        counts[t] = c
-                        if not far:
+                    if size:
+                        d = dist[pos] + mismatch[pos][t]
+                        child = state + step[t]
+                        entry = bounds.get(child)
+                        if entry is None or entry[1] != size:
+                            counts[t] = c + 1
+                            entry = code.bound(child, pos + 1, counts)
+                            counts[t] = c
+                        if (d + entry[0] + thresh) & guard != guard:
                             continue
                         dist[pos + 1] = d
                     descend = True
@@ -182,9 +201,11 @@ def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
             yield tuple(word)
             if code is not None:
                 code.add(word)  # 0 mismatches with every prefix on the path
+                size, thresh, guard = code.size, code.thresh, code.guard
         if descend:
             counts[t] = c + 1
             need -= c < lo[t]
+            state += step[t]
             word[pos] = t
             pos += 1
         else:
@@ -193,6 +214,24 @@ def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
                 t = word[pos]
                 c = counts[t] = counts[t] - 1
                 need += c < lo[t]
+                state -= step[t]
+
+
+def _most_mismatches(left: int, lower: list, upper: list, b: tuple) -> int:
+    """The most mismatches that a completion of ``left`` positions, with
+    between ``lower[s]`` and ``upper[s]`` of each symbol s, can have against
+    a word whose counts over the same positions are ``b``.
+
+    A completion with counts a_s, best arranged, has left - e mismatches,
+    where e = max(0, max_s (a_s + b_s) - left).  The least e that some
+    admissible a reaches caps every a_s at left + e - b_s: no cap may fall
+    below its lower bound, and the capped upper bounds must still hold left
+    symbols.
+    """
+    e = max(0, max(map(operator.add, lower, b)) - left)
+    while sum(min(u, left + e - x) for u, x in zip(upper, b)) < left:
+        e += 1
+    return left - e
 
 
 class _Codewords:
@@ -201,70 +240,70 @@ class _Codewords:
     of them.
 
     ``mismatch[p][t]`` has a 1 in the field of each codeword whose symbol at
-    position p is not t; ``suffix[p][s]`` holds each codeword's count of
-    symbol s from position p on.  Every field value stays below ``bias``, the
-    field's top bit: adding ``bias`` to a field turns the top bit into a sign,
-    set exactly where the unbiased value is >= 0, and the fields of ``guard``
-    are those top bits.
+    position p is not t, and ``tails[p]`` lists each codeword's symbol
+    counts from position p on.  ``bounds`` is the search's memo of prefix
+    states: it maps a state to ``[G, m, lower, upper, gaps]``, where G packs
+    ``_most_mismatches`` of the state's completions against each of the
+    first m codewords, ``lower`` and ``upper`` bound the completions' symbol
+    counts, and ``gaps`` holds each ``_most_mismatches`` by tail counts,
+    which many codewords share.  ``bound`` fills an entry and extends it by
+    the codewords added since.
+
+    A prefix with packed mismatches d keeps every codeword ``apart``
+    mismatches away exactly when each field of d + G is at least ``apart``.
+    A field of d + G + ``thresh`` is that field of d + G minus ``apart``
+    plus ``bias``, the field's top bit, and stays in [0, 2 ``bias``): its
+    top bit is set exactly where d + G reaches ``apart``, and the fields of
+    ``guard`` are those top bits.
     """
 
     def __init__(self, n: int, lo: list, hi: list, apart: int):
         self.n, self.lo, self.hi, self.apart = n, lo, hi, apart
-        k = len(lo)
-        # the largest field value is a sum of k excesses, each at most 3n + 1
-        self.width = (k * (3 * n + 1)).bit_length() + 1
+        # a field of d + G counts mismatches over the prefix and over its
+        # completion, so at most n, and apart is at most n + 1
+        self.width = (n + 1).bit_length() + 1
         self.bias = 1 << (self.width - 1)
-        self.ones = 0  # a 1 in the lowest bit of every field
+        self.size = 0
+        self.thresh = 0  # bias - apart in every field
         self.guard = 0  # bias in every field
-        self.mismatch = [[0] * k for _ in range(n)]
-        self.suffix = [[0] * k for _ in range(n + 1)]
+        self.mismatch = [[0] * len(lo) for _ in range(n)]
+        self.tails: list = [[] for _ in range(n + 1)]
+        self.bounds: dict = {}
 
     def add(self, word: Sequence[int]) -> None:
-        one = 1 << (self.width * self.ones.bit_count())
-        self.ones |= one
+        one = 1 << (self.width * self.size)
+        self.size += 1
+        self.thresh += (self.bias - self.apart) * one
         self.guard |= self.bias * one
         counts = [0] * len(self.lo)
+        self.tails[self.n].append(tuple(counts))
         for p in range(self.n - 1, -1, -1):
             counts[word[p]] += 1
-            for s, c in enumerate(counts):
-                self.mismatch[p][s] |= (s != word[p]) * one
-                self.suffix[p][s] |= c * one
+            self.tails[p].append(tuple(counts))
+            row = self.mismatch[p]
+            for s in range(len(row)):
+                if s != word[p]:
+                    row[s] |= one
 
-    def reach(self, d: int, pos: int, counts: list) -> bool:
-        """Whether a prefix of length ``pos`` with symbol ``counts`` and
-        packed mismatches ``d`` has, for each codeword, an admissible
-        completion with ``apart`` mismatches against it.
-
-        A completion fills left = n - pos positions with symbol counts a_s,
-        each at least max(lo_s, counts_s) - counts_s and at most the room
-        hi_s - counts_s, summing to left.  Against a codeword whose counts
-        from pos on are b_s, the best arrangement of a has
-        left - max(0, max_s (a_s + b_s) - left) mismatches.  So the codeword
-        needs slack = d + left - apart >= 0 (the distance bound) and an a with
-        every a_s + b_s <= top = left + slack (the composition bound).
-        Capping a_s at top - b_s takes excess_s = max(0, room_s + b_s - top)
-        off its room; such an a exists exactly when no capped room falls
-        below its lower bound and the capped rooms still hold left symbols.
-        """
-        left = self.n - pos
-        ones, bias, guard = self.ones, self.bias, self.guard
-        shift, full = self.width - 1, (bias << 1) - 1
-        slack = d + (bias + left - self.apart) * ones
-        if slack & guard != guard:
-            return False
-        top = slack - guard + left * ones
-        spare = -left  # the rooms' total beyond what the completion fills
-        total = 0
-        for b, c, lo, hi in zip(self.suffix[pos], counts, self.lo, self.hi):
-            room = hi - c
-            spare += room
-            x = b + (bias + room) * ones - top
-            sign = x & guard
-            excess = (x & (sign >> shift) * full) ^ sign
-            if ((bias + hi - (c if c > lo else lo)) * ones - excess) & guard != guard:
-                return False
-            total += excess
-        return ((bias + spare) * ones - total) & guard == guard
+    def bound(self, state: int, pos: int, counts: list) -> list:
+        """The memo entry of the prefix of length ``pos`` with symbol
+        ``counts``, coded as ``state``, extended to every codeword."""
+        entry = self.bounds.get(state)
+        if entry is None:
+            lower = [max(lo, c) - c for lo, c in zip(self.lo, counts)]
+            upper = [hi - c for hi, c in zip(self.hi, counts)]
+            entry = self.bounds[state] = [0, 0, lower, upper, {}]
+        G, done, lower, upper, gaps = entry
+        left, width = self.n - pos, self.width
+        shift = width * done
+        for b in self.tails[pos][done:]:
+            g = gaps.get(b)
+            if g is None:
+                g = gaps[b] = _most_mismatches(left, lower, upper, b)
+            G |= g << shift
+            shift += width
+        entry[0], entry[1] = G, self.size
+        return entry
 
 
 def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> int:
@@ -570,7 +609,7 @@ class CodeBook:
     @cached_property
     def _separation(self) -> Fraction:
         # the decoder radius and the report both read it, so it is taken once
-        gaps = (sum(x != y for x, y in zip(a, b)) for a, b in combinations(self.packing, 2))
+        gaps = (sum(map(operator.ne, a, b)) for a, b in combinations(self.packing, 2))
         closest = min(gaps, default=None)
         return Fraction(1) if closest is None else Fraction(closest, self.k)
 

@@ -79,6 +79,16 @@ def test_system_validation():
         FiniteSystem.make(2, {"~a": [1, 0]})
 
 
+def test_system_refuses_a_generator_name_that_is_not_a_string():
+    with pytest.raises(InvalidParamsError, match="nonempty strings"):
+        FiniteSystem.make(3, {1: [1, 2, 0]})
+
+
+def test_system_refuses_a_permutation_that_is_not_a_sequence():
+    with pytest.raises(InvalidPartitionError, match="not a permutation"):
+        FiniteSystem.make(3, {"r": 5})
+
+
 @pytest.mark.parametrize(
     "perm", [[1.0, 2, 0], ["1", 2, 0], [True, 2, 0]], ids=["float", "str", "bool"]
 )

@@ -403,8 +403,9 @@ def brute_reach(spec, apart, codewords, prefix):
 
 
 def test_prefix_cut_is_exact():
-    # both bounds together are tight: a prefix survives exactly when each
-    # codeword, taken alone, has a typical completion far enough from it
+    # the memoized bound is tight: for each codeword it is the most
+    # mismatches any typical completion has with it, and a prefix survives
+    # exactly when each codeword, taken alone, has a completion far enough
     rng = random.Random(31)
     cases = cuts = 0
     while cases < 400:
@@ -424,12 +425,38 @@ def test_prefix_cut_is_exact():
         for c in codewords:
             code.add(c)
         prefix = rng.choice(words)[: rng.randint(0, n)]
+        pos = len(prefix)
         d = sum(code.mismatch[p][t] for p, t in enumerate(prefix))
         counts = [prefix.count(t) for t in range(k)]
+        state = sum(c * (n + 1) ** s for s, c in enumerate(counts))
+        G = code.bound(state, pos, counts)[0]
+        completions = [w for w in words if w[:pos] == prefix]
+        for j, c in enumerate(codewords):
+            most = max(sum(x != y for x, y in zip(w[pos:], c[pos:])) for w in completions)
+            assert (G >> (code.width * j)) & (code.bias - 1) == most, (spec, c, prefix)
         expected = brute_reach(spec, apart, codewords, prefix)
-        assert code.reach(d, len(prefix), counts) == expected, (spec, apart, codewords, prefix)
+        assert ((d + G + code.thresh) & code.guard == code.guard) == expected, (
+            spec, apart, codewords, prefix,
+        )
         cuts += not expected
     assert 0 < cuts < cases
+
+
+def test_search_works_out_each_bound_once(monkeypatch):
+    # the z36-wide-prefix target search works out each (prefix state, tail
+    # counts) pair once: 200 calls.  Without the memo by tail counts it
+    # makes one per (state, codeword) pair, 998, and without the state memo
+    # one per codeword at every node it tries
+    calls = []
+    real = typical._most_mismatches
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(typical, "_most_mismatches", counted)
+    assert len(greedy_packing(TypicalSpec(HALF, 0, 18), F(2, 5), 18)) == 18
+    assert len(calls) == 200
 
 
 @pytest.fixture
