@@ -64,7 +64,6 @@ __all__ = [
     "decode",
     "theta_algebra",
     "krieger_recode",
-    "growth_strings",
     "brute_force_generator_search",
 ]
 
@@ -643,26 +642,6 @@ def krieger_recode(
 
 # ---------------------------------------------------------------------------
 # minimum-generator oracle
-
-
-def growth_strings(n: int, k_max: int):
-    """Every partition of ``range(n)`` into at most k_max >= 1 cells, once.
-
-    Yields restricted growth strings (label 0 first, each label at most one
-    above the largest before it, all below k_max) in lexicographic order.
-    """
-    labels = [0] * n
-    tops = [0] * n  # tops[i] = max(labels[: i + 1])
-    while True:
-        yield tuple(labels)
-        i = n - 1
-        while i > 0 and labels[i] >= min(tops[i - 1] + 1, k_max - 1):
-            i -= 1
-        if i <= 0:
-            return
-        labels[i] += 1
-        tops[i:] = [max(tops[i - 1], labels[i])] * (n - i)
-        labels[i + 1 :] = [0] * (n - i - 1)
 
 
 def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:

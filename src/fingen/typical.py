@@ -8,18 +8,17 @@ recursion and the brute-force enumeration agree bit for bit.
 
 Each job has one engine.  ``_fill_count`` is the count DP, memoised on the
 length left and the per-symbol count bounds: ``count_typical`` reads it once
-and a ``Fiber`` once per symbol it tries.  ``iter_typical`` is the one
-search; it lists the typical set, or with ``rho`` draws the first-fit
-packing.  Its cut at a prefix reads, per codeword, the most mismatches that
-a typical completion can have with the codeword's tail; that depends only
-on the prefix's symbol counts, so one memo per search holds it by prefix
-state and extends each entry by the codewords added since.  The fiber of
-fine names over a block word is a ``Fiber``, which ranks and unranks by
-counting and never searches: the two directions of one enumerative code
-(Cover 1973), taken by one position walk.  A codebook's books are ranked by
-the same code: a one-block ``Fiber`` over the block distribution counts,
-ranks and unranks the typical block words, so no build lists them, and each
-book's fiber is built where it is read.
+and a ``Fiber`` rank or unrank once per symbol it tries.  A ``Fiber`` holds
+the fine names over a block word; it ranks and unranks them by counting, the
+two directions of one enumerative code (Cover 1973) taken by one position
+walk, and it is the one lister of typical words: the typical set is the
+one-block ``Fiber``.  ``iter_typical`` is the one search: it draws the
+first-fit packing.  Its cut at a prefix reads, per codeword, the most
+mismatches that a typical completion can have with the codeword's tail;
+that depends only on the prefix's symbol counts, so one memo per search
+holds it by prefix state and extends each entry by the codewords added
+since.  A codebook's books are ranked and listed by the same code, over the
+block distribution, and each book's fiber is built where it is read.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -58,7 +57,6 @@ __all__ = [
     "binomial_bound_report",
     "dbar",
     "greedy_packing",
-    "verify_packing",
     "choose_J",
     "inequality",
     "build_injections",
@@ -135,25 +133,22 @@ def _fill_count(left: int, bounds: tuple) -> int:
     return dp.get(left, 0)
 
 
-def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
-    """All typical words in lexicographic order, by pruned search.  Given
-    ``rho``, only the first-fit code at pairwise dbar > rho: each word
-    farther than rho from every word yielded before it.
+def iter_typical(spec: TypicalSpec, rho) -> Iterator[tuple]:
+    """The first-fit code of the typical set at pairwise dbar > rho: each
+    typical word, in lexicographic order, that is farther than rho from
+    every word yielded before it.  Every word yielded becomes a codeword.
 
     A prefix is kept while the unmet lower bounds (``need``) fit into the
     positions left.  The total upper bound drops with those positions, so it
-    is checked once, up front.
-
-    With ``rho`` every word yielded becomes a codeword, and a prefix is also
-    kept only while each codeword can still be left ``apart`` mismatches
-    behind: the prefix's mismatches with it plus the most that a typical
-    completion can add must reach ``apart``.  That most depends only on the
-    prefix's symbol counts, which ``state`` codes as one int, and on the
-    codeword, so the search reads it from its memo of prefix states
-    (``_Codewords.bound``), which works it out once per state and codeword.
-    The words yielded are then the first-fit code: the first word in order
-    that is far from every codeword is never cut, and a completed word is
-    far from all of them.
+    is checked once, up front.  A prefix is also kept only while each
+    codeword can still be left ``apart`` mismatches behind: the prefix's
+    mismatches with it plus the most that a typical completion can add must
+    reach ``apart``.  That most depends only on the prefix's symbol counts,
+    which ``state`` codes as one int, and on the codeword, so the search
+    reads it from its memo of prefix states (``_Codewords.bound``), which
+    works it out once per state and codeword.  The words yielded are then
+    the first-fit code: the first word in order that is far from every
+    codeword is never cut, and a completed word is far from all of them.
     """
     n = spec.n
     lo = [r[0] for r in spec._ranges]
@@ -162,12 +157,11 @@ def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
     need = sum(lo)
     if not need <= n <= sum(hi):
         return
-    apart = 0 if rho is None else min(max(0, math.floor(Fraction(rho) * n) + 1), n + 1)
-    code = _Codewords(n, lo, hi, apart) if apart else None
-    if code is not None:
-        mismatch, bounds = code.mismatch, code.bounds
+    apart = min(max(0, math.floor(Fraction(rho) * n) + 1), n + 1)
+    code = _Codewords(n, lo, hi, apart)
+    mismatch, bounds = code.mismatch, code.bounds
     # local copies of code.size, code.thresh and code.guard: no codeword
-    # cuts anything until the first word is yielded, or ever without rho
+    # cuts anything until the first word is yielded
     size = thresh = guard = 0
     step = [(n + 1) ** s for s in range(k)]  # state: the sum of counts[s] * step[s]
     state = 0
@@ -199,9 +193,8 @@ def iter_typical(spec: TypicalSpec, rho=None) -> Iterator[tuple]:
             tried[pos] = t + 1 if descend else 0
         else:
             yield tuple(word)
-            if code is not None:
-                code.add(word)  # 0 mismatches with every prefix on the path
-                size, thresh, guard = code.size, code.thresh, code.guard
+            code.add(word)  # 0 mismatches with every prefix on the path
+            size, thresh, guard = code.size, code.thresh, code.guard
         if descend:
             counts[t] = c + 1
             need -= c < lo[t]
@@ -312,7 +305,7 @@ def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) 
 
 
 def iter_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> Iterator[tuple]:
-    """Typical refinements of ``b`` in ``Fiber`` order, unranked one by one.
+    """Typical refinements of ``b`` in ``Fiber`` order, by its walk.
     A generator, so the benchmark's span tracer counts the names it lists."""
     yield from Fiber(TypicalSpec(xi, eps, n), blocks, b)
 
@@ -326,13 +319,14 @@ class Fiber(Sequence):
     the block lists them: lexicographic order when every block is sorted.
     ``size`` is ``count_fiber`` (``len`` too, while it fits an index),
     ``fiber[i]`` unranks, ``fiber.index(w)`` ranks and raises
-    ``AtypicalNameError`` on a name outside the fiber, and iterating unranks
-    ``0..size-1``.  Ranking and unranking are one walk, ``_walk``, position
-    by position: each symbol that the position's block lists before the
-    chosen one skips all of its completions, which the rank adds and the
-    unrank passes over (a symbol at its count bound has none).  Completions
-    factor over the blocks and only the current block's factor changes, so
-    each step reads one ``_fill_count`` per symbol tried.
+    ``AtypicalNameError`` on a name outside the fiber, and iterating lists
+    the words in order without unranking.  Ranking and unranking are one
+    walk, ``_walk``, position by position: each symbol that the position's
+    block lists before the chosen one skips all of its completions, which
+    the rank adds and the unrank passes over (a symbol at its count bound
+    has none).  Completions factor over the blocks and only the current
+    block's factor changes, so each step reads one ``_fill_count`` per
+    symbol tried.
     """
 
     __slots__ = ("_blocks", "_b", "_ranges", "_avail", "_factors", "size")
@@ -364,7 +358,50 @@ class Fiber(Sequence):
         return self.size
 
     def __iter__(self) -> Iterator[tuple]:
-        return map(self.__getitem__, range(self.size))
+        """Fiber order by a depth-first walk that reads no count.  A one-cell
+        block's positions are forced.  At a free position of block j, cell t
+        is kept while ``counts[t] < hi[t]`` and the block's unmet lower
+        bounds ``need[j]``, less t's share, fit in the ``left[j] - 1``
+        positions after it.  A block's upper slack ``sum(hi - counts) -
+        left`` never changes, and a nonzero ``size`` makes it at least 0, so
+        every descent ends in a word."""
+        if not self.size:
+            return
+        blocks, b = self._blocks, self._b
+        lo, hi = zip(*self._ranges)
+        word = [blocks[j][0] for j in b]
+        free = [(p, j, blocks[j]) for p, j in enumerate(b) if len(blocks[j]) > 1]
+        left = list(self._avail)
+        need = [sum(lo[t] for t in cells) for cells in blocks]
+        counts = [0] * len(lo)
+        tried = [0] * len(free)  # per free position, how many cells were tried
+        i = 0
+        while i >= 0:
+            if i == len(free):
+                yield tuple(word)
+                i -= 1
+                continue
+            p, j, cells = free[i]
+            x = tried[i]
+            if x:  # take back the cell tried last here
+                t = word[p]
+                c = counts[t] = counts[t] - 1
+                need[j] += c < lo[t]
+                left[j] += 1
+            for t in cells[x:]:
+                x += 1
+                c = counts[t]
+                if c < hi[t] and need[j] - (c < lo[t]) < left[j]:
+                    tried[i] = x
+                    counts[t] = c + 1
+                    need[j] -= c < lo[t]
+                    left[j] -= 1
+                    word[p] = t
+                    i += 1
+                    break
+            else:
+                tried[i] = 0
+                i -= 1
 
     def __getitem__(self, i) -> tuple:
         i = operator.index(i)
@@ -478,21 +515,6 @@ def greedy_packing(spec: TypicalSpec, rho, limit=None) -> list:
     return list(islice(iter_typical(spec, rho), limit))
 
 
-def verify_packing(spec: TypicalSpec, rho, packing: Sequence[tuple]) -> dict:
-    """Re-check separation and maximality of a claimed packing.  Maximality
-    holds only for an unlimited ``greedy_packing``, not for a prefix."""
-    rho = Fraction(rho)
-    sep_ok = all(
-        dbar(packing[i], packing[j]) > rho
-        for i in range(len(packing))
-        for j in range(i + 1, len(packing))
-    )
-    maximal = all(
-        any(dbar(w, c) <= rho for c in packing) for w in iter_typical(spec)
-    )
-    return {"separation_ok": sep_ok, "maximal": maximal}
-
-
 def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset:
     """Minimal index set whose removal drives every kept symbol frequency
     strictly below min((q_t + eps)(1 - delta), q_t).
@@ -564,9 +586,9 @@ class PackingBudget:
 class _Books(Sequence):
     """A build's books, ``(b, fiber)`` per block word b in lexicographic
     order, each ``Fiber`` built where it is read.  ``words`` holds the block
-    words with a book: the one-block ``Fiber`` over beta, which ranks and
-    unranks the typical set, or the sorted ``only`` words.  ``size`` is the
-    exact book count (``len`` too, while it fits an index)."""
+    words with a book: the one-block ``Fiber`` over beta, or the sorted
+    ``only`` words; iterating lists them and indexing unranks.  ``size`` is
+    the exact book count (``len`` too, while it fits an index)."""
 
     __slots__ = ("_words", "_spec", "_blocks", "size")
 
@@ -580,6 +602,9 @@ class _Books(Sequence):
         b = self._words[i]
         return b, Fiber(self._spec, self._blocks, b)
 
+    def __iter__(self) -> Iterator[tuple]:
+        return ((b, Fiber(self._spec, self._blocks, b)) for b in self._words)
+
     def fiber(self, b: Sequence[int]) -> Fiber:
         b = tuple(b)
         if b in self._words:  # the one-block Fiber ranks b: length, alphabet, typicality
@@ -591,7 +616,7 @@ class _Books(Sequence):
 class CodeBook:
     """Per block-word injections of typical fibers into one packing: ``books``
     is a lazy sequence of ``(b, fiber)`` per block word b in lexicographic
-    order, ranked rather than listed, ``fiber`` a ``Fiber`` built when the
+    order, ranked and never stored, ``fiber`` a ``Fiber`` built when the
     book is read, and book b sends ``fiber[i]`` to ``packing[i]``.  So a
     name encodes to ``packing[fiber.index(name)]`` and a codeword at
     ``packing[i]`` decodes to ``fiber[i]``.  ``packing`` is the first-fit
@@ -617,11 +642,6 @@ class CodeBook:
         """The fiber of book b, built on each call; ``KeyError`` when b has
         no book: b is not a typical block word, or not an ``only`` word."""
         return self.books.fiber(b)
-
-    def mapping(self, b: Sequence[int]) -> dict:
-        """Book b as a dict from names to codewords, unranked entry by entry."""
-        fiber = self.fiber(b)
-        return {fiber[i]: self.packing[i] for i in range(len(fiber))}
 
     def separation(self) -> Fraction:
         """Smallest pairwise dbar within any book's image (the largest is the packing)."""
@@ -715,9 +735,10 @@ def build_injections(
     same first-fit sequence and each fiber is ranked on its own, so the
     restricted books agree entry for entry with the full build.
 
-    Neither the block words nor any fiber is listed.  A one-block ``Fiber``
-    over beta owns the typical block words: its size is the emptiness gate
-    and the full book count, and it ranks and unranks them.  A fiber's size
+    A build lists neither the block words nor any fiber.  A one-block
+    ``Fiber`` over beta owns the typical block words: its size is the
+    emptiness gate and the full book count, and it ranks, unranks and lists
+    them.  A fiber's size
     depends on its block word only through the word's block counts, so
     ``_largest_fiber`` takes the full build's largest from the block-count
     vectors.  An empty typical block set, then an empty ``only``, is refused
