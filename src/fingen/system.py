@@ -24,7 +24,7 @@ left-to-right lexicographically.  The enumeration is a lazy, memoized
 breadth-first walk: it extends only as far as a consumer reads, so a sweep
 that is done after a few elements never builds the rest of the group, and
 asking whether the enumeration is complete finishes the walk.  Readers see
-an element only through ``image(i, x)`` and ``inverse_image(i, x)``.
+an element only through ``image``, ``inverse_image`` and ``move_images``.
 
 The walk stores elements in one of two ways, in the same order and with the
 same words.  When the generators commute pairwise, the group is abelian and
@@ -36,9 +36,9 @@ one cycle position per generator.  Otherwise (dihedral groups, random
 permutation pairs) each element is stored as its N-point table.  Every
 derived map records, per point, a move: walk indices read in pairs (i, j),
 undo element i, then apply element j.  So a map is re-checked against the
-walk, and a point's word is derived from the walk's words.  The walk keeps
-no word: each element keeps its parent's index and the token from it, and a
-word is rebuilt from those links when read.
+walk, each distinct move read once, and a point's word is derived from the
+walk's words.  The walk keeps no word: each element keeps its parent's index
+and the token from it, and a word is rebuilt from those links when read.
 """
 
 from __future__ import annotations
@@ -195,15 +195,31 @@ class GroupEnum:
     def inverse_image(self, i: int, x: int) -> int:
         """The point that element ``i`` moves to ``x``.  The tuple walk
         inverts an element's table once, when this first asks for it."""
-        value = self.elements.values[i]
         if not self.abelian:
-            if i not in self._inverses:
-                self._inverses[i] = _inverse(value)
-            return self._inverses[i][x]
-        for cycles, e in value[1]:
+            return self._inverse_table(i)[x]
+        for cycles, e in self.elements.values[i][1]:
             cycle, pos = cycles[x]
             x = cycle[pos - e]
         return x
+
+    def _inverse_table(self, i: int) -> tuple:
+        inv = self._inverses.get(i)
+        if inv is None:
+            inv = self._inverses[i] = _inverse(self.elements.values[i])
+        return inv
+
+    def move_images(self, move: tuple, xs) -> list:
+        """The points ``xs`` moved by ``move``, each index pair (i, j) at once for all:
+        two table reads on the tuple walk, one cycle read per changed exponent."""
+        values = self.elements.values
+        for i, j in zip(move[::2], move[1::2]):
+            if not self.abelian:
+                xs = map(values[j].__getitem__, map(self._inverse_table(i).__getitem__, xs))
+                continue
+            for (cycles, a), (_, b) in zip(values[i][1], values[j][1]):
+                if a != b:  # each cycle is listed twice, so pos + b - a reads it
+                    xs = [cycle[pos + b - a] for cycle, pos in map(cycles.__getitem__, xs)]
+        return list(xs)
 
 
 class _Walked(Sequence):
@@ -450,42 +466,44 @@ class PseudoMap:
     moves: tuple  # walk-index move carrying x to y, aligned with pairs
 
     def __post_init__(self):
-        try:  # unpacking refuses a pair of another length
-            xs = [x for x, _ in self.pairs]
-            ys = [y for _, y in self.pairs]
+        try:  # a pair of another length or type, or pairs that are no sequence
+            malformed = set(map(type, self.pairs)) - {tuple} or set(map(len, self.pairs)) - {2}
+            xs, ys = tuple(zip(*self.pairs)) or ((), ())
         except (TypeError, ValueError):
-            raise InvalidParamsError("pairs are pairs of points") from None
-        if set(map(type, self.pairs)) - {tuple} or set(map(type, xs + ys)) - {int}:
+            malformed = True
+        if malformed or set(map(type, xs + ys)) - {int}:
             raise InvalidParamsError("pairs are pairs of points")
-        order = sorted(range(len(self.pairs)), key=lambda i: self.pairs[i])
-        object.__setattr__(self, "pairs", tuple(self.pairs[i] for i in order))
         if len(self.moves) != len(self.pairs):
             raise InvalidParamsError("one move per pair")
-        object.__setattr__(self, "moves", tuple(self.moves[i] for i in order))
-        if any(not (0 <= x < self.system.n_points) for x in xs + ys):
+        if xs and (min(min(xs), min(ys)) < 0 or max(max(xs), max(ys)) >= self.system.n_points):
             raise InvalidParamsError("pairs live on the points")
-        if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        at = dict(zip(xs, range(len(xs))))  # x -> its pair's index
+        if len(at) != len(xs) or len(set(ys)) != len(ys):
             raise InvalidParamsError("map must be a bijection")
-        enum = self.system.group()
-        steps = {}  # per move: its walk-index pairs (i, j)
-        try:
-            distinct = set(self.moves)
-        except TypeError:  # a list, or a tuple holding one
-            raise InvalidParamsError("moves are pairs of walk indices") from None
-        for mv in distinct:
-            if not isinstance(mv, tuple) or len(mv) % 2 or any(type(i) is not int for i in mv):
-                raise InvalidParamsError("moves are pairs of walk indices")
-            if any(i < 0 or not enum.reach(i) for i in mv):
-                raise InvalidParamsError("move indices lie on the group walk")
-            steps[mv] = tuple(zip(mv[::2], mv[1::2]))
-        image, undo = enum.image, enum.inverse_image
-        for (x, y), mv in zip(self.pairs, self.moves):
-            z = x
-            for i, j in steps[mv]:
-                z = image(j, undo(i, z))
-            if z != y:
-                raise InvalidParamsError("move certificate mismatch", f"at point {x}")
+        order = [at[x] for x in sorted(at)]
+        object.__setattr__(self, "pairs", tuple([self.pairs[i] for i in order]))
+        object.__setattr__(self, "moves", tuple([self.moves[i] for i in order]))
         object.__setattr__(self, "_fwd", dict(self.pairs))
+        _check_moves(self.system.group(), self._fwd.keys(), self.moves, self._fwd)
+
+    def then(self, other: "PseudoMap") -> "PseudoMap":
+        """This map, then ``other`` where it is defined; only the rerouted pairs, whose
+        moves join two checked ones, are evaluated, and the result must be a bijection."""
+        if other.system is not self.system:
+            raise InvalidParamsError("maps on one system")
+        theirs = dict(zip(other.domain, other.moves))
+        fwd, moves, xs, joined = dict(self._fwd), list(self.moves), [], []
+        for k, (x, y) in enumerate(self.pairs):
+            if y in theirs:
+                fwd[x], moves[k] = other._fwd[y], moves[k] + theirs[y]
+                xs.append(x)
+                joined.append(moves[k])
+        if len(set(fwd.values())) != len(fwd):
+            raise InvalidParamsError("map must be a bijection")
+        _check_moves(self.system.group(), xs, joined, fwd)
+        out = object.__new__(PseudoMap)  # checked above: no second __post_init__
+        out.__dict__.update(vars(self), pairs=tuple(fwd.items()), moves=tuple(moves), _fwd=fwd)
+        return out
 
     @property
     def domain(self) -> tuple:
@@ -510,6 +528,37 @@ class PseudoMap:
         if y != x:
             raise InvalidParamsError(f"orbit of {x} leaves the domain")
         return tuple(out)
+
+
+def _check_moves(enum: GroupEnum, xs, moves, fwd: dict) -> None:
+    """Refuse moves that are not pairs of walk indices on the walk, then name the least
+    x of the sorted ``xs`` that its move does not carry to ``fwd[x]``.  Each distinct
+    move moves all its points at once, unless moves average under four points each."""
+    try:  # a list, or a tuple holding one, is unhashable
+        distinct = set(moves)
+    except TypeError:
+        distinct = {None}
+    indices = [i for mv in distinct if type(mv) is tuple for i in mv]
+    odd = any(len(mv) % 2 for mv in distinct if type(mv) is tuple)
+    if set(map(type, distinct)) - {tuple} or set(map(type, indices)) - {int} or odd:
+        raise InvalidParamsError("moves are pairs of walk indices")
+    if indices and (min(indices) < 0 or not enum.reach(max(indices))):
+        raise InvalidParamsError("move indices lie on the group walk")
+    if len(distinct) * 4 > len(xs):
+        for x, mv in zip(xs, moves):
+            z = x
+            for k in range(0, len(mv), 2):
+                z = enum.image(mv[k + 1], enum.inverse_image(mv[k], z))
+            if z != fwd[x]:
+                raise InvalidParamsError("move certificate mismatch", f"at point {x}")
+        return
+    shared: dict = {}  # move -> its points
+    for x, mv in zip(xs, moves):
+        shared.setdefault(mv, []).append(x)
+    bad = [x for mv, pts in shared.items()
+           for x, y in zip(pts, enum.move_images(mv, pts)) if y != fwd[x]]
+    if bad:
+        raise InvalidParamsError("move certificate mismatch", f"at point {min(bad)}")
 
 
 def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
@@ -776,12 +825,9 @@ def avgfuncmix(sys: FiniteSystem, B, funcs, eps) -> MixResult:
         missing = [x for x in B if x not in funcs[f]]
         if missing:
             raise InvalidParamsError("funcs are defined on B", f"{f!r} misses {missing}")
-    values = [tuple(Fraction(funcs[f][x]) for f in names) for x in B]
-    level = dict(zip(B, canon_labels(values)))
+    ids: dict = {}  # distinct value row -> its level, as canon_labels numbers it
+    level = {x: ids.setdefault(tuple(Fraction(funcs[f][x]) for f in names), len(ids)) for x in B}
     labels = tuple(level[x] + 1 if x in level else 0 for x in range(sys.n_points))
-    scale = Fraction(0)
-    for i, _ in enumerate(names):
-        amp = sum(abs(v[i]) for v in set(values))
-        scale = max(scale, amp)
+    scale = max((sum(abs(v[i]) for v in ids) for i in range(len(names))), default=0)
     shrunk = Fraction(eps) / scale if scale > 0 else Fraction(eps)
     return avgmix(sys, B, labels, shrunk)

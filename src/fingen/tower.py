@@ -80,11 +80,8 @@ class Tower:
         return self.h.orbit(s)
 
     def profile_of(self, s: int) -> tuple:
-        col = self.column(s)
-        return tuple(
-            Fraction(sum(1 for x in col if self.alpha[x] == c), self.m)
-            for c in self.cells
-        )
+        counts = Counter(map(self.alpha.__getitem__, self.column(s)))
+        return tuple(Fraction(counts[c], self.m) for c in self.cells)
 
     def decode_profile(self, s: int) -> tuple:
         """Recover the column profile of s from S1/S2 membership alone."""
@@ -118,7 +115,9 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
     m is the smallest admissible divisor of N unless given explicitly; the
     admissibility conditions are exactly the named CONSTRAINTS and the first
-    violated one is reported on failure.
+    violated one is reported on failure.  The column map h and the map v
+    cycling each class's columns are checked maps; theta is ``h.then(v)``,
+    whose check evaluates only the N/m column tops it reroutes.
     """
     alpha = tuple(alpha)
     if len(alpha) != sys.n_points:
@@ -155,17 +154,7 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     mix = avgfuncmix(sys, s1, funcs, eps)
     v, k = mix.theta, mix.n
 
-    # theta climbs each column and jumps to the next column of the v-class
-    top = {columns[s][-1] for s in s1}
-    v_moves = dict(zip(v.domain, v.moves))
-    pairs, moves = [], []
-    for (x, y), mv in zip(h.pairs, h.moves):
-        if x in top:
-            mv = mv + v_moves[y]
-            y = v.apply(y)
-        pairs.append((x, y))
-        moves.append(mv)
-    theta = PseudoMap(sys, tuple(pairs), tuple(moves))
+    theta = h.then(v)  # up each column, and from its top on to the next column of its class
 
     transversal = tuple(sorted(min(cl) for cl in mix.classes))
 
@@ -186,7 +175,12 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
 
 def audit_tower(t: Tower) -> dict:
-    """Exhaustive verification of every tower postcondition."""
+    """Exhaustive verification of every tower postcondition.
+
+    Labels are counted in integers, one Counter per class; the largest
+    frequency deviation is kept as an exact numerator and denominator,
+    compared by cross-multiplying, and reported as one Fraction.
+    """
     sys = t.system
     n_pts = sys.n_points
     # classes() raises unless theta-orbits cover the points: theta^n = id iff
@@ -206,19 +200,19 @@ def audit_tower(t: Tower) -> dict:
         hseen.update(level)
     h_partitions = h_partitions and len(hseen) == n_pts
 
-    s1w = sys.total_weight(t.s1)
-    s2w = sys.total_weight(t.s2)
-    side_weight = s1w + s2w
+    side_weight = sys.total_weight(t.s1) + sys.total_weight(t.s2)
 
-    cells = t.cells
-    global_freq = {
-        c: Fraction(sum(1 for x in t.alpha if x == c), n_pts) for c in cells
-    }
-    deviation = Fraction(0)
+    # |count/|cl| - total/N| = dev/scale, kept as integers; the largest is num/den
+    total = Counter(t.alpha)
+    num, den = 0, 1
     for cl in classes:
-        for c in cells:
-            f = Fraction(sum(1 for x in cl if t.alpha[x] == c), len(cl))
-            deviation = max(deviation, abs(f - global_freq[c]))
+        counts = Counter(map(t.alpha.__getitem__, cl))
+        scale = len(cl) * n_pts
+        for c in t.cells:
+            dev = abs(counts[c] * n_pts - total[c] * len(cl))
+            if dev * den > num * scale:
+                num, den = dev, scale
+    deviation = Fraction(num, den)
 
     roundtrip = all(t.decode_profile(s) == t.profile_of(s) for s in t.s1)
 

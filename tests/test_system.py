@@ -462,6 +462,138 @@ def test_pseudomap_decomposition_and_orbit():
         element_map(Z4, 1, points=(0,)).orbit(0)
 
 
+def reference_check(sysn, pairs, moves) -> tuple:
+    """The map check as a per-point loop, every pair's move undone and
+    applied element by element: the sorted pairs and moves, or the refusal,
+    that the constructor must give too."""
+    try:  # unpacking refuses a pair of another length
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+    except (TypeError, ValueError):
+        raise InvalidParamsError("pairs are pairs of points") from None
+    if set(map(type, pairs)) - {tuple} or set(map(type, xs + ys)) - {int}:
+        raise InvalidParamsError("pairs are pairs of points")
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
+    pairs = tuple(pairs[i] for i in order)
+    if len(moves) != len(pairs):
+        raise InvalidParamsError("one move per pair")
+    moves = tuple(moves[i] for i in order)
+    if any(not (0 <= x < sysn.n_points) for x in xs + ys):
+        raise InvalidParamsError("pairs live on the points")
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        raise InvalidParamsError("map must be a bijection")
+    enum = sysn.group()
+    steps = {}
+    try:
+        distinct = set(moves)
+    except TypeError:
+        raise InvalidParamsError("moves are pairs of walk indices") from None
+    for mv in distinct:
+        if not isinstance(mv, tuple) or len(mv) % 2 or any(type(i) is not int for i in mv):
+            raise InvalidParamsError("moves are pairs of walk indices")
+        if any(i < 0 or not enum.reach(i) for i in mv):
+            raise InvalidParamsError("move indices lie on the group walk")
+        steps[mv] = tuple(zip(mv[::2], mv[1::2]))
+    for (x, y), mv in zip(pairs, moves):
+        z = x
+        for i, j in steps[mv]:
+            z = enum.image(j, enum.inverse_image(i, z))
+        if z != y:
+            raise InvalidParamsError("move certificate mismatch", f"at point {x}")
+    return pairs, moves
+
+
+def check_outcome(call):
+    """The pairs and moves a check accepts, or the class, constraint and
+    message of its refusal."""
+    try:
+        got = call()
+    except InvalidParamsError as err:
+        return type(err), err.constraint, str(err)
+    return (got.pairs, got.moves) if isinstance(got, PseudoMap) else got
+
+
+def dihedral(n):
+    """D_n on Z_n: r is x -> x+1 and s is x -> -x, which do not commute."""
+    return FiniteSystem.make(
+        n, {"r": [(x + 1) % n for x in range(n)], "s": [-x % n for x in range(n)]}
+    )
+
+
+def sweep_maps(sysn, rng):
+    """Checked maps from sweeps: equal partitions whose moves are shared by
+    many points and by one each, a cyclic map and a greedy matching."""
+    n = sysn.n_points
+    maps = [make_equal_partition(sysn, range(0, n, m), range(n), m)[1] for m in (3, n // 2, n)]
+    B = rng.sample(range(n), n // 2)
+    maps.append(cyclic_permute(sysn, [B[k::3] for k in range(3)]))
+    maps.append(simplemix(sysn, rng.sample(range(n), n // 4), rng.sample(range(n), n // 3)))
+    return maps
+
+
+def mutate(rng, walk: int, pairs: list, moves: list) -> None:
+    """Change one image, one move index or one pair's type or arity."""
+    k = rng.randrange(len(pairs))
+    x, y = pairs[k]
+    kind = rng.randrange(5)
+    if kind == 0:  # one image: a repeat of another image or a free point
+        pairs[k] = (x, rng.choice([z for z in range(walk) if z != y]))
+    elif kind == 1:  # two images swapped keep the map a bijection
+        j = rng.randrange(len(pairs))
+        pairs[k], pairs[j] = (x, pairs[j][1]), (pairs[j][0], y)
+    elif kind == 2:  # one index off the walk
+        mv = list(moves[k])
+        mv[rng.randrange(len(mv))] = rng.choice([-1, walk, walk + 3])
+        moves[k] = tuple(mv)
+    elif kind == 3:  # one index to another element of the walk
+        mv = list(moves[k])
+        i = rng.randrange(len(mv))
+        mv[i] = rng.choice([j for j in range(walk) if j != mv[i]])
+        moves[k] = tuple(mv)
+    else:  # one pair of another type or arity
+        pairs[k] = rng.choice([(x, float(y)), (x, y, 0), (x,), [x, y], (str(x), y)])
+
+
+@pytest.mark.parametrize("abelian, build", [(True, FiniteSystem.cyclic), (False, dihedral)])
+def test_map_check_refuses_as_the_per_point_loop(abelian, build):
+    # the cyclic system takes the point walk, the dihedral one the tuple walk
+    rng = random.Random(29)
+    for n in (12, 24, 36):
+        sysn = build(n)
+        assert sysn.group().abelian is abelian and sysn.group().complete
+        walk = len(sysn.group().elements)
+        for valid in sweep_maps(sysn, rng):
+            want = check_outcome(lambda: reference_check(sysn, valid.pairs, valid.moves))
+            assert check_outcome(lambda: PseudoMap(sysn, valid.pairs, valid.moves)) == want
+            assert want == (valid.pairs, valid.moves)
+            for _ in range(25):
+                pairs, moves = list(valid.pairs), list(valid.moves)
+                mutate(rng, walk, pairs, moves)
+                order = list(range(len(pairs)))
+                rng.shuffle(order)
+                pairs = tuple(pairs[k] for k in order)
+                moves = tuple(moves[k] for k in order)
+                want = check_outcome(lambda: reference_check(sysn, pairs, moves))
+                assert check_outcome(lambda: PseudoMap(sysn, pairs, moves)) == want
+
+
+def test_then_reroutes_only_where_the_second_map_is_defined():
+    # rot1 on Z6 followed by the swap of 2 and 4: 1 -> 2 -> 4 and 3 -> 4 -> 2
+    swap = PseudoMap(Z6, ((2, 4), (4, 2)), ((0, 3), (0, 4)))
+    rot = element_map(Z6, 1)
+    both = rot.then(swap)
+    assert both.pairs == ((0, 1), (1, 4), (2, 3), (3, 2), (4, 5), (5, 0))
+    assert both.moves == ((0, 1), (0, 1, 0, 3), (0, 1), (0, 1, 0, 4), (0, 1), (0, 1))
+    assert check_outcome(lambda: PseudoMap(Z6, both.pairs, both.moves)) == (both.pairs, both.moves)
+    assert both == PseudoMap(Z6, both.pairs, both.moves)
+    assert both.orbit(0) == (0, 1, 4, 5)
+    # rot1 on {0, 1}, then 1 -> 2: both 0 and 1 land on 2
+    with pytest.raises(InvalidParamsError, match="map must be a bijection"):
+        element_map(Z6, 1, (0, 1)).then(element_map(Z6, 1, (1,)))
+    with pytest.raises(InvalidParamsError, match="maps on one system"):
+        rot.then(element_map(Z8, 1))
+
+
 def test_expressibility_examples():
     assert is_expressible(element_map(Z4, 0), TRIV4)
     assert is_expressible(element_map(Z4, 1), TRIV4)
@@ -793,16 +925,24 @@ def test_pointer_sweeps_fail_like_the_restarted_sweeps_on_a_capped_walk(monkeypa
 
 
 def count_reads(enum, counts: Counter) -> None:
-    """Count ``enum``'s point reads, ``image`` and ``inverse_image`` calls,
-    in ``counts["reads"]``; the counting wrappers shadow both methods."""
+    """Count ``enum``'s point reads in ``counts["reads"]``: one per ``image``
+    and ``inverse_image`` call, and for ``move_images`` two per index pair of
+    the move per point, the reads of a per-point check that undoes and
+    applies each element.  The counting wrappers shadow the three methods."""
     def counted(read):
         def call(i, x):
             counts["reads"] += 1
             return read(i, x)
         return call
 
+    def counted_move(move, xs):
+        counts["reads"] += len(move) * len(xs)
+        return move_images(move, xs)
+
+    move_images = enum.move_images
     enum.image = counted(enum.image)
     enum.inverse_image = counted(enum.inverse_image)
+    enum.move_images = counted_move
 
 
 def element_reads(sysn, call) -> int:
@@ -962,6 +1102,34 @@ def test_avgfuncmix_scales_large_values():
     for cl in res.classes:
         avg = F(sum(f[x] for x in cl), len(cl))
         assert abs(avg - mean) < F(1, 2)
+
+
+def test_avgfuncmix_hands_avgmix_the_reference_levels_and_tolerance(monkeypatch):
+    # the reference hashes every value row once per function; the levels and
+    # the tolerance shrunk by the largest total amplitude must not change
+    def reference(sysn, B, funcs, eps):
+        B = tuple(sorted(set(B)))
+        names = list(funcs)
+        values = [tuple(F(funcs[f][x]) for f in names) for x in B]
+        level = dict(zip(B, canon_labels(values)))
+        labels = tuple(level[x] + 1 if x in level else 0 for x in range(sysn.n_points))
+        scale = F(0)
+        for i, _ in enumerate(names):
+            scale = max(scale, sum(abs(v[i]) for v in set(values)))
+        return B, labels, F(eps) / scale if scale > 0 else F(eps)
+
+    seen = []
+    monkeypatch.setattr(system, "avgmix", lambda *args: seen.append(args[1:]))
+    rng = random.Random(5)
+    for _ in range(40):
+        B = rng.sample(range(24), rng.randint(1, 24))
+        funcs = {
+            name: {x: F(rng.randint(-3, 3), rng.randint(1, 4)) for x in B}
+            for name in rng.sample("fgh", rng.randint(0, 3))
+        }
+        eps = F(rng.randint(1, 5), 4)
+        avgfuncmix(FiniteSystem.cyclic(24), B, funcs, eps)
+        assert seen.pop() == reference(FiniteSystem.cyclic(24), B, funcs, eps)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from fingen import system
 from fingen.errors import DivisibilityError, InvalidParamsError
 from fingen.system import FiniteSystem, PseudoMap
 from fingen.tower import Tower, admissible_m, audit_tower, build_tower
+from test_acceptance import TOWER_CASES
 
 Z60 = FiniteSystem.cyclic(60)
 ALPHA60 = tuple(0 if x < 30 else 1 for x in range(60))
@@ -127,13 +128,17 @@ def test_audit_flags_theta_of_the_wrong_order():
 
 
 def test_tower_checks_each_map_once(monkeypatch):
-    # the m-1 column matchings are sweeps with no checked map of their own,
-    # and h, v and theta are checked once each: for cyclic(120), m=20 no
-    # simplemix call and 3 checks
+    # the m-1 column matchings are sweeps with no checked map of their own;
+    # h and v are constructed and checked, and theta = h then v evaluates
+    # only the moves it reroutes: for cyclic(120), m=20 no simplemix call,
+    # 2 constructed maps, and point evaluations h 120, v 6 and theta 6, the
+    # column tops
     sweeps = []
     checks = []
+    evaluated = []
     check = PseudoMap.__post_init__
     sweep = system.simplemix
+    evaluate = system._check_moves
 
     def counted_check(self):
         checks.append(1)
@@ -143,11 +148,18 @@ def test_tower_checks_each_map_once(monkeypatch):
         sweeps.append(1)
         return sweep(*args)
 
+    def counted_evaluate(enum, xs, moves, fwd):
+        evaluated.append(len(xs))
+        evaluate(enum, xs, moves, fwd)
+
     monkeypatch.setattr(PseudoMap, "__post_init__", counted_check)
     monkeypatch.setattr(system, "simplemix", counted_sweep)
-    build_tower(FiniteSystem.cyclic(120), tuple(x % 2 for x in range(120)), 2, 1, 20)
+    monkeypatch.setattr(system, "_check_moves", counted_evaluate)
+    tw = build_tower(FiniteSystem.cyclic(120), tuple(x % 2 for x in range(120)), 2, 1, 20)
     assert len(sweeps) == 0
-    assert len(checks) == 3
+    assert len(checks) == 2
+    assert evaluated == [120, 6, 6]
+    assert len(tw.s1) == 6
 
 
 class CountedTuple(tuple):
@@ -224,3 +236,119 @@ def test_ratcomb_route_tower_is_pinned(monkeypatch):
     assert tw.theta.pairs == tuple(enumerate(y for y, _ in RATCOMB_THETA))
     assert tw.theta.moves == tuple(mv for _, mv in RATCOMB_THETA)
     assert_all_ok(audit_tower(tw))
+
+
+def reference_audit(t: Tower) -> dict:
+    """The audit counted with a Fraction per (class, cell) and a generator
+    per cell, columns' profiles too: the reference for the integer counts."""
+    sys = t.system
+    n_pts = sys.n_points
+    classes = t.classes()
+    theta_order = all(t.n % len(cl) == 0 for cl in classes)
+    class_sizes = all(len(cl) == t.n for cl in classes)
+    covers = sorted(x for cl in classes for x in cl) == list(range(n_pts))
+    level = list(t.s1)
+    hseen = set(level)
+    h_partitions = True
+    for _ in range(t.m - 1):
+        level = [t.h.apply(x) for x in level]
+        if hseen & set(level):
+            h_partitions = False
+        hseen.update(level)
+    h_partitions = h_partitions and len(hseen) == n_pts
+    side_weight = sys.total_weight(t.s1) + sys.total_weight(t.s2)
+    cells = t.cells
+    global_freq = {c: F(sum(1 for x in t.alpha if x == c), n_pts) for c in cells}
+    deviation = F(0)
+    for cl in classes:
+        for c in cells:
+            f = F(sum(1 for x in cl if t.alpha[x] == c), len(cl))
+            deviation = max(deviation, abs(f - global_freq[c]))
+
+    def profile(s):
+        col = t.column(s)
+        return tuple(F(sum(1 for x in col if t.alpha[x] == c), t.m) for c in cells)
+
+    assert all(t.profile_of(s) == profile(s) for s in t.s1)
+    roundtrip = all(t.decode_profile(s) == profile(s) for s in t.s1)
+    marks = set(t.transversal)
+    transversal_ok = len(marks) == len(classes) and all(
+        len(marks & set(cl)) == 1 for cl in classes
+    )
+    return {
+        "theta_order": theta_order,
+        "class_sizes": class_sizes,
+        "classes_cover": covers,
+        "h_partitions": h_partitions,
+        "side_weight": side_weight,
+        "side_weight_ok": side_weight < t.eps,
+        "freq_deviation": deviation,
+        "freq_ok": deviation <= t.eps,
+        "profile_roundtrip": roundtrip,
+        "transversal_ok": transversal_ok,
+    }
+
+
+def case_towers():
+    for npts, lab, eps, nmin, m in TOWER_CASES:
+        yield build_tower(FiniteSystem.cyclic(npts), tuple(map(lab, range(npts))), eps, nmin, m)
+    yield build_tower(FiniteSystem.cyclic(132), RATCOMB_ALPHA, 3, 1, 11)
+
+
+def test_theta_is_the_map_its_pairs_and_moves_construct():
+    # h then v evaluates only the rerouted tops; the constructor, which
+    # evaluates every pair, accepts the same pairs and moves and agrees
+    for tw in case_towers():
+        again = PseudoMap(tw.system, tw.theta.pairs, tw.theta.moves)
+        assert again == tw.theta
+        assert again.pairs == tw.theta.pairs and again.moves == tw.theta.moves
+        assert again._fwd == tw.theta._fwd
+        assert list(tw.theta._fwd) == [x for x, _ in tw.theta.pairs]
+
+
+def test_integer_audit_matches_the_fraction_audit():
+    deviations = set()
+    for tw in case_towers():
+        rep = audit_tower(tw)
+        assert rep == reference_audit(tw)
+        assert_all_ok(rep)
+        assert type(rep["freq_deviation"]) is F
+        deviations.add(rep["freq_deviation"])
+    assert deviations == {0, F(1, 44)}  # the ratcomb tower's classes are off by 1/44
+
+
+def test_integer_audit_matches_the_fraction_audit_on_failing_towers():
+    # theta of the wrong order, as in test_audit_flags_theta_of_the_wrong_order
+    z120 = FiniteSystem.cyclic(120)
+    tw = build_tower(z120, tuple(x % 2 for x in range(120)), 2, 1, 20)
+    shift = PseudoMap(z120, tuple((x, (x + 1) % 120) for x in range(120)), ((0, 1),) * 120)
+    rep = audit_tower(replace(tw, theta=shift))
+    assert rep == reference_audit(replace(tw, theta=shift))
+    assert rep["theta_order"] is False
+    # theta = x -> x+2: one class of the even points, one of the odd points
+    skip = PseudoMap(z120, tuple((x, (x + 2) % 120) for x in range(120)), ((0, 3),) * 120)
+    halves = replace(tw, theta=skip, transversal=(0, 1))
+    rep = audit_tower(halves)
+    assert rep == reference_audit(halves)
+    assert (rep["class_sizes"], rep["freq_deviation"]) == (False, F(1, 2))
+    # classes of 10, 20 and 90 points holding 3, 8 and 1 of the 12 marked
+    # points: the largest deviation, 3/10 in the middle class, has neither
+    # the largest numerator nor the largest denominator
+    enum = z120.group()
+    step = {enum.image(i, 0): i for i in range(120) if enum.reach(i)}
+    blocks = [range(0, 10), range(10, 30), range(30, 120)]
+    cycle = [(b[k], b[(k + 1) % len(b)]) for b in blocks for k in range(len(b))]
+    three = PseudoMap(z120, tuple(cycle), tuple((0, step[(y - x) % 120]) for x, y in cycle))
+    marked = {0, 1, 2, *range(10, 18), 30}
+    uneven = replace(
+        tw, theta=three, transversal=(0, 10, 30), alpha=tuple(int(x in marked) for x in range(120))
+    )
+    rep = audit_tower(uneven)
+    assert rep == reference_audit(uneven)
+    assert rep["freq_deviation"] == F(3, 10)
+    # an S2 mark dropped: the column above it decodes rank 0, the other profile
+    tw = build_tower(FiniteSystem.cyclic(132), RATCOMB_ALPHA, 3, 1, 11)
+    flipped = replace(tw, s2=tw.s2[1:])
+    rep = audit_tower(flipped)
+    assert rep == reference_audit(flipped)
+    assert rep["profile_roundtrip"] is False
