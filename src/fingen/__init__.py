@@ -40,7 +40,6 @@ from .system import (
     FiniteSystem,
     GAlgebra,
     PseudoMap,
-    avgfuncmix,
     avgmix,
     cyclic_permute,
     generated_algebra,
@@ -81,7 +80,6 @@ __all__ = [
     "Tower",
     "TypicalSpec",
     "audit_tower",
-    "avgfuncmix",
     "avgmix",
     "brute_force_generator_search",
     "build_code",

@@ -6,10 +6,10 @@ invariant probability measure, the uniform one, so a set A of points has
 measure |A|/N and the system stores nothing beyond its points and
 generators.  On top of it live invariant partitions (the finite stand-in for
 invariant sigma-algebras), partial bijections carrying group-element
-certificates, and the mixing constructions that average cell frequencies
-over equal-size classes.  Partitions travel as labelings, one hashable label
-per point, and the refinement fixpoint takes the labeling a caller holds.
-The fixpoint is Hopcroft partition refinement: cells split by the images
+certificates, and ``avgmix``, which glues the cells inside a set B into
+equal-size classes tracking the global cell frequencies.  Partitions travel
+as labelings, one hashable label per point, read once into cells by the
+refinement fixpoint, Hopcroft partition refinement: cells split by the images
 of a worklist of splitter cells, in O(|tables| N log N), not round by round.
 A matching is a greedy sweep along the group walk that keeps a walk pointer
 per point.  The n-1 sweeps of ``make_equal_partition`` share one free set and
@@ -416,10 +416,11 @@ def refine_partition(labels, perms) -> GAlgebra:
     a splitter at most log2 N times and the fixpoint costs
     O(|perms| N log N), with no per-round relabeling.  Each table p must be a
     permutation of the points and is not inverted: splitting by images makes
-    p^-1 map cells into cells, and so p too, since it is a bijection.
+    p^-1 map cells into cells, and so p too, since it is a bijection.  The
+    labeling is read once, into its cells; ``GAlgebra`` numbers them once.
     """
-    labels = canon_labels(labels)
-    n = len(labels)
+    cells = [set(cell) for cell in label_cells(labels)]
+    n = sum(map(len, cells))
     perms = list(perms)
     for p in perms:
         if len(p) != n:
@@ -428,8 +429,10 @@ def refine_partition(labels, perms) -> GAlgebra:
             raise InvalidParamsError("table entries lie on the points")
         if len(set(p)) != n:
             raise InvalidParamsError("tables are permutations", "an entry repeats")
-    cell_of = list(labels)
-    cells = [set(cell) for cell in label_cells(labels)]
+    cell_of = [0] * n
+    for c, cell in enumerate(cells):
+        for x in cell:
+            cell_of[x] = c
     largest = max(range(len(cells)), key=lambda c: len(cells[c]), default=None)
     queue = [c for c in range(len(cells)) if c != largest]
     queued = set(queue)
@@ -748,7 +751,8 @@ class MixResult:
 def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     """Classes of one size whose per-class cell frequencies track the global.
 
-    The rational-decomposition route hands each class the frequencies of one
+    Only B's labels matter; the points off B count as one more label.  The
+    rational-decomposition route hands each class the frequencies of one
     denominator-n vector; when its block sizes do not divide evenly the
     construction falls back to single-atom pieces, which realize the global
     frequencies exactly.
@@ -761,9 +765,8 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     if eps < 0:
         raise InvalidParamsError("eps >= 0")
     Bset = set(B)
-    algebra = generated_algebra(
-        sys, ((x in Bset, lab if x in Bset else None) for x, lab in enumerate(labels))
-    )
+    off = object()  # the one label of every point off B
+    algebra = generated_algebra(sys, (lab if x in Bset else off for x, lab in enumerate(labels)))
     atoms = [cell for cell in algebra.cells if cell[0] in Bset]
     counts = Counter(labels[x] for x in B)
     present = sorted(counts)
@@ -810,24 +813,3 @@ def _orbit_classes(theta: PseudoMap) -> tuple:
             seen.update(orb)
             out.append(tuple(sorted(orb)))
     return tuple(out)
-
-
-def avgfuncmix(sys: FiniteSystem, B, funcs, eps) -> MixResult:
-    """Classes whose per-class averages of each function sit within eps.
-
-    funcs maps names to point->value mappings on B.  Their joint level sets
-    drive avgmix at a tolerance shrunk by the largest total cell amplitude,
-    so each function's class average lands within eps of its global mean.
-    """
-    B = tuple(sorted(set(B)))
-    names = list(funcs)
-    for f in names:
-        missing = [x for x in B if x not in funcs[f]]
-        if missing:
-            raise InvalidParamsError("funcs are defined on B", f"{f!r} misses {missing}")
-    ids: dict = {}  # distinct value row -> its level, as canon_labels numbers it
-    level = {x: ids.setdefault(tuple(Fraction(funcs[f][x]) for f in names), len(ids)) for x in B}
-    labels = tuple(level[x] + 1 if x in level else 0 for x in range(sys.n_points))
-    scale = max((sum(abs(v[i]) for v in ids) for i in range(len(names))), default=0)
-    shrunk = Fraction(eps) / scale if scale > 0 else Fraction(eps)
-    return avgmix(sys, B, labels, shrunk)

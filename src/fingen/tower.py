@@ -20,7 +20,7 @@ from .errors import DivisibilityError, InvalidParamsError
 from .system import (
     FiniteSystem,
     PseudoMap,
-    avgfuncmix,
+    avgmix,
     make_equal_partition,
 )
 
@@ -115,9 +115,12 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
     m is the smallest admissible divisor of N unless given explicitly; the
     admissibility conditions are exactly the named CONSTRAINTS and the first
-    violated one is reported on failure.  The column map h and the map v
-    cycling each class's columns are checked maps; theta is ``h.then(v)``,
-    whose check evaluates only the N/m column tops it reroutes.
+    violated one is reported on failure.  The class stage is one ``avgmix``
+    call on the ranked column profiles: S1's points carry their profile's
+    level, at eps over the largest total of one cell's frequency over the
+    distinct profiles.  The column map h and the map v cycling each class's
+    columns are checked maps; theta is ``h.then(v)``, whose check evaluates
+    only the N/m column tops it reroutes.
     """
     alpha = tuple(alpha)
     if len(alpha) != sys.n_points:
@@ -125,15 +128,15 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidParamsError("eps > 0")
-    n_cells = len(set(alpha))
+    cells = sorted(set(alpha))
     if m is not None:
-        bad = admissible_m(sys.n_points, n_cells, eps, nmin, m)
+        bad = admissible_m(sys.n_points, len(cells), eps, nmin, m)
         if bad is not None:
             raise InvalidParamsError(bad, f"m={m}")
     else:
         for cand in range(1, sys.n_points + 1):
             if sys.n_points % cand == 0 and admissible_m(
-                sys.n_points, n_cells, eps, nmin, cand
+                sys.n_points, len(cells), eps, nmin, cand
             ) is None:
                 m = cand
                 break
@@ -146,12 +149,15 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     s1 = tuple(x for x in range(sys.n_points) if x % m == 0)
     _, h = make_equal_partition(sys, s1, range(sys.n_points), m)
 
-    cells = sorted(set(alpha))
     columns = {s: h.orbit(s) for s in s1}
     counts = {s: Counter(alpha[x] for x in columns[s]) for s in s1}
     profiles = {s: tuple(Fraction(counts[s][c], m) for c in cells) for s in s1}
-    funcs = {c: {s: profiles[s][j] for s in s1} for j, c in enumerate(cells)}
-    mix = avgfuncmix(sys, s1, funcs, eps)
+    level: dict = {}  # distinct profile -> its level, by first occurrence over S1
+    labels = [0] * sys.n_points
+    for s in s1:
+        labels[s] = level.setdefault(profiles[s], len(level)) + 1
+    scale = max(map(sum, zip(*level)))  # > 0: each profile sums to 1
+    mix = avgmix(sys, s1, tuple(labels), eps / scale)
     v, k = mix.theta, mix.n
 
     theta = h.then(v)  # up each column, and from its top on to the next column of its class
@@ -160,7 +166,7 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
     ell = math.ceil(eps / 4 * m)
 
-    table = tuple(sorted(set(profiles.values())))
+    table = tuple(sorted(level))
     if len(table) > (1 << ell):
         raise InvalidParamsError("profile table exceeds 2^ell")
     rank = {p: i for i, p in enumerate(table)}

@@ -13,13 +13,12 @@ from fingen.errors import (
     InvalidParamsError,
     InvalidPartitionError,
 )
-from fingen import system
-from fingen.probvec import canon_labels
+from fingen import system, tower
+from fingen.probvec import canon_labels, label_cells
 from fingen.system import (
     FiniteSystem,
     GAlgebra,
     PseudoMap,
-    avgfuncmix,
     avgmix,
     cyclic_permute,
     generated_algebra,
@@ -378,16 +377,21 @@ def test_refine_partition_refuses_a_table_that_is_not_a_permutation(perm, match)
 
 
 def test_refinement_relabels_once_not_once_per_round(monkeypatch):
-    calls = []
+    # the labeling is read once, into cells; GAlgebra numbers the fixpoint once
+    calls = Counter()
 
-    def counted(raw):
-        calls.append(1)
-        return canon_labels(raw)
+    def counted(fn):
+        def wrapped(raw):
+            calls[fn.__name__] += 1
+            return fn(raw)
 
-    monkeypatch.setattr(system, "canon_labels", counted)
+        return wrapped
+
+    monkeypatch.setattr(system, "canon_labels", counted(canon_labels))
+    monkeypatch.setattr(system, "label_cells", counted(label_cells))
     alg = generated_algebra(FiniteSystem.cyclic(1000), (0,) + (1,) * 999)
     assert len(alg) == 1000
-    assert len(calls) <= 2
+    assert calls == {"canon_labels": 1, "label_cells": 1}
 
 
 def test_galgebra_basics():
@@ -982,7 +986,7 @@ def test_atomic_route_reads_elements_only_where_it_probes(monkeypatch, n, m):
     counts = Counter()
     count_reads(sysn.group(), counts)
     routes = []
-    sweep, mix = system._sweep, system.avgmix
+    sweep, mix = system._sweep, tower.avgmix
 
     def counted_sweep(*args):
         before = counts["reads"]
@@ -997,7 +1001,7 @@ def test_atomic_route_reads_elements_only_where_it_probes(monkeypatch, n, m):
         return res
 
     monkeypatch.setattr(system, "_sweep", counted_sweep)
-    monkeypatch.setattr(system, "avgmix", traced_mix)
+    monkeypatch.setattr(tower, "avgmix", traced_mix)
     build_tower(sysn, tuple(int(x % 7 == 0) for x in range(n)), 3, 1, m)
     assert routes == ["atomic"]
     assert counts["probes"] > n
@@ -1086,52 +1090,6 @@ def test_avgmix_random_within_eps():
                 assert abs(f - g) < eps
 
 
-def test_avgfuncmix_indicator():
-    ind = {x: 1 if x < 3 else 0 for x in range(6)}
-    res = avgfuncmix(Z6, range(6), {"f": ind}, F(1, 3))
-    mean = F(1, 2)
-    for cl in res.classes:
-        avg = F(sum(ind[x] for x in cl), len(cl))
-        assert abs(avg - mean) < F(1, 3)
-
-
-def test_avgfuncmix_scales_large_values():
-    f = {x: 100 if x < 6 else 0 for x in range(12)}
-    res = avgfuncmix(Z12, range(12), {"f": f}, F(1, 2))
-    mean = F(50)
-    for cl in res.classes:
-        avg = F(sum(f[x] for x in cl), len(cl))
-        assert abs(avg - mean) < F(1, 2)
-
-
-def test_avgfuncmix_hands_avgmix_the_reference_levels_and_tolerance(monkeypatch):
-    # the reference hashes every value row once per function; the levels and
-    # the tolerance shrunk by the largest total amplitude must not change
-    def reference(sysn, B, funcs, eps):
-        B = tuple(sorted(set(B)))
-        names = list(funcs)
-        values = [tuple(F(funcs[f][x]) for f in names) for x in B]
-        level = dict(zip(B, canon_labels(values)))
-        labels = tuple(level[x] + 1 if x in level else 0 for x in range(sysn.n_points))
-        scale = F(0)
-        for i, _ in enumerate(names):
-            scale = max(scale, sum(abs(v[i]) for v in set(values)))
-        return B, labels, F(eps) / scale if scale > 0 else F(eps)
-
-    seen = []
-    monkeypatch.setattr(system, "avgmix", lambda *args: seen.append(args[1:]))
-    rng = random.Random(5)
-    for _ in range(40):
-        B = rng.sample(range(24), rng.randint(1, 24))
-        funcs = {
-            name: {x: F(rng.randint(-3, 3), rng.randint(1, 4)) for x in B}
-            for name in rng.sample("fgh", rng.randint(0, 3))
-        }
-        eps = F(rng.randint(1, 5), 4)
-        avgfuncmix(FiniteSystem.cyclic(24), B, funcs, eps)
-        assert seen.pop() == reference(FiniteSystem.cyclic(24), B, funcs, eps)
-
-
 @pytest.mark.parametrize(
     "B, labels, eps, name",
     [
@@ -1144,14 +1102,6 @@ def test_avgfuncmix_hands_avgmix_the_reference_levels_and_tolerance(monkeypatch)
 def test_avgmix_rejects_bad_inputs_by_name(B, labels, eps, name):
     with pytest.raises(InvalidParamsError, match=name):
         avgmix(Z6, B, labels, eps)
-
-
-def test_avgfuncmix_rejects_bad_inputs_by_name():
-    partial = {x: 1 for x in range(5)}
-    with pytest.raises(InvalidParamsError, match="funcs are defined on B"):
-        avgfuncmix(Z6, range(6), {"f": partial}, F(1, 3))
-    with pytest.raises(InvalidParamsError, match="B lives on the points"):
-        avgfuncmix(Z6, [0, 9], {"f": {0: 1, 9: 0}}, F(1, 3))
 
 
 def gamma_system():

@@ -1,10 +1,14 @@
+import itertools
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from fingen import system
+from fingen import system, tower
 from fingen.errors import DivisibilityError, InvalidParamsError
+from fingen.probvec import canon_labels, label_cells
 from fingen.system import FiniteSystem, PseudoMap
 from fingen.tower import Tower, admissible_m, audit_tower, build_tower
 from test_acceptance import TOWER_CASES
@@ -220,14 +224,14 @@ RATCOMB_THETA = (
 
 def test_ratcomb_route_tower_is_pinned(monkeypatch):
     routes = []
-    avgmix = system.avgmix
+    avgmix = tower.avgmix
 
     def traced(*args):
         mix = avgmix(*args)
         routes.append((mix.route, mix.n, len(mix.classes)))
         return mix
 
-    monkeypatch.setattr(system, "avgmix", traced)
+    monkeypatch.setattr(tower, "avgmix", traced)
     tw = build_tower(FiniteSystem.cyclic(132), RATCOMB_ALPHA, 3, 1, 11)
     assert routes == [("ratcomb", 3, 4)]
     assert (tw.k, tw.n, tw.ell, len(tw.profiles)) == (3, 33, 9, 2)
@@ -352,3 +356,72 @@ def test_integer_audit_matches_the_fraction_audit_on_failing_towers():
     rep = audit_tower(flipped)
     assert rep == reference_audit(flipped)
     assert rep["profile_roundtrip"] is False
+
+
+def reference_mix_args(t: Tower) -> tuple:
+    """The (B, labels, eps) the tower's class stage took through a function
+    per cell: each value row hashed once per function, the tolerance shrunk
+    by the largest total amplitude, the reference for the column levels."""
+    sysn = t.system
+    B = tuple(sorted(set(t.s1)))
+    funcs = {c: {s: t.profile_of(s)[j] for s in B} for j, c in enumerate(t.cells)}
+    names = list(funcs)
+    values = [tuple(F(funcs[f][x]) for f in names) for x in B]
+    level = dict(zip(B, canon_labels(values)))
+    labels = tuple(level[x] + 1 if x in level else 0 for x in range(sysn.n_points))
+    scale = F(0)
+    for i, _ in enumerate(names):
+        scale = max(scale, sum(abs(v[i]) for v in set(values)))
+    return B, labels, t.eps / scale if scale > 0 else t.eps
+
+
+def seeded_towers():
+    # random labelings of 2 to 4 cells: many distinct column profiles, so
+    # many levels, under the smallest admissible m
+    rng = random.Random(30)
+    for _ in range(8):
+        npts, n_cells = rng.choice([120, 240]), rng.randint(2, 4)
+        alpha = tuple(rng.randrange(n_cells) for _ in range(npts))
+        yield build_tower(FiniteSystem.cyclic(npts), alpha, 3)
+
+
+def test_build_tower_hands_avgmix_the_reference_levels_and_tolerance(monkeypatch):
+    seen = []
+    avgmix = tower.avgmix
+
+    def recorded(*args):
+        seen.append(args[1:])
+        return avgmix(*args)
+
+    monkeypatch.setattr(tower, "avgmix", recorded)
+    levels = set()
+    for tw in itertools.chain(case_towers(), seeded_towers()):
+        assert seen == [reference_mix_args(tw)]
+        levels.add(max(seen.pop()[1]))
+    assert max(levels) >= 8  # the seeded towers reach many levels
+
+
+def test_class_stage_reads_each_labeling_once(monkeypatch):
+    # one avgmix call; inside it the refinement reads its labeling once into
+    # cells, GAlgebra numbers the fixpoint once, and avgmix reads the cells
+    mixes, calls = [], Counter()
+    avgmix = tower.avgmix
+
+    def traced(*args):
+        calls.clear()
+        mix = avgmix(*args)
+        mixes.append(dict(calls))
+        return mix
+
+    def counted(fn):
+        def wrapped(raw):
+            calls[fn.__name__] += 1
+            return fn(raw)
+
+        return wrapped
+
+    monkeypatch.setattr(tower, "avgmix", traced)
+    monkeypatch.setattr(system, "canon_labels", counted(canon_labels))
+    monkeypatch.setattr(system, "label_cells", counted(label_cells))
+    build_tower(FiniteSystem.cyclic(480), tuple(x % 2 for x in range(480)), 2, 1, 20)
+    assert mixes == [{"canon_labels": 1, "label_cells": 2}]
