@@ -521,13 +521,19 @@ class PseudoMap:
             raise InvalidParamsError(f"point {x} outside the domain")
         return self._fwd[x]
 
-    def orbit(self, x: int) -> tuple:
+    def walk(self, x: int) -> tuple:
+        """x and its images until they return to x or leave the domain, and the image
+        read after them: x itself iff the orbit closes.  Each point is read once."""
         fwd = self._fwd
         out = [x]
         y = fwd.get(x)
         while y is not None and y != x:
             out.append(y)
             y = fwd.get(y)
+        return out, y
+
+    def orbit(self, x: int) -> tuple:
+        out, y = self.walk(x)
         if y != x:
             raise InvalidParamsError(f"orbit of {x} leaves the domain")
         return tuple(out)

@@ -11,12 +11,12 @@ two side sets stays below the tolerance.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import cycle, islice
 
-from .errors import DivisibilityError, InvalidParamsError
+from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError
 from .system import (
     FiniteSystem,
     PseudoMap,
@@ -80,20 +80,15 @@ class Tower:
         return self.h.orbit(s)
 
     def profile_of(self, s: int) -> tuple:
-        counts = Counter(map(self.alpha.__getitem__, self.column(s)))
-        return tuple(Fraction(counts[c], self.m) for c in self.cells)
+        return tuple(Fraction(c, self.m) for c in _tally(self.alpha, self.column(s), self.cells))
 
     def decode_profile(self, s: int) -> tuple:
         """Recover the column profile of s from S1/S2 membership alone."""
         s1, s2 = self._marks
         if s not in s1:
             raise InvalidParamsError(f"point {s} not in S1")
-        rank = 0
-        x = s
-        for i in range(1, self.ell + 1):
-            x = self.h.apply(x)
-            if x in s2:
-                rank += 1 << (i - 1)
+        x = s  # levels 1..ell of the column: each step of h moves x up one
+        rank = _rank([x := self.h.apply(x) for _ in range(self.ell)], s2)
         if rank >= len(self.profiles):
             raise InvalidParamsError("decoded rank outside the profile table")
         return self.profiles[rank]
@@ -108,6 +103,17 @@ class Tower:
         if len(seen) != self.system.n_points:
             raise InvalidParamsError("classes do not cover the points")
         return tuple(out)
+
+
+def _rank(levels, s2) -> int:
+    """The profile rank that S2 spells on a column's levels 1..ell: bit i-1 is level i's mark."""
+    return sum(1 << i for i, x in enumerate(levels) if x in s2)
+
+
+def _tally(alpha: tuple, points, cells) -> tuple:
+    """How many of the points carry each cell's label, in integers."""
+    labels = [alpha[x] for x in points]
+    return tuple(map(labels.count, cells))
 
 
 def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = None) -> Tower:
@@ -125,10 +131,20 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     alpha = tuple(alpha)
     if len(alpha) != sys.n_points:
         raise InvalidParamsError("one label per point")
-    eps = Fraction(eps)
+    try:
+        cells = sorted(set(alpha))
+    except TypeError:  # an unhashable label, or labels of kinds that do not compare
+        raise InvalidPartitionError("labels are hashable and mutually ordered") from None
+    try:
+        eps = Fraction(eps)
+    except (TypeError, ValueError, OverflowError):  # no number, nan or infinite
+        raise InvalidParamsError("eps is a rational number", f"eps={eps!r}") from None
     if eps <= 0:
         raise InvalidParamsError("eps > 0")
-    cells = sorted(set(alpha))
+    if isinstance(nmin, bool) or not isinstance(nmin, int):
+        raise InvalidParamsError("nmin is an integer", f"nmin={nmin!r}")
+    if m is not None and (isinstance(m, bool) or not isinstance(m, int)):
+        raise InvalidParamsError("m is an integer", f"m={m!r}")
     if m is not None:
         bad = admissible_m(sys.n_points, len(cells), eps, nmin, m)
         if bad is not None:
@@ -150,13 +166,12 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     _, h = make_equal_partition(sys, s1, range(sys.n_points), m)
 
     columns = {s: h.orbit(s) for s in s1}
-    counts = {s: Counter(alpha[x] for x in columns[s]) for s in s1}
-    profiles = {s: tuple(Fraction(counts[s][c], m) for c in cells) for s in s1}
-    level: dict = {}  # distinct profile -> its level, by first occurrence over S1
+    counts = {s: _tally(alpha, columns[s], cells) for s in s1}
+    level: dict = {}  # distinct counts -> their level, by first occurrence over S1
     labels = [0] * sys.n_points
     for s in s1:
-        labels[s] = level.setdefault(profiles[s], len(level)) + 1
-    scale = max(map(sum, zip(*level)))  # > 0: each profile sums to 1
+        labels[s] = level.setdefault(counts[s], len(level)) + 1
+    scale = Fraction(max(map(sum, zip(*level))), m)  # > 0: each column holds m labels
     mix = avgmix(sys, s1, tuple(labels), eps / scale)
     v, k = mix.theta, mix.n
 
@@ -166,72 +181,68 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
 
     ell = math.ceil(eps / 4 * m)
 
-    table = tuple(sorted(level))
+    table = sorted(level)  # the profiles are the counts over m, so they sort alike
     if len(table) > (1 << ell):
         raise InvalidParamsError("profile table exceeds 2^ell")
     rank = {p: i for i, p in enumerate(table)}
     s2 = []
     for s in s1:
-        r = rank[profiles[s]]
+        r = rank[counts[s]]
         s2.extend(columns[s][i] for i in range(1, ell + 1) if r >> (i - 1) & 1)
     return Tower(
         sys, alpha, eps, m, k, k * m, ell, s1, tuple(sorted(s2)),
-        h, theta, transversal, table,
+        h, theta, transversal, tuple(tuple(Fraction(c, m) for c in p) for p in table),
     )
 
 
 def audit_tower(t: Tower) -> dict:
-    """Exhaustive verification of every tower postcondition.
+    """Exhaustive verification of every tower postcondition; a broken one reads false.
 
-    Labels are counted in integers, one Counter per class; the largest
-    frequency deviation is kept as an exact numerator and denominator,
-    compared by cross-multiplying, and reported as one Fraction.
+    One walk along h per column and one along theta per class; labels are counted
+    in integers, the largest frequency deviation as an exact numerator and denominator.
     """
-    sys = t.system
-    n_pts = sys.n_points
-    # classes() raises unless theta-orbits cover the points: theta^n = id iff
-    # every orbit length divides n
-    classes = t.classes()
-    theta_order = all(t.n % len(cl) == 0 for cl in classes)
-    class_sizes = all(len(cl) == t.n for cl in classes)
-    covers = sorted(x for cl in classes for x in cl) == list(range(n_pts))
+    alpha, cells, n_pts = t.alpha, t.cells, t.system.n_points
+    table = [tuple(f * t.m for f in p) for p in t.profiles]  # the profiles, as counts
+    s2, seen = t._marks[1], set(t.s1)
+    h_partitions = roundtrip = True
+    for s in dict.fromkeys(t.s1):
+        col, top = t.h.walk(s)
+        h_partitions = h_partitions and len(col) >= t.m and seen.isdisjoint(col[1:t.m])
+        seen.update(col[1:t.m])  # the column's m points: h may go on past its top
+        roundtrip = roundtrip and top == s  # h's orbit of s closes
+        if roundtrip:
+            rank = _rank(islice(cycle(col), 1, t.ell + 1), s2)  # levels 1..ell, as h runs
+            roundtrip = rank < len(table) and table[rank] == _tally(alpha, col, cells)
 
-    level = list(t.s1)
-    hseen = set(level)
-    h_partitions = True
-    for _ in range(t.m - 1):
-        level = [t.h.apply(x) for x in level]
-        if hseen & set(level):
-            h_partitions = False
-        hseen.update(level)
-    h_partitions = h_partitions and len(hseen) == n_pts
-
-    side_weight = sys.total_weight(t.s1) + sys.total_weight(t.s2)
+    side_weight = t.system.total_weight(t.s1) + t.system.total_weight(t.s2)
 
     # |count/|cl| - total/N| = dev/scale, kept as integers; the largest is num/den
-    total = Counter(t.alpha)
-    num, den = 0, 1
-    for cl in classes:
-        counts = Counter(map(t.alpha.__getitem__, cl))
+    total = tuple(map(alpha.count, cells))
+    marks = set(t.transversal)
+    num, den, covered = 0, 1, 0
+    theta_order = class_sizes = True
+    transversal_ok = len(marks) == len(t.transversal)
+    for x in t.transversal:
+        cl, last = t.theta.walk(x)
+        class_sizes = class_sizes and len(cl) == t.n
+        if last != x:  # the orbit of x leaves theta's domain: x marks no class
+            theta_order = transversal_ok = False
+            continue
+        theta_order = theta_order and t.n % len(cl) == 0
+        transversal_ok = transversal_ok and len(marks.intersection(cl)) == 1
+        covered += len(cl)
         scale = len(cl) * n_pts
-        for c in t.cells:
-            dev = abs(counts[c] * n_pts - total[c] * len(cl))
+        for count, whole in zip(_tally(alpha, cl, cells), total):
+            dev = abs(count * n_pts - whole * len(cl))
             if dev * den > num * scale:
                 num, den = dev, scale
     deviation = Fraction(num, den)
 
-    roundtrip = all(t.decode_profile(s) == t.profile_of(s) for s in t.s1)
-
-    marks = set(t.transversal)
-    transversal_ok = len(marks) == len(classes) and all(
-        len(marks & set(cl)) == 1 for cl in classes
-    )
-
     return {
         "theta_order": theta_order,
         "class_sizes": class_sizes,
-        "classes_cover": covers,
-        "h_partitions": h_partitions,
+        "classes_cover": transversal_ok and covered == n_pts,
+        "h_partitions": h_partitions and len(seen) == n_pts,
         "side_weight": side_weight,
         "side_weight_ok": side_weight < t.eps,
         "freq_deviation": deviation,

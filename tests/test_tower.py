@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from fingen import system, tower
-from fingen.errors import DivisibilityError, InvalidParamsError
+from fingen.errors import DivisibilityError, InvalidParamsError, InvalidPartitionError
 from fingen.probvec import canon_labels, label_cells
 from fingen.system import FiniteSystem, PseudoMap
 from fingen.tower import Tower, admissible_m, audit_tower, build_tower
@@ -122,6 +122,67 @@ def test_several_systems_audit():
         assert tw.n >= nmin
 
 
+@pytest.mark.parametrize(
+    "alpha, eps, nmin, m, error, constraint",
+    [
+        (("a",) * 30 + (1,) * 30, 2, 1, None, InvalidPartitionError, None),
+        ((None,) + ALPHA60[1:], 2, 1, None, InvalidPartitionError, None),
+        (ALPHA60, 2, 1, 20.0, InvalidParamsError, "m is an integer"),
+        (ALPHA60, 2, "1", None, InvalidParamsError, "nmin is an integer"),
+        (ALPHA60, 2, True, None, InvalidParamsError, "nmin is an integer"),
+        (ALPHA60, float("nan"), 1, None, InvalidParamsError, "eps is a rational number"),
+        (ALPHA60, float("inf"), 1, None, InvalidParamsError, "eps is a rational number"),
+    ],
+    ids=["mixed-labels", "none-label", "float-m", "string-nmin", "bool-nmin", "nan-eps", "inf-eps"],
+)
+def test_build_tower_names_malformed_arguments(alpha, eps, nmin, m, error, constraint):
+    with pytest.raises(error) as err:
+        build_tower(Z60, alpha, eps, nmin, m)
+    assert type(err.value) is error
+    assert getattr(err.value, "constraint", None) == constraint
+
+
+def without(pm: PseudoMap, points) -> PseudoMap:
+    """The map with the pairs that start at the given points dropped."""
+    drop = set(points)
+    keep = [(p, mv) for p, mv in zip(pm.pairs, pm.moves) if p[0] not in drop]
+    return PseudoMap(pm.system, tuple(p for p, _ in keep), tuple(mv for _, mv in keep))
+
+
+def test_audit_reports_broken_towers_as_false():
+    # one postcondition broken at a time; the reference audit raises on each
+    # of these towers, so the reports are pinned as they are
+    tw = build_tower(FiniteSystem.cyclic(120), tuple(x % 2 for x in range(120)), 2, 1, 20)
+    rt = build_tower(FiniteSystem.cyclic(132), RATCOMB_ALPHA, 3, 1, 11)
+    assert (tw.transversal, rt.column(0)[2]) == ((0, 20, 40, 60, 80, 100), 131)
+    whole = {
+        "theta_order": True, "class_sizes": True, "classes_cover": True,
+        "h_partitions": True, "side_weight": F(1, 20), "side_weight_ok": True,
+        "freq_deviation": F(0), "freq_ok": True, "profile_roundtrip": True,
+        "transversal_ok": True,
+    }
+    assert audit_tower(tw) == whole
+    # a transversal that misses the class of 0
+    missed = replace(tw, transversal=tw.transversal[1:])
+    assert audit_tower(missed) == {**whole, "classes_cover": False}
+    # theta without the pairs of the class of 0: the walk from 0 leaves at once
+    gap = replace(tw, theta=without(tw.theta, tw.classes()[0]))
+    assert audit_tower(gap) == {
+        **whole, "theta_order": False, "class_sizes": False, "classes_cover": False,
+        "transversal_ok": False,
+    }
+    # h without the pairs of column 0: no column of m points above 0
+    gap = replace(tw, h=without(tw.h, tw.column(0)))
+    assert audit_tower(gap) == {**whole, "h_partitions": False, "profile_roundtrip": False}
+    # an extra S2 mark at level 2 of column 0 spells rank 2, past the 2-profile table
+    marked = replace(rt, s2=tuple(sorted(rt.s2 + (131,))))
+    with pytest.raises(InvalidParamsError, match="decoded rank outside the profile table"):
+        marked.decode_profile(0)
+    assert audit_tower(marked) == {
+        **whole, "side_weight": F(1, 6), "freq_deviation": F(1, 44), "profile_roundtrip": False,
+    }
+
+
 def test_audit_flags_theta_of_the_wrong_order():
     # one 120-cycle through every point, against classes of n = 20
     z120 = FiniteSystem.cyclic(120)
@@ -164,6 +225,55 @@ def test_tower_checks_each_map_once(monkeypatch):
     assert len(checks) == 2
     assert evaluated == [120, 6, 6]
     assert len(tw.s1) == 6
+
+
+class CountedDict(dict):
+    """A dict that counts its lookups, by get, [] or in."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        CountedDict.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        CountedDict.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        CountedDict.reads += 1
+        return super().__contains__(key)
+
+
+def counted_map(pm: PseudoMap) -> PseudoMap:
+    """A copy of pm whose forward map counts its lookups."""
+    out = object.__new__(PseudoMap)
+    out.__dict__.update(vars(pm), _fwd=CountedDict(pm._fwd))
+    return out
+
+
+def test_audit_walks_each_map_once(monkeypatch):
+    # one walk per column along h and one per class along theta: each reads
+    # its map at most N times, and the audit calls nothing that walks again
+    towers = [
+        build_tower(FiniteSystem.cyclic(n), tuple(x % 2 for x in range(n)), 2, 1, 20)
+        for n in (120, 480, 1920)
+    ]
+    reports = [audit_tower(tw) for tw in towers]
+
+    def walks_again(*args):
+        raise AssertionError("the audit walks a map again")
+
+    for name in ("apply", "orbit"):
+        monkeypatch.setattr(PseudoMap, name, walks_again)
+    for name in ("classes", "column", "profile_of"):
+        monkeypatch.setattr(Tower, name, walks_again)
+    for tw, report in zip(towers, reports):
+        n = tw.system.n_points
+        for field in ("h", "theta"):
+            CountedDict.reads = 0
+            assert audit_tower(replace(tw, **{field: counted_map(getattr(tw, field))})) == report
+            assert 0 < CountedDict.reads <= n, (n, field, CountedDict.reads)
 
 
 class CountedTuple(tuple):
