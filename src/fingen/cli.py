@@ -12,9 +12,7 @@ labeled hash splits, never inside the core algorithms.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -95,6 +93,7 @@ def _vec(items) -> ProbVec:
 
 
 def child_seed(seed: int, label: str) -> int:
+    import hashlib  # loads OpenSSL: imported here, by the one command that derives seeds
     digest = hashlib.blake2b(f"{seed}:{label}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -436,6 +435,8 @@ def _flatten(prefix: str, v, rows: list):
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    import csv  # only the csv format needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if "rows" in report:

@@ -651,7 +651,8 @@ def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:
     the rest generates, and (N-1, 1) is the least-entropy profile with two
     or more cells: the minimum is H(1/N, (N-1)/N) with witness
     ``((0,), (1, ..., N-1))`` whenever k_max >= 2 (``((0,),)`` when N = 1).
-    One ``generated_algebra`` call checks the witness.  Returns (inf, None)
+    One ``generated_algebra`` call checks the witness; its cell sizes, 1 and
+    N-1, have gcd 1, so it is decided without refining.  Returns (inf, None)
     when no partition with at most k_max cells generates, that is when
     N >= 2 and k_max = 1.
     """

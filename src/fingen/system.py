@@ -8,9 +8,15 @@ generators.  On top of it live invariant partitions (the finite stand-in for
 invariant sigma-algebras), partial bijections carrying group-element
 certificates, and ``avgmix``, which glues the cells inside a set B into
 equal-size classes tracking the global cell frequencies.  Partitions travel
-as labelings, one hashable label per point, read once into cells by the
-refinement fixpoint, Hopcroft partition refinement: cells split by the images
-of a worklist of splitter cells, in O(|tables| N log N), not round by round.
+as labelings, one hashable label per point, read once into cells.  The
+generators act transitively, so they permute the cells of an invariant
+partition transitively and those cells have one size (Wielandt, "Finite
+Permutation Groups", 1964).  Each labeling cell is a union of fixpoint
+cells, so cell sizes with gcd 1 generate the discrete partition and unequal
+cells are not invariant, both decided with no refinement.  Otherwise, and
+for ``refine_partition``'s tables, which need not act transitively, the
+fixpoint is Hopcroft partition refinement: cells split by the images of a
+worklist of splitter cells, in O(|tables| N log N), not round by round.
 A matching is a greedy sweep along the group walk that keeps a walk pointer
 per point.  The n-1 sweeps of ``make_equal_partition`` share one free set and
 one pointer map, so together they read each walk element at most once per
@@ -44,6 +50,7 @@ and the token from it, and a word is rebuilt from those links when read.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -364,7 +371,11 @@ class GAlgebra:
     labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", canon_labels(self.labels))
+        try:
+            labels = canon_labels(self.labels)
+        except TypeError:  # an unhashable label
+            raise InvalidPartitionError("labels are hashable") from None
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(set(self.labels))
@@ -390,36 +401,46 @@ class GAlgebra:
         return True
 
     def invariant_under(self, sys: FiniteSystem) -> bool:
-        """Whether every generator maps cell to cell: the refinement fixpoint
-        of these labels under the generator tables keeps the cell count."""
-        return len(generated_algebra(sys, self.labels)) == len(self)
+        """Whether every generator maps cell to cell: the cells have one
+        size, and ``generated_algebra``'s fixpoint keeps their count."""
+        cells = label_cells(self.labels)
+        if len(self.labels) == sys.n_points and len(set(map(len, cells))) > 1:
+            return False
+        return len(_generated(sys, cells)) == len(cells)
 
 
 def generated_algebra(sys: FiniteSystem, labels) -> GAlgebra:
     """Coarsest generator-stable partition refining the labeling ``labels``,
-    one hashable label per point.  Only the generator tables are passed, not
-    their ``~`` inverses: a permutation that maps every cell into a cell maps
-    it onto one, so its inverse maps cell to cell as well."""
-    return refine_partition(labels, [perm for _, perm in sys.generators])
+    one hashable label per point, read once into cells.  Each cell is a union
+    of fixpoint cells of one size, so cell sizes with gcd 1 give the discrete
+    partition with no refinement.  Otherwise only the generator tables
+    refine, not their ``~`` inverses: a permutation that maps every cell into
+    a cell maps it onto one, so its inverse maps cell to cell as well."""
+    return _generated(sys, _cells_of(labels))
+
+
+def _generated(sys: FiniteSystem, cells: list) -> GAlgebra:
+    n = sys.n_points
+    if sum(map(len, cells)) != n:
+        raise InvalidParamsError("one label per point")
+    if math.gcd(*map(len, cells)) == 1:
+        return GAlgebra(range(n))
+    return _refine(cells, [perm for _, perm in sys.generators])
+
+
+def _cells_of(labels) -> list:
+    try:
+        return label_cells(labels)
+    except TypeError:  # an unhashable label
+        raise InvalidPartitionError("labels are hashable") from None
 
 
 def refine_partition(labels, perms) -> GAlgebra:
     """Coarsest partition refining ``labels``, one hashable label per point,
-    that every permutation table in ``perms`` maps cell to cell.
-
-    Hopcroft's splitter method (Hopcroft 1971; Paige-Tarjan 1987): cells are
-    sets, and a worklist holds splitter cells, at first every initial cell but
-    the largest.  A splitter's image under each table splits every cell it
-    cuts only partly.  A split cell already on the worklist queues its new
-    part; otherwise the smaller half is queued, since stability under a cell
-    and one half gives stability under the other half.  So each point enters
-    a splitter at most log2 N times and the fixpoint costs
-    O(|perms| N log N), with no per-round relabeling.  Each table p must be a
-    permutation of the points and is not inverted: splitting by images makes
-    p^-1 map cells into cells, and so p too, since it is a bijection.  The
-    labeling is read once, into its cells; ``GAlgebra`` numbers them once.
-    """
-    cells = [set(cell) for cell in label_cells(labels)]
+    that every permutation table in ``perms`` maps cell to cell.  The tables
+    need not act transitively, so the labeling, read once into cells, is
+    always refined."""
+    cells = _cells_of(labels)
     n = sum(map(len, cells))
     perms = list(perms)
     for p in perms:
@@ -429,7 +450,25 @@ def refine_partition(labels, perms) -> GAlgebra:
             raise InvalidParamsError("table entries lie on the points")
         if len(set(p)) != n:
             raise InvalidParamsError("tables are permutations", "an entry repeats")
-    cell_of = [0] * n
+    return _refine(cells, perms)
+
+
+def _refine(cells: list, perms: list) -> GAlgebra:
+    """Hopcroft's splitter method (Hopcroft 1971; Paige-Tarjan 1987) on the
+    point tuples ``cells`` and the checked permutation tables ``perms``.
+
+    Cells are sets, and a worklist holds splitter cells, at first every
+    initial cell but the largest.  A splitter's image under each table splits
+    every cell it cuts only partly.  A split cell already on the worklist
+    queues its new part; otherwise the smaller half is queued, since
+    stability under a cell and one half gives stability under the other half.
+    So each point enters a splitter at most log2 N times and the fixpoint
+    costs O(|perms| N log N), with no per-round relabeling.  No table is
+    inverted: splitting by images makes p^-1 map cells into cells, and so p
+    too, since it is a bijection.
+    """
+    cells = [set(cell) for cell in cells]
+    cell_of = [0] * sum(map(len, cells))
     for c, cell in enumerate(cells):
         for x in cell:
             cell_of[x] = c

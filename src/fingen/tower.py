@@ -34,9 +34,25 @@ CONSTRAINTS = (
 )
 
 
+def _checked_args(eps, nmin, m) -> Fraction:
+    """eps as a Fraction, once eps is a rational number and nmin and m (when
+    given) are integers; bools are refused as the CLI refuses them."""
+    try:
+        eps = Fraction(eps)
+    except (TypeError, ValueError, OverflowError):  # no number, nan or infinite
+        raise InvalidParamsError("eps is a rational number", f"eps={eps!r}") from None
+    for name, v in (("nmin", nmin), ("m", m)):
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+            raise InvalidParamsError(f"{name} is an integer", f"{name}={v!r}")
+    return eps
+
+
 def admissible_m(n_points: int, n_cells: int, eps, nmin: int, m: int) -> str | None:
     """Name of the first violated tower constraint, or None if m works."""
-    eps = Fraction(eps)
+    return _violated(n_points, n_cells, _checked_args(eps, nmin, m), nmin, m)
+
+
+def _violated(n_points: int, n_cells: int, eps: Fraction, nmin: int, m: int) -> str | None:
     if m < 1:
         return CONSTRAINTS[0]
     if n_points % m != 0:
@@ -135,23 +151,16 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
         cells = sorted(set(alpha))
     except TypeError:  # an unhashable label, or labels of kinds that do not compare
         raise InvalidPartitionError("labels are hashable and mutually ordered") from None
-    try:
-        eps = Fraction(eps)
-    except (TypeError, ValueError, OverflowError):  # no number, nan or infinite
-        raise InvalidParamsError("eps is a rational number", f"eps={eps!r}") from None
+    eps = _checked_args(eps, nmin, m)
     if eps <= 0:
         raise InvalidParamsError("eps > 0")
-    if isinstance(nmin, bool) or not isinstance(nmin, int):
-        raise InvalidParamsError("nmin is an integer", f"nmin={nmin!r}")
-    if m is not None and (isinstance(m, bool) or not isinstance(m, int)):
-        raise InvalidParamsError("m is an integer", f"m={m!r}")
     if m is not None:
-        bad = admissible_m(sys.n_points, len(cells), eps, nmin, m)
+        bad = _violated(sys.n_points, len(cells), eps, nmin, m)
         if bad is not None:
             raise InvalidParamsError(bad, f"m={m}")
     else:
         for cand in range(1, sys.n_points + 1):
-            if sys.n_points % cand == 0 and admissible_m(
+            if sys.n_points % cand == 0 and _violated(
                 sys.n_points, len(cells), eps, nmin, cand
             ) is None:
                 m = cand

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -144,6 +147,20 @@ def test_child_seed_is_stable_and_splits():
     assert child_seed(0, "decompose:0") != child_seed(0, "decompose:1")
     assert child_seed(0, "decompose:0") != child_seed(1, "decompose:0")
     assert 0 <= child_seed(12345, "x") < 2**64
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_csv():
+    # hashlib maps OpenSSL's libcrypto; only seed derivation and csv output need them
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, fingen, fingen.cli; "
+        "print(sorted({'hashlib', '_hashlib', 'csv'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_malformed_vector_exits_two(capsys):

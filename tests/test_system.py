@@ -1,9 +1,13 @@
+import contextlib
 import gc
+import io
 import itertools
+import math
 import random
 import weakref
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,7 @@ from fingen.errors import (
     InvalidParamsError,
     InvalidPartitionError,
 )
-from fingen import system, tower
+from fingen import cli, system, tower
 from fingen.probvec import canon_labels, label_cells
 from fingen.system import (
     FiniteSystem,
@@ -34,6 +38,7 @@ Z4 = FiniteSystem.cyclic(4)
 Z6 = FiniteSystem.cyclic(6)
 Z8 = FiniteSystem.cyclic(8)
 Z12 = FiniteSystem.cyclic(12)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TRIV4 = GAlgebra((0,) * 4)
 TRIV8 = GAlgebra((0,) * 8)
@@ -389,9 +394,126 @@ def test_refinement_relabels_once_not_once_per_round(monkeypatch):
 
     monkeypatch.setattr(system, "canon_labels", counted(canon_labels))
     monkeypatch.setattr(system, "label_cells", counted(label_cells))
-    alg = generated_algebra(FiniteSystem.cyclic(1000), (0,) + (1,) * 999)
-    assert len(alg) == 1000
-    assert calls == {"canon_labels": 1, "label_cells": 1}
+    counted_refine(monkeypatch, calls)
+    # cell sizes 1 and 999 have gcd 1: decided without refining; sizes 2
+    # and 998 have gcd 2, so Hopcroft splits them, point by point
+    for labels, refined in [((0,) + (1,) * 999, 0), ((0, 0) + (1,) * 998, 1)]:
+        calls.clear()
+        alg = generated_algebra(FiniteSystem.cyclic(1000), labels)
+        assert len(alg) == 1000
+        assert (calls["canon_labels"], calls["label_cells"], calls["_refine"]) == (1, 1, refined)
+
+
+def counted_refine(monkeypatch, calls):
+    """Count the Hopcroft splitter loop's runs in ``calls["_refine"]``."""
+    core = system._refine
+
+    def refine(*args):
+        calls["_refine"] += 1
+        return core(*args)
+
+    monkeypatch.setattr(system, "_refine", refine)
+
+
+def labelings_by_gcd(rng, n):
+    """A labeling of n points whose cell sizes have gcd 1, labelings whose
+    sizes share the factor d for the two least divisors 1 < d < n, and the
+    one-cell labeling."""
+    k = rng.randint(2, 4)
+    while True:
+        labels = tuple(rng.randrange(k) for _ in range(n))
+        if math.gcd(*Counter(labels).values()) == 1:
+            break
+    yield "gcd1", labels
+    for d in [d for d in range(2, n) if n % d == 0][:2]:
+        points = rng.sample(range(n), n)
+        k = rng.randint(2, 3)
+        blocks = [rng.randrange(k) for _ in range(n // d)]  # d points per block
+        yield "gcd>1", tuple(blocks[points.index(x) // d] for x in range(n))
+    yield "one-cell", (0,) * n
+
+
+TRANSITIVE = {
+    **ACTIONS,
+    "dihedral10": lambda: dihedral(10),
+    "dihedral9": lambda: dihedral(9),
+    "random12": lambda: random_transitive(random.Random(5), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSITIVE))
+def test_generated_algebra_cells_have_one_size(name):
+    # a transitive group permutes the cells of an invariant partition
+    # transitively, so the gcd-1 shortcut and Hopcroft agree on every kind
+    sysn = TRANSITIVE[name]()
+    n = sysn.n_points
+    rng = random.Random(len(name) * 100 + n)
+    kinds = set()
+    for _ in range(25):
+        for kind, labels in labelings_by_gcd(rng, n):
+            kinds.add(kind)
+            alg = generated_algebra(sysn, labels)
+            assert len(set(map(len, alg.cells))) == 1
+            same = {(x, y) for x in range(n) for y in range(n) if alg.labels[x] == alg.labels[y]}
+            assert same == reference_fixpoint(sysn, labels)
+            hopcroft = refine_partition(labels, [p for _, p in sysn.generators])
+            assert alg.labels == hopcroft.labels
+            assert alg.invariant_under(sysn)
+    assert kinds == {"gcd1", "gcd>1", "one-cell"}
+
+
+def test_transitive_decisions_skip_the_splitter(monkeypatch):
+    calls = Counter()
+    counted_refine(monkeypatch, calls)
+    inside = []  # per wrapped call: the set B it mixes inside, and the splitter's runs
+
+    def tracked(fn):
+        def wrapped(sysn, labels_or_B, *rest):
+            before = calls["_refine"]
+            out = fn(sysn, labels_or_B, *rest)
+            B = labels_or_B if rest else None  # avgmix takes (sys, B, labels, eps)
+            inside.append((B, calls["_refine"] - before))
+            return out
+
+        return wrapped
+
+    # reduce's certificate: both labelings have a singleton cell
+    monkeypatch.setattr(cli, "generated_algebra", tracked(generated_algebra))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["reduce", "--config", str(CONFIGS / "reduce.json")]) == 0
+    assert inside == [(None, 0), (None, 0)]
+    # the recode demo's tower has one column, S1 = {0}: its class-stage
+    # labeling has cells of 1 and N - 1 points
+    inside.clear()
+    monkeypatch.setattr(tower, "avgmix", tracked(tower.avgmix))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["recode", "--config", str(CONFIGS / "recode.json")]) == 0
+    assert inside == [((0,), 0)]
+    # cyclic(480), m = 20: S1's levels take 24 and 456 points, gcd 24
+    inside.clear()
+    build_tower(FiniteSystem.cyclic(480), tuple(x % 2 for x in range(480)), 2, 1, 20)
+    assert inside == [(tuple(range(0, 480, 20)), 1)]
+    # unequal cells are never invariant on a transitive system
+    calls.clear()
+    assert not GAlgebra((0, 0, 1, 1, 1, 1)).invariant_under(Z6)
+    assert not GAlgebra(tuple(x % 7 for x in range(1000))).invariant_under(
+        FiniteSystem.cyclic(1000)
+    )
+    assert calls["_refine"] == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generated_algebra(Z4, [[0], [1], [0], [1]]),
+        lambda: GAlgebra([[0], [1]]),
+        lambda: refine_partition([[0], [1]], [(1, 0)]),
+    ],
+    ids=["generated_algebra", "GAlgebra", "refine_partition"],
+)
+def test_unhashable_labels_are_named(call):
+    with pytest.raises(InvalidPartitionError, match="labels are hashable"):
+        call()
 
 
 def test_galgebra_basics():

@@ -142,6 +142,36 @@ def test_build_tower_names_malformed_arguments(alpha, eps, nmin, m, error, const
     assert getattr(err.value, "constraint", None) == constraint
 
 
+@pytest.mark.parametrize(
+    "eps, nmin, m, constraint",
+    [
+        (2, 1, 20.0, "m is an integer"),
+        (2, "1", 20, "nmin is an integer"),
+        (2, True, 20, "nmin is an integer"),
+        (float("nan"), 1, 20, "eps is a rational number"),
+    ],
+    ids=["float-m", "string-nmin", "bool-nmin", "nan-eps"],
+)
+def test_admissible_m_names_malformed_arguments(eps, nmin, m, constraint):
+    with pytest.raises(InvalidParamsError) as err:
+        admissible_m(60, 2, eps, nmin, m)
+    assert err.value.constraint == constraint
+
+
+def test_build_tower_checks_its_arguments_once(monkeypatch):
+    # the search for m tries every divisor of N but checks the arguments once
+    calls = []
+    checked = tower._checked_args
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(tower, "_checked_args", counted)
+    assert build_tower(Z60, ALPHA60, 2, 1).m == 20
+    assert calls == [(2, 1, None)]
+
+
 def without(pm: PseudoMap, points) -> PseudoMap:
     """The map with the pairs that start at the given points dropped."""
     drop = set(points)
