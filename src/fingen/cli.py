@@ -12,6 +12,7 @@ labeled hash splits, never inside the core algorithms.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import io
 import json
@@ -435,8 +436,6 @@ def _flatten(prefix: str, v, rows: list):
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
-    import csv  # only the csv format needs it
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if "rows" in report:

@@ -12,11 +12,11 @@ as labelings, one hashable label per point, read once into cells.  The
 generators act transitively, so they permute the cells of an invariant
 partition transitively and those cells have one size (Wielandt, "Finite
 Permutation Groups", 1964).  Each labeling cell is a union of fixpoint
-cells, so cell sizes with gcd 1 generate the discrete partition and unequal
-cells are not invariant, both decided with no refinement.  Otherwise, and
-for ``refine_partition``'s tables, which need not act transitively, the
-fixpoint is Hopcroft partition refinement: cells split by the images of a
-worklist of splitter cells, in O(|tables| N log N), not round by round.
+cells, so cell sizes with gcd 1 generate the discrete partition with no
+refinement.  Otherwise, and for ``refine_partition``'s tables, which need
+not act transitively, the fixpoint is Hopcroft partition refinement: cells
+split by the images of a worklist of splitter cells, in O(|tables| N log N),
+not round by round.
 A matching is a greedy sweep along the group walk that keeps a walk pointer
 per point.  The n-1 sweeps of ``make_equal_partition`` share one free set and
 one pointer map, so together they read each walk element at most once per
@@ -401,12 +401,9 @@ class GAlgebra:
         return True
 
     def invariant_under(self, sys: FiniteSystem) -> bool:
-        """Whether every generator maps cell to cell: the cells have one
-        size, and ``generated_algebra``'s fixpoint keeps their count."""
-        cells = label_cells(self.labels)
-        if len(self.labels) == sys.n_points and len(set(map(len, cells))) > 1:
-            return False
-        return len(_generated(sys, cells)) == len(cells)
+        """Whether every generator maps cell to cell: the refinement fixpoint
+        of these labels under the generator tables keeps the cell count."""
+        return len(generated_algebra(sys, self.labels)) == len(self)
 
 
 def generated_algebra(sys: FiniteSystem, labels) -> GAlgebra:
@@ -416,10 +413,7 @@ def generated_algebra(sys: FiniteSystem, labels) -> GAlgebra:
     partition with no refinement.  Otherwise only the generator tables
     refine, not their ``~`` inverses: a permutation that maps every cell into
     a cell maps it onto one, so its inverse maps cell to cell as well."""
-    return _generated(sys, _cells_of(labels))
-
-
-def _generated(sys: FiniteSystem, cells: list) -> GAlgebra:
+    cells = _cells_of(labels)
     n = sys.n_points
     if sum(map(len, cells)) != n:
         raise InvalidParamsError("one label per point")

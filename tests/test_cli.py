@@ -149,12 +149,12 @@ def test_child_seed_is_stable_and_splits():
     assert 0 <= child_seed(12345, "x") < 2**64
 
 
-def test_importing_the_cli_loads_neither_hashlib_nor_csv():
-    # hashlib maps OpenSSL's libcrypto; only seed derivation and csv output need them
+def test_importing_the_cli_does_not_load_hashlib():
+    # hashlib maps OpenSSL's libcrypto; only seed derivation needs it
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
         "import sys, fingen, fingen.cli; "
-        "print(sorted({'hashlib', '_hashlib', 'csv'} & set(sys.modules)))"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
