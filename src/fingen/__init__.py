@@ -43,7 +43,6 @@ from .system import (
     avgmix,
     cyclic_permute,
     generated_algebra,
-    is_expressible,
     make_equal_partition,
     simplemix,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "entropy",
     "generated_algebra",
     "greedy_packing",
-    "is_expressible",
     "is_typical",
     "join_labels",
     "krieger_recode",

@@ -13,7 +13,6 @@ __all__ = [
     "InvalidParamsError",
     "CapacityError",
     "DivisibilityError",
-    "ExpressibilityUndecided",
     "DecodeError",
     "AtypicalNameError",
 ]
@@ -54,10 +53,6 @@ class CapacityError(_NamedError):
 
 class DivisibilityError(_NamedError, ValueError):
     """An exact-mass construction needs a divisibility that the system lacks."""
-
-
-class ExpressibilityUndecided(FingenError):
-    """Word search hit its cap without a witness; result is unknown, not false."""
 
 
 class DecodeError(FingenError):

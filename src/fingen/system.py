@@ -28,9 +28,9 @@ Group elements are enumerated deterministically: identity, then generators
 and their inverses in declaration order, then longer words length-first and
 left-to-right lexicographically.  The enumeration is a lazy, memoized
 breadth-first walk: it extends only as far as a consumer reads, so a sweep
-that is done after a few elements never builds the rest of the group, and
-asking whether the enumeration is complete finishes the walk.  Readers see
-an element only through ``image``, ``inverse_image`` and ``move_images``.
+that is done after a few elements never builds the rest of the group.
+Readers see an element only through ``image``, ``inverse_image`` and
+``move_images``.
 
 The walk stores elements in one of two ways, in the same order and with the
 same words.  When the generators commute pairwise, the group is abelian and
@@ -45,6 +45,9 @@ undo element i, then apply element j.  So a map is re-checked against the
 walk, each distinct move read once, and a point's word is derived from the
 walk's words.  The walk keeps no word: each element keeps its parent's index
 and the token from it, and a word is rebuilt from those links when read.
+The sweeps' moves are constant on each cell of an invariant partition
+holding the swept sets, so each such cell moves by one group element: a
+map's expressibility is read off its moves.
 """
 
 from __future__ import annotations
@@ -52,16 +55,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    DivisibilityError,
-    ExpressibilityUndecided,
-    InvalidParamsError,
-    InvalidPartitionError,
-)
+from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError
 from .probvec import ProbVec, canon_labels, label_cells, ratcomb_decompose
 
 # walk word tokens: "a" applies generator a, "~a" its inverse; left to right
@@ -141,12 +139,8 @@ class GroupEnum:
     undoes it; both need element i walked (``reach(i)``).  ``abelian`` says
     which walk runs: on commuting generators element i is stored as its
     exponent vector and probed through the generators' cycles, otherwise as
-    its permutation table.  Iterating yields ``(word, perm)`` pairs in
-    enumeration order, building an exponent vector's table only then, and
-    extends the walk only as far as the consumer reads; every iterator shares
-    one memo.  ``elements`` is the part walked so far, read as (word, stored
-    element) pairs, each word rebuilt when read.  ``complete`` finishes the
-    walk and is False only when some element was left out.
+    its permutation table.  ``elements`` is the part walked so far, read as
+    (word, stored element) pairs, each word rebuilt when read.
     """
 
     def __init__(self, generators, tables: dict, n_points: int, cap: int):
@@ -156,30 +150,12 @@ class GroupEnum:
         else:
             self._inverses: dict = {}
             root, key, step = _tuple_kind(tables, n_points)
-        self._points = range(n_points)
         self.elements = _Walked(root)
-        self._state = [True]  # complete flag, shared with the walk
         # the walk holds the memo, not self, so a dropped system is freed
         # by refcounting alone
         self._walk = _walk(
-            self.elements, self._state, tuple(tables), WORD_LEN_PER_POINT * n_points, cap,
-            {key}, step,
+            self.elements, tuple(tables), WORD_LEN_PER_POINT * n_points, cap, {key}, step
         )
-
-    def __iter__(self):
-        i = 0
-        while self.reach(i):
-            word, value = self.elements[i]
-            if self.abelian:
-                value = tuple(self.image(i, x) for x in self._points)
-            yield word, value
-            i += 1
-
-    @property
-    def complete(self) -> bool:
-        for _ in self._walk:
-            pass
-        return self._state[0]
 
     def reach(self, i: int) -> bool:
         """Walk until element ``i`` exists; False when the walk ends first."""
@@ -262,11 +238,11 @@ class _Walked(Sequence):
         return tuple(out)
 
 
-def _walk(elements, state, tokens, max_len, cap, seen, step):
-    """Append the next group element to ``elements`` on each step; stop with
-    ``state[0] = False`` when a new element lies past ``cap`` elements or
-    ``max_len`` tokens.  Elements are expanded in list order, the order they
-    were found in, so one index over the growing list walks breadth first.
+def _walk(elements, tokens, max_len, cap, seen, step):
+    """Append the next group element to ``elements`` on each step; stop when
+    a new element lies past ``cap`` elements or ``max_len`` tokens.  Elements
+    are expanded in list order, the order they were found in, so one index
+    over the growing list walks breadth first.
 
     ``step(value, tok)`` gives the key and the stored form of the element
     that token ``tok`` reaches from an element stored as ``value``, and
@@ -283,7 +259,6 @@ def _walk(elements, state, tokens, max_len, cap, seen, step):
             if key in seen:
                 continue
             if len(values) >= cap or depths[i] >= max_len:
-                state[0] = False
                 return
             seen.add(key)
             elements.append(i, tok, new)
@@ -301,12 +276,19 @@ class FiniteSystem:
 
     def __post_init__(self):
         n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidParamsError("n_points is an integer", f"n_points={n!r}")
         if n < 1:
             raise InvalidParamsError("n_points >= 1")
-        if not self.generators:
+        try:  # not iterable, or an entry of another length
+            pairs = tuple((name, perm) for name, perm in self.generators)
+        except (TypeError, ValueError):
+            raise InvalidParamsError("generators are (name, permutation) pairs") from None
+        if not pairs:
             raise InvalidParamsError("at least one generator")
+        object.__setattr__(self, "generators", pairs)  # read once, kept as a tuple
         tables = {}
-        for name, perm in self.generators:
+        for name, perm in pairs:
             if not isinstance(name, str) or not name or name.startswith("~"):
                 raise InvalidParamsError("generator names are nonempty strings, no ~ prefix")
             if name in tables:
@@ -335,6 +317,8 @@ class FiniteSystem:
     @classmethod
     def make(cls, n: int, generators) -> "FiniteSystem":
         """generators: mapping name -> permutation sequence."""
+        if not isinstance(generators, Mapping):
+            raise InvalidParamsError("generators is a mapping")
         return cls(n, tuple(
             (name, tuple(perm) if isinstance(perm, Sequence) else perm)
             for name, perm in generators.items()
@@ -348,10 +332,9 @@ class FiniteSystem:
         """The group enumeration of this system, one lazy walk per system.
 
         The walk is memoized in ``_cache`` and extends only as far as its
-        readers iterate: at most ``DEFAULT_GROUP_CAP`` elements, each with a
-        word of at most 2N tokens.  Reading ``complete`` finishes the walk;
-        it turns False only when a further element exists past one of these
-        two bounds.
+        readers reach: at most ``DEFAULT_GROUP_CAP`` elements, each with a
+        word of at most 2N tokens.  A sweep that needs an element past these
+        bounds fails by name.
         """
         cached = self._cache.get("group")
         if cached is None:
@@ -383,13 +366,6 @@ class GAlgebra:
     @property
     def cells(self) -> tuple:
         return tuple(label_cells(self.labels))
-
-    def measurable(self, points) -> bool:
-        marked = set(points)
-        return all(
-            all(x in marked for x in cell) or all(x not in marked for x in cell)
-            for cell in self.cells
-        )
 
     def refines(self, other: "GAlgebra") -> bool:
         if len(self.labels) != len(other.labels):
@@ -545,10 +521,6 @@ class PseudoMap:
     def domain(self) -> tuple:
         return tuple(x for x, _ in self.pairs)
 
-    @property
-    def range(self) -> tuple:
-        return tuple(sorted(y for _, y in self.pairs))
-
     def apply(self, x: int) -> int:
         if x not in self._fwd:
             raise InvalidParamsError(f"point {x} outside the domain")
@@ -601,37 +573,6 @@ def _check_moves(enum: GroupEnum, xs, moves, fwd: dict) -> None:
            for x, y in zip(pts, enum.move_images(mv, pts)) if y != fwd[x]]
     if bad:
         raise InvalidParamsError("move certificate mismatch", f"at point {min(bad)}")
-
-
-def is_expressible(theta: PseudoMap, algebra: GAlgebra) -> bool:
-    """Whether theta moves each algebra cell by a single group element.
-
-    The domain and range must be unions of cells, and every cell inside the
-    domain must match some enumerated group element pointwise.  If the group
-    enumeration is cut off before a witness or a refutation is reached the
-    question stays open and ExpressibilityUndecided is raised.
-    """
-    sys = theta.system
-    dom = set(theta.domain)
-    if not algebra.measurable(dom) or not algebra.measurable(theta.range):
-        return False
-    enum = sys.group()
-    fwd = dict(theta.pairs)
-    for cell in algebra.cells:
-        if cell[0] not in dom:
-            continue
-        i = 0
-        while enum.reach(i):
-            if all(enum.image(i, x) == fwd[x] for x in cell):
-                break
-            i += 1
-        else:
-            if enum.complete:
-                return False
-            raise ExpressibilityUndecided(
-                "group enumeration capped before deciding a cell"
-            )
-    return True
 
 
 def _sweep(enum: GroupEnum, dom, free: set, at: dict) -> tuple:

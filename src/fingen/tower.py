@@ -35,20 +35,23 @@ CONSTRAINTS = (
 
 
 def _checked_args(eps, nmin, m) -> Fraction:
-    """eps as a Fraction, once eps is a rational number and nmin and m (when
-    given) are integers; bools are refused as the CLI refuses them."""
+    """eps as a Fraction, once eps is a rational number and nmin and m are
+    integers, m unless it is None, which asks ``build_tower`` to search; bools
+    are refused as the CLI refuses them."""
     try:
         eps = Fraction(eps)
     except (TypeError, ValueError, OverflowError):  # no number, nan or infinite
         raise InvalidParamsError("eps is a rational number", f"eps={eps!r}") from None
-    for name, v in (("nmin", nmin), ("m", m)):
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+    for name, v in (("nmin", nmin), ("m", m))[: 1 + (m is not None)]:
+        if isinstance(v, bool) or not isinstance(v, int):
             raise InvalidParamsError(f"{name} is an integer", f"{name}={v!r}")
     return eps
 
 
 def admissible_m(n_points: int, n_cells: int, eps, nmin: int, m: int) -> str | None:
     """Name of the first violated tower constraint, or None if m works."""
+    if m is None:  # only build_tower searches for m
+        raise InvalidParamsError("m is an integer", "m=None")
     return _violated(n_points, n_cells, _checked_args(eps, nmin, m), nmin, m)
 
 

@@ -1,7 +1,6 @@
 import contextlib
 import gc
 import io
-import itertools
 import math
 import random
 import weakref
@@ -11,12 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fingen.errors import (
-    DivisibilityError,
-    ExpressibilityUndecided,
-    InvalidParamsError,
-    InvalidPartitionError,
-)
+from fingen.errors import DivisibilityError, InvalidParamsError, InvalidPartitionError
 from fingen import cli, system, tower
 from fingen.probvec import canon_labels, label_cells
 from fingen.system import (
@@ -26,7 +20,6 @@ from fingen.system import (
     avgmix,
     cyclic_permute,
     generated_algebra,
-    is_expressible,
     make_equal_partition,
     refine_partition,
     simplemix,
@@ -40,15 +33,26 @@ Z8 = FiniteSystem.cyclic(8)
 Z12 = FiniteSystem.cyclic(12)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-TRIV4 = GAlgebra((0,) * 4)
-TRIV8 = GAlgebra((0,) * 8)
 PARITY8 = GAlgebra(tuple(x % 2 for x in range(8)))
+
+
+def walked(sysn, end=None) -> list:
+    """The group walk of ``sysn`` as (word, table) pairs in walk order, each
+    table read point by point through ``image``: its first ``end`` elements,
+    walking no further, or by default every element, to the walk's end."""
+    enum = sysn.group()
+    out, i = [], 0
+    while i != end and enum.reach(i):
+        word, _ = enum.elements[i]
+        out.append((word, tuple(enum.image(i, x) for x in range(sysn.n_points))))
+        i += 1
+    return out
 
 
 def element_map(sys, i, points=None):
     """The map moving each point (all of them by default) by walk element i."""
     pts = sorted(range(sys.n_points) if points is None else points)
-    _, perm = next(itertools.islice(sys.group(), i, None))
+    _, perm = walked(sys, i + 1)[i]
     return PseudoMap(sys, tuple((x, perm[x]) for x in pts), ((0, i),) * len(pts))
 
 
@@ -83,6 +87,36 @@ def test_system_validation():
         FiniteSystem.make(2, {"~a": [1, 0]})
 
 
+@pytest.mark.parametrize(
+    "call, constraint",
+    [
+        (lambda: FiniteSystem.make(4, [("r", [1, 2, 3, 0])]), "generators is a mapping"),
+        (lambda: FiniteSystem("4", (("r", (1, 2, 3, 0)),)), "n_points is an integer"),
+        (lambda: FiniteSystem(True, (("r", (0,)),)), "n_points is an integer"),
+        (lambda: FiniteSystem(4, "r"), "generators are (name, permutation) pairs"),
+        (
+            lambda: FiniteSystem(4, (("r", (1, 2, 3, 0), 1),)),
+            "generators are (name, permutation) pairs",
+        ),
+        (lambda: FiniteSystem(1, iter(())), "at least one generator"),
+    ],
+    ids=[
+        "list-generators", "string-n", "bool-n", "string-generators", "three-item-entry",
+        "empty-iterator",
+    ],
+)
+def test_system_names_malformed_input(call, constraint):
+    with pytest.raises(InvalidParamsError) as err:
+        call()
+    assert err.value.constraint == constraint
+
+
+def test_system_reads_its_generators_once():
+    once = FiniteSystem(4, (pair for pair in [("r", (1, 2, 3, 0))]))
+    assert once == FiniteSystem.cyclic(4)
+    assert simplemix(once, [0], [2]).pairs == ((0, 2),)
+
+
 def test_system_refuses_a_generator_name_that_is_not_a_string():
     with pytest.raises(InvalidParamsError, match="nonempty strings"):
         FiniteSystem.make(3, {1: [1, 2, 0]})
@@ -102,9 +136,7 @@ def test_system_refuses_entries_that_are_not_ints(perm):
 
 
 def test_group_enumeration_order():
-    enum = Z4.group()
-    assert enum.complete
-    assert [w for w, _ in enum.elements] == [(), ("r",), ("~r",), ("r", "r")]
+    assert [w for w, _ in walked(Z4)] == [(), ("r",), ("~r",), ("r", "r")]
 
 
 def regular(gens):
@@ -155,15 +187,13 @@ def test_lazy_walk_matches_full_bfs(name):
     ref = full_bfs(sysn)
     assert len(ref) == sysn.n_points  # regular actions: one element per point
     enum = sysn.group()
-    first = iter(enum)
-    assert next(first) == ref[0]
+    assert walked(sysn, 1) == ref[:1]
     assert len(enum.elements) == 1
-    assert list(itertools.islice(enum, 3)) == ref[:3]
+    assert walked(sysn, 3) == ref[:3]
     assert len(enum.elements) == 3
-    assert list(enum) == ref
-    assert list(first) == ref[1:]
-    assert enum.complete
-    assert len(enum.elements) == len(ref) and list(enum) == ref
+    assert walked(sysn) == ref
+    assert not enum.reach(len(ref))
+    assert len(enum.elements) == len(ref) and walked(sysn) == ref
     assert sysn.group() is enum
 
 
@@ -180,11 +210,9 @@ def test_dropped_system_frees_its_walk():
     try:
         sysn = FiniteSystem.cyclic(12)
         enum = sysn.group()
-        reader = iter(enum)
-        next(reader)
-        next(reader)
+        assert enum.reach(1)
         refs = [weakref.ref(sysn), weakref.ref(enum), weakref.ref(enum._walk)]
-        del sysn, enum, reader
+        del sysn, enum
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
@@ -194,25 +222,40 @@ def test_dropped_system_frees_its_walk():
 # a fresh system after patching the cap.
 
 
+def sweep_onto_every_point(sysn):
+    """Sweep {0} onto each point in turn, which needs every element of a
+    regular action's walk."""
+    return make_equal_partition(sysn, (0,), range(sysn.n_points), sysn.n_points)
+
+
 def test_group_cap_marks_incomplete(monkeypatch):
     monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", 3)
-    enum = FiniteSystem.cyclic(8).group()
-    assert not enum.complete
+    capped = FiniteSystem.cyclic(8)
+    enum = capped.group()
+    assert not enum.reach(3)
     assert len(enum.elements) == 3
+    with pytest.raises(InvalidParamsError, match="group enumeration exhausted"):
+        sweep_onto_every_point(capped)
     monkeypatch.undo()
-    full = FiniteSystem.cyclic(8).group()
-    assert full.complete and len(full.elements) == 8
+    full = FiniteSystem.cyclic(8)
+    assert len(walked(full)) == 8
+    sweep_onto_every_point(full)
 
 
 def test_group_cap_at_group_order_is_complete(monkeypatch):
     monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", 4)
-    assert FiniteSystem.cyclic(4).group().complete
+    z4 = FiniteSystem.cyclic(4)
+    assert [w for w, _ in walked(z4)] == [(), ("r",), ("~r",), ("r", "r")]
+    sweep_onto_every_point(z4)
     monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", 8)
-    assert not is_expressible(tau_even_up(FiniteSystem.cyclic(8)), TRIV8)
+    z8 = FiniteSystem.cyclic(8)
+    assert len(walked(z8)) == 8 and not z8.group().reach(8)
+    sweep_onto_every_point(z8)
     monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", 7)
-    with pytest.raises(ExpressibilityUndecided):
-        is_expressible(tau_even_up(FiniteSystem.cyclic(8)), TRIV8)
-    assert not FiniteSystem.cyclic(8).group().complete
+    capped = FiniteSystem.cyclic(8)
+    assert len(walked(capped)) == 7 and not capped.group().reach(7)
+    with pytest.raises(InvalidParamsError, match="group enumeration exhausted"):
+        sweep_onto_every_point(capped)
 
 
 def test_move_application():
@@ -222,7 +265,7 @@ def test_move_application():
     assert len(sysn.group().elements) == 5  # walked only as far as index 4
     assert words_of(m) == (("~r", "~r", "~r"), ("r", "r", "r", "r", "r"))
     enum = sysn.group()
-    perms = [perm for _, perm in enum]
+    perms = [perm for _, perm in walked(sysn)]
     for i, perm in enumerate(perms):
         assert tuple(enum.image(i, x) for x in range(6)) == perm
     assert tuple(enum.inverse_image(3, x) for x in range(6)) == perms[4]
@@ -511,8 +554,6 @@ def test_unhashable_labels_are_named(call):
 
 def test_galgebra_basics():
     alg = GAlgebra((0, 1, 0, 1, 0, 1))
-    assert alg.measurable({1, 3, 5})
-    assert not alg.measurable({1, 2})
     assert alg.cells[alg.labels[2]] == (0, 2, 4)
     joined = GAlgebra(tuple(zip(alg.labels, (0, 0, 0, 1, 1, 1))))
     assert len(joined) == 4
@@ -679,8 +720,8 @@ def test_map_check_refuses_as_the_per_point_loop(abelian, build):
     rng = random.Random(29)
     for n in (12, 24, 36):
         sysn = build(n)
-        assert sysn.group().abelian is abelian and sysn.group().complete
-        walk = len(sysn.group().elements)
+        walk = len(walked(sysn))
+        assert sysn.group().abelian is abelian and walk == (n if abelian else 2 * n)
         for valid in sweep_maps(sysn, rng):
             want = check_outcome(lambda: reference_check(sysn, valid.pairs, valid.moves))
             assert check_outcome(lambda: PseudoMap(sysn, valid.pairs, valid.moves)) == want
@@ -711,26 +752,6 @@ def test_then_reroutes_only_where_the_second_map_is_defined():
         element_map(Z6, 1, (0, 1)).then(element_map(Z6, 1, (1,)))
     with pytest.raises(InvalidParamsError, match="maps on one system"):
         rot.then(element_map(Z8, 1))
-
-
-def test_expressibility_examples():
-    assert is_expressible(element_map(Z4, 0), TRIV4)
-    assert is_expressible(element_map(Z4, 1), TRIV4)
-    tau = tau_even_up()
-    assert is_expressible(tau, PARITY8)
-    assert not is_expressible(tau, TRIV8)
-
-
-def test_expressibility_requires_measurable_sets():
-    half = element_map(Z8, 1, points=(0, 1, 2))
-    assert not is_expressible(half, PARITY8)
-
-
-def test_expressibility_undecided_on_cap(monkeypatch):
-    monkeypatch.setattr(system, "DEFAULT_GROUP_CAP", 2)
-    tau = tau_even_up(FiniteSystem.cyclic(8))
-    with pytest.raises(ExpressibilityUndecided):
-        is_expressible(tau, PARITY8)
 
 
 def test_simplemix_identity_when_equal():
@@ -780,6 +801,19 @@ def test_make_equal_partition_names_an_empty_first_piece(n):
         make_equal_partition(Z6, (), [], n)
 
 
+def assert_moved_by_cells(m, algebra):
+    """``m`` is expressible over ``algebra``, read off its moves: its domain
+    and range are unions of cells, and each cell inside the domain carries
+    one move, so one group element moves the whole cell."""
+    moves = dict(zip(m.domain, m.moves))
+    images = {y for _, y in m.pairs}
+    for cell in algebra.cells:
+        assert len({x in moves for x in cell}) == 1
+        assert len({y in images for y in cell}) == 1
+        if cell[0] in moves:
+            assert len({moves[x] for x in cell}) == 1
+
+
 def test_simplemix_expressible_over_seed_algebra():
     rng = random.Random(9)
     for _ in range(25):
@@ -787,9 +821,47 @@ def test_simplemix_expressible_over_seed_algebra():
         b = set(rng.sample(range(12), rng.randrange(len(a), 9)))
         sm = simplemix(Z12, a, b)
         assert set(sm.domain) == a
-        assert set(sm.range) <= b
+        assert {y for _, y in sm.pairs} <= b
         alg = generated_algebra(Z12, membership(12, [a, b]))
-        assert is_expressible(sm, alg)
+        assert_moved_by_cells(sm, alg)
+
+
+def periodic(rng, n, k):
+    """A labeling of range(n) by k labels that repeats with a random period
+    dividing n; the period n gives any labeling."""
+    d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    word = [rng.randrange(k) for _ in range(d)]
+    return tuple(word[x % d] for x in range(n))
+
+
+MIXED_SYSTEMS = {
+    "cyclic": lambda rng: FiniteSystem.cyclic(rng.choice([8, 10, 12])),
+    "dihedral": lambda rng: dihedral(rng.choice([6, 8, 10, 12])),
+    "random": lambda rng: random_transitive(rng, rng.choice([6, 8, 10, 12])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_SYSTEMS))
+def test_mixing_moves_each_algebra_cell_by_one_element(name):
+    # sets and labelings of a random period give algebras with cells of
+    # several points; the dihedral and random systems take the tuple walk
+    rng = random.Random(len(name))
+    widest = 1
+    for _ in range(40):
+        sysn = MIXED_SYSTEMS[name](rng)
+        n = sysn.n_points
+        a, b = sorted(
+            ({x for x, lab in enumerate(periodic(rng, n, 2)) if lab} or {0} for _ in range(2)),
+            key=len,
+        )
+        sm = simplemix(sysn, a, b)
+        alg = generated_algebra(sysn, membership(n, [a, b]))
+        assert_moved_by_cells(sm, alg)
+        B = [x for x, lab in enumerate(periodic(rng, n, 2)) if lab] or [0]
+        res = avgmix(sysn, B, periodic(rng, n, 3), F(rng.randrange(1, 6), 10))
+        assert_moved_by_cells(res.theta, res.algebra)
+        widest = max(widest, *map(len, res.algebra.cells), *map(len, alg.cells))
+    assert widest > 1
 
 
 def test_make_equal_partition_examples():
@@ -942,11 +1014,10 @@ COMMUTING = {
 
 
 def walk_and_sweeps(sysn, rng):
-    """The walk's words and tables and its complete flag, then the pieces,
-    pairs and moves (or the error) of equal partitions and cyclic maps on
-    random sets, drawn from ``rng``."""
-    enum = sysn.group()
-    got = [list(enum), enum.complete, len(enum.elements)]
+    """The walk's words and tables and its length, then the pieces, pairs
+    and moves (or the error) of equal partitions and cyclic maps on random
+    sets, drawn from ``rng``."""
+    got = [walked(sysn), len(sysn.group().elements)]
     B = rng.sample(range(sysn.n_points), rng.randint(1, sysn.n_points))
     for n in (d for d in range(1, len(B) + 1) if len(B) % d == 0):
         C = rng.sample(B, len(B) // n)
@@ -998,10 +1069,10 @@ def test_point_walk_fails_like_the_tuple_walk_on_a_capped_walk(monkeypatch, cap)
     for build in builds:
         point, tables = on_both_walks(monkeypatch, build, read)
         assert point == tables
-        assert point[1] is False  # the capped walk is incomplete
+        assert point[1] == cap  # the capped walk stops at the cap
         assert any(
             o[0] is InvalidParamsError and "group enumeration exhausted" in o[1]
-            for o in point[3:]
+            for o in point[2:]
         )
 
 
@@ -1069,8 +1140,8 @@ def element_reads(sysn, call) -> int:
     ``sysn``: the sweeps' (walk index, point) probes plus, per pair in the
     check of the map they build, one ``inverse_image`` and one ``image``
     read for each index pair of its move."""
+    assert len(walked(sysn)) == sysn.n_points
     enum = sysn.group()
-    assert enum.complete
     counts = Counter()
     count_reads(enum, counts)
     call()
@@ -1163,7 +1234,7 @@ def test_avgmix_theta_properties():
     for _ in range(res.n):
         cur = {x: res.theta.apply(y) for x, y in cur.items()}
     assert all(cur[x] == x for x in range(10))
-    assert is_expressible(res.theta, res.algebra)
+    assert_moved_by_cells(res.theta, res.algebra)
 
 
 def test_avgmix_ratcomb_certificate_words():

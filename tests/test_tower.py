@@ -130,10 +130,14 @@ def test_several_systems_audit():
         (ALPHA60, 2, 1, 20.0, InvalidParamsError, "m is an integer"),
         (ALPHA60, 2, "1", None, InvalidParamsError, "nmin is an integer"),
         (ALPHA60, 2, True, None, InvalidParamsError, "nmin is an integer"),
+        (ALPHA60, 2, None, None, InvalidParamsError, "nmin is an integer"),
         (ALPHA60, float("nan"), 1, None, InvalidParamsError, "eps is a rational number"),
         (ALPHA60, float("inf"), 1, None, InvalidParamsError, "eps is a rational number"),
     ],
-    ids=["mixed-labels", "none-label", "float-m", "string-nmin", "bool-nmin", "nan-eps", "inf-eps"],
+    ids=[
+        "mixed-labels", "none-label", "float-m", "string-nmin", "bool-nmin", "none-nmin",
+        "nan-eps", "inf-eps",
+    ],
 )
 def test_build_tower_names_malformed_arguments(alpha, eps, nmin, m, error, constraint):
     with pytest.raises(error) as err:
@@ -148,9 +152,11 @@ def test_build_tower_names_malformed_arguments(alpha, eps, nmin, m, error, const
         (2, 1, 20.0, "m is an integer"),
         (2, "1", 20, "nmin is an integer"),
         (2, True, 20, "nmin is an integer"),
+        (2, 1, None, "m is an integer"),
+        (2, None, 20, "nmin is an integer"),
         (float("nan"), 1, 20, "eps is a rational number"),
     ],
-    ids=["float-m", "string-nmin", "bool-nmin", "nan-eps"],
+    ids=["float-m", "string-nmin", "bool-nmin", "none-m", "none-nmin", "nan-eps"],
 )
 def test_admissible_m_names_malformed_arguments(eps, nmin, m, constraint):
     with pytest.raises(InvalidParamsError) as err:
