@@ -8,10 +8,9 @@ enough that the full pairwise check stays cheap.
 
 import argparse
 from fractions import Fraction as F
-from itertools import combinations
 
 from fingen.probvec import ProbVec
-from fingen.typical import TypicalSpec, count_typical, dbar, greedy_packing
+from fingen.typical import TypicalSpec, count_typical, greedy_packing, min_dbar
 
 
 BASES = [
@@ -23,9 +22,10 @@ RHOS = [F(1, 5), F(3, 10), F(2, 5), F(9, 20)]
 
 
 def min_separation(words):
+    """Smallest pairwise dbar of the words, packed as a codebook packs its own."""
     if len(words) < 2:
         return None
-    return min(dbar(a, b) for a, b in combinations(words, 2))
+    return min_dbar(words, 1 + max(map(max, words)))
 
 
 def main():

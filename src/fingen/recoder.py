@@ -418,8 +418,11 @@ def decode(
 
     Per transversal point: the coarse name picks the book, the unique
     codeword within dbar-distance delta of the observed prefix inverts the
-    injection, and the fine name redistributes along the orbit.  Unassigned
-    points and block coarsening are resolved before comparing.
+    injection, and the fine name redistributes along the orbit.  Block
+    coarsening is resolved before comparing, and an unassigned point is -1
+    in the prefix, which agrees with no codeword.  ``CodeBook.within`` finds
+    the codewords inside the radius by counting agreements on packed words;
+    no hit or more than one is a ``DecodeError``.
     """
     delta = Fraction(delta)
     alpha = tuple(alpha)
@@ -438,12 +441,7 @@ def decode(
         except KeyError:
             raise DecodeError("observed coarse name has no book")
         prefix = _observed_prefix(alpha, orbit, codebook.k, block_of)
-        # dbar(prefix, w) < delta, counted in mismatches on the min(len) positions
-        limit = delta * min(len(prefix), codebook.k)
-        hits = [
-            i for i, w in enumerate(codebook.packing[: len(fiber)])
-            if sum(x != t for x, t in zip(prefix, w)) < limit
-        ]
+        hits = codebook.within(prefix, delta, len(fiber))
         if len(hits) != 1:
             raise DecodeError(
                 "exactly one codeword within the radius", f"found {len(hits)}"

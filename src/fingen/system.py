@@ -623,6 +623,10 @@ def _sweep(enum: GroupEnum, dom, free: set, at: dict) -> tuple:
 
 
 def _on_points(sys: FiniteSystem, points, name: str) -> None:
+    """Refuse ``points`` unless each is an int (no bool) in range(n_points):
+    the types are read in one C-level pass, before anything sorts them."""
+    if not {int}.issuperset(map(type, points)):
+        raise InvalidParamsError(f"{name} holds int points")
     if points and (min(points) < 0 or max(points) >= sys.n_points):
         raise InvalidParamsError(f"{name} lives on the points")
 
@@ -635,12 +639,13 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     is measurable over the algebra generated by {A, B}.  The sweep stops once
     A is matched, so the lazy walk goes no further than the elements it read.
     """
-    A = sorted(set(A))
+    A = set(A)
     Bset = set(B)
     if not A:
         raise InvalidParamsError("A nonempty")
     _on_points(sys, A, "A")
     _on_points(sys, Bset, "B")
+    A = sorted(A)
     if len(A) > len(Bset):
         raise InvalidParamsError("weight(A) <= weight(B)")
     images, index = _sweep(sys.group(), A, Bset, {})
@@ -676,15 +681,19 @@ def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> tuple:
     of C, so together they read each walk element at most once per point, and
     the cycle map is the one check they get.
     """
-    C = sorted(set(C))
+    C = set(C)
     Bset = set(B)
     if not C:
         raise InvalidParamsError("C nonempty")
     _on_points(sys, Bset, "B")
-    if not set(C) <= Bset:
+    _on_points(sys, C, "C")
+    if not C <= Bset:
         raise InvalidParamsError("C inside B")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidParamsError("n is an integer", f"n={n!r}")
     if n < 1:
         raise InvalidParamsError("n >= 1")
+    C = sorted(C)
     if len(C) * n != len(Bset):
         raise DivisibilityError("weight(C) * n == weight(B)")
     enum = sys.group()
@@ -707,11 +716,12 @@ def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
     The pieces cut a set B; each piece after the first is the target of its
     own sweep of the first piece, with a fresh walk pointer.
     """
-    pieces = [tuple(sorted(p)) for p in pieces]
+    pieces = [tuple(p) for p in pieces]
     if not pieces or any(not p for p in pieces):
         raise InvalidParamsError("pieces nonempty")
     allpts = [x for p in pieces for x in p]
     _on_points(sys, allpts, "B")
+    pieces = [tuple(sorted(p)) for p in pieces]
     if len(set(allpts)) != len(allpts):
         raise InvalidParamsError("pieces pairwise disjoint")
     if any(len(p) != len(pieces[0]) for p in pieces):
@@ -737,10 +747,11 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     construction falls back to single-atom pieces, which realize the global
     frequencies exactly.
     """
-    B = tuple(sorted(set(B)))
+    B = set(B)
     if not B:
         raise InvalidParamsError("B nonempty")
     _on_points(sys, B, "B")
+    B = tuple(sorted(B))
     eps = Fraction(eps)
     if eps < 0:
         raise InvalidParamsError("eps >= 0")

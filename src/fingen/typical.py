@@ -19,6 +19,10 @@ that depends only on the prefix's symbol counts, so one memo per search
 holds it by prefix state and extends each entry by the codewords added
 since.  A codebook's books are ranked and listed by the same code, over the
 block distribution, and each book's fiber is built where it is read.
+``CodeBook`` owns the packed form of its words (``_packer``): one int per
+word with a one-hot field per position, so the agreements of two words, or
+of a word and an observed prefix, are one ``&`` and one ``bit_count``.  The
+book's separation and its decoder scan, ``within``, read nothing else.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,6 +61,7 @@ __all__ = [
     "stirling_window",
     "binomial_bound_report",
     "dbar",
+    "min_dbar",
     "greedy_packing",
     "choose_J",
     "inequality",
@@ -149,7 +155,18 @@ def iter_typical(spec: TypicalSpec, rho) -> Iterator[tuple]:
     works it out once per state and codeword.  The words yielded are then
     the first-fit code: the first word in order that is far from every
     codeword is never cut, and a completed word is far from all of them.
+
+    Each node tries its symbols in one loop and descends on the first that
+    is kept; a backtrack undoes the symbol at its position and resumes that
+    position's loop at the next symbol.
     """
+    if not isinstance(rho, bool):  # bools are refused as the CLI refuses them
+        try:
+            rho = Fraction(rho)
+        except (TypeError, ValueError, OverflowError):  # no number, nan or infinite
+            pass
+    if not isinstance(rho, Fraction):
+        raise InvalidParamsError("rho is a rational number", f"rho={rho!r}")
     n = spec.n
     lo = [r[0] for r in spec._ranges]
     hi = [r[1] for r in spec._ranges]
@@ -157,7 +174,7 @@ def iter_typical(spec: TypicalSpec, rho) -> Iterator[tuple]:
     need = sum(lo)
     if not need <= n <= sum(hi):
         return
-    apart = min(max(0, math.floor(Fraction(rho) * n) + 1), n + 1)
+    apart = min(max(0, math.floor(rho * n) + 1), n + 1)
     code = _Codewords(n, lo, hi, apart)
     mismatch, bounds = code.mismatch, code.bounds
     # local copies of code.size, code.thresh and code.guard: no codeword
@@ -167,47 +184,45 @@ def iter_typical(spec: TypicalSpec, rho) -> Iterator[tuple]:
     state = 0
     counts = [0] * k
     word = [0] * n
-    tried = [0] * n  # per position, the first symbol not yet tried there
     dist = [0] * (n + 1)  # per prefix length, its packed mismatches with the codewords
-    pos = 0
+    pos = t = 0  # the node, and the first symbol not yet tried there
     while pos >= 0:
-        descend = False
-        if pos < n:
-            left = n - pos
-            for t in range(tried[pos], k):
-                c = counts[t]
-                if c < hi[t] and need - (c < lo[t]) < left:
-                    if size:
-                        d = dist[pos] + mismatch[pos][t]
-                        child = state + step[t]
-                        entry = bounds.get(child)
-                        if entry is None or entry[1] != size:
-                            counts[t] = c + 1
-                            entry = code.bound(child, pos + 1, counts)
-                            counts[t] = c
-                        if (d + entry[0] + thresh) & guard != guard:
-                            continue
-                        dist[pos + 1] = d
-                    descend = True
+        left = n - pos
+        while t < k:
+            c = counts[t]
+            if c < hi[t] and need - (c < lo[t]) < left:
+                if not size:
                     break
-            tried[pos] = t + 1 if descend else 0
-        else:
-            yield tuple(word)
-            code.add(word)  # 0 mismatches with every prefix on the path
-            size, thresh, guard = code.size, code.thresh, code.guard
-        if descend:
+                d = dist[pos] + mismatch[pos][t]
+                child = state + step[t]
+                entry = bounds.get(child)
+                if entry is None or entry[1] != size:
+                    counts[t] = c + 1
+                    entry = code.bound(child, pos + 1, counts)
+                    counts[t] = c
+                if (d + entry[0] + thresh) & guard == guard:
+                    dist[pos + 1] = d
+                    break
+            t += 1
+        if t < k:  # descend on t
             counts[t] = c + 1
             need -= c < lo[t]
             state += step[t]
             word[pos] = t
             pos += 1
-        else:
-            pos -= 1
-            if pos >= 0:
-                t = word[pos]
-                c = counts[t] = counts[t] - 1
-                need += c < lo[t]
-                state -= step[t]
+            t = 0
+            if pos < n:
+                continue
+            yield tuple(word)
+            code.add(word)  # 0 mismatches with every prefix on the path
+            size, thresh, guard = code.size, code.thresh, code.guard
+        pos -= 1  # back up: undo the symbol at pos and resume after it
+        if pos >= 0:
+            t = word[pos]
+            c = counts[t] = counts[t] - 1
+            need += c < lo[t]
+            state -= step[t]
+            t += 1
 
 
 def _most_mismatches(left: int, lower: list, upper: list, b: tuple) -> int:
@@ -507,6 +522,47 @@ def dbar(a: Sequence[int], b: Sequence[int]) -> Fraction:
     return Fraction(sum(1 for i in range(k) if a[i] != b[i]), k)
 
 
+def min_dbar(words: Sequence, alphabet: int) -> Fraction | None:
+    """Smallest pairwise dbar among ``words``, all of one length over
+    range(alphabet), counted on their packed forms; None for fewer than two."""
+    if len(words) < 2:
+        return None
+    return _closest(tuple(map(_packer(alphabet), words)), len(words[0]))
+
+
+def _packer(alphabet: int):
+    """The packing of words over range(alphabet): a word becomes one int in
+    which position i is the field of ``size`` bytes from byte i * size, and
+    its symbol t sets bit t of that field; -1, an unassigned position, sets
+    none.  Two packed words then agree at ``(a & b).bit_count()`` positions.
+    Up to 8 symbols a field is one byte, and ``bytes.translate`` writes all
+    of a word's fields at once; past 8, ``map`` looks up each symbol's field
+    bytes in C and ``bytes.join`` joins them."""
+    size = (alphabet + 7) // 8
+    fields = [(1 << t).to_bytes(size, "little") for t in range(alphabet)]
+    fields.append(bytes(size))  # read at -1
+    if size > 1:
+        fields = tuple(fields)
+        return lambda word: int.from_bytes(b"".join(map(fields.__getitem__, word)), "little")
+    table = b"".join(fields).ljust(256, b"\0")  # byte 255, -1 as a signed byte, sets none
+
+    def pack(word: Sequence[int]) -> int:
+        try:
+            raw = bytes(word)
+        except ValueError:  # a -1: read the word as signed bytes
+            raw = array("b", word).tobytes()
+        return int.from_bytes(raw.translate(table), "little")
+
+    return pack
+
+
+def _closest(packed: Sequence[int], n: int) -> Fraction | None:
+    """Smallest pairwise dbar among packed words of length n: n less the
+    most agreements of a pair, over n; None for fewer than two."""
+    most = max(((a & b).bit_count() for a, b in combinations(packed, 2)), default=None)
+    return None if most is None else Fraction(n - most, n)
+
+
 def greedy_packing(spec: TypicalSpec, rho, limit=None) -> list:
     """First-fit packing of the typical set at pairwise dbar > rho: maximal,
     or its first ``limit`` words (first fit is prefix-stable)."""
@@ -621,7 +677,9 @@ class CodeBook:
     name encodes to ``packing[fiber.index(name)]`` and a codeword at
     ``packing[i]`` decodes to ``fiber[i]``.  ``packing`` is the first-fit
     prefix as long as the largest fiber, which exists since
-    ``capacity-exact`` is required in both capacity modes."""
+    ``capacity-exact`` is required in both capacity modes.  The book packs
+    each word once, when first read, and measures its separation and scans
+    for a decoder (``within``) by counting agreements on the packed words."""
 
     q: ProbVec
     eps: object
@@ -632,11 +690,29 @@ class CodeBook:
     checks: tuple = field(default=(), compare=False)
 
     @cached_property
+    def _pack(self):
+        return _packer(len(self.q))
+
+    @cached_property
+    def _packed(self) -> tuple:
+        # each word packed once, for the separation and the decoder
+        return tuple(map(self._pack, self.packing))
+
+    @cached_property
     def _separation(self) -> Fraction:
         # the decoder radius and the report both read it, so it is taken once
-        gaps = (sum(map(operator.ne, a, b)) for a, b in combinations(self.packing, 2))
-        closest = min(gaps, default=None)
-        return Fraction(1) if closest is None else Fraction(closest, self.k)
+        closest = _closest(self._packed, self.k)
+        return Fraction(1) if closest is None else closest
+
+    def within(self, prefix: Sequence[int], radius, count: int) -> list:
+        """The indices i < ``count`` with dbar(prefix, packing[i]) <
+        ``radius``, mismatches counted on the min(len) positions as ``dbar``
+        counts them; a -1 in ``prefix``, an unassigned position, matches no
+        word.  Each word is one ``&`` and one ``bit_count`` away."""
+        m = min(len(prefix), self.k)
+        least = math.floor(m - radius * m) + 1  # the fewest agreements inside the radius
+        p = self._pack(prefix)
+        return [i for i, w in enumerate(self._packed[:count]) if (p & w).bit_count() >= least]
 
     def fiber(self, b: Sequence[int]) -> Fiber:
         """The fiber of book b, built on each call; ``KeyError`` when b has

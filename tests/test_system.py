@@ -111,6 +111,24 @@ def test_system_names_malformed_input(call, constraint):
     assert err.value.constraint == constraint
 
 
+@pytest.mark.parametrize(
+    "call, constraint",
+    [
+        (lambda: simplemix(Z4, ["a"], [0]), "A holds int points"),
+        (lambda: simplemix(Z4, [True], [0]), "A holds int points"),
+        (lambda: cyclic_permute(Z4, [("a",), (1,)]), "B holds int points"),
+        (lambda: make_equal_partition(Z4, (0, 2), range(4), 2.0), "n is an integer"),
+        (lambda: make_equal_partition(Z4, (True,), range(4), 4), "C holds int points"),
+        (lambda: avgmix(Z4, [0.5], (0,) * 4, 1), "B holds int points"),
+    ],
+    ids=["str-A", "bool-A", "str-piece", "float-n", "bool-C", "float-B"],
+)
+def test_mixing_names_malformed_points(call, constraint):
+    with pytest.raises(InvalidParamsError) as err:
+        call()
+    assert err.value.constraint == constraint
+
+
 def test_system_reads_its_generators_once():
     once = FiniteSystem(4, (pair for pair in [("r", (1, 2, 3, 0))]))
     assert once == FiniteSystem.cyclic(4)

@@ -23,6 +23,7 @@ from fingen.errors import (
 from fingen.probvec import Coarsening, ProbVec, coarsen
 from fingen.recoder import krieger_recode
 from fingen.typical import (
+    CodeBook,
     Fiber,
     PackingBudget,
     TypicalSpec,
@@ -36,6 +37,7 @@ from fingen.typical import (
     is_typical,
     iter_fiber,
     iter_typical,
+    min_dbar,
     stirling_window,
 )
 
@@ -545,6 +547,90 @@ def test_codebook_config_draws_two_target_words(drawn, capsys):
 def test_greedy_packing_rejects_bad_limit(limit):
     with pytest.raises(InvalidParamsError):
         greedy_packing(TypicalSpec(HALF, 0, 4), F(1, 2), limit)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [greedy_packing, lambda spec, rho: next(iter_typical(spec, rho))],
+    ids=["greedy_packing", "iter_typical"],
+)
+@pytest.mark.parametrize("rho", [None, [1], "x", math.nan, math.inf, True], ids=repr)
+def test_malformed_rho_is_named(entry, rho):
+    with pytest.raises(InvalidParamsError) as err:
+        entry(TypicalSpec(HALF, 0, 4), rho)
+    assert err.value.constraint == "rho is a rational number"
+
+
+def uniform_book(alphabet, k, packing):
+    """A ``CodeBook`` of the given packing over the uniform vector on
+    range(alphabet), with no books: enough for its separation and scan."""
+    return CodeBook(ProbVec((F(1, alphabet),) * alphabet), 0, k, F(0), tuple(packing), ())
+
+
+def per_symbol_hits(book, prefix, radius, count):
+    """The decoder's per-symbol scan: the indices i < count whose word has
+    fewer than radius * min(len) mismatches with the prefix."""
+    limit = radius * min(len(prefix), book.k)
+    return [
+        i for i, w in enumerate(book.packing[:count])
+        if sum(x != t for x, t in zip(prefix, w)) < limit
+    ]
+
+
+def test_packed_words_count_agreements_per_symbol():
+    # past 8 symbols a field is wider than a byte, and 300 symbols also
+    # pass the byte range that a word's symbols are first read into
+    rng = random.Random(34)
+    for alphabet in [*range(2, 11), 300]:
+        for _ in range(30):
+            k = rng.randint(1, 30)
+            words = [
+                tuple(rng.randrange(alphabet) for _ in range(k)) for _ in range(rng.randint(1, 6))
+            ]
+            book = uniform_book(alphabet, k, words)
+            base = rng.choice(words)
+            prefix = [
+                -1 if rng.random() < 0.25 else t if rng.random() < 0.6 else rng.randrange(alphabet)
+                for t in base[: rng.randint(0, k)]
+            ]
+            packed = book._packed
+            p = book._pack(prefix)
+            for a, pa in zip(words, packed):
+                assert (p & pa).bit_count() == sum(x == t for x, t in zip(prefix, a))
+                for b, pb in zip(words, packed):
+                    assert (pa & pb).bit_count() == sum(x == t for x, t in zip(a, b))
+            closest = min((dbar(a, b) for a, b in combinations(words, 2)), default=None)
+            assert min_dbar(words, alphabet) == closest
+            assert book.separation() == (F(1) if closest is None else closest)
+            for radius in (F(0), F(1, 4), F(1, 3), F(1, 2), F(1)):
+                count = rng.randint(0, len(words))
+                hits = book.within(prefix, radius, count)
+                assert hits == per_symbol_hits(book, prefix, radius, count)
+
+
+def test_packed_scan_finds_a_planted_word_among_4096():
+    # 4096 balanced words of length 4096, held as bytes (16 MB, where
+    # tuples would take 130), are packed and scanned once for a noisy
+    # prefix of one of them with every 7th position unassigned
+    rng = random.Random(15)
+    k = half = 4096
+    half //= 2
+    bits = bytes.maketrans(b"01", b"\0\1")
+    flip = bytes.maketrans(b"\0\1", b"\1\0")
+    words = []
+    for _ in range(4096):
+        first = format(rng.getrandbits(half), f"0{half}b").encode().translate(bits)
+        words.append(first + first.translate(flip))
+    planted = rng.randrange(len(words))
+    prefix = list(words[planted])
+    for i in rng.sample(range(k), 200):
+        prefix[i] ^= 1
+    prefix[::7] = [-1] * len(prefix[::7])
+    book = uniform_book(2, k, words)
+    started = time.perf_counter()
+    hits = book.within(prefix, F(1, 4), len(words))
+    assert time.perf_counter() - started < 0.5
+    assert hits == [planted]
 
 
 def test_choose_J_worked_example():
