@@ -1,10 +1,12 @@
-"""Shared exception types.
+"""Shared exception types, and the readers of numeric parameters.
 
 Every failure mode that a caller can act on gets its own class; messages
 name the violated constraint so CLI reports can surface it verbatim.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 __all__ = [
     "FingenError",
@@ -15,6 +17,8 @@ __all__ = [
     "DivisibilityError",
     "DecodeError",
     "AtypicalNameError",
+    "rational",
+    "integer",
 ]
 
 
@@ -61,3 +65,23 @@ class DecodeError(FingenError):
 
 class AtypicalNameError(FingenError):
     """A tower name fell outside the typical set the codebook was built for."""
+
+
+def rational(name: str, v) -> Fraction:
+    """``v`` as a Fraction: anything ``Fraction()`` reads except a bool, nan
+    or an infinity.  A Fraction is returned as it is."""
+    if isinstance(v, Fraction):
+        return v
+    if not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (TypeError, ValueError, ArithmeticError):  # no number, nan, infinite or n/0
+            pass
+    raise InvalidParamsError(f"{name} is a rational number", f"{name}={v!r}")
+
+
+def integer(name: str, v) -> int:
+    """``v`` when it is an int and not a bool."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InvalidParamsError(f"{name} is an integer", f"{name}={v!r}")

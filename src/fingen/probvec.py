@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
-from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError
+from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError, rational
 
 __all__ = [
     "ProbVec",
@@ -217,7 +217,7 @@ class RatDecomposition:
         is the source exactly), ``max_dev`` (the largest entrywise distance of a
         component from the source) and ``within_eps`` (max_dev < eps).  Raises
         ``InvalidVectorError`` if either fails or a denominator does not divide n."""
-        eps = Fraction(eps)
+        eps = rational("eps", eps)
         src = self.source.weights
         terms = [[c * x for x in r.weights] for c, r in zip(self.mixing.weights, self.vectors)]
         identity = tuple(map(sum, zip(*terms))) == src
@@ -240,7 +240,7 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
     Requires a positive final entry (reorder beforehand).  Every result is
     verified at eps, and its ``facts`` hold what ``verify`` decided.
     """
-    eps = Fraction(eps)
+    eps = rational("eps", eps)
     if eps <= 0:
         raise InvalidParamsError("eps > 0")
     p = len(a)

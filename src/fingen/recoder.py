@@ -27,6 +27,8 @@ from .errors import (
     DivisibilityError,
     InvalidParamsError,
     InvalidPartitionError,
+    integer,
+    rational,
 )
 from .probvec import (
     Coarsening,
@@ -72,7 +74,7 @@ __all__ = [
 class RecodeParams:
     """Target vector p, the blocks coarsening it into q, scale r, tolerances.
 
-    r, delta and eps are stored as Fractions whatever number type is given.
+    r, delta and eps are stored as Fractions whatever rational type is given.
     """
 
     p: ProbVec
@@ -85,7 +87,7 @@ class RecodeParams:
         if self.blocks.size != len(self.p):
             raise InvalidPartitionError("blocks must partition the target alphabet")
         for name in ("r", "delta", "eps"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, rational(name, getattr(self, name)))
         if not (0 < self.r <= 1):
             raise InvalidParamsError("0 < r <= 1")
         if not (0 < self.delta < 1):
@@ -157,7 +159,7 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
     """
     xi = canon_labels(xi)
     _check_inputs(sys, xi, F)
-    eps = Fraction(eps)
+    eps = rational("eps", eps)
     eps_f = float(eps)
     if eps_f <= 0:
         raise InvalidParamsError("eps > 0")
@@ -277,12 +279,10 @@ def encode_names(
     typical sets is a mismatch between the tower and the codebook.
     """
     sys = tower.system
-    xi = tuple(xi)
-    beta = tuple(beta)
+    xi, beta = tuple(xi), tuple(beta)
     if len(xi) != sys.n_points or len(beta) != sys.n_points:
         raise InvalidParamsError("one label per point")
-    r = Fraction(r)
-    delta = Fraction(delta)
+    r, delta = rational("r", r), rational("delta", delta)
     n = tower.n
     k = codebook.k
     if k > n:
@@ -424,9 +424,8 @@ def decode(
     the codewords inside the radius by counting agreements on packed words;
     no hit or more than one is a ``DecodeError``.
     """
-    delta = Fraction(delta)
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+    delta = rational("delta", delta)
+    alpha, beta = tuple(alpha), tuple(beta)
     if len(alpha) != theta.system.n_points or len(beta) != theta.system.n_points:
         raise InvalidParamsError("one label per point")
     block_of = p_blocks.block_of()
@@ -443,9 +442,7 @@ def decode(
         prefix = _observed_prefix(alpha, orbit, codebook.k, block_of)
         hits = codebook.within(prefix, delta, len(fiber))
         if len(hits) != 1:
-            raise DecodeError(
-                "exactly one codeword within the radius", f"found {len(hits)}"
-            )
+            raise DecodeError("exactly one codeword within the radius", f"found {len(hits)}")
         for x, s in zip(orbit, fiber[hits[0]]):
             out[x] = s
     if any(v is None for v in out):
@@ -491,12 +488,11 @@ def scan_towers(sys: FiniteSystem, fine, tower_eps=None, *, m=None) -> tuple:
     Returns (tower, scan); scan records every tolerance tried, with the
     column count it reached or the constraint it failed.
     """
-    # checked here because the scan below records a failed tolerance and
-    # moves on, which would hide a bad m behind "no workable tower tolerance"
-    if m is not None and m < 1:
+    # read here: the scan records a failed tolerance and moves on, hiding a bad m or tower_eps
+    if m is not None and integer("m", m) < 1:
         raise InvalidParamsError("m >= 1", f"m={m}")
     scan = []
-    for te in TOWER_EPS_LADDER if tower_eps is None else (tower_eps,):
+    for te in TOWER_EPS_LADDER if tower_eps is None else (rational("tower_eps", tower_eps),):
         try:
             tower = build_tower(sys, fine, te, m=m)
         except (InvalidParamsError, DivisibilityError) as e:
@@ -517,7 +513,8 @@ def recode_codebook(
     Returns (codebook, pack_delta).
     """
     q = params.q
-    pack_delta = Fraction(9, 400 * len(q)) if pack_delta is None else Fraction(pack_delta)
+    default = Fraction(9, 400 * len(q))
+    pack_delta = default if pack_delta is None else rational("pack_delta", pack_delta)
     needed = sorted({tuple(beta[x] for x in tower.theta.orbit(y)) for y in tower.transversal})
     budget = PackingBudget(pack_delta, params.r)
     codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, capacity, only=needed)
@@ -654,7 +651,7 @@ def brute_force_generator_search(sys: FiniteSystem, k_max: int) -> tuple:
     when no partition with at most k_max cells generates, that is when
     N >= 2 and k_max = 1.
     """
-    if k_max < 1:
+    if integer("k_max", k_max) < 1:
         raise InvalidParamsError("k_max >= 1")
     npts = sys.n_points
     if npts > 1 and k_max == 1:

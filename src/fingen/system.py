@@ -59,7 +59,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError
+from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError, integer, rational
 from .probvec import ProbVec, canon_labels, label_cells, ratcomb_decompose
 
 # walk word tokens: "a" applies generator a, "~a" its inverse; left to right
@@ -275,9 +275,7 @@ class FiniteSystem:
     _tables: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = self.n_points
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InvalidParamsError("n_points is an integer", f"n_points={n!r}")
+        n = integer("n_points", self.n_points)
         if n < 1:
             raise InvalidParamsError("n_points >= 1")
         try:  # not iterable, or an entry of another length
@@ -416,6 +414,8 @@ def refine_partition(labels, perms) -> GAlgebra:
     for p in perms:
         if len(p) != n:
             raise InvalidParamsError("one label per point")
+        if not {int}.issuperset(map(type, p)):
+            raise InvalidParamsError("table entries are int points")
         if n and (min(p) < 0 or max(p) >= n):
             raise InvalidParamsError("table entries lie on the points")
         if len(set(p)) != n:
@@ -689,9 +689,7 @@ def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> tuple:
     _on_points(sys, C, "C")
     if not C <= Bset:
         raise InvalidParamsError("C inside B")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InvalidParamsError("n is an integer", f"n={n!r}")
-    if n < 1:
+    if integer("n", n) < 1:
         raise InvalidParamsError("n >= 1")
     C = sorted(C)
     if len(C) * n != len(Bset):
@@ -747,15 +745,14 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     construction falls back to single-atom pieces, which realize the global
     frequencies exactly.
     """
-    B = set(B)
-    if not B:
+    Bset = set(B)
+    if not Bset:
         raise InvalidParamsError("B nonempty")
-    _on_points(sys, B, "B")
-    B = tuple(sorted(B))
-    eps = Fraction(eps)
+    _on_points(sys, Bset, "B")
+    B = tuple(sorted(Bset))
+    eps = rational("eps", eps)
     if eps < 0:
         raise InvalidParamsError("eps >= 0")
-    Bset = set(B)
     off = object()  # the one label of every point off B
     algebra = generated_algebra(sys, (lab if x in Bset else off for x, lab in enumerate(labels)))
     atoms = [cell for cell in algebra.cells if cell[0] in Bset]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice
 
-from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError
+from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError, integer, rational
 from .system import (
     FiniteSystem,
     PseudoMap,
@@ -34,25 +34,10 @@ CONSTRAINTS = (
 )
 
 
-def _checked_args(eps, nmin, m) -> Fraction:
-    """eps as a Fraction, once eps is a rational number and nmin and m are
-    integers, m unless it is None, which asks ``build_tower`` to search; bools
-    are refused as the CLI refuses them."""
-    try:
-        eps = Fraction(eps)
-    except (TypeError, ValueError, OverflowError):  # no number, nan or infinite
-        raise InvalidParamsError("eps is a rational number", f"eps={eps!r}") from None
-    for name, v in (("nmin", nmin), ("m", m))[: 1 + (m is not None)]:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InvalidParamsError(f"{name} is an integer", f"{name}={v!r}")
-    return eps
-
-
 def admissible_m(n_points: int, n_cells: int, eps, nmin: int, m: int) -> str | None:
     """Name of the first violated tower constraint, or None if m works."""
-    if m is None:  # only build_tower searches for m
-        raise InvalidParamsError("m is an integer", "m=None")
-    return _violated(n_points, n_cells, _checked_args(eps, nmin, m), nmin, m)
+    eps, nmin, m = rational("eps", eps), integer("nmin", nmin), integer("m", m)
+    return _violated(n_points, n_cells, eps, nmin, m)
 
 
 def _violated(n_points: int, n_cells: int, eps: Fraction, nmin: int, m: int) -> str | None:
@@ -154,24 +139,20 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
         cells = sorted(set(alpha))
     except TypeError:  # an unhashable label, or labels of kinds that do not compare
         raise InvalidPartitionError("labels are hashable and mutually ordered") from None
-    eps = _checked_args(eps, nmin, m)
+    eps, nmin = rational("eps", eps), integer("nmin", nmin)
     if eps <= 0:
         raise InvalidParamsError("eps > 0")
     if m is not None:
-        bad = _violated(sys.n_points, len(cells), eps, nmin, m)
+        bad = _violated(sys.n_points, len(cells), eps, nmin, integer("m", m))
         if bad is not None:
             raise InvalidParamsError(bad, f"m={m}")
     else:
-        for cand in range(1, sys.n_points + 1):
-            if sys.n_points % cand == 0 and _violated(
-                sys.n_points, len(cells), eps, nmin, cand
-            ) is None:
-                m = cand
-                break
-        else:
+        ok = (c for c in range(1, sys.n_points + 1)
+              if sys.n_points % c == 0 and _violated(sys.n_points, len(cells), eps, nmin, c) is None)
+        m = next(ok, None)  # the least admissible divisor of N
+        if m is None:
             raise DivisibilityError(
-                "no admissible column count m",
-                f"N={sys.n_points} eps={eps} nmin={nmin}",
+                "no admissible column count m", f"N={sys.n_points} eps={eps} nmin={nmin}"
             )
 
     s1 = tuple(x for x in range(sys.n_points) if x % m == 0)

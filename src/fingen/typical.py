@@ -3,7 +3,7 @@
 A length-n word over the alphabet of a probability vector q is *typical at
 tolerance eps* when every symbol frequency sits within eps of its target,
 boundaries included.  Membership is decided in exact rational arithmetic
-(q is an exact ``ProbVec``, eps is read with ``Fraction``), so the counting
+(q is an exact ``ProbVec``, eps is read by ``rational``), so the counting
 recursion and the brute-force enumeration agree bit for bit.
 
 Each job has one engine.  ``_fill_count`` is the count DP, memoised on the
@@ -37,13 +37,15 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 
 from .errors import (
     AtypicalNameError,
     CapacityError,
     InvalidParamsError,
     InvalidPartitionError,
+    integer,
+    rational,
 )
 from .probvec import Coarsening, ProbVec, coarsen, cond_entropy, entropy, entropy_pair
 
@@ -78,7 +80,9 @@ class TypicalSpec:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_ranges", _count_ranges(self.q, self.eps, self.n))
+        # read here, not in the cache, whose keys hash True as 1 and 4.0 as 4
+        eps, n = rational("eps", self.eps), integer("n", self.n)
+        object.__setattr__(self, "_ranges", _count_ranges(self.q, eps, n))
 
     def count_ranges(self) -> list:
         """Inclusive admissible count interval per symbol, computed exactly."""
@@ -86,20 +90,16 @@ class TypicalSpec:
 
 
 @lru_cache(maxsize=256)
-def _count_ranges(q: ProbVec, eps, n: int) -> tuple:
+def _count_ranges(q: ProbVec, eps: Fraction, n: int) -> tuple:
     """The count ranges of q at tolerance eps and length n, worked out once
     per (q, eps, n) in exact arithmetic."""
     if n < 1:
         raise InvalidParamsError("n >= 1")
-    eps = Fraction(eps)
     if eps < 0:
         raise InvalidParamsError("eps >= 0")
     slack = eps * n
-    ranges = []
-    for w in q.weights:
-        target = w * n
-        ranges.append((max(0, math.ceil(target - slack)), min(n, math.floor(target + slack))))
-    return tuple(ranges)
+    bounds = ((w * n - slack, w * n + slack) for w in q.weights)
+    return tuple((max(0, math.ceil(lo)), min(n, math.floor(hi))) for lo, hi in bounds)
 
 
 def _counts(word: Sequence[int], k: int) -> list:
@@ -160,13 +160,7 @@ def iter_typical(spec: TypicalSpec, rho) -> Iterator[tuple]:
     is kept; a backtrack undoes the symbol at its position and resumes that
     position's loop at the next symbol.
     """
-    if not isinstance(rho, bool):  # bools are refused as the CLI refuses them
-        try:
-            rho = Fraction(rho)
-        except (TypeError, ValueError, OverflowError):  # no number, nan or infinite
-            pass
-    if not isinstance(rho, Fraction):
-        raise InvalidParamsError("rho is a rational number", f"rho={rho!r}")
+    rho = rational("rho", rho)
     n = spec.n
     lo = [r[0] for r in spec._ranges]
     hi = [r[1] for r in spec._ranges]
@@ -486,7 +480,7 @@ class WindowReport:
 def stirling_window(q: ProbVec, delta, eps, n: int) -> WindowReport:
     """Exact typical count against the exp(n(H(q) +- delta)) window around
     its entropy rate."""
-    delta = float(delta)
+    delta = float(rational("delta", delta))
     if delta <= 0:
         raise InvalidParamsError("delta > 0")
     rate = entropy(q)
@@ -498,6 +492,7 @@ def stirling_window(q: ProbVec, delta, eps, n: int) -> WindowReport:
 
 def binomial_bound_report(delta, n: int) -> dict:
     """C(n, floor(delta n)) against exp(2n H(delta, 1-delta)), exact left side."""
+    n = integer("n", n)
     d = float(delta)
     if not 0 <= d <= 1:
         raise InvalidParamsError("0 <= delta <= 1", f"got {delta}")
@@ -525,33 +520,39 @@ def dbar(a: Sequence[int], b: Sequence[int]) -> Fraction:
 def min_dbar(words: Sequence, alphabet: int) -> Fraction | None:
     """Smallest pairwise dbar among ``words``, all of one length over
     range(alphabet), counted on their packed forms; None for fewer than two."""
-    if len(words) < 2:
-        return None
-    return _closest(tuple(map(_packer(alphabet), words)), len(words[0]))
+    if len(set(map(len, words))) > 1:
+        raise InvalidParamsError("words of one length")
+    return _closest(tuple(map(_packer(alphabet), words)), len(words[0])) if words else None
 
 
 def _packer(alphabet: int):
     """The packing of words over range(alphabet): a word becomes one int in
     which position i is the field of ``size`` bytes from byte i * size, and
     its symbol t sets bit t of that field; -1, an unassigned position, sets
-    none.  Two packed words then agree at ``(a & b).bit_count()`` positions.
-    Up to 8 symbols a field is one byte, and ``bytes.translate`` writes all
-    of a word's fields at once; past 8, ``map`` looks up each symbol's field
-    bytes in C and ``bytes.join`` joins them."""
+    none, and a word that holds any other symbol is refused.  Two packed
+    words then agree at ``(a & b).bit_count()`` positions.  Up to 8 symbols
+    a field is one byte: ``array`` reads the word as signed bytes, -1 as
+    byte 255, and one ``bytes.translate`` writes all of its fields and
+    deletes a stray symbol's byte; past 8, ``map`` looks up each symbol's
+    field bytes in C, a stray one as no bytes, and ``bytes.join`` joins
+    them."""
     size = (alphabet + 7) // 8
-    fields = [(1 << t).to_bytes(size, "little") for t in range(alphabet)]
-    fields.append(bytes(size))  # read at -1
     if size > 1:
-        fields = tuple(fields)
-        return lambda word: int.from_bytes(b"".join(map(fields.__getitem__, word)), "little")
-    table = b"".join(fields).ljust(256, b"\0")  # byte 255, -1 as a signed byte, sets none
+        fields = {t: (1 << t).to_bytes(size, "little") for t in range(alphabet)} | {-1: bytes(size)}
+        read = lambda word: b"".join(map(fields.get, word, repeat(b"")))
+    else:
+        table = bytes(1 << t for t in range(alphabet)).ljust(256, b"\0")
+        strays = bytes(range(alphabet, 255))
+        read = lambda word: array("b", word).tobytes().translate(table, strays)
 
     def pack(word: Sequence[int]) -> int:
         try:
-            raw = bytes(word)
-        except ValueError:  # a -1: read the word as signed bytes
-            raw = array("b", word).tobytes()
-        return int.from_bytes(raw.translate(table), "little")
+            raw = read(word)
+        except OverflowError:  # a symbol past the signed byte range
+            raw = b""
+        if len(raw) < size * len(word):  # a stray symbol wrote no field: _counts names it
+            _counts([t for t in word if t != -1], alphabet)
+        return int.from_bytes(raw, "little")
 
     return pack
 
@@ -566,8 +567,9 @@ def _closest(packed: Sequence[int], n: int) -> Fraction | None:
 def greedy_packing(spec: TypicalSpec, rho, limit=None) -> list:
     """First-fit packing of the typical set at pairwise dbar > rho: maximal,
     or its first ``limit`` words (first fit is prefix-stable)."""
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
-        raise InvalidParamsError("limit is an int >= 0", f"got {limit!r}")
+    rho = rational("rho", rho)  # read before islice, which starts no scan at limit 0
+    if limit is not None and integer("limit", limit) < 0:
+        raise InvalidParamsError("limit >= 0", f"limit={limit!r}")
     return list(islice(iter_typical(spec, rho), limit))
 
 
@@ -580,8 +582,7 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
     ``encode_names`` gates on that bound, so it is not compared here.
     """
     n = len(word)
-    delta = Fraction(delta)
-    eps = Fraction(eps)
+    delta, eps = rational("delta", delta), rational("eps", eps)
     if not (eps < delta < 1):
         raise InvalidParamsError("eps < delta < 1")
     if delta * n <= 1:
@@ -613,7 +614,7 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
 class PackingBudget:
     """Separation budget: packing radius is 20 * delta * |q|, length floor(r n).
 
-    delta and r are stored as Fractions whatever number type is given.
+    delta and r are stored as Fractions whatever rational type is given.
     """
 
     delta: object
@@ -621,7 +622,7 @@ class PackingBudget:
 
     def __post_init__(self):
         for name in ("delta", "r"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, rational(name, getattr(self, name)))
         if not (0 < self.delta):
             raise InvalidParamsError("delta > 0")
         if not (0 < self.r <= 1):
@@ -633,9 +634,7 @@ class PackingBudget:
     def rho(self, alphabet: int) -> Fraction:
         out = 20 * self.delta * alphabet
         if out >= Fraction(1, 2):
-            raise InvalidParamsError(
-                "20 * delta * alphabet < 1/2", f"got {out}"
-            )
+            raise InvalidParamsError("20 * delta * alphabet < 1/2", f"got {out}")
         return out
 
 
@@ -820,6 +819,7 @@ def build_injections(
     vectors.  An empty typical block set, then an empty ``only``, is refused
     by name before any search.
     """
+    n = integer("n", n)
     if capacity not in ("analytic", "exact"):
         raise InvalidParamsError("capacity in {analytic, exact}")
     if len(blocks) == 0 or blocks.size != len(xi):

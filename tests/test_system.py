@@ -442,6 +442,13 @@ def test_refine_partition_refuses_a_table_that_is_not_a_permutation(perm, match)
         refine_partition((0, 1, 0), [perm])
 
 
+@pytest.mark.parametrize("perm", ["abc", (0, 1, 2.0), (True, 0, 2)], ids=repr)
+def test_refine_partition_names_table_entries_that_are_not_ints(perm):
+    with pytest.raises(InvalidParamsError) as err:
+        refine_partition((0, 0, 0), [perm])
+    assert err.value.constraint == "table entries are int points"
+
+
 def test_refinement_relabels_once_not_once_per_round(monkeypatch):
     # the labeling is read once, into cells; GAlgebra numbers the fixpoint once
     calls = Counter()

@@ -165,17 +165,17 @@ def test_admissible_m_names_malformed_arguments(eps, nmin, m, constraint):
 
 
 def test_build_tower_checks_its_arguments_once(monkeypatch):
-    # the search for m tries every divisor of N but checks the arguments once
+    # the search for m tries every divisor of N but reads each argument once
     calls = []
-    checked = tower._checked_args
-
-    def counted(*args):
-        calls.append(args)
-        return checked(*args)
-
-    monkeypatch.setattr(tower, "_checked_args", counted)
+    for name in ("rational", "integer"):
+        reader = getattr(tower, name)
+        counted = lambda *args, reader=reader: calls.append(args) or reader(*args)
+        monkeypatch.setattr(tower, name, counted)
     assert build_tower(Z60, ALPHA60, 2, 1).m == 20
-    assert calls == [(2, 1, None)]
+    assert calls == [("eps", 2), ("nmin", 1)]
+    calls.clear()
+    assert build_tower(Z60, ALPHA60, 2, 1, 20).m == 20
+    assert calls == [("eps", 2), ("nmin", 1), ("m", 20)]
 
 
 def without(pm: PseudoMap, points) -> PseudoMap:

@@ -608,6 +608,39 @@ def test_packed_words_count_agreements_per_symbol():
                 assert hits == per_symbol_hits(book, prefix, radius, count)
 
 
+@pytest.mark.parametrize(
+    "book",
+    [
+        CodeBook(HALF, 0, 3, 0, ((0, 1, 5), (1, 0, 0)), ()),  # 5 set no bit in 2 symbols
+        uniform_book(9, 3, ((0, 1, 9), (1, 0, 0))),  # 9 read the field of -1
+        uniform_book(9, 3, ((0, 1, -2), (1, 0, 0))),  # -2 read the field of 8
+        uniform_book(2, 2, ((0, 200), (1, 0))),  # past the signed byte range
+    ],
+    ids=["2-symbols-5", "9-symbols-9", "9-symbols--2", "2-symbols-200"],
+)
+def test_packed_words_refuse_a_symbol_outside_the_alphabet(book):
+    with pytest.raises(InvalidPartitionError, match="outside alphabet of size"):
+        book.separation()
+    with pytest.raises(InvalidPartitionError, match="outside alphabet of size"):
+        min_dbar(book.packing, len(book.q))
+
+
+@pytest.mark.parametrize("alphabet", [2, 9])
+def test_a_prefix_may_leave_positions_unassigned_but_holds_no_stray_symbol(alphabet):
+    top = alphabet - 1
+    book = uniform_book(alphabet, 3, ((0, top, 0), (top, 0, top)))
+    assert book.within([-1, top, -1], F(1), 2) == [0]  # -1 agrees with no word
+    for stray in (-2, alphabet):
+        with pytest.raises(InvalidPartitionError, match=f"symbol {stray} outside"):
+            book.within([0, stray, -1], F(1, 2), 2)
+
+
+def test_min_dbar_refuses_words_of_unequal_length():
+    with pytest.raises(InvalidParamsError) as err:
+        min_dbar([(0, 1), (0, 1, 1)], 2)
+    assert err.value.constraint == "words of one length"
+
+
 def test_packed_scan_finds_a_planted_word_among_4096():
     # 4096 balanced words of length 4096, held as bytes (16 MB, where
     # tuples would take 130), are packed and scanned once for a noisy
