@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidParamsError, InvalidVectorError
+from .errors import InvalidParamsError, InvalidVectorError, integer
 from .probvec import ProbVec, entropy
 
 # least integer greater than exp(1 / (1 - log3(e)))
@@ -24,7 +24,7 @@ RANK_CUTOFF = math.floor(math.exp(1 / (1 - math.log(math.e, 3)))) + 1
 
 def ternary(n: int) -> tuple:
     """Base-3 expansion of n >= 1, most significant digit first."""
-    if n < 1:
+    if integer("n", n) < 1:
         raise InvalidParamsError("n >= 1", f"got {n}")
     digits = []
     while n:

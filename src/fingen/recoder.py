@@ -50,7 +50,8 @@ from .system import (
     simplemix,
 )
 from .tower import Tower, build_tower
-from .typical import CodeBook, PackingBudget, build_injections, choose_J, dbar, inequality
+from .typical import (UNASSIGNED, CodeBook, PackingBudget, _word, build_injections, choose_J,
+                      dbar, inequality)
 
 __all__ = [
     "RecodeParams",
@@ -279,7 +280,7 @@ def encode_names(
     typical sets is a mismatch between the tower and the codebook.
     """
     sys = tower.system
-    xi, beta = tuple(xi), tuple(beta)
+    xi, beta = _word(xi, UNASSIGNED), _word(beta, UNASSIGNED)
     if len(xi) != sys.n_points or len(beta) != sys.n_points:
         raise InvalidParamsError("one label per point")
     r, delta = rational("r", r), rational("delta", delta)
@@ -298,8 +299,7 @@ def encode_names(
         orbit = tower.theta.orbit(y)
         if len(orbit) != n:
             raise InvalidParamsError("class size mismatch", f"at {y}")
-        b = tuple(beta[x] for x in orbit)
-        c = tuple(xi[x] for x in orbit)
+        b, c = bytes(map(beta.__getitem__, orbit)), bytes(map(xi.__getitem__, orbit))
         try:
             fiber = codebook.fiber(b)
         except KeyError:
@@ -399,10 +399,10 @@ def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
 # decoding
 
 
-def _observed_prefix(alpha, orbit, k: int, block_of) -> list:
-    """Blocks of the labels alpha shows on the first k orbit points, with -1
-    where alpha leaves a point unassigned."""
-    return [-1 if alpha[x] is None else block_of[alpha[x]] for x in orbit[:k]]
+def _observed_prefix(alpha, orbit, k: int, block_of) -> bytes:
+    """The word of the blocks of the labels alpha shows on the first k orbit
+    points, ``UNASSIGNED`` where alpha leaves a point unassigned."""
+    return bytes(UNASSIGNED if alpha[x] is None else block_of[alpha[x]] for x in orbit[:k])
 
 
 def decode(
@@ -419,13 +419,13 @@ def decode(
     Per transversal point: the coarse name picks the book, the unique
     codeword within dbar-distance delta of the observed prefix inverts the
     injection, and the fine name redistributes along the orbit.  Block
-    coarsening is resolved before comparing, and an unassigned point is -1
-    in the prefix, which agrees with no codeword.  ``CodeBook.within`` finds
-    the codewords inside the radius by counting agreements on packed words;
-    no hit or more than one is a ``DecodeError``.
+    coarsening is resolved before comparing; the observed prefix is a
+    ``bytes`` word, ``UNASSIGNED`` at an unassigned point.  ``CodeBook.within``
+    finds the codewords inside the radius by counting agreements on packed
+    words; no hit or more than one is a ``DecodeError``.
     """
     delta = rational("delta", delta)
-    alpha, beta = tuple(alpha), tuple(beta)
+    alpha, beta = tuple(alpha), _word(beta, UNASSIGNED)
     if len(alpha) != theta.system.n_points or len(beta) != theta.system.n_points:
         raise InvalidParamsError("one label per point")
     block_of = p_blocks.block_of()
@@ -434,9 +434,8 @@ def decode(
     out: list = [None] * theta.system.n_points
     for y in sorted(Y):
         orbit = theta.orbit(y)
-        b = tuple(beta[x] for x in orbit)
         try:
-            fiber = codebook.fiber(b)
+            fiber = codebook.fiber(bytes(map(beta.__getitem__, orbit)))
         except KeyError:
             raise DecodeError("observed coarse name has no book")
         prefix = _observed_prefix(alpha, orbit, codebook.k, block_of)
@@ -515,7 +514,8 @@ def recode_codebook(
     q = params.q
     default = Fraction(9, 400 * len(q))
     pack_delta = default if pack_delta is None else rational("pack_delta", pack_delta)
-    needed = sorted({tuple(beta[x] for x in tower.theta.orbit(y)) for y in tower.transversal})
+    beta = _word(beta, UNASSIGNED)
+    needed = [bytes(map(beta.__getitem__, tower.theta.orbit(y))) for y in tower.transversal]
     budget = PackingBudget(pack_delta, params.r)
     codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, capacity, only=needed)
     return codebook, pack_delta

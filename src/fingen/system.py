@@ -324,7 +324,7 @@ class FiniteSystem:
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteSystem":
-        return cls.make(n, {"r": [(x + 1) % n for x in range(n)]})
+        return cls.make(integer("n", n), {"r": [(x + 1) % n for x in range(n)]})
 
     def group(self) -> GroupEnum:
         """The group enumeration of this system, one lazy walk per system.

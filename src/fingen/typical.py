@@ -22,7 +22,10 @@ block distribution, and each book's fiber is built where it is read.
 ``CodeBook`` owns the packed form of its words (``_packer``): one int per
 word with a one-hot field per position, so the agreements of two words, or
 of a word and an observed prefix, are one ``&`` and one ``bit_count``.  The
-book's separation and its decoder scan, ``within``, read nothing else.
+book's separation and its decoder scan, ``within``, read nothing else.  A
+word is ``bytes``, one symbol per byte; an observed prefix marks a position
+no label reaches by ``UNASSIGNED`` (255), so an alphabet has at most 255
+symbols.  One reader, ``_word``, makes a word of what a caller gives.
 
 Counts are exact big integers; the exponential comparison windows around
 them are evaluated in log space.
@@ -32,12 +35,12 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
 from collections.abc import Iterator, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 
 from .errors import (
     AtypicalNameError,
@@ -70,6 +73,9 @@ __all__ = [
     "build_injections",
 ]
 
+UNASSIGNED = 255  # an observed prefix's symbol at a position that no label reaches
+_SYMBOLS = bytes(range(UNASSIGNED))
+
 
 @dataclass(frozen=True)
 class TypicalSpec:
@@ -82,6 +88,7 @@ class TypicalSpec:
     def __post_init__(self):
         # read here, not in the cache, whose keys hash True as 1 and 4.0 as 4
         eps, n = rational("eps", self.eps), integer("n", self.n)
+        _alphabet(len(self.q))
         object.__setattr__(self, "_ranges", _count_ranges(self.q, eps, n))
 
     def count_ranges(self) -> list:
@@ -102,21 +109,32 @@ def _count_ranges(q: ProbVec, eps: Fraction, n: int) -> tuple:
     return tuple((max(0, math.ceil(lo)), min(n, math.floor(hi))) for lo, hi in bounds)
 
 
-def _counts(word: Sequence[int], k: int) -> list:
-    c = [0] * k
-    for t in word:
-        if not (0 <= t < k):
-            raise InvalidPartitionError(f"symbol {t} outside alphabet of size {k}")
-        c[t] += 1
-    return c
+def _alphabet(size: int) -> int:
+    """``size`` when it is at most 255: symbols are 0-254, 255 is ``UNASSIGNED``."""
+    if size > UNASSIGNED:
+        raise InvalidParamsError(f"an alphabet of at most {UNASSIGNED} symbols", f"got {size}")
+    return size
+
+
+def _word(word: Sequence[int], alphabet: int, holes: bool = False) -> bytes:
+    """``word`` as ``bytes``, each symbol in range(alphabet) or, where ``holes``
+    admits an observed prefix, ``UNASSIGNED``; any other symbol is refused by name."""
+    symbols = _SYMBOLS[: _alphabet(alphabet)] + (b"\xff" if holes else b"")
+    try:
+        out = word if isinstance(word, bytes) else bytes(iter(word))  # bytes(5) is 5 zeros
+        if not out.translate(None, symbols):
+            return out
+    except (TypeError, ValueError):  # a symbol that is no int in range(256)
+        pass
+    t = next(t for t in word if not (isinstance(t, int) and 0 <= t < 256 and t in symbols))
+    raise InvalidPartitionError(f"symbol {t!r} outside alphabet of size {alphabet}")
 
 
 def is_typical(word: Sequence[int], spec: TypicalSpec) -> bool:
     if len(word) != spec.n:
         raise InvalidParamsError("word length mismatch")
-    ranges = spec.count_ranges()
-    counts = _counts(word, len(spec.q))
-    return all(lo <= c <= hi for c, (lo, hi) in zip(counts, ranges))
+    word = _word(word, len(spec.q))
+    return all(lo <= word.count(t) <= hi for t, (lo, hi) in enumerate(spec._ranges))
 
 
 def count_typical(spec: TypicalSpec) -> int:
@@ -139,7 +157,7 @@ def _fill_count(left: int, bounds: tuple) -> int:
     return dp.get(left, 0)
 
 
-def iter_typical(spec: TypicalSpec, rho) -> Iterator[tuple]:
+def iter_typical(spec: TypicalSpec, rho) -> Iterator[bytes]:
     """The first-fit code of the typical set at pairwise dbar > rho: each
     typical word, in lexicographic order, that is farther than rho from
     every word yielded before it.  Every word yielded becomes a codeword.
@@ -207,7 +225,7 @@ def iter_typical(spec: TypicalSpec, rho) -> Iterator[tuple]:
             t = 0
             if pos < n:
                 continue
-            yield tuple(word)
+            yield bytes(word)
             code.add(word)  # 0 mismatches with every prefix on the path
             size, thresh, guard = code.size, code.thresh, code.guard
         pos -= 1  # back up: undo the symbol at pos and resume after it
@@ -313,7 +331,7 @@ def count_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) 
     return Fiber(TypicalSpec(xi, eps, n), blocks, b).size
 
 
-def iter_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> Iterator[tuple]:
+def iter_fiber(xi: ProbVec, blocks: Coarsening, eps, n: int, b: Sequence[int]) -> Iterator[bytes]:
     """Typical refinements of ``b`` in ``Fiber`` order, by its walk.
     A generator, so the benchmark's span tracer counts the names it lists."""
     yield from Fiber(TypicalSpec(xi, eps, n), blocks, b)
@@ -343,13 +361,12 @@ class Fiber(Sequence):
     def __init__(self, spec: TypicalSpec, blocks: Coarsening, b: Sequence[int]):
         if blocks.size != len(spec.q):
             raise InvalidPartitionError("blocks must partition the fine alphabet")
-        b = tuple(b)
         if len(b) != spec.n:
             raise InvalidParamsError("block word length mismatch")
         self._blocks = blocks.blocks
-        self._b = b
+        self._b = _word(b, len(blocks))
         self._ranges = spec._ranges
-        self._avail = _counts(b, len(blocks))
+        self._avail = list(map(self._b.count, range(len(blocks))))
         zero = [0] * len(self._ranges)
         self._factors = [self._fill(cells, a, zero) for cells, a in zip(self._blocks, self._avail)]
         self.size = math.prod(self._factors)
@@ -366,7 +383,7 @@ class Fiber(Sequence):
     def __len__(self) -> int:
         return self.size
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[bytes]:
         """Fiber order by a depth-first walk that reads no count.  A one-cell
         block's positions are forced.  At a free position of block j, cell t
         is kept while ``counts[t] < hi[t]`` and the block's unmet lower
@@ -387,7 +404,7 @@ class Fiber(Sequence):
         i = 0
         while i >= 0:
             if i == len(free):
-                yield tuple(word)
+                yield bytes(word)
                 i -= 1
                 continue
             p, j, cells = free[i]
@@ -412,7 +429,7 @@ class Fiber(Sequence):
                 tried[i] = 0
                 i -= 1
 
-    def __getitem__(self, i) -> tuple:
+    def __getitem__(self, i) -> bytes:
         i = operator.index(i)
         if i < 0:
             i += self.size
@@ -422,12 +439,11 @@ class Fiber(Sequence):
 
     def index(self, word) -> int:
         """The rank of ``word`` in fiber order."""
-        b = self._b
-        word = tuple(word)
-        if len(word) != len(b):
-            raise AtypicalNameError(f"name of length {len(word)} in a fiber of length {len(b)}")
+        word = _word(word, len(self._ranges))
+        if len(word) != len(self._b):
+            raise AtypicalNameError(f"name of length {len(word)} in a fiber of length {len(self._b)}")
         if self.size == 0:
-            raise AtypicalNameError(f"the typical fiber of {b} is empty")
+            raise AtypicalNameError(f"the typical fiber of {list(self._b)} is empty")
         return self._walk(None, word)[0]
 
     def _walk(self, i, word) -> tuple:
@@ -455,17 +471,15 @@ class Fiber(Sequence):
             else:
                 raise AtypicalNameError(f"symbol {s!r} at position {p} is outside block {j}")
             if f == 0:
-                raise AtypicalNameError(f"name {word} is outside the typical fiber of {self._b}")
+                raise AtypicalNameError(f"name {list(word)} is outside the typical fiber of {list(self._b)}")
             factors[j] = f
             out.append(t)
-        return rank, tuple(out)
+        return rank, bytes(out)
 
     def __contains__(self, word) -> bool:
-        try:
-            self.index(word)
-        except AtypicalNameError:
-            return False
-        return True
+        with suppress(AtypicalNameError):
+            return self.index(word) >= 0
+        return False
 
 
 @dataclass(frozen=True)
@@ -510,11 +524,12 @@ def binomial_bound_report(delta, n: int) -> dict:
 
 
 def dbar(a: Sequence[int], b: Sequence[int]) -> Fraction:
-    """Normalized Hamming distance over the first min(len) positions."""
+    """Normalized Hamming distance over the first min(len) positions; ``a`` may hold UNASSIGNED."""
+    a, b = _word(a, UNASSIGNED, True), _word(b, UNASSIGNED)
     k = min(len(a), len(b))
     if k == 0:
         raise InvalidParamsError("empty word")
-    return Fraction(sum(1 for i in range(k) if a[i] != b[i]), k)
+    return Fraction(sum(map(operator.ne, a, b)), k)
 
 
 def min_dbar(words: Sequence, alphabet: int) -> Fraction | None:
@@ -526,35 +541,22 @@ def min_dbar(words: Sequence, alphabet: int) -> Fraction | None:
 
 
 def _packer(alphabet: int):
-    """The packing of words over range(alphabet): a word becomes one int in
+    """The packing of words over range(alphabet), at most 255 symbols:
+    ``pack(word, holes)`` reads the word by ``_word`` and makes it one int in
     which position i is the field of ``size`` bytes from byte i * size, and
-    its symbol t sets bit t of that field; -1, an unassigned position, sets
-    none, and a word that holds any other symbol is refused.  Two packed
-    words then agree at ``(a & b).bit_count()`` positions.  Up to 8 symbols
-    a field is one byte: ``array`` reads the word as signed bytes, -1 as
-    byte 255, and one ``bytes.translate`` writes all of its fields and
-    deletes a stray symbol's byte; past 8, ``map`` looks up each symbol's
-    field bytes in C, a stray one as no bytes, and ``bytes.join`` joins
-    them."""
-    size = (alphabet + 7) // 8
+    its symbol t sets bit t of that field; ``UNASSIGNED``, which ``holes``
+    admits, sets none.  Two packed words then agree at ``(a & b).bit_count()``
+    positions.  Up to 8 symbols a field is one byte, and one ``translate``
+    writes a word's fields; past 8, ``map`` looks up each symbol's field
+    bytes in C and ``bytes.join`` joins them."""
+    size = (_alphabet(alphabet) + 7) // 8
     if size > 1:
-        fields = {t: (1 << t).to_bytes(size, "little") for t in range(alphabet)} | {-1: bytes(size)}
-        read = lambda word: b"".join(map(fields.get, word, repeat(b"")))
+        fields = {t: (1 << t).to_bytes(size, "little") for t in range(alphabet)} | {UNASSIGNED: bytes(size)}
+        read = lambda word: b"".join(map(fields.__getitem__, word))
     else:
         table = bytes(1 << t for t in range(alphabet)).ljust(256, b"\0")
-        strays = bytes(range(alphabet, 255))
-        read = lambda word: array("b", word).tobytes().translate(table, strays)
-
-    def pack(word: Sequence[int]) -> int:
-        try:
-            raw = read(word)
-        except OverflowError:  # a symbol past the signed byte range
-            raw = b""
-        if len(raw) < size * len(word):  # a stray symbol wrote no field: _counts names it
-            _counts([t for t in word if t != -1], alphabet)
-        return int.from_bytes(raw, "little")
-
-    return pack
+        read = lambda word: word.translate(table)
+    return lambda word, holes=False: int.from_bytes(read(_word(word, alphabet, holes)), "little")
 
 
 def _closest(packed: Sequence[int], n: int) -> Fraction | None:
@@ -590,9 +592,7 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
     reserved = frozenset(reserved)
     k = len(q)
     positions: list = [[] for _ in range(k)]
-    for i, t in enumerate(word):
-        if not (0 <= t < k):
-            raise InvalidPartitionError(f"symbol {t} outside alphabet of size {k}")
+    for i, t in enumerate(_word(word, k)):
         if i not in reserved:
             positions[t].append(i)
     out = []
@@ -661,10 +661,10 @@ class _Books(Sequence):
         return ((b, Fiber(self._spec, self._blocks, b)) for b in self._words)
 
     def fiber(self, b: Sequence[int]) -> Fiber:
-        b = tuple(b)
-        if b in self._words:  # the one-block Fiber ranks b: length, alphabet, typicality
-            return Fiber(self._spec, self._blocks, b)
-        raise KeyError(f"no book for block word {b}")
+        word = _word(b, len(self._blocks))
+        if word in self._words:  # the one-block Fiber ranks b: length, alphabet, typicality
+            return Fiber(self._spec, self._blocks, word)
+        raise KeyError(f"no book for block word {list(word)}")
 
 
 @dataclass(frozen=True)
@@ -706,11 +706,11 @@ class CodeBook:
     def within(self, prefix: Sequence[int], radius, count: int) -> list:
         """The indices i < ``count`` with dbar(prefix, packing[i]) <
         ``radius``, mismatches counted on the min(len) positions as ``dbar``
-        counts them; a -1 in ``prefix``, an unassigned position, matches no
-        word.  Each word is one ``&`` and one ``bit_count`` away."""
+        counts them; an ``UNASSIGNED`` position of ``prefix`` matches no word.
+        Each word is one ``&`` and one ``bit_count`` away."""
         m = min(len(prefix), self.k)
         least = math.floor(m - radius * m) + 1  # the fewest agreements inside the radius
-        p = self._pack(prefix)
+        p = self._pack(prefix, True)
         return [i for i, w in enumerate(self._packed[:count]) if (p & w).bit_count() >= least]
 
     def fiber(self, b: Sequence[int]) -> Fiber:
@@ -831,7 +831,7 @@ def build_injections(
     beta = coarsen(xi, blocks)
     beta_spec = TypicalSpec(beta, eps, n)
     one_block = Coarsening((tuple(range(len(beta))),), len(beta))
-    typical_words = Fiber(beta_spec, one_block, (0,) * n)
+    typical_words = Fiber(beta_spec, one_block, bytes(n))
     if typical_words.size == 0:
         raise InvalidParamsError("a typical block word exists", f"none of length {n} at eps {eps}")
     xi_spec = TypicalSpec(xi, eps, n)
@@ -839,14 +839,14 @@ def build_injections(
         books = _Books(typical_words, typical_words.size, xi_spec, blocks)
         max_fiber = _largest_fiber(xi_spec, blocks, beta_spec)
     else:
-        words = sorted({tuple(w) for w in only})
+        words = sorted({_word(w, len(beta)) for w in only})
         if not words:
             raise InvalidParamsError("only lists a block word", "got none")
         for w in words:
             if len(w) != n:
                 raise InvalidParamsError("block words of length n")
             if not is_typical(w, beta_spec):
-                raise AtypicalNameError(f"block word {w} is outside the typical set")
+                raise AtypicalNameError(f"block word {list(w)} is outside the typical set")
         books = _Books(tuple(words), len(words), xi_spec, blocks)
         max_fiber = max(Fiber(xi_spec, blocks, b).size for b in words)
     target_spec = TypicalSpec(q, eps, k)

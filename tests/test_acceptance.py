@@ -304,7 +304,7 @@ def test_packings_and_codebooks():
             assert sum(x != y for x, y in zip(a, b)) >= need
         ranges = spec.count_ranges()
         for w in product(range(len(q.weights)), repeat=k):
-            if w in chosen or not in_ranges(word_counts(w, len(q.weights)), ranges):
+            if bytes(w) in chosen or not in_ranges(word_counts(w, len(q.weights)), ranges):
                 continue
             assert any(
                 sum(x != y for x, y in zip(w, c)) < need for c in words
@@ -330,7 +330,7 @@ def test_packings_and_codebooks():
             assert all(w in pack for w in codes)
             assert len(entries) == count_fiber(xi, blocks, Fraction(0), n, b)
             for c, _ in entries:
-                assert tuple(blk[s] for s in c) == b
+                assert bytes(blk[s] for s in c) == b
                 assert in_ranges(word_counts(c, len(xi.weights)), xi_ranges)
 
         sep = cb.separation()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from recode_instances import FAMILY, build, pipeline_parts
 
+from fingen.coding import ternary
 from fingen.errors import InvalidParamsError, integer, rational
 from fingen.probvec import Coarsening, ProbVec, ratcomb_decompose
 from fingen.recoder import (
@@ -117,6 +118,8 @@ ENTRIES = [
     ("greedy_packing-limit-0", "rho", lambda v: greedy_packing(SPEC, v, 0)),
     ("greedy_packing", "limit", lambda v: greedy_packing(SPEC, F(1, 2), v)),
     ("FiniteSystem", "n_points", lambda v: FiniteSystem(v, (("r", (0,)),))),
+    ("FiniteSystem.cyclic", "n", FiniteSystem.cyclic),
+    ("ternary", "n", ternary),
     ("make_equal_partition", "n", lambda v: make_equal_partition(Z4, (0, 2), range(4), v)),
     ("avgmix", "eps", lambda v: avgmix(Z4, range(4), (0, 0, 1, 1), v)),
     ("build_tower", "eps", lambda v: build_tower(Z60, ALPHA60, v, 1)),

@@ -646,6 +646,34 @@ def test_decode_refuses_alpha_labels_outside_the_target_alphabet():
         decode(bad, beta, tower.transversal, tower.theta, codebook, radius, params.blocks)
 
 
+def test_one_word_type_from_the_fiber_to_the_decoder(monkeypatch):
+    # every word the pipeline holds is bytes, so a book or decoder that
+    # brings back a second word type fails here
+    sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
+    assert codebook.packing and all(type(w) is bytes for w in codebook.packing)
+    for b, fiber in codebook.books:
+        assert type(b) is bytes and type(fiber[len(fiber) - 1]) is bytes
+        assert all(type(w) is bytes and type(fiber[fiber.index(w)]) is bytes for w in fiber)
+    plan = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
+    assert all(type(w) is bytes for w in plan.codewords)
+    prefixes = []
+    observe = recoder._observed_prefix
+
+    def observed(*args):
+        prefixes.append(observe(*args))
+        return prefixes[-1]
+
+    monkeypatch.setattr(recoder, "_observed_prefix", observed)
+    cells_p = refine_to_p(sysn, synthesize_prepartition(plan, params), params)
+    label_of = {x: i for i, cell in enumerate(cells_p) for x in cell}
+    alpha = [label_of.get(x) for x in range(sysn.n_points)]
+    radius = codebook.separation() / 2
+    got = decode(alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks)
+    assert got == fine
+    assert len(prefixes) == len(tower.transversal)
+    assert all(type(p) is bytes for p in prefixes)
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 

@@ -4,7 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from fingen.errors import (
 from fingen.probvec import Coarsening, ProbVec, coarsen
 from fingen.recoder import krieger_recode
 from fingen.typical import (
+    UNASSIGNED,
     CodeBook,
     Fiber,
     PackingBudget,
@@ -86,7 +87,7 @@ def test_iter_typical_lex_and_complete():
     spec = TypicalSpec(HALF, 0.25, 4)
     words = list(one_block(spec))
     assert len(words) == 14
-    assert words == [w for w in product(range(2), repeat=4) if is_typical(w, spec)]
+    assert words == [bytes(w) for w in product(range(2), repeat=4) if is_typical(w, spec)]
     assert list(iter_typical(spec, 0)) == words
 
 
@@ -134,7 +135,7 @@ def test_fiber_enumeration_matches_count():
         eps = F(rng.randint(0, 5), 16)
         n = rng.randint(1, 7)
         spec = TypicalSpec(q, eps, n)
-        brute = [w for w in product(range(k), repeat=n) if is_typical(w, spec)]
+        brute = [bytes(w) for w in product(range(k), repeat=n) if is_typical(w, spec)]
         assert list(one_block(spec)) == brute
         assert count_typical(spec) == len(brute)
 
@@ -144,7 +145,7 @@ def test_fiber_enumeration_matches_count():
         bl = Coarsening(tuple(tuple(symbols[a:b]) for a, b in zip(edges, edges[1:])), k)
         b = tuple(rng.randrange(nb) for _ in range(n))
         choices = [bl.blocks[j] for j in b]
-        brute = [w for w in product(*choices) if is_typical(w, spec)]
+        brute = [bytes(w) for w in product(*choices) if is_typical(w, spec)]
         assert list(iter_fiber(q, bl, eps, n, b)) == brute
         assert count_fiber(q, bl, eps, n, b) == len(brute)
 
@@ -198,10 +199,10 @@ def test_fiber_ranks_and_unranks_in_iter_fiber_order():
         place = {t: i for block in bl.blocks for i, t in enumerate(block)}
         refinements: dict = {}
         for w in one_block(spec):
-            refinements.setdefault(tuple(block_of[s] for s in w), []).append(w)
+            refinements.setdefault(bytes(block_of[s] for s in w), []).append(w)
         for b in product(range(len(bl)), repeat=n):
             fiber = Fiber(spec, bl, b)
-            listed = sorted(refinements.get(b, []), key=lambda w: [place[s] for s in w])
+            listed = sorted(refinements.get(bytes(b), []), key=lambda w: [place[s] for s in w])
             assert len(fiber) == count_fiber(xi, bl, eps, n, b) == len(listed)
             assert [fiber[i] for i in range(len(fiber))] == listed == list(fiber)
             assert list(iter_fiber(xi, bl, eps, n, b)) == listed
@@ -210,7 +211,7 @@ def test_fiber_ranks_and_unranks_in_iter_fiber_order():
             # refinements of b that miss the typical set are refused by name
             members = set(listed)
             for _ in range(20):
-                w = tuple(rng.choice(bl.blocks[j]) for j in b)
+                w = bytes(rng.choice(bl.blocks[j]) for j in b)
                 assert (w in fiber) == (w in members)
                 if w not in members:
                     with pytest.raises(AtypicalNameError):
@@ -220,11 +221,11 @@ def test_fiber_ranks_and_unranks_in_iter_fiber_order():
             if listed:
                 assert fiber[-1] == listed[-1]
                 with pytest.raises(AtypicalNameError):
-                    fiber.index(listed[0] + (listed[0][0],))
+                    fiber.index(listed[0] + listed[0][:1])
                 if len(bl) > 1:
                     outside = next(t for t in range(len(xi)) if t not in bl.blocks[b[0]])
                     with pytest.raises(AtypicalNameError):
-                        fiber.index((outside,) + listed[0][1:])
+                        fiber.index(bytes([outside]) + listed[0][1:])
     assert checked > 2_000
 
 
@@ -233,11 +234,11 @@ def test_fiber_walk_counts_once_per_symbol_tried(monkeypatch):
     # one per symbol tried, in rank and in unrank alike
     xi = ProbVec((F(1, 2), F(1, 4), F(1, 4)))
     fiber = Fiber(TypicalSpec(xi, 0, 4), Coarsening(((0,), (1, 2)), 3), (0, 1, 0, 1))
-    assert list(fiber) == [(0, 1, 0, 2), (0, 2, 0, 1)]
+    assert list(fiber) == [bytes((0, 1, 0, 2)), bytes((0, 2, 0, 1))]
     calls = []
     fill = typical._fill_count
     monkeypatch.setattr(typical, "_fill_count", lambda *args: calls.append(args) or fill(*args))
-    assert fiber[1] == (0, 2, 0, 1) and len(calls) == 3  # symbols 1, 2, then 1
+    assert fiber[1] == bytes((0, 2, 0, 1)) and len(calls) == 3  # symbols 1, 2, then 1
     assert fiber.index((0, 2, 0, 1)) == 1 and len(calls) == 6
 
 
@@ -286,7 +287,7 @@ def test_typical_set_is_the_one_block_fiber():
         assert words == [fiber[i] for i in range(fiber.size)]
         assert fiber.size == count_typical(spec)
         if k**n <= 5000:
-            assert words == [w for w in product(range(k), repeat=n) if is_typical(w, spec)]
+            assert words == [bytes(w) for w in product(range(k), repeat=n) if is_typical(w, spec)]
             brute += 1
     assert brute > 60
 
@@ -386,7 +387,7 @@ def verify_packing(spec, rho, packing):
 
 def test_greedy_packing_example():
     K = greedy_packing(TypicalSpec(HALF, 0, 4), F(1, 2))
-    assert K == [(0, 0, 1, 1), (1, 1, 0, 0)]
+    assert K == [bytes((0, 0, 1, 1)), bytes((1, 1, 0, 0))]
     res = verify_packing(TypicalSpec(HALF, 0, 4), F(1, 2), K)
     assert res["separation_ok"] and res["maximal"]
 
@@ -578,10 +579,10 @@ def per_symbol_hits(book, prefix, radius, count):
 
 
 def test_packed_words_count_agreements_per_symbol():
-    # past 8 symbols a field is wider than a byte, and 300 symbols also
-    # pass the byte range that a word's symbols are first read into
+    # past 8 symbols a field is wider than a byte; 255 symbols is the widest
+    # alphabet, and 300 is refused, since byte 255 is UNASSIGNED
     rng = random.Random(34)
-    for alphabet in [*range(2, 11), 300]:
+    for alphabet in [*range(2, 11), 255]:
         for _ in range(30):
             k = rng.randint(1, 30)
             words = [
@@ -590,11 +591,12 @@ def test_packed_words_count_agreements_per_symbol():
             book = uniform_book(alphabet, k, words)
             base = rng.choice(words)
             prefix = [
-                -1 if rng.random() < 0.25 else t if rng.random() < 0.6 else rng.randrange(alphabet)
+                UNASSIGNED if rng.random() < 0.25
+                else t if rng.random() < 0.6 else rng.randrange(alphabet)
                 for t in base[: rng.randint(0, k)]
             ]
             packed = book._packed
-            p = book._pack(prefix)
+            p = book._pack(prefix, True)
             for a, pa in zip(words, packed):
                 assert (p & pa).bit_count() == sum(x == t for x, t in zip(prefix, a))
                 for b, pb in zip(words, packed):
@@ -606,6 +608,10 @@ def test_packed_words_count_agreements_per_symbol():
                 count = rng.randint(0, len(words))
                 hits = book.within(prefix, radius, count)
                 assert hits == per_symbol_hits(book, prefix, radius, count)
+    for refused in (lambda: uniform_book(300, 1, [(0,), (1,)]).separation(),
+                    lambda: min_dbar([(0,), (299,)], 300)):
+        with pytest.raises(InvalidParamsError, match="^an alphabet of at most 255 symbols"):
+            refused()
 
 
 @pytest.mark.parametrize(
@@ -629,16 +635,98 @@ def test_packed_words_refuse_a_symbol_outside_the_alphabet(book):
 def test_a_prefix_may_leave_positions_unassigned_but_holds_no_stray_symbol(alphabet):
     top = alphabet - 1
     book = uniform_book(alphabet, 3, ((0, top, 0), (top, 0, top)))
-    assert book.within([-1, top, -1], F(1), 2) == [0]  # -1 agrees with no word
-    for stray in (-2, alphabet):
+    assert book.within([UNASSIGNED, top, UNASSIGNED], F(1), 2) == [0]  # agrees with no word
+    for stray in (-2, -1, alphabet):
         with pytest.raises(InvalidPartitionError, match=f"symbol {stray} outside"):
-            book.within([0, stray, -1], F(1, 2), 2)
+            book.within([0, stray, UNASSIGNED], F(1, 2), 2)
 
 
 def test_min_dbar_refuses_words_of_unequal_length():
     with pytest.raises(InvalidParamsError) as err:
         min_dbar([(0, 1), (0, 1, 1)], 2)
     assert err.value.constraint == "words of one length"
+
+
+IDENTITY2 = Coarsening(((0,), (1,)), 2)
+ONE_BLOCK2 = Coarsening(((0, 1),), 2)
+SPEC4 = TypicalSpec(HALF, 0, 4)
+
+# (public function, a call on a word of length 4 over its alphabet, the
+# alphabet); an observed prefix may hold UNASSIGNED, the other words not
+WORD_READERS = [
+    ("is_typical", lambda w: is_typical(w, SPEC4), 2),
+    ("count_fiber", lambda w: count_fiber(HALF, IDENTITY2, 0, 4, w), 2),
+    ("iter_fiber", lambda w: next(iter_fiber(HALF, IDENTITY2, 0, 4, w)), 2),
+    ("Fiber", lambda w: Fiber(SPEC4, IDENTITY2, w), 2),
+    ("Fiber.index", lambda w: Fiber(SPEC4, ONE_BLOCK2, bytes(4)).index(w), 2),
+    ("choose_J", lambda w: choose_J(w, (), F(3, 10), F(1, 10), HALF), 2),
+    ("dbar", lambda w: dbar(bytes(4), w), UNASSIGNED),
+    ("min_dbar", lambda w: min_dbar([bytes(4), w], 2), 2),
+    ("CodeBook.within", lambda w: uniform_book(2, 4, [bytes(4)]).within(w, F(1, 2), 1), 2),
+    ("build_injections-only", lambda w: build_injections(
+        FEAS_XI, FEAS_BLOCKS, HALF, FEAS_BUDGET, 0, 24, only=[w * 6]), 2),
+]
+PREFIX_READERS = {"CodeBook.within"}
+
+
+@pytest.mark.parametrize("call, symbol", [
+    pytest.param(call, t, id=f"{name}-{t!r}")
+    for name, call, alphabet in WORD_READERS
+    for t in dict.fromkeys(["a", 0.5, -1, alphabet, UNASSIGNED])
+    if not (t == UNASSIGNED and name in PREFIX_READERS)
+])
+def test_every_word_reader_refuses_a_bad_symbol_by_name(call, symbol):
+    word = (0, symbol, 1, 1)
+    for form in [word, bytes(word)] if symbol in range(256) else [word]:
+        with pytest.raises(InvalidPartitionError, match=f"^symbol {re.escape(repr(symbol))} outside"):
+            call(form)
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (AtypicalNameError, InvalidParamsError) as err:
+        return type(err), str(err)
+
+
+def test_word_readers_agree_on_tuple_list_and_bytes_forms():
+    rng = random.Random(36)
+    forms = (tuple, list, bytes)
+    for _ in range(80):
+        k = rng.randint(2, 10)
+        raw = [rng.randint(1, 4) for _ in range(k)]
+        q = ProbVec(tuple(F(x, sum(raw)) for x in raw))
+        n, eps = rng.randint(4, 9), F(rng.randint(0, 4), 8)
+        spec = TypicalSpec(q, eps, n)
+        symbols = rng.sample(range(k), k)
+        cuts = sorted(rng.sample(range(1, k), rng.randint(0, k - 1)))
+        bl = Coarsening(tuple(tuple(symbols[a:b]) for a, b in zip([0] + cuts, cuts + [k])), k)
+        word, other = ([rng.randrange(k) for _ in range(n)] for _ in range(2))
+        prefix = [UNASSIGNED if rng.random() < 0.3 else s for s in word]
+        blocks = [bl.block_of()[s] for s in word]
+        book = uniform_book(k, n, [bytes(other), bytes(word)])
+
+        def results(form):
+            w, o, p, b = form(word), form(other), form(prefix), form(blocks)
+            fiber = Fiber(spec, bl, b)
+            ends = [fiber[0], fiber[-1]] if fiber.size else []
+            return [
+                is_typical(w, spec), count_fiber(q, bl, eps, n, b), fiber.size, ends,
+                list(islice(iter_fiber(q, bl, eps, n, b), 20)), outcome(lambda: fiber.index(w)),
+                outcome(lambda: choose_J(w, range(0, n, 3), F(1, 2), F(1, 10), q)),
+                dbar(w, o), dbar(p, o), min_dbar([w, o], k), book.within(p, F(1, 2), 2),
+            ]
+
+        assert results(tuple) == results(list) == results(bytes)
+    for _ in range(4):
+        ones = rng.sample(range(24), 2)
+        b = [int(i in ones) for i in range(24)]
+        books = [
+            build_injections(FEAS_XI, FEAS_BLOCKS, HALF, FEAS_BUDGET, 0, 24, only=[form(b)])
+            for form in forms
+        ]
+        assert len({(book.packing, tuple(w for w, _ in book.books)) for book in books}) == 1
 
 
 def test_packed_scan_finds_a_planted_word_among_4096():
@@ -658,7 +746,7 @@ def test_packed_scan_finds_a_planted_word_among_4096():
     prefix = list(words[planted])
     for i in rng.sample(range(k), 200):
         prefix[i] ^= 1
-    prefix[::7] = [-1] * len(prefix[::7])
+    prefix[::7] = [UNASSIGNED] * len(prefix[::7])
     book = uniform_book(2, k, words)
     started = time.perf_counter()
     hits = book.within(prefix, F(1, 4), len(words))
@@ -764,7 +852,7 @@ def test_build_injections_feasible_instance():
         assert len(set(codes)) == len(codes)
         for cell_word, code in entries:
             # fiber words coarsen to their book under the block map
-            assert tuple(0 if s == 0 else 1 for s in cell_word) == b
+            assert bytes(0 if s == 0 else 1 for s in cell_word) == b
             assert code in packed
     checks = {c["name"]: c for c in book.checks}
     for name in ("entropy-gap", "separation-bound", "fiber-window-upper",
@@ -889,7 +977,7 @@ def test_ranked_books_match_the_listed_books(case):
     # every block lies in the last block: a word outside the typical block set
     atypical = (len(blocks) - 1,) * n
     assert not is_typical(atypical, TypicalSpec(coarsen(xi, blocks), eps, n))
-    for b in (atypical, ref[0][0][:-1], ref[0][0] + (0,)):
+    for b in (atypical, ref[0][0][:-1], ref[0][0] + b"\0"):
         with pytest.raises(KeyError, match="no book for block word"):
             book.fiber(b)
 
@@ -936,16 +1024,16 @@ def test_both_book_modes_refuse_a_word_without_a_book():
     only = build_injections(*UNEQUAL_CASE, only=words[1:3])
     atypical = (1,) * 12
     assert not is_typical(atypical, TypicalSpec(coarsen(UNEQUAL_CASE[0], FEAS_BLOCKS), F(1, 12), 12))
-    for b in (atypical, words[0][:-1], words[0] + (0,)):
+    for b in (atypical, words[0][:-1], words[0] + b"\0"):
         messages = set()
         for book in (full, only):
             with pytest.raises(KeyError, match="no book for block word") as info:
                 book.fiber(b)
             messages.add(str(info.value))
-        assert messages == {str(KeyError(f"no book for block word {b}"))}
+        assert messages == {str(KeyError(f"no book for block word {list(b)}"))}
     # typical, but not one of the only words
     for b in (words[0], words[3], words[-1]):
-        with pytest.raises(KeyError, match=f"no book for block word {re.escape(str(b))}"):
+        with pytest.raises(KeyError, match=f"no book for block word {re.escape(str(list(b)))}"):
             only.fiber(b)
 
 
