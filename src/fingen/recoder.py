@@ -45,6 +45,7 @@ from .system import (
     FiniteSystem,
     GAlgebra,
     PseudoMap,
+    _on_points,
     generated_algebra,
     refine_partition,
     simplemix,
@@ -62,6 +63,7 @@ __all__ = [
     "scan_towers",
     "recode_codebook",
     "encode_names",
+    "decoder_budget",
     "synthesize_prepartition",
     "refine_to_p",
     "decode",
@@ -141,6 +143,10 @@ class AlphabetReductionPlan:
 def _check_inputs(sys: FiniteSystem, xi: tuple, F: GAlgebra) -> None:
     if len(xi) != sys.n_points:
         raise InvalidParamsError("one label per point")
+    try:
+        sorted(set(xi))
+    except TypeError:  # an unhashable label, or labels of kinds that do not compare
+        raise InvalidPartitionError("labels are hashable and mutually ordered") from None
     if len(F.labels) != sys.n_points:
         raise InvalidParamsError("F lives on the points")
     if not F.invariant_under(sys):
@@ -158,9 +164,9 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
     delta itself shrinks from min(1/5, eps/2) until the two-cell entropy
     margin fits inside eps.
     """
-    xi = canon_labels(xi)
+    xi = tuple(xi)
     _check_inputs(sys, xi, F)
-    eps = rational("eps", eps)
+    xi, eps = canon_labels(xi), rational("eps", eps)
     eps_f = float(eps)
     if eps_f <= 0:
         raise InvalidParamsError("eps > 0")
@@ -229,10 +235,11 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
 
 @dataclass(frozen=True)
 class RecodePlan:
-    """Per-transversal codewords, excluded indices, the cells the surviving
-    codeword positions claim, and the records ``encode_names`` gated on.
-    Tuples align with the transversal.  ``claimed_margin`` builds the one
-    record that ``synthesize_prepartition`` gates on and the certificate lists."""
+    """Per-transversal codewords, excluded indices, and the cells the
+    surviving codeword positions claim; tuples align with the transversal.
+    The plan holds values only: ``encode_names``, ``decoder_budget`` and
+    ``synthesize_prepartition`` return the records they decide beside it, and
+    ``claimed_margin`` builds the one ``synthesize_prepartition`` gates on."""
 
     tower: Tower
     codebook: CodeBook
@@ -241,13 +248,6 @@ class RecodePlan:
     m_full: tuple  # orbit indices hitting the reserved set, over the full class
     j_idx: tuple  # trimmed positions from the frequency repair
     zeta: tuple  # claimed cells Z_t, one per target symbol, sorted
-    checks: tuple  # the "reserved-density" and "trim-bound" records, both holding
-
-    def budget(self) -> Fraction:
-        """max over y of |M_y ∪ J_y| / k; J_y takes no reserved index."""
-        k = self.codebook.k
-        worst = max(sum(i < k for i in mf) + len(j) for mf, j in zip(self.m_full, self.j_idx))
-        return Fraction(worst, k)
 
     def claimed_margin(self, params: RecodeParams) -> dict:
         """The "claimed-margin" record: weight(Z_t) < r * q_t for every t, both
@@ -274,10 +274,11 @@ def encode_names(
     through its book, and trim indices until every kept symbol frequency
     sits strictly below the completion targets.
 
-    Reserved points are excluded from claimed positions.  The plan carries
-    the records it gated on: "reserved-density" (max |M_y| < 2 r delta n) and
-    "trim-bound" (max |J_y| < 3 delta |q| k).  A name outside the codebook's
-    typical sets is a mismatch between the tower and the codebook.
+    Reserved points, ints on the points, are excluded from claimed
+    positions.  Returns (plan, records): the records are the two it gates
+    on, "reserved-density" (max |M_y| < 2 r delta n) and "trim-bound"
+    (max |J_y| < 3 delta |q| k).  A name outside the codebook's typical sets
+    is a mismatch between the tower and the codebook.
     """
     sys = tower.system
     xi, beta = _word(xi, UNASSIGNED), _word(beta, UNASSIGNED)
@@ -288,10 +289,11 @@ def encode_names(
     k = codebook.k
     if k > n:
         raise InvalidParamsError("codeword length at most the class size")
-    reserved = tuple(sorted(set(reserved)))
-    if any(not (0 <= x < sys.n_points) for x in reserved):
-        raise InvalidParamsError("reserved points live on the points")
-    mset = set(reserved)
+    try:
+        mset = set(reserved)
+    except TypeError:  # no collection, or an unhashable point
+        raise InvalidParamsError("reserved holds int points", f"reserved={reserved!r}") from None
+    _on_points(sys, mset, "reserved")
 
     codewords, m_full, j_idx = [], [], []
     zeta: list = [set() for _ in range(len(codebook.q))]
@@ -327,16 +329,25 @@ def encode_names(
         raise InvalidParamsError("reserved density |M_y| < 2 r delta n", f"|M_y|={most_m} at {at_m}")
     if not trim["holds"]:
         raise InvalidParamsError("trim size bound |J| < 3 delta |q| n", f"|J|={most_j} at {at_j}")
-    return RecodePlan(
-        tower,
-        codebook,
-        reserved,
-        tuple(codewords),
-        tuple(m_full),
-        tuple(j_idx),
-        tuple(tuple(sorted(z)) for z in zeta),
-        (density, trim),
-    )
+    plan = RecodePlan(tower, codebook, tuple(sorted(mset)), tuple(codewords), tuple(m_full),
+                      tuple(j_idx), tuple(tuple(sorted(z)) for z in zeta))
+    return plan, (density, trim)
+
+
+def decoder_budget(plan: RecodePlan) -> tuple:
+    """The "decoder-budget" gate: max over y of |M_y ∪ J_y| / k, the share of
+    a codeword's positions lost (J_y takes no reserved index), stays below
+    half the codebook's separation.  Returns (radius, records): the radius
+    ``decode`` reads, and the one record it gates on."""
+    k, radius = plan.codebook.k, plan.codebook.separation() / 2
+    worst = max(sum(i < k for i in mf) + len(j) for mf, j in zip(plan.m_full, plan.j_idx))
+    mismatch = Fraction(worst, k)
+    budget = inequality("decoder-budget", float(mismatch), float(radius), mismatch < radius)
+    if not budget["holds"]:
+        raise CapacityError(
+            "decoder-budget", f"max |M_y ∪ J_y| / k = {mismatch} vs separation/2 = {radius}"
+        )
+    return radius, (budget,)
 
 
 def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
@@ -346,17 +357,20 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
     points first, lowest index first.  Integral targets are a divisibility
     requirement, and the plan as given must pass the "claimed-margin" record:
     every claimed cell strictly below its target.
+
+    Returns (cells, records): "name-distance", recorded without gating (max
+    dbar from y's codeword to the prefix the cells show, against 10 delta |q|),
+    then "claimed-margin", as the certificate lists them.
     """
-    npts = plan.tower.system.n_points
+    tower, npts = plan.tower, plan.tower.system.n_points
     targets = []
     for t, w in enumerate(params.q.weights):
         goal = params.r * w * npts
         if goal.denominator != 1:
-            raise DivisibilityError(
-                "integral target counts r * q_t * N", f"symbol {t} needs {goal}"
-            )
+            raise DivisibilityError("integral target counts r * q_t * N", f"symbol {t} needs {goal}")
         targets.append(int(goal))
-    if not plan.claimed_margin(params)["holds"]:
+    margin = plan.claimed_margin(params)
+    if not margin["holds"]:
         raise InvalidParamsError(
             "completion room weight(Z_t) < r * q_t",
             f"claimed {[len(z) for z in plan.zeta]} of {targets} points",
@@ -364,13 +378,22 @@ def synthesize_prepartition(plan: RecodePlan, params: RecodeParams) -> tuple:
     used = set().union(*plan.zeta)
     rset = set(plan.reserved)
     pool = sorted((x for x in range(npts) if x not in used), key=lambda x: (x in rset, x))
-    cells = []
-    at = 0
+    cells, cell_of, at = [], [None] * npts, 0
     for t, goal in enumerate(targets):
         need = goal - len(plan.zeta[t])
         grabbed, at = pool[at : at + need], at + need
         cells.append(tuple(sorted(plan.zeta[t] + tuple(grabbed))))
-    return tuple(cells)
+        for x in cells[t]:
+            cell_of[x] = t
+    # each cell is its own block here, so a prefix reads cell indices
+    k, own = plan.codebook.k, range(len(cells))
+    measured = max(
+        dbar(_observed_prefix(cell_of, tower.theta.orbit(y), k, own), a)
+        for y, a in zip(tower.transversal, plan.codewords)
+    )
+    cap = 10 * params.delta * len(params.q)
+    distance = inequality("name-distance", float(measured), float(cap), measured < cap)
+    return tuple(cells), (distance, margin)
 
 
 def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
@@ -386,9 +409,7 @@ def refine_to_p(sys: FiniteSystem, cells, params: RecodeParams) -> tuple:
         for i in block:
             goal = params.r * p[i] * npts
             if goal.denominator != 1:
-                raise DivisibilityError(
-                    "integral target counts r * p_i * N", f"cell {i} needs {goal}"
-                )
+                raise DivisibilityError("integral target counts r * p_i * N", f"cell {i} needs {goal}")
             out[i], at = tuple(pts[at : at + int(goal)]), at + int(goal)
         if at != len(pts):
             raise InvalidPartitionError("blocks do not exhaust the cell")
@@ -414,7 +435,9 @@ def decode(
     delta,
     p_blocks: Coarsening,
 ) -> tuple:
-    """Recover the fine labeling from a pre-partition labeling alone.
+    """Recover the fine labeling from a pre-partition labeling, assisted:
+    besides alpha it reads the coarse labels beta, the transversal Y and
+    the period map theta of the tower that encoded it.
 
     Per transversal point: the coarse name picks the book, the unique
     codeword within dbar-distance delta of the observed prefix inverts the
@@ -471,7 +494,10 @@ def join_factor(xi, F: GAlgebra) -> tuple:
     """
     if len(xi) != len(F.labels):
         raise InvalidPartitionError("labeling length mismatch")
-    pairs = sorted(set(zip(F.labels, xi)))
+    try:
+        pairs = sorted(set(zip(F.labels, xi)))
+    except TypeError:  # an unhashable label, or labels of kinds that do not compare
+        raise InvalidPartitionError("labels are hashable and mutually ordered") from None
     index = {pair: i for i, pair in enumerate(pairs)}
     fine = tuple(index[pair] for pair in zip(F.labels, xi))
     rank = {b: j for j, b in enumerate(sorted(set(F.labels)))}
@@ -535,80 +561,52 @@ def krieger_recode(
 ) -> tuple:
     """Realize the target distribution on a pre-partition that recodes xi.
 
-    Joins xi with the partition of F, towers the join, injects the orbit
-    names into a packed codebook over q, synthesizes cells of exact masses
-    r * p_i, and certifies by decoding: the recovered labeling must equal
-    xi on every point and the orbit-translates of the output cells, the
-    coarse cells, and the transversal must generate a partition refining
-    xi.  The feasibility scan over tower tolerances is recorded verbatim.
+    The body is the stage list, each stage looked up by its module name
+    when it runs.  The certificate's inequalities are the one record built
+    here, the "entropy-precondition" gate H(xi | F) < r H(p), then the
+    records of ``encode_names``, ``decoder_budget`` and
+    ``synthesize_prepartition`` in stage order.  Decoding certifies: the
+    recovered labeling equals xi, and the orbit-translates of the output
+    cells, the coarse cells and the transversal generate a partition
+    refining xi.  The scan over tower tolerances is recorded verbatim.
     """
     xi = tuple(xi)
     _check_inputs(sys, xi, F)
-    npts = sys.n_points
-    r, delta, q = params.r, params.delta, params.q
+    npts, r = sys.n_points, params.r
 
     h_xi_f = cond_entropy(xi, F.labels)
     h_target = float(r) * entropy(params.p)
     precondition = inequality("entropy-precondition", h_xi_f, h_target, h_xi_f < h_target)
     if not precondition["holds"]:
-        raise InvalidParamsError(
-            "H(xi | F) < r * H(p)", f"{h_xi_f:.6f} vs {h_target:.6f}"
-        )
+        raise InvalidParamsError("H(xi | F) < r * H(p)", f"{h_xi_f:.6f} vs {h_target:.6f}")
 
     fine, beta, fine_blocks, fine_dist = join_factor(xi, F)
     tower, scan = scan_towers(sys, fine, tower_eps, m=m)
-    codebook, pack_delta = recode_codebook(
-        tower, beta, fine_dist, fine_blocks, params, pack_delta, capacity
-    )
-    plan = encode_names(tower, fine, beta, codebook, r=r, delta=delta, reserved=reserved)
-
-    radius = codebook.separation() / 2
-    mismatch = plan.budget()
-    budget = inequality("decoder-budget", float(mismatch), float(radius), mismatch < radius)
-    if not budget["holds"]:
-        raise CapacityError(
-            "decoder-budget",
-            f"max |M_y ∪ J_y| / k = {mismatch} vs separation/2 = {radius}",
-        )
-
-    cells_q = synthesize_prepartition(plan, params)
+    codebook, pack_delta = recode_codebook(tower, beta, fine_dist, fine_blocks, params,
+                                           pack_delta, capacity)
+    plan, encoded = encode_names(tower, fine, beta, codebook, r=r, delta=params.delta,
+                                 reserved=reserved)
+    radius, budgeted = decoder_budget(plan)
+    cells_q, filled = synthesize_prepartition(plan, params)
     cells_p = refine_to_p(sys, cells_q, params)
     label_of = {x: i for i, cell in enumerate(cells_p) for x in cell}
     alpha = tuple(label_of.get(x) for x in range(npts))
-
-    decoded = decode(
-        alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks
-    )
-    if decoded != fine:
+    if decode(alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks) != fine:
         raise DecodeError("decoded labeling differs from the input")
     marks = set(tower.transversal)
     algebra = theta_algebra(tower.theta, zip(alpha, beta, (x in marks for x in range(npts))))
 
-    k, block_of = codebook.k, params.blocks.block_of()
-    measured = max(
-        dbar(_observed_prefix(alpha, tower.theta.orbit(y), k, block_of), a)
-        for y, a in zip(tower.transversal, plan.codewords)
-    )
-    q_w, p_w = q.weights, params.p.weights
     masses_q = [Fraction(len(c), npts) for c in cells_q]
     masses_p = [Fraction(len(c), npts) for c in cells_p]
-    name_cap = 10 * delta * len(q)
-    inequalities = [
-        precondition,
-        *plan.checks,
-        budget,
-        inequality("name-distance", float(measured), float(name_cap), measured < name_cap),
-        plan.claimed_margin(params),
-    ]
     certificate = {
         "schema": "1",
         "assisted_decode": True,
         "params": {
             "p": params.p.to_strings(),
-            "q": q.to_strings(),
+            "q": params.q.to_strings(),
             "blocks": [list(b) for b in params.blocks.blocks],
             "r": str(r),
-            "delta": str(delta),
+            "delta": str(params.delta),
             "eps": str(params.eps),
             "pack_delta": str(pack_delta),
             "reserved": list(plan.reserved),
@@ -622,12 +620,12 @@ def krieger_recode(
         },
         "codebook": codebook.summary(),
         "scan": scan,
-        "inequalities": inequalities,
+        "inequalities": [precondition, *encoded, *budgeted, *filled],
         "masses": {
             "q_level": [str(v) for v in masses_q],
             "p_level": [str(v) for v in masses_p],
-            "exact": masses_q == [r * w for w in q_w]
-            and masses_p == [r * w for w in p_w],
+            "exact": masses_q == [r * w for w in params.q.weights]
+            and masses_p == [r * w for w in params.p.weights],
         },
         "decode": {"status": "exact"},
         "algebra": {"refines_xi": algebra.refines(GAlgebra(fine)), "cells": len(algebra)},

@@ -65,9 +65,10 @@ def parts() -> dict:
     pre-partition labeling that its decoder reads."""
     sysn, xi, falg, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
     _, _, blocks, dist = join_factor(xi, falg)
-    plan = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
+    plan, _ = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
     alpha = [None] * sysn.n_points
-    for i, cell in enumerate(refine_to_p(sysn, synthesize_prepartition(plan, params), params)):
+    cells_q, _ = synthesize_prepartition(plan, params)
+    for i, cell in enumerate(refine_to_p(sysn, cells_q, params)):
         for x in cell:
             alpha[x] = i
     return dict(params=params, fine=fine, beta=beta, blocks=blocks, dist=dist, tower=tower,

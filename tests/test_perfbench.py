@@ -67,3 +67,27 @@ def test_traced_ops_yield_layer_metrics(workload, count, tmp_path, monkeypatch):
         }
     metrics = tracer.layer_metrics(t.spans, len(ops))
     assert all(math.isfinite(v) for v in metrics.values())
+
+
+def test_recode_stages_open_spans_under_the_recode(tmp_path, monkeypatch):
+    # krieger_recode looks each stage up by its module name when it runs, so
+    # the tracer's wrappers of those names see every stage
+    tracer = load(TRACER, "perfbench_tracer", monkeypatch)
+    workloads = load(WORKLOADS, "perfbench_workloads", monkeypatch)
+    op = workloads.WORKLOADS["recode-family"](ROOT, 0, tmp_path)[0]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.op = 0
+        op.run()
+    finally:
+        t.uninstall()
+    (top,) = [r for r in t.spans if r[tracer.NAME] == "recoder.krieger_recode"]
+    stages = [
+        r[tracer.NAME] for r in t.spans
+        if r[tracer.PARENT] == top[tracer.ID] and r[tracer.NAME].startswith("recoder.")
+    ]
+    assert stages == [
+        "recoder.encode_names", "recoder.synthesize_prepartition", "recoder.refine_to_p",
+        "recoder.decode", "recoder.theta_algebra",
+    ]

@@ -1,6 +1,9 @@
+import ast
+import inspect
 import json
 import math
 import random
+import textwrap
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -39,6 +42,7 @@ from fingen.recoder import (
     RecodeParams,
     brute_force_generator_search,
     decode,
+    decoder_budget,
     encode_names,
     join_factor,
     krieger_recode,
@@ -382,24 +386,25 @@ def test_restriction_rejects_atypical_word():
 
 def test_encode_names_plan_shape():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
-    plan = encode_names(
+    plan, checks = encode_names(
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     classes = len(tower.transversal)
     assert len(plan.codewords) == len(plan.m_full) == len(plan.j_idx) == classes
     for mf, j in zip(plan.m_full, plan.j_idx):
         assert not {i for i in mf if i < codebook.k} & set(j)
-    assert plan.budget() == F(1, 6)
+    radius = codebook.separation() / 2
+    assert decoder_budget(plan) == (radius, (inequality("decoder-budget", 1 / 6, radius, True),))
     for t, z in enumerate(plan.zeta):
         assert F(len(z), sysn.n_points) < params.r * params.q.weights[t]
-    assert [c["name"] for c in plan.checks] == ["reserved-density", "trim-bound"]
-    assert all(c["holds"] for c in plan.checks)
-    assert plan.checks[1]["lhs"] == max(map(len, plan.j_idx))
+    assert [c["name"] for c in checks] == ["reserved-density", "trim-bound"]
+    assert all(c["holds"] for c in checks)
+    assert checks[1]["lhs"] == max(map(len, plan.j_idx))
 
 
 def test_encode_names_reserved_indices_tracked():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[2])
-    plan = encode_names(
+    plan, _ = encode_names(
         tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=(5,)
     )
     assert sum(len(m) for m in plan.m_full) == 1
@@ -414,24 +419,31 @@ def excluded_budget(plan):
     return F(max(map(len, excluded)), k)
 
 
+def budget_lhs(plan):
+    # the mismatch side of the record the decoder-budget stage returns
+    _, (record,) = decoder_budget(plan)
+    assert record["name"] == "decoder-budget" and record["holds"]
+    return record["lhs"]
+
+
 def test_budget_matches_the_excluded_sets():
     for entry in FAMILY:
         sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
-        plan = encode_names(
+        plan, _ = encode_names(
             tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=entry[9]
         )
-        assert plan.budget() == excluded_budget(plan), entry[0]
+        assert budget_lhs(plan) == float(excluded_budget(plan)), entry[0]
     # z32 with reserved points inside and past the first codeword prefix
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[2])
     orbit = tower.theta.orbit(tower.transversal[0])
     k = codebook.k
     for picks in ((0,), (1, 4), (0, 2, 7), (3, k), (k, k + 1)):
         reserved = tuple(orbit[i] for i in picks)
-        plan = encode_names(
+        plan, _ = encode_names(
             tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=reserved
         )
         assert plan.m_full[0] == picks
-        assert plan.budget() == excluded_budget(plan), picks
+        assert budget_lhs(plan) == float(excluded_budget(plan)), picks
 
 
 def test_encode_names_atypical_fine_name():
@@ -477,16 +489,18 @@ def test_encode_names_trim_bound_gate(monkeypatch):
             encode_names(tower, fine, beta, codebook, r=params.r, delta=delta)
         assert err.value.constraint == "trim size bound |J| < 3 delta |q| n"
     monkeypatch.setattr(recoder, "choose_J", lambda word, *args: frozenset(range(len(word) - 1)))
-    plan = encode_names(tower, fine, beta, codebook, r=params.r, delta=edge)
-    assert plan.checks[1] == inequality("trim-bound", codebook.k - 1, float(codebook.k), True)
+    _, checks = encode_names(tower, fine, beta, codebook, r=params.r, delta=edge)
+    assert checks[1] == inequality("trim-bound", codebook.k - 1, float(codebook.k), True)
 
 
 def test_synthesize_and_refine_exact_masses():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
-    plan = encode_names(
+    plan, _ = encode_names(
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
-    cells_q = synthesize_prepartition(plan, params)
+    cells_q, records = synthesize_prepartition(plan, params)
+    assert [c["name"] for c in records] == ["name-distance", "claimed-margin"]
+    assert records[1] == plan.claimed_margin(params)
     n = sysn.n_points
     for t, cell in enumerate(cells_q):
         assert F(len(cell), n) == params.r * params.q.weights[t]
@@ -499,7 +513,7 @@ def test_synthesize_and_refine_exact_masses():
 
 def test_synthesize_rejects_full_claimed_cell():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
-    plan = encode_names(
+    plan, _ = encode_names(
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     extra = next(x for x in range(sysn.n_points) if x not in plan.zeta[0])
@@ -513,7 +527,7 @@ def test_claimed_margin_sides_come_from_the_deciding_symbol():
     # the record shows the symbol with the least room, so its sides agree with holds
     for entry in FAMILY:
         sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
-        plan = encode_names(
+        plan, _ = encode_names(
             tower, fine, beta, codebook, r=params.r, delta=params.delta, reserved=entry[9]
         )
         record = plan.claimed_margin(params)
@@ -521,7 +535,7 @@ def test_claimed_margin_sides_come_from_the_deciding_symbol():
     # z24-skew-target: q = (1/3, 2/3), r = 1/2, so the targets are 4 and 8 of 24
     entry = next(e for e in FAMILY if e[0] == "z24-skew-target")
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
-    plan = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
+    plan, _ = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
     used = set().union(*plan.zeta)
     spare = [x for x in range(sysn.n_points) if x not in used]
     filled = plan.zeta[0] + tuple(spare[: 4 - len(plan.zeta[0])])
@@ -534,7 +548,7 @@ def test_claimed_margin_sides_come_from_the_deciding_symbol():
 
 def test_synthesize_requires_integral_targets():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
-    plan = encode_names(
+    plan, _ = encode_names(
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     with pytest.raises(DivisibilityError):
@@ -543,10 +557,10 @@ def test_synthesize_requires_integral_targets():
 
 def test_refine_rejects_unbalanced_cells():
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(FAMILY[0])
-    plan = encode_names(
+    plan, _ = encode_names(
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
-    cells_q = synthesize_prepartition(plan, params)
+    cells_q, _ = synthesize_prepartition(plan, params)
     bloated = (cells_q[0] + (cells_q[1][0],), cells_q[1])
     with pytest.raises(InvalidPartitionError):
         refine_to_p(sysn, bloated, params)
@@ -573,10 +587,10 @@ def test_join_factor_rejects_a_labeling_of_another_length(xi):
 
 def decoded_setup(entry):
     sysn, _, _, params, fine, beta, tower, codebook = pipeline_parts(entry)
-    plan = encode_names(
+    plan, _ = encode_names(
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
-    cells_p = refine_to_p(sysn, synthesize_prepartition(plan, params), params)
+    cells_p = refine_to_p(sysn, synthesize_prepartition(plan, params)[0], params)
     alpha = [None] * sysn.n_points
     for i, cell in enumerate(cells_p):
         for x in cell:
@@ -654,7 +668,7 @@ def test_one_word_type_from_the_fiber_to_the_decoder(monkeypatch):
     for b, fiber in codebook.books:
         assert type(b) is bytes and type(fiber[len(fiber) - 1]) is bytes
         assert all(type(w) is bytes and type(fiber[fiber.index(w)]) is bytes for w in fiber)
-    plan = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
+    plan, _ = encode_names(tower, fine, beta, codebook, r=params.r, delta=params.delta)
     assert all(type(w) is bytes for w in plan.codewords)
     prefixes = []
     observe = recoder._observed_prefix
@@ -664,13 +678,15 @@ def test_one_word_type_from_the_fiber_to_the_decoder(monkeypatch):
         return prefixes[-1]
 
     monkeypatch.setattr(recoder, "_observed_prefix", observed)
-    cells_p = refine_to_p(sysn, synthesize_prepartition(plan, params), params)
+    cells_q, _ = synthesize_prepartition(plan, params)
+    assert len(prefixes) == len(tower.transversal)  # the name-distance record's prefixes
+    cells_p = refine_to_p(sysn, cells_q, params)
     label_of = {x: i for i, cell in enumerate(cells_p) for x in cell}
     alpha = [label_of.get(x) for x in range(sysn.n_points)]
     radius = codebook.separation() / 2
     got = decode(alpha, beta, tower.transversal, tower.theta, codebook, radius, params.blocks)
     assert got == fine
-    assert len(prefixes) == len(tower.transversal)
+    assert len(prefixes) == 2 * len(tower.transversal)
     assert all(type(p) is bytes for p in prefixes)
 
 
@@ -738,6 +754,92 @@ def test_krieger_rejects_factor_of_wrong_length():
     with pytest.raises(InvalidParamsError) as err:
         krieger_recode(sysn, xi, short, params, **kwargs)
     assert err.value.constraint == "F lives on the points"
+
+
+# krieger_recode's stages in their order, and the records each one returns
+# beside its values; the certificate lists "entropy-precondition" first
+STAGES = ("join_factor", "scan_towers", "recode_codebook", "encode_names", "decoder_budget",
+          "synthesize_prepartition", "refine_to_p", "decode", "theta_algebra")
+RECORDS = {
+    "encode_names": ("reserved-density", "trim-bound"),
+    "decoder_budget": ("decoder-budget",),
+    "synthesize_prepartition": ("name-distance", "claimed-margin"),
+}
+
+
+@pytest.mark.parametrize("entry", FAMILY, ids=[e[0] for e in FAMILY])
+def test_each_record_is_built_once_by_the_stage_that_decides_it(entry, monkeypatch):
+    calls, returned, margins = [], {}, []
+
+    def recorded(name, stage):
+        def run(*args, **kwargs):
+            calls.append(name)
+            out = stage(*args, **kwargs)
+            returned[name] = tuple(out[1]) if name in RECORDS else ()
+            return out
+        return run
+
+    # the stages are looked up by their module names when they run
+    for name in STAGES:
+        monkeypatch.setattr(recoder, name, recorded(name, getattr(recoder, name)))
+    margin = recoder.RecodePlan.claimed_margin
+
+    def counted(plan, params):
+        margins.append(plan)
+        return margin(plan, params)
+
+    monkeypatch.setattr(recoder.RecodePlan, "claimed_margin", counted)
+    sysn, xi, falg, params, kwargs = build(entry)
+    _, cert = krieger_recode(sysn, xi, falg, params, **kwargs)
+    assert calls == list(STAGES)
+    assert len(margins) == 1
+    for name in STAGES:
+        assert [r["name"] for r in returned[name]] == list(RECORDS.get(name, ())), name
+    opening, *rest = cert["inequalities"]
+    assert opening["name"] == "entropy-precondition"
+    listed = [r for name in STAGES for r in returned[name]]
+    assert rest == listed
+    assert all(a is b for a, b in zip(rest, listed))  # the records themselves, built once
+    assert len({id(r) for r in [opening, *listed]}) == len(cert["inequalities"])
+
+
+def test_krieger_recode_builds_only_the_opening_record():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(recoder.krieger_recode)))
+    built = [
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "inequality"
+    ]
+    assert built == ["entropy-precondition"]
+
+
+@pytest.mark.parametrize(
+    "reserved, constraint",
+    [((True,), "holds int"), ((5.0,), "holds int"), (("a",), "holds int"), ((None,), "holds int"),
+     (5, "holds int"), (([5],), "holds int"), ((-1,), "lives on"), ((32,), "lives on")],
+    ids=repr,
+)
+def test_reserved_points_are_int_points_by_name(reserved, constraint):
+    sysn, xi, falg, params, kwargs = build(FAMILY[2])
+    with pytest.raises(InvalidParamsError) as err:
+        krieger_recode(sysn, xi, falg, params, **{**kwargs, "reserved": reserved})
+    assert err.value.constraint == {
+        "holds int": "reserved holds int points", "lives on": "reserved lives on the points",
+    }[constraint]
+
+
+@pytest.mark.parametrize("bad", [[0], None, "a"], ids=repr)
+def test_labels_that_do_not_sort_are_refused_by_name(bad):
+    # an unhashable label reached cond_entropy, canon_labels and the join's
+    # set; a None or str among ints reached the join's sort
+    sysn, xi, falg, params, kwargs = build(FAMILY[0])
+    xi = (bad,) + xi[1:]
+    for call in (
+        lambda: krieger_recode(sysn, xi, falg, params, **kwargs),
+        lambda: reduce_alphabet(sysn, xi, falg, F(1, 2)),
+        lambda: join_factor(xi, falg),
+    ):
+        with pytest.raises(InvalidPartitionError, match="^labels are hashable and mutually ordered$"):
+            call()
 
 
 @st.composite
