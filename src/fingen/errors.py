@@ -1,4 +1,4 @@
-"""Shared exception types, and the readers of numeric parameters.
+"""Shared exception types, and the readers of numbers, point sets and labelings.
 
 Every failure mode that a caller can act on gets its own class; messages
 name the violated constraint so CLI reports can surface it verbatim.
@@ -6,6 +6,7 @@ name the violated constraint so CLI reports can surface it verbatim.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 __all__ = [
@@ -19,6 +20,9 @@ __all__ = [
     "AtypicalNameError",
     "rational",
     "integer",
+    "points",
+    "labeling",
+    "ordered_labeling",
 ]
 
 
@@ -85,3 +89,42 @@ def integer(name: str, v) -> int:
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise InvalidParamsError(f"{name} is an integer", f"{name}={v!r}")
+
+
+def points(name: str, points, n: int) -> set:
+    """The set of ``points``, each an int (not a bool) in range(n)."""
+    items = tuple(points) if isinstance(points, Iterable) else (None,)
+    if not {int}.issuperset(map(type, items)):  # no collection; a bool, float or unhashable point
+        raise InvalidParamsError(f"{name} holds int points")
+    out = set(items)
+    if out and (min(out) < 0 or max(out) >= n):
+        raise InvalidParamsError(f"{name} lives on the points")
+    return out
+
+
+def _labels(labels, n) -> tuple:
+    """``labels`` as a tuple of one label per point, n points when n is given."""
+    out = tuple(labels) if isinstance(labels, Iterable) else None
+    if out is None or (n is not None and len(out) != n):
+        raise InvalidParamsError("one label per point")
+    return out
+
+
+def labeling(labels, n: int | None = None) -> tuple:
+    """``labels`` as a tuple of hashable labels, one per point of range(n); a
+    labeling whose length is its point count when n is None."""
+    out = _labels(labels, n)
+    try:
+        set(out)
+    except TypeError:
+        raise InvalidPartitionError("labels are hashable") from None
+    return out
+
+
+def ordered_labeling(labels, n: int) -> tuple:
+    """``labels`` as a tuple, one label per point of range(n), and its distinct labels sorted."""
+    out = _labels(labels, n)
+    try:
+        return out, sorted(set(out))
+    except TypeError:  # an unhashable label, or labels of kinds that do not compare
+        raise InvalidPartitionError("labels are hashable and mutually ordered") from None

@@ -13,13 +13,13 @@ of the cell entropies over the conditioning fibers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Sequence
 
-from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError, rational
+from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError, integer, rational
 
 __all__ = [
     "ProbVec",
@@ -94,10 +94,13 @@ class Coarsening:
     size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        seen = sorted(i for b in self.blocks for i in b)
-        if seen != list(range(self.size)):
+        size = integer("size", self.size)
+        rows = self.blocks if isinstance(self.blocks, Iterable) else [None]
+        blocks = tuple(tuple(b) if isinstance(b, Iterable) else (None,) for b in rows)
+        seen = [i for b in blocks for i in b]
+        if not {int}.issuperset(map(type, seen)) or sorted(seen) != list(range(size)):
             raise InvalidPartitionError("blocks are not a partition of the index range")
+        object.__setattr__(self, "blocks", blocks)
         if any(not b for b in self.blocks):
             raise InvalidPartitionError("empty block")
 

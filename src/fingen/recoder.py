@@ -28,6 +28,9 @@ from .errors import (
     InvalidParamsError,
     InvalidPartitionError,
     integer,
+    labeling,
+    ordered_labeling,
+    points,
     rational,
 )
 from .probvec import (
@@ -45,7 +48,6 @@ from .system import (
     FiniteSystem,
     GAlgebra,
     PseudoMap,
-    _on_points,
     generated_algebra,
     refine_partition,
     simplemix,
@@ -140,17 +142,14 @@ class AlphabetReductionPlan:
         }
 
 
-def _check_inputs(sys: FiniteSystem, xi: tuple, F: GAlgebra) -> None:
-    if len(xi) != sys.n_points:
-        raise InvalidParamsError("one label per point")
-    try:
-        sorted(set(xi))
-    except TypeError:  # an unhashable label, or labels of kinds that do not compare
-        raise InvalidPartitionError("labels are hashable and mutually ordered") from None
+def _check_inputs(sys: FiniteSystem, xi, F: GAlgebra) -> tuple:
+    """``xi`` as a tuple, once it and the factor F are read."""
+    xi, _ = ordered_labeling(xi, sys.n_points)
     if len(F.labels) != sys.n_points:
         raise InvalidParamsError("F lives on the points")
     if not F.invariant_under(sys):
         raise InvalidPartitionError("F must be invariant")
+    return xi
 
 
 def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
@@ -164,9 +163,7 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
     delta itself shrinks from min(1/5, eps/2) until the two-cell entropy
     margin fits inside eps.
     """
-    xi = tuple(xi)
-    _check_inputs(sys, xi, F)
-    xi, eps = canon_labels(xi), rational("eps", eps)
+    xi, eps = canon_labels(_check_inputs(sys, xi, F)), rational("eps", eps)
     eps_f = float(eps)
     if eps_f <= 0:
         raise InvalidParamsError("eps > 0")
@@ -289,11 +286,7 @@ def encode_names(
     k = codebook.k
     if k > n:
         raise InvalidParamsError("codeword length at most the class size")
-    try:
-        mset = set(reserved)
-    except TypeError:  # no collection, or an unhashable point
-        raise InvalidParamsError("reserved holds int points", f"reserved={reserved!r}") from None
-    _on_points(sys, mset, "reserved")
+    mset = points("reserved", reserved, sys.n_points)
 
     codewords, m_full, j_idx = [], [], []
     zeta: list = [set() for _ in range(len(codebook.q))]
@@ -448,14 +441,15 @@ def decode(
     words; no hit or more than one is a ``DecodeError``.
     """
     delta = rational("delta", delta)
-    alpha, beta = tuple(alpha), _word(beta, UNASSIGNED)
-    if len(alpha) != theta.system.n_points or len(beta) != theta.system.n_points:
+    npts = theta.system.n_points
+    alpha, beta = labeling(alpha, npts), _word(beta, UNASSIGNED)
+    if len(beta) != npts:
         raise InvalidParamsError("one label per point")
     block_of = p_blocks.block_of()
     if any(a is not None and a not in block_of for a in alpha):
         raise InvalidPartitionError("alpha labels lie in the target alphabet")
-    out: list = [None] * theta.system.n_points
-    for y in sorted(Y):
+    out: list = [None] * npts
+    for y in sorted(points("Y", Y, npts)):
         orbit = theta.orbit(y)
         try:
             fiber = codebook.fiber(bytes(map(beta.__getitem__, orbit)))
@@ -494,12 +488,9 @@ def join_factor(xi, F: GAlgebra) -> tuple:
     """
     if len(xi) != len(F.labels):
         raise InvalidPartitionError("labeling length mismatch")
-    try:
-        pairs = sorted(set(zip(F.labels, xi)))
-    except TypeError:  # an unhashable label, or labels of kinds that do not compare
-        raise InvalidPartitionError("labels are hashable and mutually ordered") from None
+    joint, pairs = ordered_labeling(zip(F.labels, xi), len(xi))
     index = {pair: i for i, pair in enumerate(pairs)}
-    fine = tuple(index[pair] for pair in zip(F.labels, xi))
+    fine = tuple(map(index.__getitem__, joint))
     rank = {b: j for j, b in enumerate(sorted(set(F.labels)))}
     blocks = tuple(tuple(i for i, (b, _) in enumerate(pairs) if b == bb) for bb in rank)
     beta = tuple(rank[b] for b in F.labels)
@@ -570,8 +561,7 @@ def krieger_recode(
     cells, the coarse cells and the transversal generate a partition
     refining xi.  The scan over tower tolerances is recorded verbatim.
     """
-    xi = tuple(xi)
-    _check_inputs(sys, xi, F)
+    xi = _check_inputs(sys, xi, F)
     npts, r = sys.n_points, params.r
 
     h_xi_f = cond_entropy(xi, F.labels)

@@ -55,11 +55,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError, integer, rational
+from .errors import (DivisibilityError, InvalidParamsError, InvalidPartitionError, integer,
+                     labeling, points, rational)
 from .probvec import ProbVec, canon_labels, label_cells, ratcomb_decompose
 
 # walk word tokens: "a" applies generator a, "~a" its inverse; left to right
@@ -352,11 +353,7 @@ class GAlgebra:
     labels: tuple
 
     def __post_init__(self):
-        try:
-            labels = canon_labels(self.labels)
-        except TypeError:  # an unhashable label
-            raise InvalidPartitionError("labels are hashable") from None
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", canon_labels(labeling(self.labels)))
 
     def __len__(self) -> int:
         return len(set(self.labels))
@@ -387,20 +384,10 @@ def generated_algebra(sys: FiniteSystem, labels) -> GAlgebra:
     partition with no refinement.  Otherwise only the generator tables
     refine, not their ``~`` inverses: a permutation that maps every cell into
     a cell maps it onto one, so its inverse maps cell to cell as well."""
-    cells = _cells_of(labels)
-    n = sys.n_points
-    if sum(map(len, cells)) != n:
-        raise InvalidParamsError("one label per point")
+    cells = label_cells(labeling(labels, sys.n_points))
     if math.gcd(*map(len, cells)) == 1:
-        return GAlgebra(range(n))
+        return GAlgebra(range(sys.n_points))
     return _refine(cells, [perm for _, perm in sys.generators])
-
-
-def _cells_of(labels) -> list:
-    try:
-        return label_cells(labels)
-    except TypeError:  # an unhashable label
-        raise InvalidPartitionError("labels are hashable") from None
 
 
 def refine_partition(labels, perms) -> GAlgebra:
@@ -408,10 +395,12 @@ def refine_partition(labels, perms) -> GAlgebra:
     that every permutation table in ``perms`` maps cell to cell.  The tables
     need not act transitively, so the labeling, read once into cells, is
     always refined."""
-    cells = _cells_of(labels)
-    n = sum(map(len, cells))
-    perms = list(perms)
+    labels = labeling(labels)
+    n, cells = len(labels), label_cells(labels)
+    perms = list(perms) if isinstance(perms, Iterable) else [perms]
     for p in perms:
+        if not isinstance(p, Sequence):
+            raise InvalidParamsError("tables are permutations", f"table {p!r} is not a sequence")
         if len(p) != n:
             raise InvalidParamsError("one label per point")
         if not {int}.issuperset(map(type, p)):
@@ -622,15 +611,6 @@ def _sweep(enum: GroupEnum, dom, free: set, at: dict) -> tuple:
     return tuple(image[x] for x in dom), tuple(index[x] for x in dom)
 
 
-def _on_points(sys: FiniteSystem, points, name: str) -> None:
-    """Refuse ``points`` unless each is an int (no bool) in range(n_points):
-    the types are read in one C-level pass, before anything sorts them."""
-    if not {int}.issuperset(map(type, points)):
-        raise InvalidParamsError(f"{name} holds int points")
-    if points and (min(points) < 0 or max(points) >= sys.n_points):
-        raise InvalidParamsError(f"{name} lives on the points")
-
-
 def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     """Greedy sweep matching A into B along the group enumeration.
 
@@ -639,12 +619,9 @@ def simplemix(sys: FiniteSystem, A, B) -> PseudoMap:
     is measurable over the algebra generated by {A, B}.  The sweep stops once
     A is matched, so the lazy walk goes no further than the elements it read.
     """
-    A = set(A)
-    Bset = set(B)
+    A, Bset = points("A", A, sys.n_points), points("B", B, sys.n_points)
     if not A:
         raise InvalidParamsError("A nonempty")
-    _on_points(sys, A, "A")
-    _on_points(sys, Bset, "B")
     A = sorted(A)
     if len(A) > len(Bset):
         raise InvalidParamsError("weight(A) <= weight(B)")
@@ -681,12 +658,9 @@ def make_equal_partition(sys: FiniteSystem, C, B, n: int) -> tuple:
     of C, so together they read each walk element at most once per point, and
     the cycle map is the one check they get.
     """
-    C = set(C)
-    Bset = set(B)
+    Bset, C = points("B", B, sys.n_points), points("C", C, sys.n_points)
     if not C:
         raise InvalidParamsError("C nonempty")
-    _on_points(sys, Bset, "B")
-    _on_points(sys, C, "C")
     if not C <= Bset:
         raise InvalidParamsError("C inside B")
     if integer("n", n) < 1:
@@ -714,14 +688,13 @@ def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
     The pieces cut a set B; each piece after the first is the target of its
     own sweep of the first piece, with a fresh walk pointer.
     """
-    pieces = [tuple(p) for p in pieces]
-    if not pieces or any(not p for p in pieces):
+    pieces = pieces if isinstance(pieces, Iterable) else [pieces]  # no collection: one bad piece
+    pieces = [points("B", p, sys.n_points) for p in pieces]
+    if not pieces or not all(pieces):
         raise InvalidParamsError("pieces nonempty")
-    allpts = [x for p in pieces for x in p]
-    _on_points(sys, allpts, "B")
-    pieces = [tuple(sorted(p)) for p in pieces]
-    if len(set(allpts)) != len(allpts):
+    if len(set().union(*pieces)) != sum(map(len, pieces)):
         raise InvalidParamsError("pieces pairwise disjoint")
+    pieces = [tuple(sorted(p)) for p in pieces]
     if any(len(p) != len(pieces[0]) for p in pieces):
         raise InvalidParamsError("pieces of equal weight")
     return PseudoMap(sys, *_cycle(pieces[0], _sweeps(sys, pieces)))
@@ -745,10 +718,9 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     construction falls back to single-atom pieces, which realize the global
     frequencies exactly.
     """
-    Bset = set(B)
+    Bset = points("B", B, sys.n_points)
     if not Bset:
         raise InvalidParamsError("B nonempty")
-    _on_points(sys, Bset, "B")
     B = tuple(sorted(Bset))
     eps = rational("eps", eps)
     if eps < 0:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice
 
-from .errors import DivisibilityError, InvalidParamsError, InvalidPartitionError, integer, rational
+from .errors import DivisibilityError, InvalidParamsError, integer, ordered_labeling, rational
 from .system import (
     FiniteSystem,
     PseudoMap,
@@ -132,13 +132,7 @@ def build_tower(sys: FiniteSystem, alpha, eps, nmin: int = 1, m: int | None = No
     columns are checked maps; theta is ``h.then(v)``, whose check evaluates
     only the N/m column tops it reroutes.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != sys.n_points:
-        raise InvalidParamsError("one label per point")
-    try:
-        cells = sorted(set(alpha))
-    except TypeError:  # an unhashable label, or labels of kinds that do not compare
-        raise InvalidPartitionError("labels are hashable and mutually ordered") from None
+    alpha, cells = ordered_labeling(alpha, sys.n_points)
     eps, nmin = rational("eps", eps), integer("nmin", nmin)
     if eps <= 0:
         raise InvalidParamsError("eps > 0")

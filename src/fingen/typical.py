@@ -48,6 +48,7 @@ from .errors import (
     InvalidParamsError,
     InvalidPartitionError,
     integer,
+    points,
     rational,
 )
 from .probvec import Coarsening, ProbVec, coarsen, cond_entropy, entropy, entropy_pair
@@ -537,6 +538,8 @@ def min_dbar(words: Sequence, alphabet: int) -> Fraction | None:
     range(alphabet), counted on their packed forms; None for fewer than two."""
     if len(set(map(len, words))) > 1:
         raise InvalidParamsError("words of one length")
+    if words and not words[0]:
+        raise InvalidParamsError("empty word")
     return _closest(tuple(map(_packer(alphabet), words)), len(words[0])) if words else None
 
 
@@ -579,9 +582,10 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
     """Minimal index set whose removal drives every kept symbol frequency
     strictly below min((q_t + eps)(1 - delta), q_t).
 
-    ``reserved`` positions are treated as already removed.  Lowest indices go
-    first.  For a word typical for q, |J| < 3 * delta * |q| * n;
-    ``encode_names`` gates on that bound, so it is not compared here.
+    ``reserved`` positions, ints in range(len(word)), are treated as already
+    removed.  Lowest indices go first.  For a word typical for q,
+    |J| < 3 * delta * |q| * n; ``encode_names`` gates on that bound, so it
+    is not compared here.
     """
     n = len(word)
     delta, eps = rational("delta", delta), rational("eps", eps)
@@ -589,7 +593,7 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
         raise InvalidParamsError("eps < delta < 1")
     if delta * n <= 1:
         raise InvalidParamsError("delta * n > 1")
-    reserved = frozenset(reserved)
+    reserved = points("reserved", reserved, n)
     k = len(q)
     positions: list = [[] for _ in range(k)]
     for i, t in enumerate(_word(word, k)):

@@ -1,7 +1,10 @@
 """Numeric parameters are read by ``errors.rational`` and ``errors.integer``
 alone: every entry point refuses a bool, nan, an infinity, a non-number and
 None by the parameter's name, and no function reads one of its own
-parameters with a bare ``Fraction(...)`` or ``float(...)``."""
+parameters with a bare ``Fraction(...)`` or ``float(...)``.  Point sets and
+labelings are read by ``errors.points``, ``errors.labeling`` and
+``errors.ordered_labeling``: no other function applies ``set``,
+``frozenset`` or ``sorted(set(...))`` to one of its own parameters."""
 
 import ast
 import math
@@ -130,6 +133,7 @@ ENTRIES = [
     ("admissible_m", "nmin", lambda v: admissible_m(60, 2, 2, v, 20)),
     ("admissible_m", "m", lambda v: admissible_m(60, 2, 2, 1, v)),
     ("ratcomb_decompose", "eps", lambda v: ratcomb_decompose(P3, v)),
+    ("Coarsening", "size", lambda v: Coarsening(((0,), (1,)), v)),
     ("RatDecomposition.verify", "eps", lambda v: ratcomb_decompose(P3, F(1, 2)).verify(v)),
     ("RecodeParams", "r", lambda v: RecodeParams(P3, BLOCKS3, v, F(1, 8), 0)),
     ("RecodeParams", "delta", lambda v: RecodeParams(P3, BLOCKS3, F(1, 2), v, 0)),
@@ -146,7 +150,7 @@ ENTRIES = [
     ("krieger_recode", "pack_delta", lambda v: recode_call(pack_delta=v)),
     ("brute_force_generator_search", "k_max", lambda v: brute_force_generator_search(Z4, v)),
 ]
-INTEGERS = {"n", "n_points", "nmin", "m", "limit", "k_max"}
+INTEGERS = {"n", "n_points", "nmin", "m", "limit", "k_max", "size"}
 NONE_OK = {
     ("greedy_packing", "limit"), ("build_tower", "m"), ("recode_codebook", "pack_delta"),
     ("scan_towers", "tower_eps"), ("scan_towers", "m"), ("krieger_recode", "tower_eps"),
@@ -211,20 +215,8 @@ def bare_reads(tree: ast.Module, module: str):
         args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
         params = {a.arg for a in args}
         exact = {a.arg for a in args if a.annotation and ast.unparse(a.annotation) == "Fraction"}
-        nodes, stack = [], list(fn.body)
-        while stack:  # the function's own body, not its nested functions
-            node = stack.pop()
-            nodes.append(node)
-            if not isinstance(node, NESTED):
-                stack.extend(ast.iter_child_nodes(node))
-        bound: dict = {}
-        for node in nodes:
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                bound[node.id] = min(bound.get(node.id, node.lineno), node.lineno)
-        for node in nodes:
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in ("Fraction", "float") and node.args):
-                continue
+        calls, bound = own_calls(fn, ("Fraction", "float"))
+        for node in calls:
             arg = node.args[0]
             if node.func.id == "float" and isinstance(arg, ast.Name) and arg.id in exact:
                 continue
@@ -233,6 +225,24 @@ def bare_reads(tree: ast.Module, module: str):
                     yield module, fn.name, arg.id
             elif fn.name == "__post_init__" and _reads_self(arg):
                 yield module, fn.name, "self"
+
+
+def own_calls(fn, names) -> tuple:
+    """The calls with arguments of a function in ``names`` in ``fn``'s own
+    body, not its nested functions, and the first line binding each name."""
+    nodes, stack = [], list(fn.body)
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, NESTED):
+            stack.extend(ast.iter_child_nodes(node))
+    bound: dict = {}
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound[node.id] = min(bound.get(node.id, node.lineno), node.lineno)
+    calls = [node for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in names and node.args]
+    return calls, bound
 
 
 def _reads_self(node) -> bool:
@@ -273,3 +283,52 @@ class Spec:
         ("m", "entry", "eps"), ("m", "entry", "n"), ("m", "later", "rho"),
         ("m", "__post_init__", "self"),
     }
+
+
+# where a set of a parameter is the rule: _check_moves reads moves, pairs of
+# walk indices and not points, into a set and names an unhashable one itself
+OWN_SETS = {("system", "_check_moves", "moves")}
+READERS = {("errors", "points"), ("errors", "labeling"), ("errors", "ordered_labeling")}
+
+
+def set_reads(tree: ast.Module, module: str):
+    """(module, function, parameter) for each ``set(p)`` or ``frozenset(p)``,
+    ``sorted(set(p))`` included, that reads a parameter p of the enclosing
+    function before p is rebound, in any function but the readers."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or (module, fn.name) in READERS:
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        calls, bound = own_calls(fn, ("set", "frozenset"))
+        for node in calls:
+            arg = node.args[0]
+            if isinstance(arg, ast.Name) and arg.id in params:
+                if node.lineno <= bound.get(arg.id, node.lineno):
+                    yield module, fn.name, arg.id
+
+
+def test_no_function_but_the_readers_sets_its_own_parameter():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found.update(set_reads(ast.parse(path.read_text()), path.stem))
+    assert found - OWN_SETS == set()
+    assert OWN_SETS <= found  # each exception is still where it is named
+
+
+def test_the_guard_sees_a_set_of_a_parameter():
+    code = """
+def entry(A, B, reserved, xi):
+    A, B = set(A), frozenset(B)
+    return sorted(set(xi)), points("reserved", reserved, 4)
+
+def later(A, labels):
+    A = points("A", A, 4)
+    return set(A), set(labels[0]), [set(x) for x in labels]
+
+def points(name, points, n):
+    return set(points)
+"""
+    assert set(set_reads(ast.parse(code), "m")) == {
+        ("m", "entry", "A"), ("m", "entry", "B"), ("m", "entry", "xi"), ("m", "points", "points"),
+    }
+    assert ("errors", "points", "points") not in set(set_reads(ast.parse(code), "errors"))

@@ -242,3 +242,14 @@ def test_join_labels_canonical():
 
 def test_label_distribution_uniform_default():
     assert label_distribution((0, 1, 1, 2)).weights == (F(1, 4), F(1, 2), F(1, 4))
+
+
+@pytest.mark.parametrize(
+    "blocks", [5, ("a", (0,)), ((0, "a"),), ((True,), (0,)), ((1.0,), (0,))], ids=repr
+)
+def test_coarsening_names_blocks_that_are_no_partition(blocks):
+    # no collection and a str among ints raised a bare TypeError; a bool or
+    # float index compared equal to its int and was taken for it
+    with pytest.raises(InvalidPartitionError) as err:
+        Coarsening(blocks, 2)
+    assert str(err.value) == "blocks are not a partition of the index range"

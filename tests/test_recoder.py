@@ -53,7 +53,7 @@ from fingen.recoder import (
 )
 from fingen.system import FiniteSystem, GAlgebra, PseudoMap, generated_algebra, simplemix
 from fingen.tower import build_tower
-from fingen.typical import PackingBudget, build_injections, inequality
+from fingen.typical import PackingBudget, build_injections, choose_J, inequality
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +840,53 @@ def test_labels_that_do_not_sort_are_refused_by_name(bad):
     ):
         with pytest.raises(InvalidPartitionError, match="^labels are hashable and mutually ordered$"):
             call()
+
+
+@pytest.mark.parametrize(
+    "reserved, constraint",
+    [([[0]], "holds int"), ((True,), "holds int"), ((1.0,), "holds int"), ((99,), "lives on")],
+    ids=repr,
+)
+def test_reserved_positions_are_int_points_by_name(reserved, constraint):
+    # choose_J reads its reserved positions as encode_names reads its reserved
+    # points; True and 1.0 reserved position 1 and 99 was ignored
+    word, half = bytes([0] * 6 + [1] * 4), ProbVec((F(1, 2), F(1, 2)))
+    with pytest.raises(InvalidParamsError) as err:
+        choose_J(word, reserved, F(3, 10), 0, half)
+    assert err.value.constraint == {
+        "holds int": "reserved holds int points", "lives on": "reserved lives on the points",
+    }[constraint]
+
+
+def decode_with(label=None, Y=None):
+    """``decode`` on the first family instance, with its first alpha label
+    or its transversal replaced."""
+    sysn, params, fine, beta, tower, codebook, alpha, radius = decoded_setup(FAMILY[0])
+    alpha = alpha if label is None else [label] + alpha[1:]
+    Y = tower.transversal if Y is None else Y
+    return decode(alpha, beta, Y, tower.theta, codebook, radius, params.blocks)
+
+
+def recode_with(xi):
+    sysn, _, falg, params, kwargs = build(FAMILY[0])
+    return krieger_recode(sysn, xi, falg, params, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_tower(build(FAMILY[0])[0], 5, 2), "one label per point"),
+        (lambda: recode_with(5), "one label per point"),
+        (lambda: decode_with(label=[1]), "labels are hashable"),
+        (lambda: decode_with(Y=5), "Y holds int points"),
+    ],
+    ids=["build_tower", "krieger_recode", "decode-alpha", "decode-Y"],
+)
+def test_labelings_and_transversals_are_read_by_name(call, message):
+    # each raised a bare TypeError: an int is no labeling and no point set,
+    # and a list label reached decode's alphabet check
+    with pytest.raises(FingenError, match=f"^{message}$"):
+        call()
 
 
 @st.composite

@@ -120,8 +120,17 @@ def test_system_names_malformed_input(call, constraint):
         (lambda: make_equal_partition(Z4, (0, 2), range(4), 2.0), "n is an integer"),
         (lambda: make_equal_partition(Z4, (True,), range(4), 4), "C holds int points"),
         (lambda: avgmix(Z4, [0.5], (0,) * 4, 1), "B holds int points"),
+        (lambda: simplemix(Z4, [[0]], [1]), "A holds int points"),
+        (lambda: simplemix(Z4, [0], 5), "B holds int points"),
+        (lambda: make_equal_partition(Z4, [[0]], range(4), 2), "C holds int points"),
+        (lambda: make_equal_partition(Z4, [0], 4, 2), "B holds int points"),
+        (lambda: avgmix(Z4, [[0]], (0, 1, 0, 1), 1), "B holds int points"),
+        (lambda: avgmix(Z4, 3, (0, 1, 0, 1), 1), "B holds int points"),
+        (lambda: cyclic_permute(Z4, [0, 1]), "B holds int points"),
+        (lambda: cyclic_permute(Z4, 5), "B holds int points"),
     ],
-    ids=["str-A", "bool-A", "str-piece", "float-n", "bool-C", "float-B"],
+    ids=["str-A", "bool-A", "str-piece", "float-n", "bool-C", "float-B", "list-A", "int-B",
+         "list-C", "int-B-partition", "list-B", "int-B-avgmix", "int-pieces", "no-pieces"],
 )
 def test_mixing_names_malformed_points(call, constraint):
     with pytest.raises(InvalidParamsError) as err:
@@ -440,6 +449,13 @@ def test_generated_algebra_matches_the_round_loop_on_cyclic_systems(n):
 def test_refine_partition_refuses_a_table_that_is_not_a_permutation(perm, match):
     with pytest.raises(InvalidParamsError, match=match):
         refine_partition((0, 1, 0), [perm])
+
+
+@pytest.mark.parametrize("perms", [5, [5], [{0, 1, 2}], [None]], ids=repr)
+def test_refine_partition_names_tables_that_are_not_sequences(perms):
+    with pytest.raises(InvalidParamsError) as err:
+        refine_partition((0, 1, 0), perms)
+    assert err.value.constraint == "tables are permutations"
 
 
 @pytest.mark.parametrize("perm", ["abc", (0, 1, 2.0), (True, 0, 2)], ids=repr)

@@ -647,6 +647,19 @@ def test_min_dbar_refuses_words_of_unequal_length():
     assert err.value.constraint == "words of one length"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: dbar(b"", b""), lambda: min_dbar([b"", b""], 2), lambda: min_dbar([(), ()], 2),
+     lambda: min_dbar([b""], 2)],
+    ids=["dbar", "min_dbar", "min_dbar-tuples", "min_dbar-one-word"],
+)
+def test_dbar_and_min_dbar_refuse_empty_words(call):
+    # min_dbar divided by the word length: Fraction(0, 0)
+    with pytest.raises(InvalidParamsError) as err:
+        call()
+    assert err.value.constraint == "empty word"
+
+
 IDENTITY2 = Coarsening(((0,), (1,)), 2)
 ONE_BLOCK2 = Coarsening(((0, 1),), 2)
 SPEC4 = TypicalSpec(HALF, 0, 4)
