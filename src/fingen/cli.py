@@ -19,10 +19,9 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FingenError
+from .errors import FingenError, _Record
 from .probvec import Coarsening, ProbVec, cond_entropy, ratcomb_decompose
 from .recoder import (
     RecodeParams,
@@ -99,22 +98,24 @@ def child_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Resolved run description: merged file options, seed, output routing."""
 
-    command: str
-    options: dict
-    seed: int
-    fmt: str
-    out: str | None
-    max_points: int
+    _fields = ("command", "options", "seed", "fmt", "out", "max_points")
 
-    def __post_init__(self):
-        if not (0 <= self.seed < MAX_SEED):
+    def __init__(
+        self, command: str, options: dict, seed: int, fmt: str, out: str | None, max_points: int
+    ):
+        if not (0 <= seed < MAX_SEED):
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if self.max_points < 1:
+        if max_points < 1:
             raise ConfigError("max-points must be positive")
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "options", options)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "fmt", fmt)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "max_points", max_points)
 
 
 def make_system(spec, cap: int) -> FiniteSystem:

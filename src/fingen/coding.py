@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidParamsError, InvalidVectorError, integer
+from .errors import InvalidParamsError, InvalidVectorError, _Record, integer
 from .probvec import ProbVec, entropy
 
 # least integer greater than exp(1 / (1 - log3(e)))
@@ -33,22 +32,22 @@ def ternary(n: int) -> tuple:
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
-class FiberDistribution:
+class FiberDistribution(_Record):
     """Fiber weights together with a conditional cell distribution per fiber."""
 
-    nu: ProbVec
-    mus: tuple
+    _fields = ("nu", "mus")
 
-    def __post_init__(self):
-        if len(self.nu) != len(self.mus):
+    def __init__(self, nu: ProbVec, mus: tuple):
+        if len(nu) != len(mus):
             raise InvalidVectorError("one conditional distribution per fiber")
-        if not self.mus:
+        if not mus:
             raise InvalidVectorError("at least one fiber")
-        cells = len(self.mus[0])
-        for mu in self.mus:
+        cells = len(mus[0])
+        for mu in mus:
             if not isinstance(mu, ProbVec) or len(mu) != cells:
                 raise InvalidVectorError("all fibers share one cell index set")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "mus", mus)
 
     @classmethod
     def from_labels(cls, cell_labels, fiber_labels) -> "FiberDistribution":

@@ -1,4 +1,5 @@
-"""Shared exception types, and the readers of numbers, point sets and labelings.
+"""Shared exception types, the readers of numbers, point sets and labelings,
+and the base of the library's frozen records.
 
 Every failure mode that a caller can act on gets its own class; messages
 name the violated constraint so CLI reports can surface it verbatim.
@@ -71,6 +72,35 @@ class AtypicalNameError(FingenError):
     """A tower name fell outside the typical set the codebook was built for."""
 
 
+class _Record:
+    """A frozen record: its ``__init__`` sets each field once with
+    ``object.__setattr__``, and it is compared, hashed and shown by the
+    fields its class names in ``_fields``."""
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def rational(name: str, v) -> Fraction:
     """``v`` as a Fraction: anything ``Fraction()`` reads except a bool, nan
     or an infinity.  A Fraction is returned as it is."""
@@ -121,8 +151,9 @@ def labeling(labels, n: int | None = None) -> tuple:
     return out
 
 
-def ordered_labeling(labels, n: int) -> tuple:
-    """``labels`` as a tuple, one label per point of range(n), and its distinct labels sorted."""
+def ordered_labeling(labels, n: int | None) -> tuple:
+    """``labels`` as a tuple, one label per point of range(n) (of any length
+    when n is None), and its distinct labels sorted."""
     out = _labels(labels, n)
     try:
         return out, sorted(set(out))

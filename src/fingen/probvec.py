@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
-from .errors import InvalidParamsError, InvalidPartitionError, InvalidVectorError, integer, rational
+from .errors import (InvalidParamsError, InvalidPartitionError, InvalidVectorError, _Record,
+                     integer, rational)
 
 __all__ = [
     "ProbVec",
@@ -45,19 +45,17 @@ def _exact(v) -> Fraction:
     raise InvalidVectorError(f"weights are Fraction or int, not {type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class ProbVec:
+class ProbVec(_Record):
     """Ordered exact weights: Fractions kept as given, ints turned into Fractions.
 
     The hash of the weights is taken once, on first use: vectors key
     caches, and hashing a Fraction costs a modular inverse.
     """
 
-    weights: tuple
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        w = tuple(map(_exact, self.weights))
-        object.__setattr__(self, "weights", w)
+    def __init__(self, weights: tuple):
+        w = tuple(map(_exact, weights))
         if not w:
             raise InvalidVectorError("empty vector")
         if any((x < 0) for x in w):
@@ -65,6 +63,7 @@ class ProbVec:
         total = sum(w)
         if total != 1:
             raise InvalidVectorError(f"weights sum to {total}, not 1")
+        object.__setattr__(self, "weights", w)
 
     @cached_property
     def _hash(self) -> int:
@@ -86,23 +85,22 @@ class ProbVec:
         return [str(x) for x in self.weights]
 
 
-@dataclass(frozen=True)
-class Coarsening:
+class Coarsening(_Record):
     """Partition of ``range(size)`` into ordered blocks of source indices."""
 
-    blocks: tuple
-    size: int
+    _fields = ("blocks", "size")
 
-    def __post_init__(self):
-        size = integer("size", self.size)
-        rows = self.blocks if isinstance(self.blocks, Iterable) else [None]
+    def __init__(self, blocks: tuple, size: int):
+        size = integer("size", size)
+        rows = blocks if isinstance(blocks, Iterable) else [None]
         blocks = tuple(tuple(b) if isinstance(b, Iterable) else (None,) for b in rows)
         seen = [i for b in blocks for i in b]
         if not {int}.issuperset(map(type, seen)) or sorted(seen) != list(range(size)):
             raise InvalidPartitionError("blocks are not a partition of the index range")
-        object.__setattr__(self, "blocks", blocks)
-        if any(not b for b in self.blocks):
+        if any(not b for b in blocks):
             raise InvalidPartitionError("empty block")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "size", size)
 
     def block_of(self) -> dict:
         return {i: j for j, b in enumerate(self.blocks) for i in b}
@@ -201,19 +199,21 @@ def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = 
     return h
 
 
-@dataclass(frozen=True)
-class RatDecomposition:
+class RatDecomposition(_Record):
     """Convex mix ``sum_j mixing[j] * vectors[j]`` equal to the source exactly.
 
     Every component vector has denominator ``n``.  ``facts`` is what
     ``verify`` decided when ``ratcomb_decompose`` built the mix.
     """
 
-    source: ProbVec
-    n: int
-    vectors: tuple
-    mixing: ProbVec
-    facts: dict | None = field(default=None, init=False, compare=False)
+    _fields = ("source", "n", "vectors", "mixing")
+    facts: dict | None = None
+
+    def __init__(self, source: ProbVec, n: int, vectors: tuple, mixing: ProbVec):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "mixing", mixing)
 
     def verify(self, eps) -> dict:
         """Return what the check at tolerance eps decided: ``identity`` (the mix

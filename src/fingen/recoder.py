@@ -14,7 +14,6 @@ partition, and every certificate records that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -27,6 +26,7 @@ from .errors import (
     DivisibilityError,
     InvalidParamsError,
     InvalidPartitionError,
+    _Record,
     integer,
     labeling,
     ordered_labeling,
@@ -75,30 +75,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RecodeParams:
+class RecodeParams(_Record):
     """Target vector p, the blocks coarsening it into q, scale r, tolerances.
 
     r, delta and eps are stored as Fractions whatever rational type is given.
     """
 
-    p: ProbVec
-    blocks: Coarsening
-    r: object
-    delta: object
-    eps: object
+    _fields = ("p", "blocks", "r", "delta", "eps")
 
-    def __post_init__(self):
-        if self.blocks.size != len(self.p):
+    def __init__(self, p: ProbVec, blocks: Coarsening, r, delta, eps):
+        if blocks.size != len(p):
             raise InvalidPartitionError("blocks must partition the target alphabet")
-        for name in ("r", "delta", "eps"):
-            object.__setattr__(self, name, rational(name, getattr(self, name)))
-        if not (0 < self.r <= 1):
+        r, delta, eps = rational("r", r), rational("delta", delta), rational("eps", eps)
+        if not (0 < r <= 1):
             raise InvalidParamsError("0 < r <= 1")
-        if not (0 < self.delta < 1):
+        if not (0 < delta < 1):
             raise InvalidParamsError("0 < delta < 1")
-        if self.eps < 0:
+        if eps < 0:
             raise InvalidParamsError("eps >= 0")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "eps", eps)
 
     @cached_property
     def q(self) -> ProbVec:
@@ -109,20 +108,26 @@ class RecodeParams:
 # alphabet reduction
 
 
-@dataclass(frozen=True)
-class AlphabetReductionPlan:
+class AlphabetReductionPlan(_Record):
     """Everything the reduction built: per-point code words, the cutoff, the
     tail partitions, and the relocations that rescue the truncated digits."""
 
-    words: tuple  # ternary code word per point
-    delta: Fraction
-    cutoff: int
-    tail: Fraction  # sum of weight(P_n) for n >= cutoff
-    p_sets: tuple  # P_n for n = 1 .. max length, each sorted
-    thetas: tuple  # (n, relocation map with domain P_n) for n >= cutoff
-    digit_sets: tuple  # images of the digit classes: (B0, B1, B2)
-    q_set: tuple  # image of the one-step tails, drives the chain recovery
-    gamma: tuple  # labeling by the first cutoff-1 digits and their lengths
+    _fields = ("words", "delta", "cutoff", "tail", "p_sets", "thetas", "digit_sets", "q_set",
+               "gamma")
+
+    def __init__(
+        self, words: tuple, delta: Fraction, cutoff: int, tail: Fraction, p_sets: tuple,
+        thetas: tuple, digit_sets: tuple, q_set: tuple, gamma: tuple,
+    ):
+        object.__setattr__(self, "words", words)  # ternary code word per point
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "tail", tail)  # sum of weight(P_n) for n >= cutoff
+        object.__setattr__(self, "p_sets", p_sets)  # P_n for n = 1 .. max length, each sorted
+        object.__setattr__(self, "thetas", thetas)  # (n, relocation map on domain P_n), n >= cutoff
+        object.__setattr__(self, "digit_sets", digit_sets)  # digit class images: (B0, B1, B2)
+        object.__setattr__(self, "q_set", q_set)  # image of the one-step tails, for chain recovery
+        object.__setattr__(self, "gamma", gamma)  # labels by the first cutoff-1 digits and lengths
 
     @property
     def relocated(self) -> tuple:
@@ -230,21 +235,26 @@ def reduce_alphabet(sys: FiniteSystem, xi, F: GAlgebra, eps) -> tuple:
 # name encoding and pre-partition synthesis
 
 
-@dataclass(frozen=True)
-class RecodePlan:
+class RecodePlan(_Record):
     """Per-transversal codewords, excluded indices, and the cells the
     surviving codeword positions claim; tuples align with the transversal.
     The plan holds values only: ``encode_names``, ``decoder_budget`` and
     ``synthesize_prepartition`` return the records they decide beside it, and
     ``claimed_margin`` builds the one ``synthesize_prepartition`` gates on."""
 
-    tower: Tower
-    codebook: CodeBook
-    reserved: tuple  # reserved points, sorted
-    codewords: tuple  # injected target word per transversal point
-    m_full: tuple  # orbit indices hitting the reserved set, over the full class
-    j_idx: tuple  # trimmed positions from the frequency repair
-    zeta: tuple  # claimed cells Z_t, one per target symbol, sorted
+    _fields = ("tower", "codebook", "reserved", "codewords", "m_full", "j_idx", "zeta")
+
+    def __init__(
+        self, tower: Tower, codebook: CodeBook, reserved: tuple, codewords: tuple, m_full: tuple,
+        j_idx: tuple, zeta: tuple,
+    ):
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "codebook", codebook)
+        object.__setattr__(self, "reserved", reserved)  # reserved points, sorted
+        object.__setattr__(self, "codewords", codewords)  # injected word per transversal point
+        object.__setattr__(self, "m_full", m_full)  # orbit indices in the reserved set, full class
+        object.__setattr__(self, "j_idx", j_idx)  # trimmed positions from the frequency repair
+        object.__setattr__(self, "zeta", zeta)  # claimed cells Z_t, one per target symbol, sorted
 
     def claimed_margin(self, params: RecodeParams) -> dict:
         """The "claimed-margin" record: weight(Z_t) < r * q_t for every t, both
@@ -486,6 +496,7 @@ def join_factor(xi, F: GAlgebra) -> tuple:
     point's F cell, the blocks grouping joined labels by F cell, and the
     point-count distribution of the joined labels.
     """
+    xi, _ = ordered_labeling(xi, None)
     if len(xi) != len(F.labels):
         raise InvalidPartitionError("labeling length mismatch")
     joint, pairs = ordered_labeling(zip(F.labels, xi), len(xi))

@@ -56,11 +56,10 @@ import heapq
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (DivisibilityError, InvalidParamsError, InvalidPartitionError, integer,
-                     labeling, points, rational)
+from .errors import (DivisibilityError, InvalidParamsError, InvalidPartitionError, _Record,
+                     integer, labeling, points, rational)
 from .probvec import ProbVec, canon_labels, label_cells, ratcomb_decompose
 
 # walk word tokens: "a" applies generator a, "~a" its inverse; left to right
@@ -267,13 +266,14 @@ def _walk(elements, tokens, max_len, cap, seen, step):
         i += 1
 
 
-@dataclass(frozen=True)
-class FiniteSystem:
-    n_points: int
-    generators: tuple  # ((name, perm), ...) in declaration order
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    # token -> permutation table: every generator, then every "~" inverse
-    _tables: dict = field(init=False, compare=False, repr=False)
+class FiniteSystem(_Record):
+    _fields = ("n_points", "generators")
+
+    def __init__(self, n_points: int, generators: tuple, _cache: dict | None = None):
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "generators", generators)  # ((name, perm), ...), declared order
+        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
+        self.__post_init__()
 
     def __post_init__(self):
         n = integer("n_points", self.n_points)
@@ -300,6 +300,7 @@ class FiniteSystem:
                 raise InvalidPartitionError(f"generator {name!r} is not a permutation")
             tables[name] = tuple(perm)
         tables.update({"~" + name: _inverse(perm) for name, perm in self.generators})
+        # token -> permutation table: every generator, then every "~" inverse
         object.__setattr__(self, "_tables", tables)
         # transitivity: generator edges, both directions, connect all points
         seen = {0}
@@ -346,14 +347,13 @@ class FiniteSystem:
         return Fraction(len(points), self.n_points)
 
 
-@dataclass(frozen=True)
-class GAlgebra:
+class GAlgebra(_Record):
     """Invariant partition: every generator maps each cell onto a cell."""
 
-    labels: tuple
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", canon_labels(labeling(self.labels)))
+    def __init__(self, labels: tuple):
+        object.__setattr__(self, "labels", canon_labels(labeling(labels)))
 
     def __len__(self) -> int:
         return len(set(self.labels))
@@ -458,13 +458,16 @@ def _refine(cells: list, perms: list) -> GAlgebra:
     return GAlgebra(cell_of)
 
 
-@dataclass(frozen=True)
-class PseudoMap:
+class PseudoMap(_Record):
     """Partial bijection whose every point moves by a recorded group element."""
 
-    system: FiniteSystem
-    pairs: tuple  # ((x, y), ...) sorted by x
-    moves: tuple  # walk-index move carrying x to y, aligned with pairs
+    _fields = ("system", "pairs", "moves")
+
+    def __init__(self, system: FiniteSystem, pairs: tuple, moves: tuple):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "pairs", pairs)  # ((x, y), ...) sorted by x
+        object.__setattr__(self, "moves", moves)  # walk-index move taking x to y, per pair
+        self.__post_init__()
 
     def __post_init__(self):
         try:  # a pair of another length or type, or pairs that are no sequence
@@ -700,13 +703,15 @@ def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
     return PseudoMap(sys, *_cycle(pieces[0], _sweeps(sys, pieces)))
 
 
-@dataclass(frozen=True)
-class MixResult:
-    classes: tuple  # tuple of point tuples, each of size n
-    theta: PseudoMap
-    n: int
-    route: str  # "ratcomb" or "atomic"
-    algebra: GAlgebra
+class MixResult(_Record):
+    _fields = ("classes", "theta", "n", "route", "algebra")
+
+    def __init__(self, classes: tuple, theta: PseudoMap, n: int, route: str, algebra: GAlgebra):
+        object.__setattr__(self, "classes", classes)  # tuple of point tuples, each of size n
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "route", route)  # "ratcomb" or "atomic"
+        object.__setattr__(self, "algebra", algebra)
 
 
 def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
@@ -725,6 +730,7 @@ def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:
     eps = rational("eps", eps)
     if eps < 0:
         raise InvalidParamsError("eps >= 0")
+    labels = labeling(labels, sys.n_points)
     off = object()  # the one label of every point off B
     algebra = generated_algebra(sys, (lab if x in Bset else off for x, lab in enumerate(labels)))
     atoms = [cell for cell in algebra.cells if cell[0] in Bset]

@@ -11,12 +11,12 @@ two side sets stays below the tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice
 
-from .errors import DivisibilityError, InvalidParamsError, integer, ordered_labeling, rational
+from .errors import (DivisibilityError, InvalidParamsError, _Record, integer, ordered_labeling,
+                     rational)
 from .system import (
     FiniteSystem,
     PseudoMap,
@@ -56,21 +56,28 @@ def _violated(n_points: int, n_cells: int, eps: Fraction, nmin: int, m: int) -> 
     return None
 
 
-@dataclass(frozen=True)
-class Tower:
-    system: FiniteSystem
-    alpha: tuple  # tracked labeling, one label per point
-    eps: Fraction
-    m: int
-    k: int
-    n: int
-    ell: int
-    s1: tuple
-    s2: tuple
-    h: PseudoMap
-    theta: PseudoMap
-    transversal: tuple
-    profiles: tuple  # rank -> frequency profile over the alpha cells, lex sorted
+class Tower(_Record):
+    _fields = ("system", "alpha", "eps", "m", "k", "n", "ell", "s1", "s2", "h", "theta",
+               "transversal", "profiles")
+
+    def __init__(
+        self, system: FiniteSystem, alpha: tuple, eps: Fraction, m: int, k: int, n: int, ell: int,
+        s1: tuple, s2: tuple, h: PseudoMap, theta: PseudoMap, transversal: tuple, profiles: tuple,
+    ):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "alpha", alpha)  # tracked labeling, one label per point
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "s2", s2)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "transversal", transversal)
+        # rank -> frequency profile over the alpha cells, lex sorted
+        object.__setattr__(self, "profiles", profiles)
 
     @cached_property
     def cells(self) -> tuple:

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
@@ -47,6 +46,7 @@ from .errors import (
     CapacityError,
     InvalidParamsError,
     InvalidPartitionError,
+    _Record,
     integer,
     points,
     rational,
@@ -78,19 +78,19 @@ UNASSIGNED = 255  # an observed prefix's symbol at a position that no label reac
 _SYMBOLS = bytes(range(UNASSIGNED))
 
 
-@dataclass(frozen=True)
-class TypicalSpec:
+class TypicalSpec(_Record):
     """Target distribution q, tolerance eps, and word length n."""
 
-    q: ProbVec
-    eps: object
-    n: int
+    _fields = ("q", "eps", "n")
 
-    def __post_init__(self):
+    def __init__(self, q: ProbVec, eps, n: int):
         # read here, not in the cache, whose keys hash True as 1 and 4.0 as 4
-        eps, n = rational("eps", self.eps), integer("n", self.n)
-        _alphabet(len(self.q))
-        object.__setattr__(self, "_ranges", _count_ranges(self.q, eps, n))
+        exact, n = rational("eps", eps), integer("n", n)
+        _alphabet(len(q))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_ranges", _count_ranges(q, exact, n))
 
     def count_ranges(self) -> list:
         """Inclusive admissible count interval per symbol, computed exactly."""
@@ -125,16 +125,18 @@ def _word(word: Sequence[int], alphabet: int, holes: bool = False) -> bytes:
         out = word if isinstance(word, bytes) else bytes(iter(word))  # bytes(5) is 5 zeros
         if not out.translate(None, symbols):
             return out
-    except (TypeError, ValueError):  # a symbol that is no int in range(256)
+    except (TypeError, ValueError):  # no collection, or a symbol that is no int in range(256)
         pass
+    if not isinstance(word, Iterable):
+        raise InvalidParamsError("words are sequences of symbols", f"word={word!r}")
     t = next(t for t in word if not (isinstance(t, int) and 0 <= t < 256 and t in symbols))
     raise InvalidPartitionError(f"symbol {t!r} outside alphabet of size {alphabet}")
 
 
 def is_typical(word: Sequence[int], spec: TypicalSpec) -> bool:
+    word = _word(word, len(spec.q))
     if len(word) != spec.n:
         raise InvalidParamsError("word length mismatch")
-    word = _word(word, len(spec.q))
     return all(lo <= word.count(t) <= hi for t, (lo, hi) in enumerate(spec._ranges))
 
 
@@ -362,10 +364,10 @@ class Fiber(Sequence):
     def __init__(self, spec: TypicalSpec, blocks: Coarsening, b: Sequence[int]):
         if blocks.size != len(spec.q):
             raise InvalidPartitionError("blocks must partition the fine alphabet")
-        if len(b) != spec.n:
+        self._b = _word(b, len(blocks))
+        if len(self._b) != spec.n:
             raise InvalidParamsError("block word length mismatch")
         self._blocks = blocks.blocks
-        self._b = _word(b, len(blocks))
         self._ranges = spec._ranges
         self._avail = list(map(self._b.count, range(len(blocks))))
         zero = [0] * len(self._ranges)
@@ -483,13 +485,17 @@ class Fiber(Sequence):
         return False
 
 
-@dataclass(frozen=True)
-class WindowReport:
-    count: int
-    holds: bool
-    log_lower: float
-    log_upper: float
-    log_count: float
+class WindowReport(_Record):
+    _fields = ("count", "holds", "log_lower", "log_upper", "log_count")
+
+    def __init__(
+        self, count: int, holds: bool, log_lower: float, log_upper: float, log_count: float
+    ):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "log_lower", log_lower)
+        object.__setattr__(self, "log_upper", log_upper)
+        object.__setattr__(self, "log_count", log_count)
 
 
 def stirling_window(q: ProbVec, delta, eps, n: int) -> WindowReport:
@@ -587,6 +593,8 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
     |J| < 3 * delta * |q| * n; ``encode_names`` gates on that bound, so it
     is not compared here.
     """
+    k = len(q)
+    word = _word(word, k)
     n = len(word)
     delta, eps = rational("delta", delta), rational("eps", eps)
     if not (eps < delta < 1):
@@ -594,9 +602,8 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
     if delta * n <= 1:
         raise InvalidParamsError("delta * n > 1")
     reserved = points("reserved", reserved, n)
-    k = len(q)
     positions: list = [[] for _ in range(k)]
-    for i, t in enumerate(_word(word, k)):
+    for i, t in enumerate(word):
         if i not in reserved:
             positions[t].append(i)
     out = []
@@ -614,23 +621,22 @@ def choose_J(word: Sequence[int], reserved, delta, eps, q: ProbVec) -> frozenset
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class PackingBudget:
+class PackingBudget(_Record):
     """Separation budget: packing radius is 20 * delta * |q|, length floor(r n).
 
     delta and r are stored as Fractions whatever rational type is given.
     """
 
-    delta: object
-    r: object
+    _fields = ("delta", "r")
 
-    def __post_init__(self):
-        for name in ("delta", "r"):
-            object.__setattr__(self, name, rational(name, getattr(self, name)))
-        if not (0 < self.delta):
+    def __init__(self, delta, r):
+        delta, r = rational("delta", delta), rational("r", r)
+        if not (0 < delta):
             raise InvalidParamsError("delta > 0")
-        if not (0 < self.r <= 1):
+        if not (0 < r <= 1):
             raise InvalidParamsError("0 < r <= 1")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "r", r)
 
     def k(self, n: int) -> int:
         return math.floor(self.r * n)
@@ -671,8 +677,7 @@ class _Books(Sequence):
         raise KeyError(f"no book for block word {list(word)}")
 
 
-@dataclass(frozen=True)
-class CodeBook:
+class CodeBook(_Record):
     """Per block-word injections of typical fibers into one packing: ``books``
     is a lazy sequence of ``(b, fiber)`` per block word b in lexicographic
     order, ranked and never stored, ``fiber`` a ``Fiber`` built when the
@@ -684,13 +689,19 @@ class CodeBook:
     each word once, when first read, and measures its separation and scans
     for a decoder (``within``) by counting agreements on the packed words."""
 
-    q: ProbVec
-    eps: object
-    k: int
-    rho: Fraction
-    packing: tuple
-    books: Sequence
-    checks: tuple = field(default=(), compare=False)
+    _fields = ("q", "eps", "k", "rho", "packing", "books")
+
+    def __init__(
+        self, q: ProbVec, eps, k: int, rho: Fraction, packing: tuple, books: Sequence,
+        checks: tuple = (),
+    ):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "packing", packing)
+        object.__setattr__(self, "books", books)
+        object.__setattr__(self, "checks", checks)
 
     @cached_property
     def _pack(self):

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import textwrap
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 
 from labelings import cells_of, membership
 from recode_instances import FAMILY, build, pipeline_parts
+from test_records import rebuilt
 
 from fingen.coding import FiberDistribution, build_code
 from fingen.errors import (
@@ -53,7 +53,8 @@ from fingen.recoder import (
 )
 from fingen.system import FiniteSystem, GAlgebra, PseudoMap, generated_algebra, simplemix
 from fingen.tower import build_tower
-from fingen.typical import PackingBudget, build_injections, choose_J, inequality
+from fingen.typical import (Fiber, PackingBudget, TypicalSpec, build_injections, choose_J, dbar,
+                            inequality, is_typical)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +518,7 @@ def test_synthesize_rejects_full_claimed_cell():
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     extra = next(x for x in range(sysn.n_points) if x not in plan.zeta[0])
-    packed = replace(plan, zeta=(plan.zeta[0] + (extra,), plan.zeta[1]))
+    packed = rebuilt(plan, zeta=(plan.zeta[0] + (extra,), plan.zeta[1]))
     assert not packed.claimed_margin(params)["holds"]
     with pytest.raises(InvalidParamsError, match="completion room"):
         synthesize_prepartition(packed, params)
@@ -539,7 +540,7 @@ def test_claimed_margin_sides_come_from_the_deciding_symbol():
     used = set().union(*plan.zeta)
     spare = [x for x in range(sysn.n_points) if x not in used]
     filled = plan.zeta[0] + tuple(spare[: 4 - len(plan.zeta[0])])
-    full = replace(plan, zeta=(filled,) + plan.zeta[1:])
+    full = rebuilt(plan, zeta=(filled,) + plan.zeta[1:])
     assert len(full.zeta[0]) == 4 and len(full.zeta[1]) < 8
     record = full.claimed_margin(params)
     assert not record["holds"] and not record["lhs"] < record["rhs"]
@@ -552,7 +553,7 @@ def test_synthesize_requires_integral_targets():
         tower, fine, beta, codebook, r=params.r, delta=params.delta
     )
     with pytest.raises(DivisibilityError):
-        synthesize_prepartition(plan, replace(params, r=F(1, 5)))
+        synthesize_prepartition(plan, rebuilt(params, r=F(1, 5)))
 
 
 def test_refine_rejects_unbalanced_cells():
@@ -721,13 +722,13 @@ def test_krieger_reserved_point_stays_unassigned():
 def test_krieger_entropy_precondition():
     sysn, xi, falg, params, kwargs = build(FAMILY[0])
     with pytest.raises(InvalidParamsError):
-        krieger_recode(sysn, xi, falg, replace(params, r=F(1, 12)), **kwargs)
+        krieger_recode(sysn, xi, falg, rebuilt(params, r=F(1, 12)), **kwargs)
 
 
 def test_krieger_budget_gate():
     sysn, xi, falg, params, kwargs = build(FAMILY[0])
     with pytest.raises(CapacityError) as err:
-        krieger_recode(sysn, xi, falg, replace(params, delta=F(1, 4)), **kwargs)
+        krieger_recode(sysn, xi, falg, rebuilt(params, delta=F(1, 4)), **kwargs)
     assert err.value.inequality == "decoder-budget"
 
 
@@ -858,6 +859,9 @@ def test_reserved_positions_are_int_points_by_name(reserved, constraint):
     }[constraint]
 
 
+WORD_5 = "words are sequences of symbols: word=5"
+
+
 def decode_with(label=None, Y=None):
     """``decode`` on the first family instance, with its first alpha label
     or its transversal replaced."""
@@ -879,12 +883,20 @@ def recode_with(xi):
         (lambda: recode_with(5), "one label per point"),
         (lambda: decode_with(label=[1]), "labels are hashable"),
         (lambda: decode_with(Y=5), "Y holds int points"),
+        (lambda: join_factor(5, GAlgebra((0,) * 4)), "one label per point"),
+        (lambda: choose_J(5, (), F(3, 10), 0, FEAS_Q), WORD_5),
+        (lambda: is_typical(5, TypicalSpec(FEAS_Q, 0, 4)), WORD_5),
+        (lambda: Fiber(TypicalSpec(FEAS_Q, 0, 4), Coarsening(((0,), (1,)), 2), 5), WORD_5),
+        (lambda: dbar(5, (0, 1)), WORD_5),
+        (lambda: Fiber(TypicalSpec(FEAS_Q, 0, 4), Coarsening(((0, 1),), 2), bytes(4)).index(5),
+         WORD_5),
     ],
-    ids=["build_tower", "krieger_recode", "decode-alpha", "decode-Y"],
+    ids=["build_tower", "krieger_recode", "decode-alpha", "decode-Y", "join_factor", "choose_J",
+         "is_typical", "Fiber", "dbar", "Fiber.index"],
 )
 def test_labelings_and_transversals_are_read_by_name(call, message):
-    # each raised a bare TypeError: an int is no labeling and no point set,
-    # and a list label reached decode's alphabet check
+    # each raised a bare TypeError: an int is no labeling, no point set and
+    # no word, and a list label reached decode's alphabet check
     with pytest.raises(FingenError, match=f"^{message}$"):
         call()
 

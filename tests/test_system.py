@@ -128,9 +128,11 @@ def test_system_names_malformed_input(call, constraint):
         (lambda: avgmix(Z4, 3, (0, 1, 0, 1), 1), "B holds int points"),
         (lambda: cyclic_permute(Z4, [0, 1]), "B holds int points"),
         (lambda: cyclic_permute(Z4, 5), "B holds int points"),
+        (lambda: avgmix(Z4, range(4), 5, 1), "one label per point"),
     ],
     ids=["str-A", "bool-A", "str-piece", "float-n", "bool-C", "float-B", "list-A", "int-B",
-         "list-C", "int-B-partition", "list-B", "int-B-avgmix", "int-pieces", "no-pieces"],
+         "list-C", "int-B-partition", "list-B", "int-B-avgmix", "int-pieces", "no-pieces",
+         "int-labels-avgmix"],
 )
 def test_mixing_names_malformed_points(call, constraint):
     with pytest.raises(InvalidParamsError) as err:

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +11,7 @@ from fingen.probvec import canon_labels, label_cells
 from fingen.system import FiniteSystem, PseudoMap
 from fingen.tower import Tower, admissible_m, audit_tower, build_tower
 from test_acceptance import TOWER_CASES
+from test_records import rebuilt
 
 Z60 = FiniteSystem.cyclic(60)
 ALPHA60 = tuple(0 if x < 30 else 1 for x in range(60))
@@ -199,19 +199,19 @@ def test_audit_reports_broken_towers_as_false():
     }
     assert audit_tower(tw) == whole
     # a transversal that misses the class of 0
-    missed = replace(tw, transversal=tw.transversal[1:])
+    missed = rebuilt(tw, transversal=tw.transversal[1:])
     assert audit_tower(missed) == {**whole, "classes_cover": False}
     # theta without the pairs of the class of 0: the walk from 0 leaves at once
-    gap = replace(tw, theta=without(tw.theta, tw.classes()[0]))
+    gap = rebuilt(tw, theta=without(tw.theta, tw.classes()[0]))
     assert audit_tower(gap) == {
         **whole, "theta_order": False, "class_sizes": False, "classes_cover": False,
         "transversal_ok": False,
     }
     # h without the pairs of column 0: no column of m points above 0
-    gap = replace(tw, h=without(tw.h, tw.column(0)))
+    gap = rebuilt(tw, h=without(tw.h, tw.column(0)))
     assert audit_tower(gap) == {**whole, "h_partitions": False, "profile_roundtrip": False}
     # an extra S2 mark at level 2 of column 0 spells rank 2, past the 2-profile table
-    marked = replace(rt, s2=tuple(sorted(rt.s2 + (131,))))
+    marked = rebuilt(rt, s2=tuple(sorted(rt.s2 + (131,))))
     with pytest.raises(InvalidParamsError, match="decoded rank outside the profile table"):
         marked.decode_profile(0)
     assert audit_tower(marked) == {
@@ -225,7 +225,7 @@ def test_audit_flags_theta_of_the_wrong_order():
     tw = build_tower(z120, tuple(x % 2 for x in range(120)), 2, 1, 20)
     shift = PseudoMap(z120, tuple((x, (x + 1) % 120) for x in range(120)), ((0, 1),) * 120)
     assert tw.n == 20
-    assert audit_tower(replace(tw, theta=shift))["theta_order"] is False
+    assert audit_tower(rebuilt(tw, theta=shift))["theta_order"] is False
 
 
 def test_tower_checks_each_map_once(monkeypatch):
@@ -308,7 +308,7 @@ def test_audit_walks_each_map_once(monkeypatch):
         n = tw.system.n_points
         for field in ("h", "theta"):
             CountedDict.reads = 0
-            assert audit_tower(replace(tw, **{field: counted_map(getattr(tw, field))})) == report
+            assert audit_tower(rebuilt(tw, **{field: counted_map(getattr(tw, field))})) == report
             assert 0 < CountedDict.reads <= n, (n, field, CountedDict.reads)
 
 
@@ -328,7 +328,7 @@ def test_audit_sweeps_do_not_grow_with_columns():
     for n in (120, 480, 1920):
         tw = build_tower(FiniteSystem.cyclic(n), tuple(x % 2 for x in range(n)), 2, 1, 20)
         assert len(tw.s1) == n // 20
-        counted = replace(
+        counted = rebuilt(
             tw, alpha=CountedTuple(tw.alpha), s1=CountedTuple(tw.s1), s2=CountedTuple(tw.s2)
         )
         CountedTuple.iterations = 0
@@ -472,12 +472,12 @@ def test_integer_audit_matches_the_fraction_audit_on_failing_towers():
     z120 = FiniteSystem.cyclic(120)
     tw = build_tower(z120, tuple(x % 2 for x in range(120)), 2, 1, 20)
     shift = PseudoMap(z120, tuple((x, (x + 1) % 120) for x in range(120)), ((0, 1),) * 120)
-    rep = audit_tower(replace(tw, theta=shift))
-    assert rep == reference_audit(replace(tw, theta=shift))
+    rep = audit_tower(rebuilt(tw, theta=shift))
+    assert rep == reference_audit(rebuilt(tw, theta=shift))
     assert rep["theta_order"] is False
     # theta = x -> x+2: one class of the even points, one of the odd points
     skip = PseudoMap(z120, tuple((x, (x + 2) % 120) for x in range(120)), ((0, 3),) * 120)
-    halves = replace(tw, theta=skip, transversal=(0, 1))
+    halves = rebuilt(tw, theta=skip, transversal=(0, 1))
     rep = audit_tower(halves)
     assert rep == reference_audit(halves)
     assert (rep["class_sizes"], rep["freq_deviation"]) == (False, F(1, 2))
@@ -490,7 +490,7 @@ def test_integer_audit_matches_the_fraction_audit_on_failing_towers():
     cycle = [(b[k], b[(k + 1) % len(b)]) for b in blocks for k in range(len(b))]
     three = PseudoMap(z120, tuple(cycle), tuple((0, step[(y - x) % 120]) for x, y in cycle))
     marked = {0, 1, 2, *range(10, 18), 30}
-    uneven = replace(
+    uneven = rebuilt(
         tw, theta=three, transversal=(0, 10, 30), alpha=tuple(int(x in marked) for x in range(120))
     )
     rep = audit_tower(uneven)
@@ -498,7 +498,7 @@ def test_integer_audit_matches_the_fraction_audit_on_failing_towers():
     assert rep["freq_deviation"] == F(3, 10)
     # an S2 mark dropped: the column above it decodes rank 0, the other profile
     tw = build_tower(FiniteSystem.cyclic(132), RATCOMB_ALPHA, 3, 1, 11)
-    flipped = replace(tw, s2=tw.s2[1:])
+    flipped = rebuilt(tw, s2=tw.s2[1:])
     rep = audit_tower(flipped)
     assert rep == reference_audit(flipped)
     assert rep["profile_roundtrip"] is False
