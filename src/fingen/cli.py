@@ -103,19 +103,11 @@ class ExperimentConfig(_Record):
 
     _fields = ("command", "options", "seed", "fmt", "out", "max_points")
 
-    def __init__(
-        self, command: str, options: dict, seed: int, fmt: str, out: str | None, max_points: int
-    ):
-        if not (0 <= seed < MAX_SEED):
+    def __post_init__(self):
+        if not (0 <= self.seed < MAX_SEED):
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if max_points < 1:
+        if self.max_points < 1:
             raise ConfigError("max-points must be positive")
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "options", options)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "fmt", fmt)
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "max_points", max_points)
 
 
 def make_system(spec, cap: int) -> FiniteSystem:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidParamsError, InvalidVectorError, _Record, integer
+from .errors import (InvalidParamsError, InvalidVectorError, _Record, integer, labeling,
+                     ordered_labeling)
 from .probvec import ProbVec, entropy
 
 # least integer greater than exp(1 / (1 - log3(e)))
@@ -37,22 +39,22 @@ class FiberDistribution(_Record):
 
     _fields = ("nu", "mus")
 
-    def __init__(self, nu: ProbVec, mus: tuple):
-        if len(nu) != len(mus):
+    def __post_init__(self):
+        if not isinstance(self.mus, Sequence) or len(self.nu) != len(self.mus):
             raise InvalidVectorError("one conditional distribution per fiber")
-        if not mus:
+        if not self.mus:
             raise InvalidVectorError("at least one fiber")
-        cells = len(mus[0])
-        for mu in mus:
+        cells = len(self.mus[0])
+        for mu in self.mus:
             if not isinstance(mu, ProbVec) or len(mu) != cells:
                 raise InvalidVectorError("all fibers share one cell index set")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "mus", mus)
 
     @classmethod
     def from_labels(cls, cell_labels, fiber_labels) -> "FiberDistribution":
         """Disintegrate the uniform point measure over the fibers of a second
         labeling, fibers in increasing label order."""
+        cell_labels = labeling(cell_labels)
+        fiber_labels, fibers = ordered_labeling(fiber_labels, None)
         if len(cell_labels) != len(fiber_labels):
             raise InvalidVectorError("labelings cover the same points")
         if not cell_labels:
@@ -63,7 +65,7 @@ class FiberDistribution(_Record):
         cells = max(cell_labels) + 1
         nu = []
         mus = []
-        for y in sorted({f for f, _ in joint}):
+        for y in fibers:
             row = [joint[y, c] for c in range(cells)]
             mass = sum(row)
             nu.append(Fraction(mass, len(cell_labels)))

@@ -1,5 +1,6 @@
 """Shared exception types, the readers of numbers, point sets and labelings,
-and the base of the library's frozen records.
+and ``_Record``, the base of the library's frozen records: the one
+constructor that binds a record's fields and runs its ``__post_init__``.
 
 Every failure mode that a caller can act on gets its own class; messages
 name the violated constraint so CLI reports can surface it verbatim.
@@ -73,11 +74,36 @@ class AtypicalNameError(FingenError):
 
 
 class _Record:
-    """A frozen record: its ``__init__`` sets each field once with
-    ``object.__setattr__``, and it is compared, hashed and shown by the
-    fields its class names in ``_fields``."""
+    """A frozen record with the fields its class names in ``_fields``: the
+    constructor binds one argument to each, by position or by name, and runs
+    ``__post_init__``, which checks them and writes what it derives with
+    ``_set``.  No field is assigned or deleted after that, and the record is
+    compared, hashed and shown by its fields."""
 
     _fields: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bound by name too: each field once, none unknown
+            named = [*fields[:len(args)], *kwargs]
+            if len(args) > len(fields) or sorted(named) != sorted(fields):
+                raise TypeError(f"{type(self).__name__}() takes one argument per field of {fields}, "
+                                f"got {len(args)} by position and {sorted(kwargs)} by name")
+            args += tuple(kwargs[f] for f in fields[len(args):])
+        store = super().__setattr__  # not __dict__: reading it slows every later field read
+        for name, value in zip(fields, args):
+            store(name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a record with nothing to check keeps them as given."""
+
+    def _set(self, **state):
+        """Write a field kept in another form than given, or derived state; return the record."""
+        store = super().__setattr__
+        for name, value in state.items():
+            store(name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

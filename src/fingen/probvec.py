@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import repeat
 
 from .errors import (InvalidParamsError, InvalidPartitionError, InvalidVectorError, _Record,
-                     integer, rational)
+                     integer, labeling, ordered_labeling, rational)
 
 __all__ = [
     "ProbVec",
@@ -54,8 +54,10 @@ class ProbVec(_Record):
 
     _fields = ("weights",)
 
-    def __init__(self, weights: tuple):
-        w = tuple(map(_exact, weights))
+    def __post_init__(self):
+        if not isinstance(self.weights, Iterable):
+            raise InvalidVectorError("weights are a sequence")
+        w = tuple(map(_exact, self.weights))
         if not w:
             raise InvalidVectorError("empty vector")
         if any((x < 0) for x in w):
@@ -63,7 +65,7 @@ class ProbVec(_Record):
         total = sum(w)
         if total != 1:
             raise InvalidVectorError(f"weights sum to {total}, not 1")
-        object.__setattr__(self, "weights", w)
+        self._set(weights=w)
 
     @cached_property
     def _hash(self) -> int:
@@ -90,17 +92,16 @@ class Coarsening(_Record):
 
     _fields = ("blocks", "size")
 
-    def __init__(self, blocks: tuple, size: int):
-        size = integer("size", size)
-        rows = blocks if isinstance(blocks, Iterable) else [None]
+    def __post_init__(self):
+        size = integer("size", self.size)
+        rows = self.blocks if isinstance(self.blocks, Iterable) else [None]
         blocks = tuple(tuple(b) if isinstance(b, Iterable) else (None,) for b in rows)
         seen = [i for b in blocks for i in b]
         if not {int}.issuperset(map(type, seen)) or sorted(seen) != list(range(size)):
             raise InvalidPartitionError("blocks are not a partition of the index range")
         if any(not b for b in blocks):
             raise InvalidPartitionError("empty block")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "size", size)
+        self._set(blocks=blocks)
 
     def block_of(self) -> dict:
         return {i: j for j, b in enumerate(self.blocks) for i in b}
@@ -155,7 +156,8 @@ def canon_labels(raw) -> tuple:
 def label_distribution(labels: Sequence[int], weights: Sequence | None = None) -> ProbVec:
     """Cell-mass vector of a labeling, cells ordered by label value; with no
     weights a cell's mass is its point count over the point count."""
-    cells = sorted(label_cells(labels), key=lambda cell: labels[cell[0]])
+    labels, order = ordered_labeling(labels, None)
+    cells = list(map({labels[cell[0]]: cell for cell in label_cells(labels)}.get, order))
     if weights is None:
         return ProbVec(tuple(Fraction(len(cell), len(labels)) for cell in cells))
     return ProbVec(tuple(sum(weights[i] for i in cell) for cell in cells))
@@ -163,6 +165,7 @@ def label_distribution(labels: Sequence[int], weights: Sequence | None = None) -
 
 def join_labels(a: Sequence[int], b: Sequence[int]) -> tuple:
     """Common refinement of two labelings, cells numbered by first occurrence."""
+    a, b = labeling(a), labeling(b)
     if len(a) != len(b):
         raise InvalidPartitionError("labeling length mismatch")
     return canon_labels(zip(a, b))
@@ -175,6 +178,7 @@ def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = 
     divided by N once: ``c / N`` rounds the same rational as
     ``float(Fraction(c, N))``.
     """
+    a, b = labeling(a), labeling(b)
     if len(a) != len(b):
         raise InvalidPartitionError("labeling length mismatch")
     if weights is None:
@@ -208,12 +212,6 @@ class RatDecomposition(_Record):
 
     _fields = ("source", "n", "vectors", "mixing")
     facts: dict | None = None
-
-    def __init__(self, source: ProbVec, n: int, vectors: tuple, mixing: ProbVec):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "mixing", mixing)
 
     def verify(self, eps) -> dict:
         """Return what the check at tolerance eps decided: ``identity`` (the mix
@@ -283,5 +281,4 @@ def ratcomb_decompose(a: ProbVec, eps) -> RatDecomposition:
             vectors.append(ProbVec(tuple(comp)))
 
     out = RatDecomposition(a, n, tuple(vectors), mixing)
-    object.__setattr__(out, "facts", out.verify(eps))
-    return out
+    return out._set(facts=out.verify(eps))

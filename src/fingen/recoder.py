@@ -83,21 +83,17 @@ class RecodeParams(_Record):
 
     _fields = ("p", "blocks", "r", "delta", "eps")
 
-    def __init__(self, p: ProbVec, blocks: Coarsening, r, delta, eps):
-        if blocks.size != len(p):
+    def __post_init__(self):
+        if self.blocks.size != len(self.p):
             raise InvalidPartitionError("blocks must partition the target alphabet")
-        r, delta, eps = rational("r", r), rational("delta", delta), rational("eps", eps)
+        r, delta, eps = (rational(f, getattr(self, f)) for f in ("r", "delta", "eps"))
         if not (0 < r <= 1):
             raise InvalidParamsError("0 < r <= 1")
         if not (0 < delta < 1):
             raise InvalidParamsError("0 < delta < 1")
         if eps < 0:
             raise InvalidParamsError("eps >= 0")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "eps", eps)
+        self._set(r=r, delta=delta, eps=eps)
 
     @cached_property
     def q(self) -> ProbVec:
@@ -112,22 +108,16 @@ class AlphabetReductionPlan(_Record):
     """Everything the reduction built: per-point code words, the cutoff, the
     tail partitions, and the relocations that rescue the truncated digits."""
 
-    _fields = ("words", "delta", "cutoff", "tail", "p_sets", "thetas", "digit_sets", "q_set",
-               "gamma")
-
-    def __init__(
-        self, words: tuple, delta: Fraction, cutoff: int, tail: Fraction, p_sets: tuple,
-        thetas: tuple, digit_sets: tuple, q_set: tuple, gamma: tuple,
-    ):
-        object.__setattr__(self, "words", words)  # ternary code word per point
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "tail", tail)  # sum of weight(P_n) for n >= cutoff
-        object.__setattr__(self, "p_sets", p_sets)  # P_n for n = 1 .. max length, each sorted
-        object.__setattr__(self, "thetas", thetas)  # (n, relocation map on domain P_n), n >= cutoff
-        object.__setattr__(self, "digit_sets", digit_sets)  # digit class images: (B0, B1, B2)
-        object.__setattr__(self, "q_set", q_set)  # image of the one-step tails, for chain recovery
-        object.__setattr__(self, "gamma", gamma)  # labels by the first cutoff-1 digits and lengths
+    _fields = (
+        "words",  # ternary code word per point
+        "delta", "cutoff",
+        "tail",  # sum of weight(P_n) for n >= cutoff
+        "p_sets",  # P_n for n = 1 .. max length, each sorted
+        "thetas",  # (n, relocation map on domain P_n), n >= cutoff
+        "digit_sets",  # digit class images: (B0, B1, B2)
+        "q_set",  # image of the one-step tails, for chain recovery
+        "gamma",  # labels by the first cutoff-1 digits and lengths
+    )
 
     @property
     def relocated(self) -> tuple:
@@ -242,19 +232,14 @@ class RecodePlan(_Record):
     ``synthesize_prepartition`` return the records they decide beside it, and
     ``claimed_margin`` builds the one ``synthesize_prepartition`` gates on."""
 
-    _fields = ("tower", "codebook", "reserved", "codewords", "m_full", "j_idx", "zeta")
-
-    def __init__(
-        self, tower: Tower, codebook: CodeBook, reserved: tuple, codewords: tuple, m_full: tuple,
-        j_idx: tuple, zeta: tuple,
-    ):
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "codebook", codebook)
-        object.__setattr__(self, "reserved", reserved)  # reserved points, sorted
-        object.__setattr__(self, "codewords", codewords)  # injected word per transversal point
-        object.__setattr__(self, "m_full", m_full)  # orbit indices in the reserved set, full class
-        object.__setattr__(self, "j_idx", j_idx)  # trimmed positions from the frequency repair
-        object.__setattr__(self, "zeta", zeta)  # claimed cells Z_t, one per target symbol, sorted
+    _fields = (
+        "tower", "codebook",
+        "reserved",  # reserved points, sorted
+        "codewords",  # injected word per transversal point
+        "m_full",  # orbit indices in the reserved set, full class
+        "j_idx",  # trimmed positions from the frequency repair
+        "zeta",  # claimed cells Z_t, one per target symbol, sorted
+    )
 
     def claimed_margin(self, params: RecodeParams) -> dict:
         """The "claimed-margin" record: weight(Z_t) < r * q_t for every t, both

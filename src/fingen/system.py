@@ -267,13 +267,7 @@ def _walk(elements, tokens, max_len, cap, seen, step):
 
 
 class FiniteSystem(_Record):
-    _fields = ("n_points", "generators")
-
-    def __init__(self, n_points: int, generators: tuple, _cache: dict | None = None):
-        object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "generators", generators)  # ((name, perm), ...), declared order
-        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
-        self.__post_init__()
+    _fields = ("n_points", "generators")  # generators: ((name, perm), ...), declared order
 
     def __post_init__(self):
         n = integer("n_points", self.n_points)
@@ -285,7 +279,6 @@ class FiniteSystem(_Record):
             raise InvalidParamsError("generators are (name, permutation) pairs") from None
         if not pairs:
             raise InvalidParamsError("at least one generator")
-        object.__setattr__(self, "generators", pairs)  # read once, kept as a tuple
         tables = {}
         for name, perm in pairs:
             if not isinstance(name, str) or not name or name.startswith("~"):
@@ -299,9 +292,9 @@ class FiniteSystem(_Record):
             ):
                 raise InvalidPartitionError(f"generator {name!r} is not a permutation")
             tables[name] = tuple(perm)
-        tables.update({"~" + name: _inverse(perm) for name, perm in self.generators})
-        # token -> permutation table: every generator, then every "~" inverse
-        object.__setattr__(self, "_tables", tables)
+        tables.update({"~" + name: _inverse(perm) for name, perm in pairs})
+        # generators as read; _tables: token -> permutation, every generator, then every "~" inverse
+        self._set(generators=pairs, _tables=tables, _cache={})
         # transitivity: generator edges, both directions, connect all points
         seen = {0}
         frontier = [0]
@@ -352,8 +345,8 @@ class GAlgebra(_Record):
 
     _fields = ("labels",)
 
-    def __init__(self, labels: tuple):
-        object.__setattr__(self, "labels", canon_labels(labeling(labels)))
+    def __post_init__(self):
+        self._set(labels=canon_labels(labeling(self.labels)))
 
     def __len__(self) -> int:
         return len(set(self.labels))
@@ -461,13 +454,8 @@ def _refine(cells: list, perms: list) -> GAlgebra:
 class PseudoMap(_Record):
     """Partial bijection whose every point moves by a recorded group element."""
 
+    # pairs: ((x, y), ...) sorted by x; moves: the walk-index move taking x to y, per pair
     _fields = ("system", "pairs", "moves")
-
-    def __init__(self, system: FiniteSystem, pairs: tuple, moves: tuple):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "pairs", pairs)  # ((x, y), ...) sorted by x
-        object.__setattr__(self, "moves", moves)  # walk-index move taking x to y, per pair
-        self.__post_init__()
 
     def __post_init__(self):
         try:  # a pair of another length or type, or pairs that are no sequence
@@ -485,9 +473,8 @@ class PseudoMap(_Record):
         if len(at) != len(xs) or len(set(ys)) != len(ys):
             raise InvalidParamsError("map must be a bijection")
         order = [at[x] for x in sorted(at)]
-        object.__setattr__(self, "pairs", tuple([self.pairs[i] for i in order]))
-        object.__setattr__(self, "moves", tuple([self.moves[i] for i in order]))
-        object.__setattr__(self, "_fwd", dict(self.pairs))
+        pairs = tuple([self.pairs[i] for i in order])
+        self._set(pairs=pairs, moves=tuple([self.moves[i] for i in order]), _fwd=dict(pairs))
         _check_moves(self.system.group(), self._fwd.keys(), self.moves, self._fwd)
 
     def then(self, other: "PseudoMap") -> "PseudoMap":
@@ -505,9 +492,9 @@ class PseudoMap(_Record):
         if len(set(fwd.values())) != len(fwd):
             raise InvalidParamsError("map must be a bijection")
         _check_moves(self.system.group(), xs, joined, fwd)
-        out = object.__new__(PseudoMap)  # checked above: no second __post_init__
-        out.__dict__.update(vars(self), pairs=tuple(fwd.items()), moves=tuple(moves), _fwd=fwd)
-        return out
+        # checked above: built without the constructor, so no second __post_init__
+        return PseudoMap.__new__(PseudoMap)._set(
+            system=self.system, pairs=tuple(fwd.items()), moves=tuple(moves), _fwd=fwd)
 
     @property
     def domain(self) -> tuple:
@@ -704,14 +691,12 @@ def cyclic_permute(sys: FiniteSystem, pieces) -> PseudoMap:
 
 
 class MixResult(_Record):
-    _fields = ("classes", "theta", "n", "route", "algebra")
-
-    def __init__(self, classes: tuple, theta: PseudoMap, n: int, route: str, algebra: GAlgebra):
-        object.__setattr__(self, "classes", classes)  # tuple of point tuples, each of size n
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "route", route)  # "ratcomb" or "atomic"
-        object.__setattr__(self, "algebra", algebra)
+    _fields = (
+        "classes",  # tuple of point tuples, each of size n
+        "theta", "n",
+        "route",  # "ratcomb" or "atomic"
+        "algebra",
+    )
 
 
 def avgmix(sys: FiniteSystem, B, labels, eps) -> MixResult:

@@ -17,12 +17,7 @@ from itertools import cycle, islice
 
 from .errors import (DivisibilityError, InvalidParamsError, _Record, integer, ordered_labeling,
                      rational)
-from .system import (
-    FiniteSystem,
-    PseudoMap,
-    avgmix,
-    make_equal_partition,
-)
+from .system import FiniteSystem, avgmix, make_equal_partition
 
 CONSTRAINTS = (
     "m >= 1",
@@ -57,27 +52,11 @@ def _violated(n_points: int, n_cells: int, eps: Fraction, nmin: int, m: int) -> 
 
 
 class Tower(_Record):
-    _fields = ("system", "alpha", "eps", "m", "k", "n", "ell", "s1", "s2", "h", "theta",
-               "transversal", "profiles")
-
-    def __init__(
-        self, system: FiniteSystem, alpha: tuple, eps: Fraction, m: int, k: int, n: int, ell: int,
-        s1: tuple, s2: tuple, h: PseudoMap, theta: PseudoMap, transversal: tuple, profiles: tuple,
-    ):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "alpha", alpha)  # tracked labeling, one label per point
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "transversal", transversal)
-        # rank -> frequency profile over the alpha cells, lex sorted
-        object.__setattr__(self, "profiles", profiles)
+    _fields = (
+        "system", "alpha",  # alpha: the tracked labeling, one label per point
+        "eps", "m", "k", "n", "ell", "s1", "s2", "h", "theta", "transversal",
+        "profiles",  # rank -> frequency profile over the alpha cells, lex sorted
+    )
 
     @cached_property
     def cells(self) -> tuple:

@@ -83,14 +83,11 @@ class TypicalSpec(_Record):
 
     _fields = ("q", "eps", "n")
 
-    def __init__(self, q: ProbVec, eps, n: int):
+    def __post_init__(self):
         # read here, not in the cache, whose keys hash True as 1 and 4.0 as 4
-        exact, n = rational("eps", eps), integer("n", n)
-        _alphabet(len(q))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_ranges", _count_ranges(q, exact, n))
+        exact, n = rational("eps", self.eps), integer("n", self.n)
+        _alphabet(len(self.q))
+        self._set(_ranges=_count_ranges(self.q, exact, n))
 
     def count_ranges(self) -> list:
         """Inclusive admissible count interval per symbol, computed exactly."""
@@ -488,15 +485,6 @@ class Fiber(Sequence):
 class WindowReport(_Record):
     _fields = ("count", "holds", "log_lower", "log_upper", "log_count")
 
-    def __init__(
-        self, count: int, holds: bool, log_lower: float, log_upper: float, log_count: float
-    ):
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "log_lower", log_lower)
-        object.__setattr__(self, "log_upper", log_upper)
-        object.__setattr__(self, "log_count", log_count)
-
 
 def stirling_window(q: ProbVec, delta, eps, n: int) -> WindowReport:
     """Exact typical count against the exp(n(H(q) +- delta)) window around
@@ -629,14 +617,13 @@ class PackingBudget(_Record):
 
     _fields = ("delta", "r")
 
-    def __init__(self, delta, r):
-        delta, r = rational("delta", delta), rational("r", r)
+    def __post_init__(self):
+        delta, r = rational("delta", self.delta), rational("r", self.r)
         if not (0 < delta):
             raise InvalidParamsError("delta > 0")
         if not (0 < r <= 1):
             raise InvalidParamsError("0 < r <= 1")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "r", r)
+        self._set(delta=delta, r=r)
 
     def k(self, n: int) -> int:
         return math.floor(self.r * n)
@@ -690,18 +677,7 @@ class CodeBook(_Record):
     for a decoder (``within``) by counting agreements on the packed words."""
 
     _fields = ("q", "eps", "k", "rho", "packing", "books")
-
-    def __init__(
-        self, q: ProbVec, eps, k: int, rho: Fraction, packing: tuple, books: Sequence,
-        checks: tuple = (),
-    ):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "packing", packing)
-        object.__setattr__(self, "books", books)
-        object.__setattr__(self, "checks", checks)
+    checks: tuple = ()  # the chain's inequality records, set by build_injections
 
     @cached_property
     def _pack(self):
@@ -876,7 +852,7 @@ def build_injections(
         c = by_name[name]
         if not c["holds"]:
             raise CapacityError(name, f"lhs={c['lhs']} rhs={c['rhs']}")
-    return CodeBook(q, eps, k, rho, tuple(packing), books, tuple(checks))
+    return CodeBook(q, eps, k, rho, tuple(packing), books)._set(checks=tuple(checks))
 
 
 def _largest_fiber(fine: TypicalSpec, blocks: Coarsening, coarse: TypicalSpec) -> int:

@@ -171,4 +171,7 @@ def test_fiber_distribution_validation():
             ProbVec((F(1, 2), F(1, 2))),
             (ProbVec((F(1),)), ProbVec((F(1, 2), F(1, 2)))),
         )
+    # an int for the conditionals raised a bare TypeError: it has no len()
+    with pytest.raises(InvalidVectorError, match="^one conditional distribution per fiber$"):
+        FiberDistribution(ProbVec((F(1, 2), F(1, 2))), 5)
 

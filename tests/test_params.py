@@ -4,7 +4,8 @@ None by the parameter's name, and no function reads one of its own
 parameters with a bare ``Fraction(...)`` or ``float(...)``.  Point sets and
 labelings are read by ``errors.points``, ``errors.labeling`` and
 ``errors.ordered_labeling``: no other function applies ``set``,
-``frozenset`` or ``sorted(set(...))`` to one of its own parameters."""
+``frozenset`` or ``sorted(set(...))`` to one of its own parameters, nor a
+record's ``__post_init__`` to one of its fields."""
 
 import ast
 import math
@@ -294,7 +295,9 @@ READERS = {("errors", "points"), ("errors", "labeling"), ("errors", "ordered_lab
 def set_reads(tree: ast.Module, module: str):
     """(module, function, parameter) for each ``set(p)`` or ``frozenset(p)``,
     ``sorted(set(p))`` included, that reads a parameter p of the enclosing
-    function before p is rebound, in any function but the readers."""
+    function before p is rebound, in any function but the readers; in
+    ``__post_init__`` the fields read as ``self.f`` or ``getattr(self, ...)``
+    count as parameters."""
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef) or (module, fn.name) in READERS:
             continue
@@ -305,6 +308,8 @@ def set_reads(tree: ast.Module, module: str):
             if isinstance(arg, ast.Name) and arg.id in params:
                 if node.lineno <= bound.get(arg.id, node.lineno):
                     yield module, fn.name, arg.id
+            elif fn.name == "__post_init__" and _reads_self(arg):
+                yield module, fn.name, "self"
 
 
 def test_no_function_but_the_readers_sets_its_own_parameter():
@@ -327,8 +332,19 @@ def later(A, labels):
 
 def points(name, points, n):
     return set(points)
+
+class Cells:
+    def __post_init__(self):
+        return sorted(set(self.labels)), set(self.labels[0]), len(self.labels)
+
+    def later(self):
+        return set(self.labels)
 """
     assert set(set_reads(ast.parse(code), "m")) == {
         ("m", "entry", "A"), ("m", "entry", "B"), ("m", "entry", "xi"), ("m", "points", "points"),
+        ("m", "__post_init__", "self"),
     }
     assert ("errors", "points", "points") not in set(set_reads(ast.parse(code), "errors"))
+    for read in ("frozenset(self.labels)", "set(getattr(self, 'labels'))"):
+        snippet = f"class Cells:\n    def __post_init__(self):\n        return {read}\n"
+        assert set(set_reads(ast.parse(snippet), "m")) == {("m", "__post_init__", "self")}

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingen.errors import InvalidPartitionError, InvalidVectorError
+from fingen.coding import FiberDistribution
+from fingen.errors import FingenError, InvalidPartitionError, InvalidVectorError
 from fingen.probvec import (
     Coarsening,
     ProbVec,
@@ -57,6 +58,10 @@ def test_probvec_validation():
         ProbVec((F(1, 2), 0.5))
     with pytest.raises(InvalidVectorError, match="bool"):
         ProbVec((True, False))
+    # no collection raised a bare TypeError: the object is not iterable
+    for weights in (5, None):
+        with pytest.raises(InvalidVectorError, match="^weights are a sequence$"):
+            ProbVec(weights)
 
 
 def test_string_round_trip():
@@ -253,3 +258,39 @@ def test_coarsening_names_blocks_that_are_no_partition(blocks):
     with pytest.raises(InvalidPartitionError) as err:
         Coarsening(blocks, 2)
     assert str(err.value) == "blocks are not a partition of the index range"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: label_distribution([0, [1]]), "labels are hashable and mutually ordered"),
+        (lambda: label_distribution([0, "a"]), "labels are hashable and mutually ordered"),
+        (lambda: cond_entropy([0, 1], [[0], 0]), "labels are hashable"),
+        (lambda: join_labels([0, [1]], [0, 0]), "labels are hashable"),
+        (lambda: cond_entropy(5, [0]), "one label per point"),
+        (lambda: join_labels([0], 5), "one label per point"),
+        (lambda: FiberDistribution.from_labels(5, 5), "one label per point"),
+        (lambda: FiberDistribution.from_labels([0, 1], [0, [1]]),
+         "labels are hashable and mutually ordered"),
+        (lambda: cond_entropy([0, 1], [0]), "labeling length mismatch"),
+        (lambda: join_labels([0, 1], [0]), "labeling length mismatch"),
+        (lambda: cond_entropy([0, 1], [0, 0], [F(1)]), "one weight per point"),
+    ],
+    ids=["distribution-list", "distribution-unordered", "cond_entropy", "join_labels",
+         "cond_entropy-int", "join_labels-int", "from_labels-int", "from_labels-list",
+         "cond_entropy-length", "join_labels-length", "cond_entropy-weights"],
+)
+def test_labelings_are_read_by_name(call, message):
+    # the first eight raised a bare TypeError: an unhashable label, labels
+    # that do not compare, or an int for a labeling
+    with pytest.raises(FingenError, match=f"^{message}$"):
+        call()
+
+
+def test_a_labeling_may_be_any_iterable():
+    # an iterator was not subscriptable and had no len()
+    a, b = (0, 0, 1, 1), (0, 1, 0, 1)
+    assert label_distribution(iter(a)) == label_distribution(a)
+    assert cond_entropy(iter(a), iter(b)) == cond_entropy(a, b)
+    assert join_labels(iter(a), iter(b)) == join_labels(a, b)
+    assert FiberDistribution.from_labels(iter(a), iter(b)) == FiberDistribution.from_labels(a, b)

@@ -1,7 +1,13 @@
-"""The library's records are frozen plain classes: importing the library runs
-no generated code, a field cannot be assigned or deleted, and a record is
-rebuilt with changed fields through its own constructor."""
+"""The library's records are frozen plain classes with one constructor,
+``errors._Record.__init__``: it binds one argument to each field, refuses a
+field missing, unknown or given twice, and runs the record's
+``__post_init__`` once.  No record writes its own ``__init__``, and no
+module uses ``object.__setattr__``, ``object.__new__``, ``__dict__`` or
+``vars``.  Importing the library runs no generated code, a field cannot be
+assigned or deleted, and a record is rebuilt with changed fields through
+its constructor."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -16,7 +22,7 @@ from fingen.coding import FiberDistribution
 from fingen.errors import _Record
 from fingen.probvec import Coarsening, ProbVec, ratcomb_decompose
 from fingen.recoder import encode_names, reduce_alphabet
-from fingen.system import FiniteSystem, GAlgebra, avgmix
+from fingen.system import FiniteSystem, GAlgebra, PseudoMap, avgmix
 from fingen.tower import build_tower
 from fingen.typical import PackingBudget, TypicalSpec, stirling_window
 
@@ -66,6 +72,83 @@ def test_a_record_refuses_assignment_and_deletion_of_each_field(name):
         with pytest.raises(AttributeError):
             delattr(record, field)
         assert getattr(record, field) is value
+
+
+# one record of each shape: fields kept as given, checked fields, a field
+# stored in another form, derived state, and a field set after construction
+SHAPES = ["MixResult", "ExperimentConfig", "Coarsening", "FiniteSystem", "CodeBook"]
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_the_constructor_binds_each_field_once(name):
+    record = RECORDS[name]
+    cls, fields = type(record), record._fields
+    values = [getattr(record, f) for f in fields]
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == record
+    bad = [
+        lambda: cls(*values[:-1]),  # the last field missing
+        lambda: cls(**dict(zip(fields[1:], values[1:]))),  # the first field missing
+        lambda: cls(*values, None),  # one argument more than there are fields
+        lambda: cls(*values, extra=None),  # an unknown field
+        lambda: cls(*values, **{fields[0]: values[0]}),  # the first field twice
+    ]
+    for call in bad:
+        with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) takes one argument per field"):
+            call()
+
+
+def test_no_record_writes_its_own_constructor():
+    assert [cls.__name__ for cls in _Record.__subclasses__() if "__init__" in vars(cls)] == []
+
+
+def record_writes(tree: ast.Module) -> list:
+    """Line numbers of ``object.__setattr__``, ``object.__new__``, every
+    ``__dict__`` and every ``vars(...)``: the ways round a record's
+    constructor and its frozen fields."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "__dict__"
+            or node.attr in ("__setattr__", "__new__") and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        )
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars"
+    )
+
+
+def test_no_module_writes_a_record_round_its_constructor():
+    # _Record stores each field through super().__setattr__; PseudoMap.then builds its
+    # checked result with PseudoMap.__new__ and _set, the one record made without __init__
+    found = {path.name: record_writes(ast.parse(path.read_text()))
+             for path in (SRC / "fingen").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_record_guard_sees_each_write():
+    code = """
+out = object.__new__(PseudoMap)
+object.__setattr__(out, "pairs", ())
+out.__dict__.update(pairs=())
+out.__dict__["moves"] = ()
+vars(out).update(moves=())
+object.__getattribute__(out, "pairs")
+out.pairs
+"""
+    assert record_writes(ast.parse(code)) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("cls, name", [(FiniteSystem, "FiniteSystem"), (PseudoMap, "PseudoMap")])
+def test_building_a_record_runs_its_check_once(monkeypatch, cls, name):
+    calls = []
+    check = cls.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        check(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    assert rebuilt(RECORDS[name]) == RECORDS[name]
+    assert len(calls) == 1
 
 
 def test_records_compare_and_hash_by_their_fields():
