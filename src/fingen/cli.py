@@ -350,6 +350,8 @@ def cmd_recode(cfg: ExperimentConfig) -> dict:
     o = cfg.options
     if "nmin" in o:
         raise ConfigError("recode fixes nmin at 1; drop 'nmin'")
+    if "capacity" in o:
+        raise ConfigError("recode gates on the exact capacity checks; drop 'capacity'")
     sysn = make_system(_req(o, "system"), cfg.max_points)
     xi = parse_labels(_req(o, "xi"), sysn.n_points)
     falg = GAlgebra(parse_labels(_req(o, "factor"), sysn.n_points))
@@ -364,7 +366,6 @@ def cmd_recode(cfg: ExperimentConfig) -> dict:
         tower_eps=_opt(o, "tower_eps", _fr),
         m=_opt(o, "m", _int),
         pack_delta=_opt(o, "pack_delta", _fr),
-        capacity=o.get("capacity", "exact"),
     )
     return {"certificate": cert, "alpha": list(alpha)}
 

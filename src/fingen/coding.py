@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (InvalidParamsError, InvalidVectorError, _Record, integer, labeling,
                      ordered_labeling)
@@ -40,6 +39,8 @@ class FiberDistribution(_Record):
     _fields = ("nu", "mus")
 
     def __post_init__(self):
+        if not isinstance(self.nu, ProbVec):
+            raise InvalidVectorError("fiber weights are a ProbVec")
         if not isinstance(self.mus, Sequence) or len(self.nu) != len(self.mus):
             raise InvalidVectorError("one conditional distribution per fiber")
         if not self.mus:
@@ -91,10 +92,10 @@ def build_code(fd: FiberDistribution) -> tuple:
     return tuple(out)
 
 
-class LengthBound(NamedTuple):
-    avg_len: float
-    bound: float
-    holds: bool
+class LengthBound(_Record):
+    """The average code length, its bound, and whether the bound holds."""
+
+    _fields = ("avg_len", "bound", "holds")
 
 
 def code_length_bound(fd: FiberDistribution, code: tuple) -> LengthBound:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 
 from .errors import (InvalidParamsError, InvalidPartitionError, InvalidVectorError, _Record,
@@ -46,11 +45,7 @@ def _exact(v) -> Fraction:
 
 
 class ProbVec(_Record):
-    """Ordered exact weights: Fractions kept as given, ints turned into Fractions.
-
-    The hash of the weights is taken once, on first use: vectors key
-    caches, and hashing a Fraction costs a modular inverse.
-    """
+    """Ordered exact weights: Fractions kept as given, ints turned into Fractions."""
 
     _fields = ("weights",)
 
@@ -67,12 +62,8 @@ class ProbVec(_Record):
             raise InvalidVectorError(f"weights sum to {total}, not 1")
         self._set(weights=w)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.weights)
-
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -160,7 +151,16 @@ def label_distribution(labels: Sequence[int], weights: Sequence | None = None) -
     cells = list(map({labels[cell[0]]: cell for cell in label_cells(labels)}.get, order))
     if weights is None:
         return ProbVec(tuple(Fraction(len(cell), len(labels)) for cell in cells))
+    weights = _weights(weights, len(labels))
     return ProbVec(tuple(sum(weights[i] for i in cell) for cell in cells))
+
+
+def _weights(weights, n: int) -> tuple:
+    """``weights`` as a tuple of one weight per point of range(n)."""
+    out = tuple(weights) if isinstance(weights, Iterable) else None
+    if out is None or len(out) != n:
+        raise InvalidPartitionError("one weight per point")
+    return out
 
 
 def join_labels(a: Sequence[int], b: Sequence[int]) -> tuple:
@@ -183,10 +183,8 @@ def cond_entropy(a: Sequence[int], b: Sequence[int], weights: Sequence | None = 
         raise InvalidPartitionError("labeling length mismatch")
     if weights is None:
         masses, total = repeat(1), len(a)
-    elif len(weights) != len(a):
-        raise InvalidPartitionError("one weight per point")
     else:
-        masses, total = weights, 1
+        masses, total = _weights(weights, len(a)), 1
     fibers: dict = {}  # b-fiber -> a-label -> mass, each in first-occurrence order
     for x, y, w in zip(a, b, masses):
         sub = fibers.setdefault(y, {})

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 from .coding import FiberDistribution, build_code
@@ -78,7 +77,8 @@ __all__ = [
 class RecodeParams(_Record):
     """Target vector p, the blocks coarsening it into q, scale r, tolerances.
 
-    r, delta and eps are stored as Fractions whatever rational type is given.
+    r, delta and eps are stored as Fractions whatever rational type is given,
+    and q is p coarsened by the blocks.
     """
 
     _fields = ("p", "blocks", "r", "delta", "eps")
@@ -93,11 +93,7 @@ class RecodeParams(_Record):
             raise InvalidParamsError("0 < delta < 1")
         if eps < 0:
             raise InvalidParamsError("eps >= 0")
-        self._set(r=r, delta=delta, eps=eps)
-
-    @cached_property
-    def q(self) -> ProbVec:
-        return coarsen(self.p, self.blocks)
+        self._set(r=r, delta=delta, eps=eps, q=coarsen(self.p, self.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +513,11 @@ def scan_towers(sys: FiniteSystem, fine, tower_eps=None, *, m=None) -> tuple:
 
 def recode_codebook(
     tower: Tower, beta, dist: ProbVec, blocks: Coarsening,
-    params: RecodeParams, pack_delta=None, capacity: str = "exact",
+    params: RecodeParams, pack_delta=None,
 ) -> tuple:
     """Books for the coarse names the tower reads, packed into target words
-    over q at tolerance pack_delta (default 9 / (400 |q|)).
+    over q at tolerance pack_delta (default 9 / (400 |q|)), gated on the
+    exact capacity checks.
 
     Returns (codebook, pack_delta).
     """
@@ -530,7 +527,7 @@ def recode_codebook(
     beta = _word(beta, UNASSIGNED)
     needed = [bytes(map(beta.__getitem__, tower.theta.orbit(y))) for y in tower.transversal]
     budget = PackingBudget(pack_delta, params.r)
-    codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, capacity, only=needed)
+    codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, "exact", only=needed)
     return codebook, pack_delta
 
 
@@ -544,7 +541,6 @@ def krieger_recode(
     tower_eps=None,
     m: int | None = None,
     pack_delta=None,
-    capacity: str = "exact",
 ) -> tuple:
     """Realize the target distribution on a pre-partition that recodes xi.
 
@@ -568,8 +564,7 @@ def krieger_recode(
 
     fine, beta, fine_blocks, fine_dist = join_factor(xi, F)
     tower, scan = scan_towers(sys, fine, tower_eps, m=m)
-    codebook, pack_delta = recode_codebook(tower, beta, fine_dist, fine_blocks, params,
-                                           pack_delta, capacity)
+    codebook, pack_delta = recode_codebook(tower, beta, fine_dist, fine_blocks, params, pack_delta)
     plan, encoded = encode_names(tower, fine, beta, codebook, r=r, delta=params.delta,
                                  reserved=reserved)
     radius, budgeted = decoder_budget(plan)

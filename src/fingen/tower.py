@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import cycle, islice
 
 from .errors import (DivisibilityError, InvalidParamsError, _Record, integer, ordered_labeling,
-                     rational)
+                     points, rational)
 from .system import FiniteSystem, avgmix, make_equal_partition
 
 CONSTRAINTS = (
@@ -58,13 +57,11 @@ class Tower(_Record):
         "profiles",  # rank -> frequency profile over the alpha cells, lex sorted
     )
 
-    @cached_property
-    def cells(self) -> tuple:
-        return tuple(sorted(set(self.alpha)))
-
-    @cached_property
-    def _marks(self) -> tuple:
-        return frozenset(self.s1), frozenset(self.s2)
+    def __post_init__(self):
+        # the sorted alpha labels and the S1/S2 sets, which the decoder and the audit read
+        n = self.system.n_points
+        self._set(cells=tuple(ordered_labeling(self.alpha, n)[1]),
+                  _marks=(points("s1", self.s1, n), points("s2", self.s2, n)))
 
     def column(self, s: int) -> tuple:
         return self.h.orbit(s)

@@ -38,7 +38,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, islice
 
 from .errors import (
@@ -673,26 +673,17 @@ class CodeBook(_Record):
     ``packing[i]`` decodes to ``fiber[i]``.  ``packing`` is the first-fit
     prefix as long as the largest fiber, which exists since
     ``capacity-exact`` is required in both capacity modes.  The book packs
-    each word once, when first read, and measures its separation and scans
-    for a decoder (``within``) by counting agreements on the packed words."""
+    each word once, when built, so a symbol outside the alphabet is refused
+    there, and measures its separation and scans for a decoder (``within``)
+    by counting agreements on the packed words."""
 
     _fields = ("q", "eps", "k", "rho", "packing", "books")
     checks: tuple = ()  # the chain's inequality records, set by build_injections
+    _separation: Fraction | None = None  # taken on first read: it scans every pair of words
 
-    @cached_property
-    def _pack(self):
-        return _packer(len(self.q))
-
-    @cached_property
-    def _packed(self) -> tuple:
-        # each word packed once, for the separation and the decoder
-        return tuple(map(self._pack, self.packing))
-
-    @cached_property
-    def _separation(self) -> Fraction:
-        # the decoder radius and the report both read it, so it is taken once
-        closest = _closest(self._packed, self.k)
-        return Fraction(1) if closest is None else closest
+    def __post_init__(self):
+        pack = _packer(len(self.q))
+        self._set(_pack=pack, _packed=tuple(map(pack, self.packing)))
 
     def within(self, prefix: Sequence[int], radius, count: int) -> list:
         """The indices i < ``count`` with dbar(prefix, packing[i]) <
@@ -710,7 +701,11 @@ class CodeBook(_Record):
         return self.books.fiber(b)
 
     def separation(self) -> Fraction:
-        """Smallest pairwise dbar within any book's image (the largest is the packing)."""
+        """Smallest pairwise dbar within any book's image (the largest is the
+        packing), taken once: the decoder radius and the report both read it."""
+        if self._separation is None:
+            closest = _closest(self._packed, self.k)
+            self._set(_separation=Fraction(1) if closest is None else closest)
         return self._separation
 
     def summary(self) -> dict:

@@ -344,6 +344,15 @@ def test_recode_refuses_nmin(tmp_path, capsys):
     assert "config error: recode fixes nmin at 1; drop 'nmin'" in err
 
 
+def test_recode_refuses_capacity(tmp_path, capsys):
+    blob = json.loads((CONFIGS / "recode.json").read_text())
+    cfg = write_config(tmp_path, {**blob, "capacity": "exact"})
+    code, out, err = run(capsys, ["recode", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error: recode gates on the exact capacity checks; drop 'capacity'" in err
+
+
 @pytest.mark.parametrize("exceptions", [[60], [-1], [99, -1]])
 def test_exceptions_off_the_points_are_a_config_error(tmp_path, capsys, exceptions):
     cfg = write_config(

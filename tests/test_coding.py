@@ -174,4 +174,7 @@ def test_fiber_distribution_validation():
     # an int for the conditionals raised a bare TypeError: it has no len()
     with pytest.raises(InvalidVectorError, match="^one conditional distribution per fiber$"):
         FiberDistribution(ProbVec((F(1, 2), F(1, 2))), 5)
+    # an int for the fiber weights raised a bare TypeError: it has no len()
+    with pytest.raises(InvalidVectorError, match="^fiber weights are a ProbVec$"):
+        FiberDistribution(5, (ProbVec((F(1),)),))
 

@@ -275,14 +275,18 @@ def test_coarsening_names_blocks_that_are_no_partition(blocks):
         (lambda: cond_entropy([0, 1], [0]), "labeling length mismatch"),
         (lambda: join_labels([0, 1], [0]), "labeling length mismatch"),
         (lambda: cond_entropy([0, 1], [0, 0], [F(1)]), "one weight per point"),
+        (lambda: label_distribution([0, 1], [F(1)]), "one weight per point"),
+        (lambda: label_distribution([0, 1], [F(1, 3)] * 3), "one weight per point"),
     ],
     ids=["distribution-list", "distribution-unordered", "cond_entropy", "join_labels",
          "cond_entropy-int", "join_labels-int", "from_labels-int", "from_labels-list",
-         "cond_entropy-length", "join_labels-length", "cond_entropy-weights"],
+         "cond_entropy-length", "join_labels-length", "cond_entropy-weights",
+         "distribution-weights-short", "distribution-weights-long"],
 )
 def test_labelings_are_read_by_name(call, message):
     # the first eight raised a bare TypeError: an unhashable label, labels
-    # that do not compare, or an int for a labeling
+    # that do not compare, or an int for a labeling; too few weights for
+    # label_distribution raised a bare IndexError, and too many were cut
     with pytest.raises(FingenError, match=f"^{message}$"):
         call()
 
@@ -292,5 +296,8 @@ def test_a_labeling_may_be_any_iterable():
     a, b = (0, 0, 1, 1), (0, 1, 0, 1)
     assert label_distribution(iter(a)) == label_distribution(a)
     assert cond_entropy(iter(a), iter(b)) == cond_entropy(a, b)
+    w = (F(1, 8), F(1, 8), F(1, 4), F(1, 2))  # an iterator of weights had no len()
+    assert cond_entropy(a, b, iter(w)) == cond_entropy(a, b, w)
+    assert label_distribution(a, iter(w)) == label_distribution(a, w)
     assert join_labels(iter(a), iter(b)) == join_labels(a, b)
     assert FiberDistribution.from_labels(iter(a), iter(b)) == FiberDistribution.from_labels(a, b)

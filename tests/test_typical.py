@@ -608,27 +608,28 @@ def test_packed_words_count_agreements_per_symbol():
                 count = rng.randint(0, len(words))
                 hits = book.within(prefix, radius, count)
                 assert hits == per_symbol_hits(book, prefix, radius, count)
-    for refused in (lambda: uniform_book(300, 1, [(0,), (1,)]).separation(),
+    for refused in (lambda: uniform_book(300, 1, [(0,), (1,)]),
                     lambda: min_dbar([(0,), (299,)], 300)):
         with pytest.raises(InvalidParamsError, match="^an alphabet of at most 255 symbols"):
             refused()
 
 
 @pytest.mark.parametrize(
-    "book",
+    "q, k, packing",
     [
-        CodeBook(HALF, 0, 3, 0, ((0, 1, 5), (1, 0, 0)), ()),  # 5 set no bit in 2 symbols
-        uniform_book(9, 3, ((0, 1, 9), (1, 0, 0))),  # 9 read the field of -1
-        uniform_book(9, 3, ((0, 1, -2), (1, 0, 0))),  # -2 read the field of 8
-        uniform_book(2, 2, ((0, 200), (1, 0))),  # past the signed byte range
+        (HALF, 3, ((0, 1, 5), (1, 0, 0))),  # 5 set no bit in 2 symbols
+        (ProbVec((F(1, 9),) * 9), 3, ((0, 1, 9), (1, 0, 0))),  # 9 read the field of -1
+        (ProbVec((F(1, 9),) * 9), 3, ((0, 1, -2), (1, 0, 0))),  # -2 read the field of 8
+        (HALF, 2, ((0, 200), (1, 0))),  # past the signed byte range
     ],
     ids=["2-symbols-5", "9-symbols-9", "9-symbols--2", "2-symbols-200"],
 )
-def test_packed_words_refuse_a_symbol_outside_the_alphabet(book):
+def test_packed_words_refuse_a_symbol_outside_the_alphabet(q, k, packing):
+    # the book packs its words when built
     with pytest.raises(InvalidPartitionError, match="outside alphabet of size"):
-        book.separation()
+        CodeBook(q, 0, k, 0, packing, ())
     with pytest.raises(InvalidPartitionError, match="outside alphabet of size"):
-        min_dbar(book.packing, len(book.q))
+        min_dbar(packing, len(q))
 
 
 @pytest.mark.parametrize("alphabet", [2, 9])
