@@ -291,10 +291,7 @@ def cmd_codebook(cfg: ExperimentConfig) -> dict:
     blocks = parse_blocks(_req(o, "blocks"), len(xi))
     q = _vec(_req(o, "q"))
     budget = PackingBudget(_fr(o.get("delta", "1/1000")), _fr(o.get("r", "1/2")))
-    book = build_injections(
-        xi, blocks, q, budget, _fr(o.get("eps", "0")), _int(_req(o, "n")),
-        o.get("capacity", "analytic"),
-    )
+    book = build_injections(xi, blocks, q, budget, _fr(o.get("eps", "0")), _int(_req(o, "n")))
     return {"certificate": book.summary()}
 
 
@@ -350,8 +347,6 @@ def cmd_recode(cfg: ExperimentConfig) -> dict:
     o = cfg.options
     if "nmin" in o:
         raise ConfigError("recode fixes nmin at 1; drop 'nmin'")
-    if "capacity" in o:
-        raise ConfigError("recode gates on the exact capacity checks; drop 'capacity'")
     sysn = make_system(_req(o, "system"), cfg.max_points)
     xi = parse_labels(_req(o, "xi"), sysn.n_points)
     falg = GAlgebra(parse_labels(_req(o, "factor"), sysn.n_points))
@@ -496,6 +491,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             options[key] = getattr(args, key)
     if getattr(args, "points", None) is not None:
         options["system"] = {"cyclic": args.points}
+    if args.command in ("codebook", "recode") and "capacity" in options:  # one gate, no mode
+        raise ConfigError(f"{args.command} gates on the exact capacity checks; drop 'capacity'")
     if args.command == "count" and isinstance(options.get("eps"), str):
         options["eps"] = options["eps"].split(",")
     return ExperimentConfig(

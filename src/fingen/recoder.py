@@ -516,8 +516,8 @@ def recode_codebook(
     params: RecodeParams, pack_delta=None,
 ) -> tuple:
     """Books for the coarse names the tower reads, packed into target words
-    over q at tolerance pack_delta (default 9 / (400 |q|)), gated on the
-    exact capacity checks.
+    over q at tolerance pack_delta (default 9 / (400 |q|)), gated as every
+    ``build_injections`` is, on the counting checks alone.
 
     Returns (codebook, pack_delta).
     """
@@ -527,7 +527,7 @@ def recode_codebook(
     beta = _word(beta, UNASSIGNED)
     needed = [bytes(map(beta.__getitem__, tower.theta.orbit(y))) for y in tower.transversal]
     budget = PackingBudget(pack_delta, params.r)
-    codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, "exact", only=needed)
+    codebook = build_injections(dist, blocks, q, budget, params.eps, tower.n, only=needed)
     return codebook, pack_delta
 
 

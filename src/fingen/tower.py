@@ -30,6 +30,7 @@ CONSTRAINTS = (
 
 def admissible_m(n_points: int, n_cells: int, eps, nmin: int, m: int) -> str | None:
     """Name of the first violated tower constraint, or None if m works."""
+    n_points, n_cells = integer("n_points", n_points), integer("n_cells", n_cells)
     eps, nmin, m = rational("eps", eps), integer("nmin", nmin), integer("m", m)
     return _violated(n_points, n_cells, eps, nmin, m)
 

@@ -501,10 +501,10 @@ def stirling_window(q: ProbVec, delta, eps, n: int) -> WindowReport:
 
 def binomial_bound_report(delta, n: int) -> dict:
     """C(n, floor(delta n)) against exp(2n H(delta, 1-delta)), exact left side."""
-    n = integer("n", n)
-    d = float(delta)
-    if not 0 <= d <= 1:
+    n, delta = integer("n", n), rational("delta", delta)
+    if not 0 <= delta <= 1:
         raise InvalidParamsError("0 <= delta <= 1", f"got {delta}")
+    d = float(delta)
     k = math.floor(d * n)
     lhs = math.comb(n, k)
     rhs_log = 2.0 * n * entropy_pair(d, 1.0 - d)
@@ -530,6 +530,7 @@ def dbar(a: Sequence[int], b: Sequence[int]) -> Fraction:
 def min_dbar(words: Sequence, alphabet: int) -> Fraction | None:
     """Smallest pairwise dbar among ``words``, all of one length over
     range(alphabet), counted on their packed forms; None for fewer than two."""
+    alphabet = integer("alphabet", alphabet)
     if len(set(map(len, words))) > 1:
         raise InvalidParamsError("words of one length")
     if words and not words[0]:
@@ -672,7 +673,7 @@ class CodeBook(_Record):
     name encodes to ``packing[fiber.index(name)]`` and a codeword at
     ``packing[i]`` decodes to ``fiber[i]``.  ``packing`` is the first-fit
     prefix as long as the largest fiber, which exists since
-    ``capacity-exact`` is required in both capacity modes.  The book packs
+    every build is gated on ``capacity-exact``.  The book packs
     each word once, when built, so a symbol outside the alphabet is refused
     there, and measures its separation and scans for a decoder (``within``)
     by counting agreements on the packed words."""
@@ -737,7 +738,8 @@ def _chain_checks(
     target_count: int,
     packing_prefix: int,
 ) -> list:
-    """Feasibility inequalities, exact counts on one side, analytic rates on the other."""
+    """The seven feasibility records of a build, exact counts on one side,
+    analytic rates on the other; ``build_injections`` gates on ``REQUIRED``."""
     delta = float(budget.delta)
     r = float(budget.r)
     cells = [c for block in blocks.blocks for c in block]
@@ -761,17 +763,13 @@ def _chain_checks(
     return [inequality(*check) for check in checks]
 
 
-# The asymptotic windows on the target count ("target-window-lower",
-# "covering-chain") demand n r delta to beat a polynomial deficit, which no
-# enumerable instance can do; they are reported but never gate construction.
-# "separation-bound" is reported only: budget.rho refuses rho >= 1/2 first.
-ANALYTIC_REQUIRED = (
-    "entropy-gap",
-    "fiber-window-upper",
-    "delta-margin",
-    "capacity-exact",
-)
-EXACT_REQUIRED = ("entropy-gap", "capacity-exact")
+# A book is built when its counting facts hold: the entropy gap, and the
+# largest fiber fits the packing.  The rate chain ("fiber-window-upper",
+# "target-window-lower", "delta-margin", "covering-chain") is reported but
+# never gates: its windows on the target count demand n r delta to beat a
+# polynomial deficit, which no enumerable instance can do.  "separation-bound"
+# is reported only: budget.rho refuses rho >= 1/2 first.
+REQUIRED = ("entropy-gap", "capacity-exact")
 
 
 def build_injections(
@@ -781,15 +779,15 @@ def build_injections(
     budget: PackingBudget,
     eps,
     n: int,
-    capacity: str = "analytic",
+    *,
     only=None,
 ) -> CodeBook:
     """Injective maps from every typical fiber into a greedy packing of the
     typical target words, one book per block word.
 
-    ``capacity`` selects the gating inequalities: "analytic" requires the full
-    rate chain, "exact" only the counting facts (gap, max fiber size against
-    the packing).  All inequalities are reported either way.
+    The build is refused only on the counting facts, ``entropy-gap`` and
+    ``capacity-exact`` (the largest fiber against the packing); all seven
+    inequality records are reported on ``checks``.
 
     ``only`` restricts the books to the given block words, at least one,
     each of which must be typical.  Each build's packing is a prefix of the
@@ -806,8 +804,6 @@ def build_injections(
     by name before any search.
     """
     n = integer("n", n)
-    if capacity not in ("analytic", "exact"):
-        raise InvalidParamsError("capacity in {analytic, exact}")
     if len(blocks) == 0 or blocks.size != len(xi):
         raise InvalidPartitionError("blocks must partition the fine alphabet")
     k = budget.k(n)
@@ -841,12 +837,9 @@ def build_injections(
     checks = _chain_checks(
         xi, blocks, q, budget, n, k, float(rho), max_fiber, target_count, len(packing)
     )
-    required = ANALYTIC_REQUIRED if capacity == "analytic" else EXACT_REQUIRED
-    by_name = {c["name"]: c for c in checks}
-    for name in required:
-        c = by_name[name]
-        if not c["holds"]:
-            raise CapacityError(name, f"lhs={c['lhs']} rhs={c['rhs']}")
+    for c in checks:  # in chain order, so entropy-gap is named first
+        if c["name"] in REQUIRED and not c["holds"]:
+            raise CapacityError(c["name"], f"lhs={c['lhs']} rhs={c['rhs']}")
     return CodeBook(q, eps, k, rho, tuple(packing), books)._set(checks=tuple(checks))
 
 

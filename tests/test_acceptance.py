@@ -279,6 +279,9 @@ INJECTION_CASES = (
     + [((20, 3, 1), B2, q, 24) for q in (HALF, Q13, Q14, Q512)]
     + [((21, 1, 1, 1), B3, HALF, 24)]
 )
+# the records every INJECTION_CASES build holds: the counting facts, and the
+# rate chain's fiber window and delta margin
+CHAIN = ("entropy-gap", "fiber-window-upper", "delta-margin", "capacity-exact")
 
 
 def word_counts(word, t):
@@ -314,7 +317,9 @@ def test_packings_and_codebooks():
     budget = PackingBudget(Fraction(1, 1000), Fraction(1, 2))
     for counts, blocks, q, n in INJECTION_CASES:
         xi = ProbVec(tuple(Fraction(v, n) for v in counts))
-        cb = build_injections(xi, blocks, q, budget, Fraction(0), n, capacity="analytic")
+        cb = build_injections(xi, blocks, q, budget, Fraction(0), n)
+        holds = {c["name"]: c["holds"] for c in cb.checks}
+        assert all(holds[name] for name in CHAIN), holds
 
         q_ranges = TypicalSpec(q, Fraction(0), cb.k).count_ranges()
         pack = set(cb.packing)

@@ -32,6 +32,44 @@ def test_bundled_configs_run_clean(capsys, name):
     assert report["seed"] == 0
 
 
+class ReadKeys(dict):
+    """A config's options that record each top-level key read by ``get``,
+    ``[]`` or ``in``."""
+
+    def __init__(self, options):
+        super().__init__(options)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_bundled_configs_set_no_key_their_command_ignores(capsys, monkeypatch, name):
+    seen = []
+    resolve = cli.resolve_config
+
+    def recording(args):
+        cfg = resolve(args)
+        seen.append(ReadKeys(cfg.options))
+        return cli.ExperimentConfig(cfg.command, seen[-1], cfg.seed, cfg.fmt, cfg.out, cfg.max_points)
+
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    code, _, err = run(capsys, [name, "--config", str(CONFIGS / f"{name}.json")])
+    assert code == 0, err
+    [options] = seen
+    assert set(options) - options.read == set()
+
+
 @pytest.mark.parametrize("name", ALL)
 @pytest.mark.parametrize("fmt", ("json", "csv"))
 def test_reports_byte_identical_across_runs(capsys, name, fmt):
@@ -344,13 +382,14 @@ def test_recode_refuses_nmin(tmp_path, capsys):
     assert "config error: recode fixes nmin at 1; drop 'nmin'" in err
 
 
-def test_recode_refuses_capacity(tmp_path, capsys):
-    blob = json.loads((CONFIGS / "recode.json").read_text())
+@pytest.mark.parametrize("command", ["recode", "codebook"])
+def test_recode_refuses_capacity(tmp_path, capsys, command):
+    blob = json.loads((CONFIGS / f"{command}.json").read_text())
     cfg = write_config(tmp_path, {**blob, "capacity": "exact"})
-    code, out, err = run(capsys, ["recode", "--config", cfg])
+    code, out, err = run(capsys, [command, "--config", cfg])
     assert code == 2
     assert out == ""
-    assert "config error: recode gates on the exact capacity checks; drop 'capacity'" in err
+    assert f"config error: {command} gates on the exact capacity checks; drop 'capacity'" in err
 
 
 @pytest.mark.parametrize("exceptions", [[60], [-1], [99, -1]])

@@ -44,6 +44,7 @@ from fingen.typical import (
     count_typical,
     greedy_packing,
     iter_typical,
+    min_dbar,
     stirling_window,
 )
 
@@ -115,7 +116,9 @@ ENTRIES = [
     ("stirling_window", "delta", lambda v: stirling_window(HALF, v, 0, 4)),
     ("stirling_window", "eps", lambda v: stirling_window(HALF, F(1, 10), v, 4)),
     ("stirling_window", "n", lambda v: stirling_window(HALF, F(1, 10), 0, v)),
+    ("binomial_bound_report", "delta", lambda v: binomial_bound_report(v, 10)),
     ("binomial_bound_report", "n", lambda v: binomial_bound_report(F(1, 2), v)),
+    ("min_dbar", "alphabet", lambda v: min_dbar([(0, 1), (1, 0)], v)),
     ("build_injections", "eps", lambda v: build_injections(XI3, XI3_BLOCKS, HALF, BUDGET, v, 24)),
     ("build_injections", "n", lambda v: build_injections(XI3, XI3_BLOCKS, HALF, BUDGET, 0, v)),
     ("iter_typical", "rho", lambda v: next(iter_typical(SPEC, v))),
@@ -130,6 +133,8 @@ ENTRIES = [
     ("build_tower", "eps", lambda v: build_tower(Z60, ALPHA60, v, 1)),
     ("build_tower", "nmin", lambda v: build_tower(Z60, ALPHA60, 2, v)),
     ("build_tower", "m", lambda v: build_tower(Z60, ALPHA60, 2, 1, v)),
+    ("admissible_m", "n_points", lambda v: admissible_m(v, 2, 2, 1, 20)),
+    ("admissible_m", "n_cells", lambda v: admissible_m(60, v, 2, 1, 20)),
     ("admissible_m", "eps", lambda v: admissible_m(60, 2, v, 1, 20)),
     ("admissible_m", "nmin", lambda v: admissible_m(60, 2, 2, v, 20)),
     ("admissible_m", "m", lambda v: admissible_m(60, 2, 2, 1, v)),
@@ -151,7 +156,7 @@ ENTRIES = [
     ("krieger_recode", "pack_delta", lambda v: recode_call(pack_delta=v)),
     ("brute_force_generator_search", "k_max", lambda v: brute_force_generator_search(Z4, v)),
 ]
-INTEGERS = {"n", "n_points", "nmin", "m", "limit", "k_max", "size"}
+INTEGERS = {"n", "n_points", "n_cells", "alphabet", "nmin", "m", "limit", "k_max", "size"}
 NONE_OK = {
     ("greedy_packing", "limit"), ("build_tower", "m"), ("recode_codebook", "pack_delta"),
     ("scan_towers", "tower_eps"), ("scan_towers", "m"), ("krieger_recode", "tower_eps"),
@@ -195,10 +200,8 @@ def test_spec_refuses_a_bool_or_float_after_the_equal_key_is_cached():
 
 
 # where a bare read is the rule: the readers themselves, the CLI's reader of
-# config text (it exits 2), ProbVec's exact weights, and the delta of
-# binomial_bound_report, whose "0 <= delta <= 1" names a nan delta
-OWN_READS = {("errors", "rational", "v"), ("cli", "_fr", "v"), ("probvec", "_exact", "v"),
-             ("typical", "binomial_bound_report", "delta")}
+# config text (it exits 2) and ProbVec's exact weights
+OWN_READS = {("errors", "rational", "v"), ("cli", "_fr", "v"), ("probvec", "_exact", "v")}
 
 
 NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)

@@ -359,7 +359,7 @@ def test_restricted_books_match_full_build():
 
 def test_restricted_books_without_the_largest_fiber_use_a_packing_prefix():
     xi = ProbVec((F(10, 12), F(1, 12), F(1, 12)))
-    args = (xi, FEAS_BLOCKS, FEAS_Q, FEAS_BUDGET, F(1, 12), 12, "exact")
+    args = (xi, FEAS_BLOCKS, FEAS_Q, FEAS_BUDGET, F(1, 12), 12)
     full = build_injections(*args)
     largest = max(len(fiber) for _, fiber in full.books)
     some = [b for b, fiber in full.books if len(fiber) < largest]

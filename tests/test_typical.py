@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from recode_instances import FAMILY, build, pipeline_parts
+from test_acceptance import CHAIN, INJECTION_CASES
 
 from fingen import typical
 from fingen.cli import main
@@ -342,9 +343,7 @@ def test_binomial_bound_sweep():
             assert binomial_bound_report(delta, n)["holds"]
 
 
-@pytest.mark.parametrize(
-    "delta", [1.5, -0.1, F(3, 2), float("nan")], ids=["1.5", "-0.1", "3/2", "nan"]
-)
+@pytest.mark.parametrize("delta", [1.5, -0.1, F(3, 2)], ids=["1.5", "-0.1", "3/2"])
 def test_binomial_bound_rejects_delta_outside_unit_interval(delta):
     with pytest.raises(InvalidParamsError) as info:
         binomial_bound_report(delta, 20)
@@ -890,9 +889,7 @@ def test_build_injections_decode_roundtrip():
 @pytest.mark.parametrize("eps, sep", [(F(1, 12), F(1, 3)), (F(1, 6), F(1, 6))])
 def test_separation_matches_per_book_minimum_on_unequal_fibers(eps, sep):
     xi = ProbVec((F(10, 12), F(1, 12), F(1, 12)))
-    book = build_injections(
-        xi, FEAS_BLOCKS, HALF, FEAS_BUDGET, eps, 12, capacity="exact"
-    )
+    book = build_injections(xi, FEAS_BLOCKS, HALF, FEAS_BUDGET, eps, 12)
     assert len({len(fiber) for _, fiber in book.books}) > 1
     per_book = min(
         (
@@ -954,28 +951,36 @@ def bundled_codebook_case():
     blocks = Coarsening(tuple(map(tuple, blob["blocks"])), len(xi))
     budget = PackingBudget(F(blob["delta"]), F(blob["r"]))
     q = ProbVec(tuple(F(w) for w in blob["q"]))
-    return xi, blocks, q, budget, F(blob["eps"]), blob["n"], blob["capacity"]
+    return xi, blocks, q, budget, F(blob["eps"]), blob["n"]
+
+
+def chain_cases():
+    """The builds whose fiber window and delta margin hold as well as the
+    counting facts: ``INJECTION_CASES`` and the bundled config."""
+    budget = PackingBudget(F(1, 1000), F(1, 2))
+    cases = [
+        (ProbVec(tuple(F(v, n) for v in counts)), blocks, q, budget, F(0), n)
+        for counts, blocks, q, n in INJECTION_CASES
+    ]
+    return cases + [bundled_codebook_case()]
 
 
 def injection_cases():
-    from test_acceptance import INJECTION_CASES
-
-    budget = PackingBudget(F(1, 1000), F(1, 2))
-    cases = [
-        (ProbVec(tuple(F(v, n) for v in counts)), blocks, q, budget, F(0), n, "analytic")
-        for counts, blocks, q, n in INJECTION_CASES
-    ]
-    cases.append(bundled_codebook_case())
     xi = ProbVec((F(10, 12), F(1, 12), F(1, 12)))
-    cases += [(xi, FEAS_BLOCKS, HALF, FEAS_BUDGET, eps, 12, "exact") for eps in (F(1, 12), F(1, 6))]
-    return cases
+    return chain_cases() + [(xi, FEAS_BLOCKS, HALF, FEAS_BUDGET, eps, 12) for eps in (F(1, 12), F(1, 6))]
+
+
+CHAIN_CASES = chain_cases()
 
 
 @pytest.mark.parametrize("case", injection_cases(), ids=lambda case: f"n{case[5]}-eps{case[4]}")
 def test_ranked_books_match_the_listed_books(case):
-    xi, blocks, q, budget, eps, n, capacity = case
+    xi, blocks, q, budget, eps, n = case
     ref = listed_books(xi, blocks, eps, n)
     book = build_injections(*case)
+    if case in CHAIN_CASES:
+        holds = {c["name"]: c["holds"] for c in book.checks}
+        assert all(holds[name] for name in CHAIN), holds
     ranked = list(book.books)
     assert book.summary()["books"] == len(book.books) == len(ranked) == len(ref)
     assert [b for b, _ in ranked] == [b for b, _ in ref]
@@ -1028,8 +1033,24 @@ def test_empty_typical_block_set_is_refused_before_any_search(monkeypatch):
 
 
 UNEQUAL_CASE = (
-    ProbVec((F(10, 12), F(1, 12), F(1, 12))), FEAS_BLOCKS, HALF, FEAS_BUDGET, F(1, 12), 12, "exact",
+    ProbVec((F(10, 12), F(1, 12), F(1, 12))), FEAS_BLOCKS, HALF, FEAS_BUDGET, F(1, 12), 12,
 )
+
+
+def test_a_book_whose_rate_chain_fails_is_built_on_its_counting_facts():
+    # every fiber fits the packing, so the book exists; the rate chain's
+    # fiber and target windows fail and are reported, never gated on
+    book = build_injections(*UNEQUAL_CASE)
+    holds = {c["name"]: c["holds"] for c in book.checks}
+    assert holds["entropy-gap"] and holds["capacity-exact"]
+    assert not holds["fiber-window-upper"] and not holds["target-window-lower"]
+    assert max(len(fiber) for _, fiber in book.books) <= len(book.packing)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "exact"])
+def test_build_injections_takes_no_gate_mode(mode):
+    with pytest.raises(TypeError):
+        build_injections(*UNEQUAL_CASE, mode)
 
 
 def test_both_book_modes_refuse_a_word_without_a_book():
@@ -1052,7 +1073,7 @@ def test_both_book_modes_refuse_a_word_without_a_book():
 
 
 def test_only_books_are_the_fibers_of_their_words():
-    xi, blocks, _, _, eps, n, _ = UNEQUAL_CASE
+    xi, blocks, _, _, eps, n = UNEQUAL_CASE
     spec = TypicalSpec(xi, eps, n)
     full = build_injections(*UNEQUAL_CASE)
     sizes = {b: len(f) for b, f in full.books}
@@ -1096,7 +1117,7 @@ def test_build_injections_counts_only_the_target_set(monkeypatch):
 
     monkeypatch.setattr(typical, "count_typical", recorded)
     for case in (UNEQUAL_CASE, bundled_codebook_case()):
-        xi, _, q, budget, eps, n, _ = case
+        xi, _, q, budget, eps, n = case
         words = [b for b, _ in build_injections(*case).books]
         build_injections(*case, only=words[:2])
         target = TypicalSpec(q, eps, budget.k(n))
